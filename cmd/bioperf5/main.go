@@ -333,8 +333,8 @@ func cmdPredictors() error {
 	return nil
 }
 
-// cmdBranches profiles one application's static branches: run the
-// coupled simulation with the per-PC profiler attached and print every
+// cmdBranches profiles one application's static branches: replay the
+// cell's trace with the per-PC profiler attached and print every
 // conditional-branch site with its counts and taxonomy class.
 func cmdBranches(args []string) error {
 	if len(args) < 1 || strings.HasPrefix(args[0], "-") {

@@ -64,7 +64,10 @@ func run(name string, prog *isa.Program, cfg cpu.Config) {
 	mach.SetReg(isa.R4, 0x50000)
 	mach.SetReg(isa.R5, n)
 
-	model := cpu.MustNew(cfg)
+	model, err := cpu.New(cfg, cpu.ProgMeta(prog))
+	if err != nil {
+		log.Fatal(err)
+	}
 	ctr, err := model.Run(mach, 10_000_000)
 	if err != nil {
 		log.Fatal(err)

@@ -1,7 +1,7 @@
 // Package bprof is the per-static-branch predictability profiler.  It
-// implements cpu.BranchProfiler: the coupled timing model feeds it
-// every resolved conditional branch (with the live predictor's verdict)
-// and every BTAC lookup, keyed by static PC.  From that stream it
+// implements cpu.BranchProfiler: the timing core feeds it every
+// resolved conditional branch (with the live predictor's verdict) and
+// every BTAC lookup, keyed by static PC.  From that stream it
 // builds, per branch site, the execution and mispredict counts the
 // aggregate hardware counters only report machine-wide — and classifies
 // each site into a predictability taxonomy:

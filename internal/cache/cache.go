@@ -7,6 +7,7 @@ package cache
 
 import (
 	"fmt"
+	"math/bits"
 	"strings"
 
 	"bioperf5/internal/telemetry"
@@ -88,6 +89,7 @@ type Cache struct {
 	sets      [][]line
 	setMask   uint64
 	lineShift uint
+	tagShift  uint // bits of the line address the set index consumes
 	clock     uint64
 	stats     Stats
 }
@@ -111,6 +113,7 @@ func New(cfg Config) (*Cache, error) {
 		sets:      sets,
 		setMask:   uint64(nsets - 1),
 		lineShift: shift,
+		tagShift:  uint(bits.Len(uint(nsets - 1))),
 	}, nil
 }
 
@@ -136,7 +139,7 @@ func (c *Cache) Access(addr uint64) bool {
 	c.stats.Accesses++
 	lineAddr := addr >> c.lineShift
 	set := c.sets[lineAddr&c.setMask]
-	tag := lineAddr >> popShift(c.setMask)
+	tag := lineAddr >> c.tagShift
 
 	for i := range set {
 		if set[i].valid && set[i].tag == tag {
@@ -167,7 +170,7 @@ func (c *Cache) Access(addr uint64) bool {
 func (c *Cache) Contains(addr uint64) bool {
 	lineAddr := addr >> c.lineShift
 	set := c.sets[lineAddr&c.setMask]
-	tag := lineAddr >> popShift(c.setMask)
+	tag := lineAddr >> c.tagShift
 	for i := range set {
 		if set[i].valid && set[i].tag == tag {
 			return true
@@ -197,16 +200,6 @@ func (c *Cache) Reset() {
 	c.stats = Stats{}
 }
 
-// popShift returns the number of bits in mask (mask is 2^n - 1).
-func popShift(mask uint64) uint {
-	n := uint(0)
-	for mask != 0 {
-		n++
-		mask >>= 1
-	}
-	return n
-}
-
 // Hierarchy is the two-level data-side hierarchy the timing model uses:
 // an access that misses L1 probes L2; a miss there costs the memory
 // latency.  Latency returns the total load-to-use latency in cycles.
@@ -226,15 +219,16 @@ func NewPOWER5Hierarchy() *Hierarchy {
 }
 
 // Access runs addr through the hierarchy and returns the load-to-use
-// latency in cycles.
-func (h *Hierarchy) Access(addr uint64) int {
+// latency in cycles together with the level the access resolved at:
+// 0 an L1 hit, 1 an L1 miss that hit L2, 2 a miss in both.
+func (h *Hierarchy) Access(addr uint64) (latency, level int) {
 	if h.L1.Access(addr) {
-		return h.L1.cfg.HitLatency
+		return h.L1.cfg.HitLatency, 0
 	}
 	if h.L2.Access(addr) {
-		return h.L2.cfg.HitLatency
+		return h.L2.cfg.HitLatency, 1
 	}
-	return h.MemLatency
+	return h.MemLatency, 2
 }
 
 // LevelLatency returns the load-to-use latency of an access that
@@ -251,6 +245,12 @@ func (h *Hierarchy) LevelLatency(level int) int {
 	default:
 		return h.MemLatency
 	}
+}
+
+// LevelLatencies returns LevelLatency for the three levels Access can
+// report, the table a timing core charges loads from.
+func (h *Hierarchy) LevelLatencies() [3]int {
+	return [3]int{h.LevelLatency(0), h.LevelLatency(1), h.LevelLatency(2)}
 }
 
 // Reset clears both levels.

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -177,11 +178,11 @@ func TestHierarchyLatencies(t *testing.T) {
 	l1 := h.L1.Config().HitLatency
 	l2 := h.L2.Config().HitLatency
 
-	if got := h.Access(0x1234); got != h.MemLatency {
-		t.Errorf("cold access latency = %d, want %d", got, h.MemLatency)
+	if got, level := h.Access(0x1234); got != h.MemLatency || level != 2 {
+		t.Errorf("cold access = (%d, level %d), want (%d, level 2)", got, level, h.MemLatency)
 	}
-	if got := h.Access(0x1234); got != l1 {
-		t.Errorf("hot access latency = %d, want %d", got, l1)
+	if got, level := h.Access(0x1234); got != l1 || level != 0 {
+		t.Errorf("hot access = (%d, level %d), want (%d, level 0)", got, level, l1)
 	}
 	// Evict from L1 (fill its set) but keep in L2, then expect L2 latency.
 	base := uint64(0x1234)
@@ -193,8 +194,53 @@ func TestHierarchyLatencies(t *testing.T) {
 	if h.L1.Contains(base) {
 		t.Fatal("test setup failed to evict line from L1")
 	}
-	if got := h.Access(base); got != l2 {
-		t.Errorf("L2 hit latency = %d, want %d", got, l2)
+	if got, level := h.Access(base); got != l2 || level != 1 {
+		t.Errorf("L2 hit = (%d, level %d), want (%d, level 1)", got, level, l2)
+	}
+}
+
+// TestHierarchyLevelMatchesCounters: the level Access returns is what
+// the per-cache miss counters say happened — the trace capturer and the
+// coupled timing model rely on it instead of diffing Stats.
+func TestHierarchyLevelMatchesCounters(t *testing.T) {
+	h := NewPOWER5Hierarchy()
+	rng := rand.New(rand.NewSource(4))
+	seen := [3]int{}
+	for i := 0; i < 200_000; i++ {
+		// A hot 16KB region, a 512KB region that overflows L1 but not
+		// L2, and a 64MB region that overflows both.
+		var addr uint64
+		switch rng.Intn(3) {
+		case 0:
+			addr = uint64(rng.Intn(16 << 10))
+		case 1:
+			addr = 1<<24 + uint64(rng.Intn(512<<10))
+		default:
+			addr = 1<<28 + uint64(rng.Intn(64<<20))
+		}
+		l1, l2 := h.L1.Stats(), h.L2.Stats()
+		lat, level := h.Access(addr)
+		want := 0
+		if h.L1.Stats().Misses > l1.Misses {
+			want = 1
+			if h.L2.Stats().Misses > l2.Misses {
+				want = 2
+			}
+		} else if h.L2.Stats().Accesses != l2.Accesses {
+			t.Fatalf("access %d: L1 hit probed L2", i)
+		}
+		if level != want {
+			t.Fatalf("access %d (%#x): level %d, counters say %d", i, addr, level, want)
+		}
+		if lat != h.LevelLatency(level) {
+			t.Fatalf("access %d: latency %d, LevelLatency(%d) = %d", i, lat, level, h.LevelLatency(level))
+		}
+		seen[level]++
+	}
+	for level, n := range seen {
+		if n == 0 {
+			t.Errorf("address stream never resolved at level %d", level)
+		}
 	}
 }
 

@@ -124,31 +124,27 @@ func RunKernelDetailed(k *kernels.Kernel, s Setup, seeds []int64, scale int) (*D
 	return &Detail{Seeds: resp.Seeds, Aggregate: resp.Aggregate}, nil
 }
 
-// RunProfiled simulates one invocation per seed on the coupled model
-// with a branch profiler attached.  The profiler observes every
+// RunProfiled simulates one invocation per seed with a branch profiler
+// attached to the timing core, under the default trace policy: each
+// seed's trace is captured into (or found in) the default store and
+// replayed with the profiler watching.  The profiler observes every
 // resolved conditional branch and BTAC lookup without touching timing,
-// so the counters are identical to an unprofiled run — but the run
-// always executes the coupled path: profilers cannot ride the cached
-// or trace-replayed paths, whose results are shared across callers.
+// so the counters are identical to an unprofiled run.
+//
+// Deprecated: use Simulate with Request.Branches.
 func RunProfiled(k *kernels.Kernel, s Setup, seeds []int64, scale int, prof cpu.BranchProfiler) (*Detail, error) {
-	if scale < 1 {
-		scale = 1
+	resp, err := Simulate(Request{
+		App:      k.App,
+		Variant:  s.Variant,
+		Seeds:    seeds,
+		Scale:    scale,
+		CPU:      s.CPU,
+		Branches: prof,
+	})
+	if err != nil {
+		return nil, err
 	}
-	det := &Detail{}
-	for _, seed := range seeds {
-		run, err := k.NewRun(seed, scale)
-		if err != nil {
-			return nil, err
-		}
-		rep, err := kernels.SimulateObserved(k, s.Variant, run, s.CPU, stepLimit,
-			kernels.Observer{Branches: prof})
-		if err != nil {
-			return nil, err
-		}
-		det.Seeds = append(det.Seeds, SeedReport{Seed: seed, Counters: rep.Counters, Stalls: rep.Stalls})
-		det.Aggregate = det.Aggregate.Add(rep)
-	}
-	return det, nil
+	return &Detail{Seeds: resp.Seeds, Aggregate: resp.Aggregate}, nil
 }
 
 // Interval is one sampling window of a run (Figure 2's x-axis is
@@ -170,7 +166,7 @@ func RunIntervals(k *kernels.Kernel, s Setup, seed int64, scale int, every uint6
 	if err != nil {
 		return nil, err
 	}
-	prog, _, err := k.Compile(s.Variant)
+	c, err := kernels.CompileCached(k, s.Variant)
 	if err != nil {
 		return nil, err
 	}
@@ -178,11 +174,11 @@ func RunIntervals(k *kernels.Kernel, s Setup, seed int64, scale int, every uint6
 	if s.Variant.NeedsExtensions() {
 		cfg.Extensions = true
 	}
-	model, err := cpu.New(cfg)
+	model, err := cpu.New(cfg, c.Meta)
 	if err != nil {
 		return nil, err
 	}
-	mach := machine.New(prog, run.Mem)
+	mach := machine.New(c.Prog, run.Mem)
 	mach.Reset()
 	if err := mach.SetPC(k.Name); err != nil {
 		return nil, err
@@ -258,7 +254,7 @@ func RunSampled(k *kernels.Kernel, s Setup, seed int64, scale int, sc SampleConf
 	if err != nil {
 		return SampledResult{}, err
 	}
-	prog, _, err := k.Compile(s.Variant)
+	c, err := kernels.CompileCached(k, s.Variant)
 	if err != nil {
 		return SampledResult{}, err
 	}
@@ -266,11 +262,11 @@ func RunSampled(k *kernels.Kernel, s Setup, seed int64, scale int, sc SampleConf
 	if s.Variant.NeedsExtensions() {
 		cfg.Extensions = true
 	}
-	model, err := cpu.New(cfg)
+	model, err := cpu.New(cfg, c.Meta)
 	if err != nil {
 		return SampledResult{}, err
 	}
-	mach := machine.New(prog, run.Mem)
+	mach := machine.New(c.Prog, run.Mem)
 	mach.Reset()
 	if err := mach.SetPC(k.Name); err != nil {
 		return SampledResult{}, err

@@ -71,6 +71,10 @@ type Request struct {
 	// Limit bounds each seed's dynamic instruction count; 0 means the
 	// standard per-invocation limit.
 	Limit uint64
+	// Branches, when set, watches every resolved branch of every seed
+	// on the timing core, whichever policy feeds it.  It observes
+	// without perturbing, so results do not depend on it.
+	Branches cpu.BranchProfiler
 }
 
 // Response is the result of one Simulate call.
@@ -143,7 +147,8 @@ func Simulate(req Request) (*Response, error) {
 
 	resp := &Response{}
 	for _, seed := range req.Seeds {
-		rep, hit, cost, err := simulateSeed(ctx, k, req.Variant, seed, scale, req.CPU, policy, store, limit)
+		rep, hit, cost, err := simulateSeed(ctx, k, req.Variant, seed, scale, req.CPU, policy, store, limit,
+			kernels.Observer{Branches: req.Branches})
 		if err != nil {
 			return nil, err
 		}
@@ -167,8 +172,7 @@ func Simulate(req Request) (*Response, error) {
 // memoized compilation up front, so the capture/replay timings below it
 // measure only their own work.
 func simulateSeed(ctx context.Context, k *kernels.Kernel, v kernels.Variant, seed int64, scale int,
-	cfg cpu.Config, policy TracePolicy, store *trace.Store, limit uint64) (cpu.Report, bool, telemetry.StageCost, error) {
-	var cost telemetry.StageCost
+	cfg cpu.Config, policy TracePolicy, store *trace.Store, limit uint64, obs kernels.Observer) (_ cpu.Report, _ bool, cost telemetry.StageCost, _ error) {
 	seedStart := time.Now()
 	defer func() { cost.TotalNS = time.Since(seedStart).Nanoseconds() }()
 
@@ -196,7 +200,7 @@ func simulateSeed(ctx context.Context, k *kernels.Kernel, v kernels.Variant, see
 		_, sp := telemetry.StartSpan(ctx, telemetry.StageSim)
 		sp.Attr("app", k.App)
 		sp.AttrInt("seed", seed)
-		rep, err := kernels.SimulateObserved(k, v, run, cfg, limit, kernels.Observer{})
+		rep, err := kernels.SimulateObserved(k, v, run, cfg, limit, obs)
 		sp.End()
 		cost.SimNS = time.Since(simStart).Nanoseconds()
 		return rep, false, cost, err
@@ -259,7 +263,7 @@ func simulateSeed(ctx context.Context, k *kernels.Kernel, v kernels.Variant, see
 	sp.Attr("app", k.App)
 	sp.AttrInt("seed", seed)
 	sp.AttrBool("trace_hit", hit)
-	rep, err := kernels.ReplayTrace(k, v, t, cfg)
+	rep, err := kernels.ReplayObserved(k, v, t, cfg, obs)
 	sp.End()
 	cost.ReplayNS = time.Since(replayStart).Nanoseconds()
 	return rep, hit, cost, err

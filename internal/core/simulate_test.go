@@ -228,3 +228,81 @@ func TestParseTracePolicy(t *testing.T) {
 		t.Error("bad policy accepted")
 	}
 }
+
+// TestSimulateCostTotalCoversStages: Cost.TotalNS is the measured wall
+// time of the seeds, so it is positive and never below the sum of the
+// stages timed inside it — on the coupled path, on a capturing replay
+// and on a warm one.
+func TestSimulateCostTotalCoversStages(t *testing.T) {
+	store := trace.NewStore(trace.StoreOptions{})
+	for _, c := range []struct {
+		name   string
+		policy TracePolicy
+	}{{"off", TraceOff}, {"auto cold", TraceAuto}, {"auto warm", TraceAuto}} {
+		resp, err := Simulate(simRequest(store, c.policy))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cost := resp.Cost
+		stages := cost.QueueNS + cost.CompileNS + cost.CaptureNS + cost.ReplayNS +
+			cost.SimNS + cost.CacheNS + cost.JournalNS
+		if cost.TotalNS <= 0 || cost.TotalNS < stages {
+			t.Errorf("%s: TotalNS = %d, stages sum to %d: %+v", c.name, cost.TotalNS, stages, cost)
+		}
+	}
+}
+
+// siteCounts is a BranchProfiler keeping per-PC counts.
+type siteCounts map[int][4]uint64
+
+func (s siteCounts) OnCondBranch(pc int, taken, mispredicted bool) {
+	c := s[pc]
+	c[0]++
+	if mispredicted {
+		c[1]++
+	}
+	s[pc] = c
+}
+
+func (s siteCounts) OnBTAC(pc int, predicted, wrong bool) {
+	c := s[pc]
+	c[2]++
+	if wrong {
+		c[3]++
+	}
+	s[pc] = c
+}
+
+// TestSimulateBranchesRideEveryPolicy: Request.Branches sees the same
+// per-site stream whether the core is fed live, from a fresh capture or
+// from a stored trace, and its totals are the aggregate counters.
+func TestSimulateBranchesRideEveryPolicy(t *testing.T) {
+	store := trace.NewStore(trace.StoreOptions{})
+	var first siteCounts
+	for _, c := range []struct {
+		name   string
+		policy TracePolicy
+	}{{"off", TraceOff}, {"auto cold", TraceAuto}, {"auto warm", TraceAuto}, {"replay", TraceReplay}} {
+		prof := siteCounts{}
+		req := simRequest(store, c.policy)
+		req.Branches = prof
+		resp, err := Simulate(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var cond, miss, wrong uint64
+		for _, s := range prof {
+			cond, miss, wrong = cond+s[0], miss+s[1], wrong+s[3]
+		}
+		agg := resp.Aggregate.Counters
+		if cond != agg.CondBranches || miss != agg.DirMispredicts || wrong != agg.TgtMispredicts {
+			t.Errorf("%s: profiled %d/%d/%d, counters %d/%d/%d", c.name,
+				cond, miss, wrong, agg.CondBranches, agg.DirMispredicts, agg.TgtMispredicts)
+		}
+		if first == nil {
+			first = prof
+		} else if !reflect.DeepEqual(prof, first) {
+			t.Errorf("%s: per-site profile differs from the coupled run's", c.name)
+		}
+	}
+}

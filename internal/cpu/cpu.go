@@ -1,8 +1,12 @@
 // Package cpu implements the cycle-approximate POWER5-like core timing
-// model.  It is trace-driven: package machine executes the program
-// functionally and feeds each dynamic instruction (with its resolved
-// branch outcome and effective address) to Model.Consume, which charges
-// cycles the way the POWER5 pipeline would.
+// model.  It is trace-driven and has exactly one pipeline: Core.Consume
+// charges cycles for one dynamic instruction the way the POWER5 would,
+// given the instruction's predecoded static metadata (ProgMeta), its
+// resolved branch outcome and the cache level its memory access
+// resolved at.  Model feeds the core live — package machine executes
+// the program functionally, a cache.Hierarchy supplies the miss level —
+// and kernels.ReplayTrace feeds it the same events from a captured
+// trace; the hot loop allocates nothing on either path.
 //
 // The model covers exactly the behaviours the paper measures and varies:
 //
@@ -25,12 +29,9 @@ package cpu
 
 import (
 	"fmt"
-	"reflect"
-	"strconv"
 
 	"bioperf5/internal/branch"
 	"bioperf5/internal/cache"
-	"bioperf5/internal/isa"
 	"bioperf5/internal/machine"
 	"bioperf5/internal/telemetry"
 )
@@ -138,142 +139,95 @@ type Counters struct {
 	StallFrontend uint64 // completion starved by fetch (flush refill etc.)
 }
 
-// IPC returns committed instructions per cycle.
-func (c Counters) IPC() float64 {
-	if c.Cycles == 0 {
+// ratio returns n/d, and zero for an idle denominator.
+func ratio(n, d uint64) float64 {
+	if d == 0 {
 		return 0
 	}
-	return float64(c.Instructions) / float64(c.Cycles)
+	return float64(n) / float64(d)
 }
 
+// IPC returns committed instructions per cycle.
+func (c Counters) IPC() float64 { return ratio(c.Instructions, c.Cycles) }
+
 // L1DMissRate returns L1D misses per access.
-func (c Counters) L1DMissRate() float64 {
-	if c.L1DAccesses == 0 {
-		return 0
-	}
-	return float64(c.L1DMisses) / float64(c.L1DAccesses)
-}
+func (c Counters) L1DMissRate() float64 { return ratio(c.L1DMisses, c.L1DAccesses) }
 
 // BranchMispredictRate returns direction+target mispredictions per
 // conditional branch, the rate plotted in Figure 2.
 func (c Counters) BranchMispredictRate() float64 {
-	if c.CondBranches == 0 {
-		return 0
-	}
-	return float64(c.DirMispredicts+c.TgtMispredicts) / float64(c.CondBranches)
+	return ratio(c.DirMispredicts+c.TgtMispredicts, c.CondBranches)
 }
 
 // DirectionShare returns the fraction of all mispredictions that are
 // direction (not target) mispredictions — Table I's third column.
 func (c Counters) DirectionShare() float64 {
-	total := c.DirMispredicts + c.TgtMispredicts
-	if total == 0 {
-		return 0
-	}
-	return float64(c.DirMispredicts) / float64(total)
+	return ratio(c.DirMispredicts, c.DirMispredicts+c.TgtMispredicts)
 }
 
 // BranchFraction returns branches per instruction (Table II column 1).
-func (c Counters) BranchFraction() float64 {
-	if c.Instructions == 0 {
-		return 0
-	}
-	return float64(c.Branches) / float64(c.Instructions)
-}
+func (c Counters) BranchFraction() float64 { return ratio(c.Branches, c.Instructions) }
 
 // TakenFraction returns taken branches per branch (Table II column 3).
-func (c Counters) TakenFraction() float64 {
-	if c.Branches == 0 {
-		return 0
-	}
-	return float64(c.TakenBranches) / float64(c.Branches)
-}
+func (c Counters) TakenFraction() float64 { return ratio(c.TakenBranches, c.Branches) }
 
 // BTACMispredictRate returns wrong-target predictions per BTAC
 // prediction (the table under Figure 4).
 func (c Counters) BTACMispredictRate() float64 {
-	if c.BTACPredicts == 0 {
-		return 0
-	}
-	return float64(c.BTACPredicts-c.BTACCorrect) / float64(c.BTACPredicts)
+	return ratio(c.BTACPredicts-c.BTACCorrect, c.BTACPredicts)
 }
 
 // StallFXUShare returns FXU completion-stall cycles as a fraction of all
 // cycles (Table I's last column).
-func (c Counters) StallFXUShare() float64 {
-	if c.Cycles == 0 {
-		return 0
+func (c Counters) StallFXUShare() float64 { return ratio(c.StallFXU, c.Cycles) }
+
+// zip combines c and o counter by counter.  The one field list serves
+// Add and Sub; TestCountersAddSubCoverEveryField keeps it complete.
+func (c Counters) zip(o Counters, f func(a, b uint64) uint64) Counters {
+	return Counters{
+		Cycles:         f(c.Cycles, o.Cycles),
+		Instructions:   f(c.Instructions, o.Instructions),
+		FXUOps:         f(c.FXUOps, o.FXUOps),
+		LSUOps:         f(c.LSUOps, o.LSUOps),
+		BRUOps:         f(c.BRUOps, o.BRUOps),
+		CmpOps:         f(c.CmpOps, o.CmpOps),
+		MaxOps:         f(c.MaxOps, o.MaxOps),
+		IselOps:        f(c.IselOps, o.IselOps),
+		Branches:       f(c.Branches, o.Branches),
+		CondBranches:   f(c.CondBranches, o.CondBranches),
+		TakenBranches:  f(c.TakenBranches, o.TakenBranches),
+		DirMispredicts: f(c.DirMispredicts, o.DirMispredicts),
+		TgtMispredicts: f(c.TgtMispredicts, o.TgtMispredicts),
+		BTACLookups:    f(c.BTACLookups, o.BTACLookups),
+		BTACPredicts:   f(c.BTACPredicts, o.BTACPredicts),
+		BTACCorrect:    f(c.BTACCorrect, o.BTACCorrect),
+		TakenBubbles:   f(c.TakenBubbles, o.TakenBubbles),
+		L1DAccesses:    f(c.L1DAccesses, o.L1DAccesses),
+		L1DMisses:      f(c.L1DMisses, o.L1DMisses),
+		L2Accesses:     f(c.L2Accesses, o.L2Accesses),
+		L2Misses:       f(c.L2Misses, o.L2Misses),
+		StallFXU:       f(c.StallFXU, o.StallFXU),
+		StallLSU:       f(c.StallLSU, o.StallLSU),
+		StallBRU:       f(c.StallBRU, o.StallBRU),
+		StallFrontend:  f(c.StallFrontend, o.StallFrontend),
 	}
-	return float64(c.StallFXU) / float64(c.Cycles)
 }
 
 // Add returns c + o field-wise; used to aggregate counters over
 // multiple kernel invocations of one workload.
 func (c Counters) Add(o Counters) Counters {
-	return Counters{
-		Cycles:         c.Cycles + o.Cycles,
-		Instructions:   c.Instructions + o.Instructions,
-		FXUOps:         c.FXUOps + o.FXUOps,
-		LSUOps:         c.LSUOps + o.LSUOps,
-		BRUOps:         c.BRUOps + o.BRUOps,
-		CmpOps:         c.CmpOps + o.CmpOps,
-		MaxOps:         c.MaxOps + o.MaxOps,
-		IselOps:        c.IselOps + o.IselOps,
-		Branches:       c.Branches + o.Branches,
-		CondBranches:   c.CondBranches + o.CondBranches,
-		TakenBranches:  c.TakenBranches + o.TakenBranches,
-		DirMispredicts: c.DirMispredicts + o.DirMispredicts,
-		TgtMispredicts: c.TgtMispredicts + o.TgtMispredicts,
-		BTACLookups:    c.BTACLookups + o.BTACLookups,
-		BTACPredicts:   c.BTACPredicts + o.BTACPredicts,
-		BTACCorrect:    c.BTACCorrect + o.BTACCorrect,
-		TakenBubbles:   c.TakenBubbles + o.TakenBubbles,
-		L1DAccesses:    c.L1DAccesses + o.L1DAccesses,
-		L1DMisses:      c.L1DMisses + o.L1DMisses,
-		L2Accesses:     c.L2Accesses + o.L2Accesses,
-		L2Misses:       c.L2Misses + o.L2Misses,
-		StallFXU:       c.StallFXU + o.StallFXU,
-		StallLSU:       c.StallLSU + o.StallLSU,
-		StallBRU:       c.StallBRU + o.StallBRU,
-		StallFrontend:  c.StallFrontend + o.StallFrontend,
-	}
+	return c.zip(o, func(a, b uint64) uint64 { return a + b })
 }
 
 // Sub returns c - o field-wise; used for interval statistics (Figure 2).
 func (c Counters) Sub(o Counters) Counters {
-	return Counters{
-		Cycles:         c.Cycles - o.Cycles,
-		Instructions:   c.Instructions - o.Instructions,
-		FXUOps:         c.FXUOps - o.FXUOps,
-		LSUOps:         c.LSUOps - o.LSUOps,
-		BRUOps:         c.BRUOps - o.BRUOps,
-		CmpOps:         c.CmpOps - o.CmpOps,
-		MaxOps:         c.MaxOps - o.MaxOps,
-		IselOps:        c.IselOps - o.IselOps,
-		Branches:       c.Branches - o.Branches,
-		CondBranches:   c.CondBranches - o.CondBranches,
-		TakenBranches:  c.TakenBranches - o.TakenBranches,
-		DirMispredicts: c.DirMispredicts - o.DirMispredicts,
-		TgtMispredicts: c.TgtMispredicts - o.TgtMispredicts,
-		BTACLookups:    c.BTACLookups - o.BTACLookups,
-		BTACPredicts:   c.BTACPredicts - o.BTACPredicts,
-		BTACCorrect:    c.BTACCorrect - o.BTACCorrect,
-		TakenBubbles:   c.TakenBubbles - o.TakenBubbles,
-		L1DAccesses:    c.L1DAccesses - o.L1DAccesses,
-		L1DMisses:      c.L1DMisses - o.L1DMisses,
-		L2Accesses:     c.L2Accesses - o.L2Accesses,
-		L2Misses:       c.L2Misses - o.L2Misses,
-		StallFXU:       c.StallFXU - o.StallFXU,
-		StallLSU:       c.StallLSU - o.StallLSU,
-		StallBRU:       c.StallBRU - o.StallBRU,
-		StallFrontend:  c.StallFrontend - o.StallFrontend,
-	}
+	return c.zip(o, func(a, b uint64) uint64 { return a - b })
 }
 
-// BranchProfiler observes every resolved branch the coupled model
-// times, keyed by static PC.  The bprof package implements it to build
-// the per-static-branch predictability profile; the interface lives
-// here so cpu does not depend on the profiler.
+// BranchProfiler observes every resolved branch the core times, keyed
+// by static PC.  The bprof package implements it to build the
+// per-static-branch predictability profile; the interface lives here so
+// cpu does not depend on the profiler.
 type BranchProfiler interface {
 	// OnCondBranch is called once per conditional branch with the
 	// resolved direction and whether the live direction predictor
@@ -285,533 +239,53 @@ type BranchProfiler interface {
 	OnBTAC(pc int, predicted, wrong bool)
 }
 
-// Model is the timing model for one core.
+// Model is the coupled feed of the timing core: it turns each
+// instruction the functional machine steps into a core Event, looking
+// the static half up in the program's predecoded metadata and the miss
+// level up in a live cache hierarchy.  Counters, the stall stack and
+// the observability hooks are the embedded Core's.
 type Model struct {
-	cfg  Config
-	pred branch.DirectionPredictor
-	btac *branch.BTAC
-	mem  *cache.Hierarchy
-
-	ctr    Counters
-	stalls StallStack
-
-	// Pipeline timing state.  All times are absolute cycle numbers.
-	fetchCycle   uint64 // cycle the next instruction can be fetched
-	fetchedAt    uint64 // how many instructions fetched in fetchCycle
-	fetchCause   string // why fetchCycle was last pushed back ("" = streaming)
-	dispCycle    uint64
-	dispatchedAt uint64
-	complCycle   uint64 // cycle of the most recent completion
-	completedAt  uint64 // completions in complCycle
-
-	regReady  [isa.NumRegs]uint64
-	regWriter [isa.NumRegs]isa.Class // unit class of each register's last producer
-	regMiss   [isa.NumRegs]int       // cache-miss level of each register's producing load
-	units     map[isa.Class][]uint64 // next-free cycle per unit
-
-	// Observability hooks (nil / zero when not attached).
-	trace        *telemetry.TraceBuffer
-	seq          uint64 // dynamic instruction number for trace events
-	histLoad     *telemetry.Histogram
-	histFlush    *telemetry.Histogram
-	mispredictPC *telemetry.LabeledCounter
-	profiler     BranchProfiler
-
-	// Completion-group accounting for stall attribution.
-	groupCompl uint64   // cycle the previous completion group retired
-	groupFill  uint64   // instructions accumulated into the current group
-	window     []uint64 // completion cycles, ring of size Window
-	wpos       int
-	wcount     int
+	*Core
+	mem   *cache.Hierarchy
+	metas []InsMeta
 }
 
-// New builds a model; cfg must Validate.
-func New(cfg Config) (*Model, error) {
-	if err := cfg.Validate(); err != nil {
+// New builds a model for the program whose ProgMeta is metas; cfg must
+// Validate.
+func New(cfg Config, metas []InsMeta) (*Model, error) {
+	mem := cache.NewPOWER5Hierarchy()
+	core, err := NewCore(cfg, mem.LevelLatencies())
+	if err != nil {
 		return nil, err
 	}
-	m := &Model{
-		cfg:  cfg,
-		pred: branch.New(cfg.Predictor),
-		mem:  cache.NewPOWER5Hierarchy(),
-	}
-	if cfg.UseBTAC {
-		m.btac = branch.NewBTAC(cfg.BTAC)
-	}
-	m.units = map[isa.Class][]uint64{
-		isa.ClassFXU: make([]uint64, cfg.NumFXU),
-		isa.ClassLSU: make([]uint64, cfg.NumLSU),
-		isa.ClassBRU: make([]uint64, cfg.NumBRU),
-		isa.ClassCRU: make([]uint64, cfg.NumCRU),
-	}
-	m.window = make([]uint64, cfg.Window)
-	m.fetchCycle = 1
-	return m, nil
+	return &Model{Core: core, mem: mem, metas: metas}, nil
 }
 
-// MustNew is New for known-good configurations.
-func MustNew(cfg Config) *Model {
-	m, err := New(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return m
-}
-
-// Config returns the model's configuration.
-func (m *Model) Config() Config { return m.cfg }
-
-// Counters returns a snapshot of the accumulated counters with Cycles
-// set to the current pipeline time.
-func (m *Model) Counters() Counters {
-	c := m.ctr
-	c.Cycles = m.complCycle
-	return c
-}
-
-// Stalls returns the CPI stall stack accumulated so far.  Its Total
-// always equals Counters().Cycles: every cycle the completion point has
-// advanced is attributed to exactly one bucket.
-func (m *Model) Stalls() StallStack { return m.stalls }
-
-// Report returns the counters and stall stack together.
-func (m *Model) Report() Report {
-	return Report{Counters: m.Counters(), Stalls: m.Stalls()}
-}
-
-// SetTrace attaches a pipeline event trace: every consumed instruction
-// appends one lifecycle record to buf.  Pass nil to stop tracing.
-func (m *Model) SetTrace(buf *telemetry.TraceBuffer) { m.trace = buf }
-
-// SetBranchProfiler attaches a per-static-branch observer; pass nil to
-// detach.  Profiling never alters timing: the hooks fire after the
-// predictors have been consulted and trained.
-func (m *Model) SetBranchProfiler(p BranchProfiler) { m.profiler = p }
-
-// AttachTelemetry wires the model's streaming distributions into reg:
-// load-to-use latencies, misprediction flush lengths, and per-PC branch
-// mispredict counts are observed live as instructions are consumed.
-// Snapshot-style counters are published separately via PublishTo.
-func (m *Model) AttachTelemetry(reg *telemetry.Registry) {
-	m.histLoad = reg.Histogram("cpu.load_to_use.cycles", nil)
-	m.histFlush = reg.Histogram("cpu.flush.cycles", nil)
-	m.mispredictPC = reg.Labeled("cpu.branch.mispredict.pc")
-}
-
-// PublishTo mirrors the model's current state into reg: every Counters
-// field (reflected, so new counters are picked up automatically), the
-// stall-stack buckets, the headline derived rates, and the cache
-// hierarchy's own statistics.
+// PublishTo mirrors the core's state and the cache hierarchy's own
+// statistics into reg.
 func (m *Model) PublishTo(reg *telemetry.Registry) {
-	c := m.Counters()
-	v := reflect.ValueOf(c)
-	t := v.Type()
-	for i := 0; i < t.NumField(); i++ {
-		reg.Counter("cpu." + t.Field(i).Name).Set(v.Field(i).Uint())
-	}
-	reg.Gauge("cpu.rate.ipc").Set(c.IPC())
-	reg.Gauge("cpu.rate.l1d_miss").Set(c.L1DMissRate())
-	reg.Gauge("cpu.rate.branch_mispredict").Set(c.BranchMispredictRate())
-	// Direction mispredicts attributed to the predictor that produced
-	// them, labeled by canonical spec so every spelling of a predictor
-	// aggregates into one row.
-	spec := branch.CanonicalOrRaw(m.cfg.Predictor)
-	lc := reg.Labeled("branch.pred.mispredicts")
-	if have := lc.Value(spec); c.DirMispredicts > have {
-		lc.Add(spec, c.DirMispredicts-have)
-	}
-	for _, b := range m.stalls.Buckets() {
-		reg.Counter("cpu.stall." + b.Name).Set(b.Cycles)
-	}
+	m.Core.PublishTo(reg)
 	m.mem.PublishTo(reg)
-	if m.btac != nil {
-		m.btac.PublishTo(reg)
-	}
 }
 
-// Consume advances the pipeline model by one dynamic instruction.
+// Consume advances the timing core by one instruction the machine
+// executed.
 func (m *Model) Consume(d machine.DynInst) error {
-	ins := d.Ins
-	if !m.cfg.Extensions && (ins.Op == isa.OpMax || ins.Op == isa.OpIsel) {
-		return fmt.Errorf("cpu: illegal instruction %s: ISA extensions disabled (unmodified POWER5)", ins.Op)
+	if uint(d.Index) >= uint(len(m.metas)) {
+		return fmt.Errorf("cpu: instruction index %d outside the %d-instruction program the model was built for",
+			d.Index, len(m.metas))
 	}
-
-	// ---- Fetch: width-limited, plus any pending front-end bubble.
-	fetchC := m.fetchCycle
-	if m.fetchedAt >= uint64(m.cfg.FetchWidth) {
-		fetchC++
+	ev := Event{Meta: &m.metas[d.Index], PC: d.Index, Next: d.Next, Taken: d.Taken}
+	if ev.Meta.Load || ev.Meta.Store {
+		_, level := m.mem.Access(d.EA)
+		ev.MissLevel, ev.EA = uint8(level), d.EA
 	}
-	if fetchC > m.fetchCycle {
-		m.fetchCycle = fetchC
-		m.fetchedAt = 0
-		// Advancing by fetch width means the front end is streaming
-		// again; the last redirect no longer explains this cycle.
-		m.fetchCause = ""
-	}
-	fcause := m.fetchCause // why this instruction's fetch cycle is late
-	m.fetchedAt++
-
-	// ---- Dispatch: width-limited, in order, after the front-end depth,
-	// and only when the reorder window has space.
-	dispC := fetchC + uint64(m.cfg.FrontendDepth)
-	if dispC < m.dispCycle {
-		dispC = m.dispCycle
-	}
-	if dispC == m.dispCycle && m.dispatchedAt >= uint64(m.cfg.DispatchWidth) {
-		dispC++
-	}
-	windowLimited := false
-	if m.wcount >= len(m.window) {
-		// Window full: wait for the oldest instruction to complete.
-		if oldest := m.window[m.wpos]; dispC <= oldest {
-			dispC = oldest + 1
-			windowLimited = true
-		}
-	}
-	if dispC > m.dispCycle {
-		m.dispCycle = dispC
-		m.dispatchedAt = 0
-	}
-	m.dispatchedAt++
-
-	// ---- Issue: after dispatch, operands ready, and a unit free.
-	readyC := dispC + 1
-	blockerClass := isa.ClassFXU
-	blockerMiss := 0 // cache-miss level of the blocking producer load
-	for _, r := range ins.Uses(nil) {
-		if m.regReady[r] > readyC {
-			readyC = m.regReady[r]
-			blockerClass = m.regWriter[r]
-			blockerMiss = m.regMiss[r]
-		}
-	}
-	class := ins.Class()
-	units := m.units[class]
-	best := 0
-	for i := 1; i < len(units); i++ {
-		if units[i] < units[best] {
-			best = i
-		}
-	}
-	issueC := readyC
-	if units[best] > issueC {
-		issueC = units[best]
-	}
-	units[best] = issueC + 1 // fully pipelined units
-
-	// The class whose delay dominates this instruction's issue: the
-	// producer of its latest operand, or its own unit when the unit
-	// itself was the constraint.
-	stallClass := blockerClass
-	if issueC > readyC {
-		stallClass = class
-	}
-
-	// ---- Execute.
-	lat := uint64(ins.Op.Info().Latency)
-	missLevel := 0 // 0 = hit/not a load, 1 = L1D miss, 2 = missed L2 too
-	var memLat uint64
-	if ins.IsLoad() || ins.IsStore() {
-		m.ctr.L1DAccesses++
-		l1Before := m.mem.L1.Stats()
-		l2Before := m.mem.L2.Stats()
-		accLat := m.mem.Access(d.EA)
-		if m.mem.L1.Stats().Misses > l1Before.Misses {
-			m.ctr.L1DMisses++
-			m.ctr.L2Accesses++
-			missLevel = 1
-			if m.mem.L2.Stats().Misses > l2Before.Misses {
-				m.ctr.L2Misses++
-				missLevel = 2
-			}
-		}
-		if ins.IsLoad() {
-			lat = uint64(accLat)
-			memLat = lat
-			if m.histLoad != nil {
-				m.histLoad.Observe(lat)
-			}
-		} else {
-			missLevel = 0 // stores drain off the critical path
-		}
-		// Stores retire from the LSU in one cycle; the line fill still
-		// happened above, charging the cache state, matching a
-		// store-queue that drains off the critical path.
-	}
-	doneC := issueC + lat
-	for _, r := range ins.Defs(nil) {
-		m.regReady[r] = doneC
-		m.regWriter[r] = class
-		m.regMiss[r] = missLevel
-	}
-
-	switch class {
-	case isa.ClassFXU:
-		m.ctr.FXUOps++
-	case isa.ClassLSU:
-		m.ctr.LSUOps++
-	case isa.ClassBRU:
-		m.ctr.BRUOps++
-	}
-	switch {
-	case ins.Op.Info().Compare:
-		m.ctr.CmpOps++
-	case ins.Op == isa.OpMax:
-		m.ctr.MaxOps++
-	case ins.Op == isa.OpIsel:
-		m.ctr.IselOps++
-	}
-
-	// ---- Branch resolution: redirect the front end.
-	var flush string
-	if ins.IsBranch() {
-		flush = m.branchTiming(d, fetchC, doneC)
-	}
-
-	// ---- In-order completion, width-limited.
-	complC := doneC
-	if complC < m.complCycle {
-		complC = m.complCycle
-	}
-	if complC == m.complCycle && m.completedAt >= uint64(m.cfg.CompleteWidth) {
-		complC++
-	}
-	// CPI stall stack: when this instruction moves the completion point
-	// forward, charge those cycles to its dominant constraint.  Every
-	// advance of complCycle flows through here, so the buckets sum to
-	// the final cycle count by construction.
-	var stallBucket string
-	if complC > m.complCycle {
-		stallBucket = m.chargeStalls(complC-m.complCycle, m.complCycle,
-			doneC, issueC, readyC, dispC, class, blockerClass, blockerMiss,
-			missLevel, windowLimited, fcause)
-	}
-	// Attribute the cycles in which completion was blocked.
-	// Completion-stall attribution at POWER5 group granularity: every
-	// CompleteWidth instructions form a completion group, and the
-	// cycles in which no group completed are charged once — to the
-	// unit class that delayed the group's critical instruction
-	// (Table I's "completion stalls due to FXU instructions"), or to
-	// the front end when the group simply arrived late (flush refill,
-	// fetch bubbles).
-	m.groupFill++
-	if gap := int64(complC) - int64(m.groupCompl) - 1; gap > 0 {
-		stall := uint64(gap)
-		switch {
-		case doneC == complC && (issueC > dispC+1 || lat > 1):
-			if issueC > dispC+1 {
-				m.attributeStall(stallClass, stall)
-			} else {
-				m.attributeStall(class, stall) // long-latency execution
-			}
-		default:
-			m.ctr.StallFrontend += stall
-		}
-		m.groupCompl = complC
-		m.groupFill = 0
-	} else if m.groupFill >= uint64(m.cfg.CompleteWidth) {
-		m.groupCompl = complC
-		m.groupFill = 0
-	}
-	if complC > m.complCycle {
-		m.complCycle = complC
-		m.completedAt = 0
-	}
-	m.completedAt++
-	m.ctr.Instructions++
-
-	// Reorder-window bookkeeping.
-	if m.wcount >= len(m.window) {
-		m.wpos = (m.wpos + 1) % len(m.window)
-	} else {
-		m.wcount++
-	}
-	idx := (m.wpos + m.wcount - 1) % len(m.window)
-	m.window[idx] = complC
-
-	if m.trace != nil {
-		ev := telemetry.TraceEvent{
-			Seq:      m.seq,
-			PC:       d.Index,
-			Op:       ins.Op.String(),
-			Fetch:    fetchC,
-			Dispatch: dispC,
-			Issue:    issueC,
-			Complete: complC,
-			Flush:    flush,
-			Stall:    stallBucket,
-		}
-		if ins.IsLoad() || ins.IsStore() {
-			ev.EA = d.EA
-			ev.MemLat = memLat
-		}
-		m.trace.Append(ev)
-	}
-	m.seq++
-	return nil
+	return m.Core.Consume(&ev)
 }
 
-// chargeStalls attributes delta newly elapsed cycles (the completion
-// point moving from oldCompl to oldCompl+delta) to one stall-stack
-// bucket and returns the bucket's name.  Priority order: an on-time
-// completion means the machine retired at full width; otherwise the
-// late instruction's own memory miss, then a busy unit, then a slow
-// operand producer (with producer loads traced back to the cache level
-// that missed), then a full reorder window, then the front-end redirect
-// that delayed its fetch; anything left is base pipeline flow.
-func (m *Model) chargeStalls(delta, oldCompl, doneC, issueC, readyC, dispC uint64,
-	class, blocker isa.Class, blockerMiss, missLevel int,
-	windowLimited bool, fcause string) string {
-	bucket, name := &m.stalls.Base, BucketBase
-	switch {
-	case doneC <= oldCompl:
-		bucket, name = &m.stalls.Completion, BucketCompletion
-	case missLevel == 2:
-		bucket, name = &m.stalls.L2Miss, BucketL2Miss
-	case missLevel == 1:
-		bucket, name = &m.stalls.L1DMiss, BucketL1DMiss
-	case issueC > readyC:
-		bucket, name = m.unitBucket(class)
-	case readyC > dispC+1:
-		switch {
-		case blockerMiss == 2:
-			bucket, name = &m.stalls.L2Miss, BucketL2Miss
-		case blockerMiss == 1:
-			bucket, name = &m.stalls.L1DMiss, BucketL1DMiss
-		default:
-			bucket, name = m.unitBucket(blocker)
-		}
-	case windowLimited:
-		bucket, name = &m.stalls.WindowFull, BucketWindowFull
-	case fcause == BucketMispredictFlush:
-		bucket, name = &m.stalls.MispredictFlush, BucketMispredictFlush
-	case fcause == BucketTakenBubble:
-		bucket, name = &m.stalls.TakenBubble, BucketTakenBubble
-	}
-	*bucket += delta
-	return name
-}
-
-// unitBucket maps a functional-unit class to its stall-stack bucket
-// (CRU work is counted with the FXUs, as the POWER5 counters do).
-func (m *Model) unitBucket(class isa.Class) (*uint64, string) {
-	switch class {
-	case isa.ClassLSU:
-		return &m.stalls.LSU, BucketLSU
-	case isa.ClassBRU:
-		return &m.stalls.BRU, BucketBRU
-	default:
-		return &m.stalls.FXU, BucketFXU
-	}
-}
-
-func (m *Model) attributeStall(class isa.Class, n uint64) {
-	switch class {
-	case isa.ClassFXU, isa.ClassCRU:
-		m.ctr.StallFXU += n
-	case isa.ClassLSU:
-		m.ctr.StallLSU += n
-	case isa.ClassBRU:
-		m.ctr.StallBRU += n
-	}
-}
-
-// branchTiming charges front-end redirection costs for a resolved
-// branch, trains the predictors, and returns the flush cause the branch
-// raised ("" when fetch was not disturbed).
-func (m *Model) branchTiming(d machine.DynInst, fetchC, doneC uint64) string {
-	ins := d.Ins
-	m.ctr.Branches++
-
-	mispredicted := false
-	if ins.IsCondBranch() {
-		m.ctr.CondBranches++
-		predTaken := m.pred.Predict(d.Index)
-		m.pred.Update(d.Index, d.Taken)
-		if predTaken != d.Taken {
-			m.ctr.DirMispredicts++
-			mispredicted = true
-		}
-		if m.profiler != nil {
-			m.profiler.OnCondBranch(d.Index, d.Taken, mispredicted)
-		}
-	}
-
-	if d.Taken {
-		m.ctr.TakenBranches++
-	}
-
-	switch {
-	case mispredicted:
-		// Direction mispredict: flush; fetch restarts after resolve.
-		m.noteMispredict(d.Index)
-		m.redirect(doneC+uint64(m.cfg.MispredictPenalty), BucketMispredictFlush)
-		if m.btac != nil && d.Taken {
-			m.btac.Update(d.Index, d.Next)
-		}
-		return BucketMispredictFlush
-	case d.Taken:
-		// Correctly predicted (or unconditional) taken branch: the
-		// POWER5 pays the 2-cycle next-fetch-address bubble unless the
-		// BTAC supplies the target.
-		bubble := uint64(m.cfg.TakenBranchPenalty)
-		if m.btac != nil {
-			m.ctr.BTACLookups++
-			nia, predict := m.btac.Lookup(d.Index)
-			if m.profiler != nil {
-				m.profiler.OnBTAC(d.Index, predict, predict && nia != d.Next)
-			}
-			if predict {
-				m.ctr.BTACPredicts++
-				if nia == d.Next {
-					m.ctr.BTACCorrect++
-					bubble = 0
-				} else {
-					// Wrong target: the fetch went down a wrong path
-					// and is caught at branch execution.
-					m.ctr.TgtMispredicts++
-					m.noteMispredict(d.Index)
-					m.btac.Update(d.Index, d.Next)
-					m.redirect(doneC+uint64(m.cfg.MispredictPenalty), BucketMispredictFlush)
-					return BucketMispredictFlush
-				}
-			}
-			m.btac.Update(d.Index, d.Next)
-		}
-		if bubble > 0 {
-			m.ctr.TakenBubbles++
-			m.redirect(fetchC+1+bubble, BucketTakenBubble)
-			return BucketTakenBubble
-		}
-	}
-	return ""
-}
-
-// noteMispredict feeds the per-PC mispredict counter when telemetry is
-// attached.
-func (m *Model) noteMispredict(pc int) {
-	if m.mispredictPC != nil {
-		m.mispredictPC.Add(strconv.Itoa(pc), 1)
-	}
-}
-
-// redirect stalls instruction fetch until cycle c, remembering why so
-// the stall stack can attribute the cycles the delay later costs.
-func (m *Model) redirect(c uint64, cause string) {
-	if c > m.fetchCycle {
-		if m.histFlush != nil && cause == BucketMispredictFlush {
-			m.histFlush.Observe(c - m.fetchCycle)
-		}
-		m.fetchCycle = c
-		m.fetchedAt = 0
-		m.fetchCause = cause
-	}
-}
-
-// Run drives prog on a fresh functional machine through the timing
-// model until the machine halts or limit instructions execute.  It is a
-// convenience for tests and small experiments; the core package's
-// runner handles sampling and argument marshaling for real workloads.
+// Run drives mach — which must execute the program the model was built
+// for — through the timing core until the machine halts or limit
+// instructions execute.
 func (m *Model) Run(mach *machine.Machine, limit uint64) (Counters, error) {
 	var n uint64
 	for !mach.Halted() {

@@ -9,6 +9,16 @@ import (
 	"bioperf5/internal/mem"
 )
 
+// newModel builds the coupled model for p.
+func newModel(t *testing.T, cfg Config, p *isa.Program) *Model {
+	t.Helper()
+	m, err := New(cfg, ProgMeta(p))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
 // buildAndRun assembles a program, executes it functionally through the
 // timing model, and returns the counters.
 func buildAndRun(t *testing.T, cfg Config, build func(a *isa.Asm), args ...uint64) Counters {
@@ -28,7 +38,7 @@ func buildAndRun(t *testing.T, cfg Config, build func(a *isa.Asm), args ...uint6
 	for i, v := range args {
 		mach.SetReg(isa.R3+isa.Reg(i), v)
 	}
-	model := MustNew(cfg)
+	model := newModel(t, cfg, p)
 	ctr, err := model.Run(mach, 50_000_000)
 	if err != nil {
 		t.Fatal(err)
@@ -67,7 +77,7 @@ func TestValidate(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Error("zero window validated")
 	}
-	if _, err := New(Config{}); err == nil {
+	if _, err := New(Config{}, nil); err == nil {
 		t.Error("New accepted zero config")
 	}
 }
@@ -183,7 +193,7 @@ func runWithMemory(t *testing.T, cfg Config, build func(a *isa.Asm), memory *mem
 		t.Fatal(err)
 	}
 	mach.SetReg(isa.SP, 0x7FFF0000)
-	model := MustNew(cfg)
+	model := newModel(t, cfg, p)
 	ctr, err := model.Run(mach, 50_000_000)
 	if err != nil {
 		t.Fatal(err)
@@ -283,7 +293,7 @@ func TestExtensionsGate(t *testing.T) {
 	if err := mach.SetPC("main"); err != nil {
 		t.Fatal(err)
 	}
-	model := MustNew(POWER5Baseline()) // Extensions false
+	model := newModel(t, POWER5Baseline(), p) // Extensions false
 	if _, err := model.Run(mach, 1000); err == nil {
 		t.Error("max executed on a core without ISA extensions")
 	}
@@ -295,7 +305,7 @@ func TestExtensionsGate(t *testing.T) {
 	if err := mach2.SetPC("main"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := MustNew(cfg).Run(mach2, 1000); err != nil {
+	if _, err := newModel(t, cfg, p).Run(mach2, 1000); err != nil {
 		t.Errorf("max rejected with extensions enabled: %v", err)
 	}
 }

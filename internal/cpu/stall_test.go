@@ -28,7 +28,7 @@ func runModel(t *testing.T, cfg Config, build func(a *isa.Asm), memory *mem.Memo
 		t.Fatal(err)
 	}
 	mach.SetReg(isa.SP, 0x7FFF0000)
-	model := MustNew(cfg)
+	model := newModel(t, cfg, p)
 	if _, err := model.Run(mach, 50_000_000); err != nil {
 		t.Fatal(err)
 	}
@@ -154,9 +154,9 @@ func TestPipelineTraceEvents(t *testing.T) {
 	if err := mach.SetPC("main"); err != nil {
 		t.Fatal(err)
 	}
-	model := MustNew(POWER5Baseline())
+	model := newModel(t, POWER5Baseline(), p)
 	buf := telemetry.NewTraceBuffer(1 << 16)
-	model.SetTrace(buf)
+	model.Observe(&Hooks{Trace: buf})
 	ctr, err := model.Run(mach, 1_000_000)
 	if err != nil {
 		t.Fatal(err)
@@ -205,9 +205,11 @@ func TestAttachTelemetryAndPublish(t *testing.T) {
 	if err := mach.SetPC("main"); err != nil {
 		t.Fatal(err)
 	}
-	model := MustNew(POWER5Baseline())
+	model := newModel(t, POWER5Baseline(), p)
 	reg := telemetry.NewRegistry()
-	model.AttachTelemetry(reg)
+	hooks := &Hooks{}
+	hooks.Telemetry(reg)
+	model.Observe(hooks)
 	ctr, err := model.Run(mach, 1_000_000)
 	if err != nil {
 		t.Fatal(err)

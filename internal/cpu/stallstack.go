@@ -75,26 +75,38 @@ type BucketShare struct {
 // memory, units, and machine limits).
 func (s StallStack) Buckets() []BucketShare {
 	total := s.Total()
-	mk := func(name string, v uint64) BucketShare {
-		b := BucketShare{Name: name, Cycles: v}
+	cycles := [numBuckets]uint64{s.Base, s.MispredictFlush, s.TakenBubble, s.L1DMiss,
+		s.L2Miss, s.FXU, s.LSU, s.BRU, s.WindowFull, s.Completion}
+	out := make([]BucketShare, numBuckets)
+	for i, v := range cycles {
+		out[i] = BucketShare{Name: bucketNames[i], Cycles: v}
 		if total > 0 {
-			b.Share = float64(v) / float64(total)
+			out[i].Share = float64(v) / float64(total)
 		}
-		return b
 	}
-	return []BucketShare{
-		mk(BucketBase, s.Base),
-		mk(BucketMispredictFlush, s.MispredictFlush),
-		mk(BucketTakenBubble, s.TakenBubble),
-		mk(BucketL1DMiss, s.L1DMiss),
-		mk(BucketL2Miss, s.L2Miss),
-		mk(BucketFXU, s.FXU),
-		mk(BucketLSU, s.LSU),
-		mk(BucketBRU, s.BRU),
-		mk(BucketWindowFull, s.WindowFull),
-		mk(BucketCompletion, s.Completion),
-	}
+	return out
 }
+
+// bucket indexes the stall stack inside the core's hot loop, in the
+// order Buckets reports; names are looked up only when something is
+// rendered.  bucketNone means "no bucket": nothing charged, or fetch
+// not redirected.
+type bucket uint8
+
+const (
+	bucketBase bucket = iota
+	bucketMispredictFlush
+	bucketTakenBubble
+	bucketL1DMiss
+	bucketL2Miss
+	bucketFXU
+	bucketLSU
+	bucketBRU
+	bucketWindowFull
+	bucketCompletion
+	numBuckets
+	bucketNone = numBuckets
+)
 
 // Bucket names as they appear in trace events, JSON reports and the
 // telemetry registry.
@@ -110,6 +122,10 @@ const (
 	BucketWindowFull      = "window_full"
 	BucketCompletion      = "completion"
 )
+
+var bucketNames = [numBuckets + 1]string{
+	BucketBase, BucketMispredictFlush, BucketTakenBubble, BucketL1DMiss, BucketL2Miss,
+	BucketFXU, BucketLSU, BucketBRU, BucketWindowFull, BucketCompletion, ""}
 
 // Report bundles the flat counters with the stall stack — the full
 // observable state of one simulation.

@@ -41,9 +41,10 @@ type BranchReport struct {
 	Branches []bprof.Branch `json:"branches"`
 }
 
-// RunBranches profiles one cell per-static-branch: it runs the coupled
-// simulation for every seed with a bprof profiler attached, merges the
-// per-seed profiles, and cross-checks the attribution invariant — the
+// RunBranches profiles one cell per-static-branch: it replays every
+// seed's trace (capturing it on first use) with a bprof profiler
+// attached to the timing core, merges the per-seed profiles, and
+// cross-checks the attribution invariant — the
 // per-site counts must sum exactly to the model's aggregate branch
 // counters.  Profiling observes without perturbing, so the counters in
 // the report equal what the cached/sweep paths produce for the same

@@ -211,13 +211,27 @@ func Execute(k *Kernel, v Variant, run *Run, limit uint64) (uint64, error) {
 }
 
 // Observer bundles the optional observability hooks a simulation can
-// carry: a pipeline event trace, a telemetry registry the model (and
-// its cache hierarchy, BTAC, memory image) publish into after the run,
-// and a per-static-branch profiler fed every resolved branch.
+// carry, live or replayed: a pipeline event trace, a telemetry registry
+// the timing core (and, on the live path, its cache hierarchy and
+// memory image) publish into after the run, and a per-static-branch
+// profiler fed every resolved branch.
 type Observer struct {
 	Trace    *telemetry.TraceBuffer
 	Registry *telemetry.Registry
 	Branches cpu.BranchProfiler
+}
+
+// hooks returns the core hooks the observer asks for, nil when it asks
+// for none so the core's hot loop stays on its detached path.
+func (o Observer) hooks() *cpu.Hooks {
+	if o.Trace == nil && o.Registry == nil && o.Branches == nil {
+		return nil
+	}
+	h := &cpu.Hooks{Trace: o.Trace, Branches: o.Branches}
+	if o.Registry != nil {
+		h.Telemetry(o.Registry)
+	}
+	return h
 }
 
 // Simulate runs a compiled kernel through the timing model and returns
@@ -236,24 +250,15 @@ func SimulateObserved(k *Kernel, v Variant, run *Run, cfg cpu.Config, limit uint
 	if err != nil {
 		return cpu.Report{}, err
 	}
-	prog := c.Prog
 	if v.NeedsExtensions() {
 		cfg.Extensions = true
 	}
-	model, err := cpu.New(cfg)
+	model, err := cpu.New(cfg, c.Meta)
 	if err != nil {
 		return cpu.Report{}, err
 	}
-	if obs.Trace != nil {
-		model.SetTrace(obs.Trace)
-	}
-	if obs.Registry != nil {
-		model.AttachTelemetry(obs.Registry)
-	}
-	if obs.Branches != nil {
-		model.SetBranchProfiler(obs.Branches)
-	}
-	mach := machine.New(prog, run.Mem)
+	model.Observe(obs.hooks())
+	mach := machine.New(c.Prog, run.Mem)
 	mach.Reset()
 	if err := mach.SetPC(k.Name); err != nil {
 		return cpu.Report{}, err
@@ -262,8 +267,8 @@ func SimulateObserved(k *Kernel, v Variant, run *Run, cfg cpu.Config, limit uint
 	for i, a := range run.Args {
 		mach.SetReg(argReg(i), a)
 	}
-	ctr, err := model.Run(mach, limit)
-	rep := cpu.Report{Counters: ctr, Stalls: model.Stalls()}
+	_, err = model.Run(mach, limit)
+	rep := model.Report()
 	if obs.Registry != nil {
 		model.PublishTo(obs.Registry)
 		run.Mem.PublishTo(obs.Registry)

@@ -330,12 +330,15 @@ func TestSimulateRejectsExtensionsOnStockCore(t *testing.T) {
 	}
 	// Simulate force-enables extensions for non-branchy variants, so
 	// exercise the guard through the cpu model directly.
-	prog, _, err := k.Compile(HandMax)
+	c, err := CompileCached(k, HandMax)
 	if err != nil {
 		t.Fatal(err)
 	}
-	model := cpu.MustNew(cpu.POWER5Baseline()) // Extensions false
-	mach := machine.New(prog, run.Mem)
+	model, err := cpu.New(cpu.POWER5Baseline(), c.Meta) // Extensions false
+	if err != nil {
+		t.Fatal(err)
+	}
+	mach := machine.New(c.Prog, run.Mem)
 	mach.Reset()
 	if err := mach.SetPC(k.Name); err != nil {
 		t.Fatal(err)

@@ -2,23 +2,25 @@ package kernels
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 
 	"bioperf5/internal/cpu"
+	"bioperf5/internal/telemetry"
 	"bioperf5/internal/trace"
 )
 
 const replayLimit = 500_000_000
 
-// coupledReport runs the reference path: functional machine and timing
-// model stepping together, exactly what `-trace off` executes.
-func coupledReport(t *testing.T, k *Kernel, v Variant, cfg cpu.Config) cpu.Report {
+// liveReport feeds the timing core live: functional machine and cache
+// hierarchy stepping with it, exactly what `-trace off` executes.
+func liveReport(t *testing.T, k *Kernel, v Variant, seed int64, scale int, cfg cpu.Config, obs Observer) cpu.Report {
 	t.Helper()
-	run, err := k.NewRun(1, 1)
+	run, err := k.NewRun(seed, scale)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := SimulateObserved(k, v, run, cfg, replayLimit, Observer{})
+	rep, err := SimulateObserved(k, v, run, cfg, replayLimit, obs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,10 +59,14 @@ func timingVariations() map[string]cpu.Config {
 }
 
 // TestReplayEquivalenceGolden is the trace subsystem's core invariant:
-// for every tier-1 cell, replaying a captured trace produces counters
-// and a CPI stall stack byte-identical to the coupled run.  One trace
-// per (app, variant) is captured once and replayed under every timing
-// variation — the capture-once/replay-many contract itself.
+// for every tier-1 cell, the core fed from a captured trace produces
+// counters and a CPI stall stack byte-identical to the core fed live.
+// The pipeline is the same code on both sides, so what this holds
+// together is the feeds: capture's miss-level annotation, the trace's
+// PC/next/taken encoding and its recorded load latencies against the
+// live machine and hierarchy.  One trace per (app, variant) is captured
+// once and replayed under every timing variation — the
+// capture-once/replay-many contract itself.
 func TestReplayEquivalenceGolden(t *testing.T) {
 	variants := []Variant{Branchy, HandISel, CompISel, HandMax, CompMax, Combination}
 	for _, k := range All() {
@@ -70,17 +76,12 @@ func TestReplayEquivalenceGolden(t *testing.T) {
 				t.Fatalf("%s/%s: capture: %v", k.App, v, err)
 			}
 			for name, cfg := range timingVariations() {
-				// The paper evaluates predication variants on the baseline
-				// (Figure 3) and the combined machine (Figure 6); the pure
-				// hardware changes are swept with original and combined code.
-				// Covering the full cross product here is cheap and stricter.
 				got, err := ReplayTrace(k, v, tr, cfg)
 				if err != nil {
 					t.Fatalf("%s/%s/%s: replay: %v", k.App, v, name, err)
 				}
-				want := coupledReport(t, k, v, cfg)
-				if got != want {
-					t.Errorf("%s/%s/%s: replay diverges from coupled run\n replay:  %+v\n coupled: %+v",
+				if want := liveReport(t, k, v, 1, 1, cfg, Observer{}); got != want {
+					t.Errorf("%s/%s/%s: replayed core diverges from live-fed core\n replayed: %+v\n live:     %+v",
 						k.App, v, name, got, want)
 				}
 			}
@@ -109,18 +110,154 @@ func TestReplayEquivalenceSeedsAndScale(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		run, err := k.NewRun(coord.seed, coord.scale)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := SimulateObserved(k, Branchy, run, cfg, replayLimit, Observer{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != want {
-			t.Errorf("seed %d scale %d: replay diverges from coupled run", coord.seed, coord.scale)
+		if got != liveReport(t, k, Branchy, coord.seed, coord.scale, cfg, Observer{}) {
+			t.Errorf("seed %d scale %d: replayed core diverges from live-fed core", coord.seed, coord.scale)
 		}
 	}
+}
+
+// tally is a BranchProfiler that counts calls without allocating.
+type tally struct{ cond, miss, btac, wrong uint64 }
+
+func (c *tally) OnCondBranch(pc int, taken, mispredicted bool) {
+	c.cond++
+	if mispredicted {
+		c.miss++
+	}
+}
+
+func (c *tally) OnBTAC(pc int, predicted, wrong bool) {
+	c.btac++
+	if wrong {
+		c.wrong++
+	}
+}
+
+// TestReplayObservedMatchesLive: everything the core's hooks report —
+// pipeline trace events with their effective addresses, the streaming
+// telemetry distributions, the branch profiler's view — is the same
+// whether the core is fed live or from a trace.
+func TestReplayObservedMatchesLive(t *testing.T) {
+	cfg := cpu.POWER5Baseline()
+	cfg.UseBTAC = true
+	for _, app := range []string{"Clustalw", "Hmmer"} {
+		k, err := ByApp(app)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr, err := CaptureTrace(k, Branchy, 1, 1, replayLimit)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var prof [2]tally
+		var regs [2]*telemetry.Registry
+		var bufs [2]*telemetry.TraceBuffer
+		for i := range bufs {
+			regs[i], bufs[i] = telemetry.NewRegistry(), telemetry.NewTraceBuffer(1<<14)
+		}
+		live := liveReport(t, k, Branchy, 1, 1, cfg,
+			Observer{Trace: bufs[0], Registry: regs[0], Branches: &prof[0]})
+		replayed, err := ReplayObserved(k, Branchy, tr, cfg,
+			Observer{Trace: bufs[1], Registry: regs[1], Branches: &prof[1]})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if live != replayed {
+			t.Fatalf("%s: observed reports differ", app)
+		}
+		if prof[0] != prof[1] || prof[0].cond != live.Counters.CondBranches ||
+			prof[0].miss != live.Counters.DirMispredicts || prof[0].btac != live.Counters.BTACLookups {
+			t.Errorf("%s: profiler saw %+v live, %+v replayed, counters %+v", app, prof[0], prof[1], live.Counters)
+		}
+		if bufs[0].Dropped() == 0 || !reflect.DeepEqual(bufs[0].Events(), bufs[1].Events()) {
+			t.Errorf("%s: pipeline trace differs between feeds (dropped %d/%d)",
+				app, bufs[0].Dropped(), bufs[1].Dropped())
+		}
+		snapLive, snapReplayed := regs[0].Snapshot(0), regs[1].Snapshot(0)
+		if !reflect.DeepEqual(snapLive.Histograms, snapReplayed.Histograms) ||
+			!reflect.DeepEqual(snapLive.Labeled, snapReplayed.Labeled) {
+			t.Errorf("%s: streaming telemetry differs between feeds", app)
+		}
+		for name, v := range snapReplayed.Counters {
+			if snapLive.Counters[name] != v {
+				t.Errorf("%s: replay published %s = %d, live %d", app, name, v, snapLive.Counters[name])
+			}
+		}
+	}
+}
+
+// TestTimingAllocationsDoNotScale is the allocation gate on the one
+// core: neither feed allocates per instruction.  Scale 2 executes well
+// over twice the instructions of scale 1, yet the timing side of a
+// coupled run (its allocations beyond those of executing the same
+// marshalled input on the bare machine) and a whole replay, with or
+// without a profiler attached, allocate the same handful of objects.
+func TestTimingAllocationsDoNotScale(t *testing.T) {
+	k, err := ByApp("Fasta")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := cpu.POWER5Baseline()
+	cfg.UseBTAC = true
+	const runs = 2
+	type allocs struct{ coupled, replay, profiled float64 }
+	measure := func(scale int) (a allocs, instructions uint64) {
+		// AllocsPerRun calls its function runs+1 times, and a Run's
+		// memory image is consumed by executing it.
+		inputs := func() []*Run {
+			rs := make([]*Run, runs+1)
+			for i := range rs {
+				if rs[i], err = k.NewRun(1, scale); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return rs
+		}
+		rs, i := inputs(), 0
+		simulate := testing.AllocsPerRun(runs, func() {
+			if _, err := SimulateObserved(k, Branchy, rs[i], cfg, replayLimit, Observer{}); err != nil {
+				t.Fatal(err)
+			}
+			i++
+		})
+		rs, i = inputs(), 0
+		execute := testing.AllocsPerRun(runs, func() {
+			if _, err := Execute(k, Branchy, rs[i], replayLimit); err != nil {
+				t.Fatal(err)
+			}
+			i++
+		})
+		a.coupled = simulate - execute
+
+		tr, err := CaptureTrace(k, Branchy, 1, scale, replayLimit)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a.replay = testing.AllocsPerRun(runs, func() {
+			if _, err := ReplayTrace(k, Branchy, tr, cfg); err != nil {
+				t.Fatal(err)
+			}
+		})
+		var prof tally
+		a.profiled = testing.AllocsPerRun(runs, func() {
+			if _, err := ReplayObserved(k, Branchy, tr, cfg, Observer{Branches: &prof}); err != nil {
+				t.Fatal(err)
+			}
+		})
+		return a, tr.Meta.Records
+	}
+	small, n1 := measure(1)
+	big, n2 := measure(2)
+	if n2 < 2*n1 {
+		t.Fatalf("scale 2 runs %d instructions, scale 1 %d: not enough growth to show anything", n2, n1)
+	}
+	if small != big {
+		t.Errorf("allocations grew with %d -> %d instructions: %+v -> %+v", n1, n2, small, big)
+	}
+	if small.profiled-small.replay > 2 {
+		t.Errorf("attaching a profiler costs %v allocations per replay", small.profiled-small.replay)
+	}
+	t.Logf("%d -> %d instructions: %+v", n1, n2, small)
 }
 
 // TestReplayFileRoundTrip replays from a trace that went through the
@@ -148,8 +285,8 @@ func TestReplayFileRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := coupledReport(t, k, Branchy, cfg); got != want {
-		t.Error("file-round-tripped trace diverges from coupled run")
+	if want := liveReport(t, k, Branchy, 1, 1, cfg, Observer{}); got != want {
+		t.Error("file-round-tripped trace diverges from the live-fed core")
 	}
 }
 

@@ -147,13 +147,23 @@ func CaptureTrace(k *Kernel, v Variant, seed int64, scale int, limit uint64) (*t
 	}), nil
 }
 
-// ReplayTrace feeds a stored trace through the decoupled timing model
-// under cfg and returns the report.  The counters and stall stack are
+// ReplayTrace feeds a stored trace through the timing core under cfg
+// and returns the report.  The counters and stall stack are
 // bit-identical to what SimulateObserved produces for the same cell —
-// the replay-equivalence golden tests enforce it.  A trace whose
-// program hash does not match the current compilation, or whose
-// payload decodes inconsistently, is rejected as corrupt.
+// the same core consumes the same events, and the replay-equivalence
+// tests hold capture's annotations equal to the live hierarchy.  A
+// trace whose program hash does not match the current compilation, or
+// whose payload decodes inconsistently, is rejected as corrupt.
 func ReplayTrace(k *Kernel, v Variant, t *trace.Trace, cfg cpu.Config) (cpu.Report, error) {
+	return ReplayObserved(k, v, t, cfg, Observer{})
+}
+
+// ReplayObserved is ReplayTrace with the observability SimulateObserved
+// offers: the trace records everything the hooks report, so a replayed
+// cell explains itself exactly as a live one does.  Only the registry's
+// cache and memory-image statistics are absent — replay simulates
+// neither.
+func ReplayObserved(k *Kernel, v Variant, t *trace.Trace, cfg cpu.Config, obs Observer) (cpu.Report, error) {
 	c, err := CompileCached(k, v)
 	if err != nil {
 		return cpu.Report{}, err
@@ -165,31 +175,36 @@ func ReplayTrace(k *Kernel, v Variant, t *trace.Trace, cfg cpu.Config) (cpu.Repo
 	if v.NeedsExtensions() {
 		cfg.Extensions = true
 	}
-	rep, err := cpu.NewReplayer(cfg, t.Meta.LoadLat)
+	core, err := cpu.NewCore(cfg, t.Meta.LoadLat)
 	if err != nil {
 		return cpu.Report{}, err
 	}
-	var ev cpu.ReplayEvent
+	core.Observe(obs.hooks())
+	if obs.Registry != nil {
+		defer core.PublishTo(obs.Registry)
+	}
+	var ev cpu.Event
 	it := t.Iter()
 	for it.Next() {
 		rec := it.Rec()
 		if rec.PC < 0 || rec.PC >= len(c.Meta) {
-			return rep.Report(), fmt.Errorf("%w: PC %d outside program of %d instructions",
+			return core.Report(), fmt.Errorf("%w: PC %d outside program of %d instructions",
 				trace.ErrCorrupt, rec.PC, len(c.Meta))
 		}
-		ev = cpu.ReplayEvent{
+		ev = cpu.Event{
 			Meta:      &c.Meta[rec.PC],
 			PC:        rec.PC,
 			Next:      rec.Next,
 			Taken:     rec.Taken,
 			MissLevel: rec.MissLevel,
+			EA:        rec.EA,
 		}
-		if err := rep.Consume(&ev); err != nil {
-			return rep.Report(), fmt.Errorf("kernels: %s/%s: %w", k.Name, v, err)
+		if err := core.Consume(&ev); err != nil {
+			return core.Report(), fmt.Errorf("kernels: %s/%s: %w", k.Name, v, err)
 		}
 	}
 	if err := it.Err(); err != nil {
-		return rep.Report(), err
+		return core.Report(), err
 	}
-	return rep.Report(), nil
+	return core.Report(), nil
 }

@@ -13,8 +13,8 @@ import (
 // Capturer builds an annotated trace from the dynamic instruction
 // stream of one functional execution.  It runs the same fixed data
 // hierarchy the coupled timing model would, in the same program order,
-// so the recorded miss levels are bit-identical to what
-// cpu.Model.Consume would have observed.  Branch prediction is not
+// so the recorded miss levels are bit-identical to what cpu.Model's
+// live hierarchy feeds the timing core.  Branch prediction is not
 // captured: direction predictors and the BTAC run live at replay time,
 // which is what lets one trace serve the whole predictor zoo.
 type Capturer struct {
@@ -34,15 +34,8 @@ func (c *Capturer) Observe(d machine.DynInst) {
 	ins := d.Ins
 	if ins.IsLoad() || ins.IsStore() {
 		r.HasEA, r.EA = true, d.EA
-		l1 := c.mem.L1.Stats().Misses
-		l2 := c.mem.L2.Stats().Misses
-		c.mem.Access(d.EA)
-		if c.mem.L1.Stats().Misses > l1 {
-			r.MissLevel = 1
-			if c.mem.L2.Stats().Misses > l2 {
-				r.MissLevel = 2
-			}
-		}
+		_, level := c.mem.Access(d.EA)
+		r.MissLevel = uint8(level)
 	}
 	c.b.Add(r)
 }
@@ -54,11 +47,7 @@ func (c *Capturer) Records() uint64 { return c.b.Len() }
 // stamped from the live hierarchy so replay charges exactly the
 // latencies capture observed.
 func (c *Capturer) Finish(meta Meta) *Trace {
-	meta.LoadLat = [3]int{
-		c.mem.LevelLatency(0),
-		c.mem.LevelLatency(1),
-		c.mem.LevelLatency(2),
-	}
+	meta.LoadLat = c.mem.LevelLatencies()
 	return c.b.Finish(meta)
 }
 

@@ -13,7 +13,6 @@ trap 'rm -rf "$work"' EXIT
 
 go build -o "$work/bioperf5" ./cmd/bioperf5
 
-# Sweep sized so ~2s lands mid-run (roughly 6-7s uninterrupted).
 sweep_args=(sweep -apps Clustalw,Fasta -fxus 2,3,4 -btac off,8
             -variants original -seeds 1 -scale 3 -workers 2)
 
@@ -33,10 +32,16 @@ PY
 echo "== baseline: uninterrupted run"
 "$work/bioperf5" "${sweep_args[@]}" -resume "$work/base" -json > /dev/null
 
-echo "== interrupted run: SIGKILL after 2s"
+# The kill is triggered by the journal's first entry, not by a clock:
+# at that point some cells are done and most are not, however fast the
+# host or the simulator is.
+echo "== interrupted run: SIGKILL once the journal has an entry"
 "$work/bioperf5" "${sweep_args[@]}" -resume "$work/int" -json > /dev/null &
 pid=$!
-sleep 2
+for _ in $(seq 1 1200); do
+  if [ -s "$work/int/journal.jsonl" ] || ! kill -0 "$pid" 2>/dev/null; then break; fi
+  sleep 0.05
+done
 kill -9 "$pid" 2>/dev/null || true
 wait "$pid" 2>/dev/null || true
 
