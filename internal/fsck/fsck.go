@@ -164,7 +164,7 @@ func (s *scrubber) scanFile(path, name string) error {
 		if err != nil {
 			return fmt.Errorf("fsck: %w", err)
 		}
-		t, err := trace.DecodeFile(b)
+		t, err := trace.DecodeReplayable(b)
 		if err != nil {
 			return s.condemn(path, KindTraceCorrupt, err.Error())
 		}

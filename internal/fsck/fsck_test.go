@@ -161,6 +161,36 @@ func TestFsckQuarantinesWrongAddressEntry(t *testing.T) {
 	}
 }
 
+// TestFsckQuarantinesTraceThatCannotReplay: a file whose checksum is
+// sound but whose payload disagrees with its record count was written
+// by something other than this program; a store would refuse it too.
+func TestFsckQuarantinesTraceThatCannotReplay(t *testing.T) {
+	dir := t.TempDir()
+	path := writeTrace(t, dir, 1)
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	good, err := trace.DecodeFile(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := &trace.Trace{Meta: good.Meta, Payload: good.Payload}
+	bad.Meta.Records++
+	enc, err := bad.EncodeFile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, enc, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rep := runFsck(t, dir)
+	f := findKind(rep, fsck.KindTraceCorrupt)
+	if f == nil || f.Path != path {
+		t.Fatalf("unreplayable trace not caught: %+v", rep)
+	}
+}
+
 func TestFsckQuarantinesTornTrace(t *testing.T) {
 	dir := t.TempDir()
 	path := writeTrace(t, dir, 1)

@@ -491,7 +491,9 @@ func (plan *SweepPlan) Manifest(baselines, points []CellResult) *SweepManifest {
 // application's POWER5 baseline, used to normalize IPC — is submitted
 // to the scheduler up front, so the whole sweep is bounded by the
 // worker pool, and grid points that coincide with the baseline (or
-// with each other across re-runs) are served from the cache.
+// with each other across re-runs) are served from the cache.  Results
+// are collected in plan order whatever order the cells ran in, so the
+// manifest does not depend on submission order or worker count.
 func RunSweep(sp SweepSpec) (*SweepManifest, error) {
 	plan, err := PlanSweep(sp)
 	if err != nil {
@@ -508,20 +510,38 @@ func RunSweep(sp SweepSpec) (*SweepManifest, error) {
 		defer sweepSpan.End()
 	}
 
-	// Submit phase: baselines first (they normalize every point), then
-	// the grid in manifest order.
-	submit := func(cells []PlanCell) []*pending {
-		out := make([]*pending, len(cells))
-		for i, pc := range cells {
-			k, _ := kernels.ByApp(pc.App)
-			out[i] = cfg.submitCell(k, pc.Setup)
-		}
-		return out
+	// Submit phase.  Cells are numbered in plan order — baselines (they
+	// normalize every point), then the grid — but the first cell of each
+	// (application, variant) goes to the scheduler ahead of the rest:
+	// those are the cells that capture a trace, and a worker handed a
+	// second cell of a trace still being captured would park behind the
+	// capture while replayable cells sit in the queue.
+	cells := append(append([]PlanCell(nil), plan.Baselines...), plan.Points...)
+	pends := make([]*pending, len(cells))
+	submit := func(i int) {
+		k, _ := kernels.ByApp(cells[i].App)
+		pends[i] = cfg.submitCell(k, cells[i].Setup)
 	}
-	basePend := submit(plan.Baselines)
-	pointPend := submit(plan.Points)
+	type stream struct {
+		app     string
+		variant kernels.Variant
+	}
+	captured := make(map[stream]bool)
+	var rest []int
+	for i, pc := range cells {
+		if s := (stream{pc.App, pc.Variant}); !captured[s] {
+			captured[s] = true
+			submit(i)
+		} else {
+			rest = append(rest, i)
+		}
+	}
+	for _, i := range rest {
+		submit(i)
+	}
+	basePend, pointPend := pends[:len(plan.Baselines)], pends[len(plan.Baselines):]
 
-	// Collect phase, in submission order.
+	// Collect phase, in plan order.
 	collect := func(pends []*pending) []CellResult {
 		out := make([]CellResult, len(pends))
 		for i, cell := range pends {

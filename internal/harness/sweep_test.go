@@ -65,6 +65,65 @@ func TestSweepDeterministicAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
+// TestSweepCaptureFirstOrderLeavesManifestAlone: RunSweep hands the
+// scheduler one cell per distinct trace ahead of the rest of the grid,
+// which must change nothing but when cells run.  The reference runs
+// the paper grid one cell at a time in plan order; RunSweep on 1, 2
+// and 4 workers must produce the same manifest bytes from exactly one
+// capture per (application, variant).
+func TestSweepCaptureFirstOrderLeavesManifestAlone(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	spec := DefaultSweepSpec()
+	spec.Config = Config{Scale: 1, Seeds: []int64{1}}
+
+	inOrder := func() []byte {
+		eng := sched.New(sched.Options{Workers: 1})
+		defer eng.Close()
+		sp := spec
+		sp.Config.Engine = eng
+		plan, err := PlanSweep(sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		run := func(cells []PlanCell) []CellResult {
+			out := make([]CellResult, len(cells))
+			for i, pc := range cells {
+				k, _ := kernels.ByApp(pc.App)
+				cell := plan.Spec.Config.submitCell(k, pc.Setup)
+				det, err := cell.detail()
+				if err != nil {
+					t.Fatal(err)
+				}
+				out[i] = CellResult{Detail: det, Cost: cell.cost(), Status: StatusOK}
+			}
+			return out
+		}
+		m := plan.Manifest(run(plan.Baselines), run(plan.Points))
+		m.Scheduler = eng.Stats()
+		return manifestJSON(t, m)
+	}()
+
+	for _, workers := range []int{1, 2, 4} {
+		eng := sched.New(sched.Options{Workers: workers})
+		sp := spec
+		sp.Config.Engine = eng
+		m, err := RunSweep(sp)
+		captures := eng.TraceStore().Stats().Captures
+		eng.Close()
+		if err != nil {
+			t.Fatalf("%d workers: %v", workers, err)
+		}
+		if got := manifestJSON(t, m); !bytes.Equal(got, inOrder) {
+			t.Errorf("%d workers: manifest differs from the in-order one", workers)
+		}
+		if want := uint64(len(spec.Apps) * len(spec.Variants)); captures != want {
+			t.Errorf("%d workers: %d captures, want %d (one per trace)", workers, captures, want)
+		}
+	}
+}
+
 // TestSweepSecondRunHitsCacheOnly asserts a repeated identical sweep
 // performs zero simulation work: every cell is served from the
 // content-addressed cache, visible in the telemetry counters.

@@ -2,7 +2,9 @@ package kernels
 
 import (
 	"errors"
+	"math"
 	"reflect"
+	"sync"
 	"testing"
 
 	"bioperf5/internal/cpu"
@@ -191,7 +193,8 @@ func TestReplayObservedMatchesLive(t *testing.T) {
 // over twice the instructions of scale 1, yet the timing side of a
 // coupled run (its allocations beyond those of executing the same
 // marshalled input on the bare machine) and a whole replay, with or
-// without a profiler attached, allocate the same handful of objects.
+// without a profiler attached, allocate the same handful of objects
+// (to within a few the runtime adds on its own under load).
 func TestTimingAllocationsDoNotScale(t *testing.T) {
 	k, err := ByApp("Fasta")
 	if err != nil {
@@ -251,8 +254,23 @@ func TestTimingAllocationsDoNotScale(t *testing.T) {
 	if n2 < 2*n1 {
 		t.Fatalf("scale 2 runs %d instructions, scale 1 %d: not enough growth to show anything", n2, n1)
 	}
-	if small != big {
-		t.Errorf("allocations grew with %d -> %d instructions: %+v -> %+v", n1, n2, small, big)
+	// "Does not scale", not "is equal": the runtime allocates a stray
+	// object or two of its own when packages test in parallel, so exact
+	// equality of AllocsPerRun averages flakes.  A per-instruction
+	// allocation would show as millions against the extra instructions.
+	const slack = 8
+	for _, p := range []struct {
+		path       string
+		small, big float64
+	}{
+		{"coupled", small.coupled, big.coupled},
+		{"replay", small.replay, big.replay},
+		{"profiled", small.profiled, big.profiled},
+	} {
+		if math.Abs(p.big-p.small) > slack {
+			t.Errorf("%s allocations moved with %d -> %d instructions: %v -> %v",
+				p.path, n1, n2, p.small, p.big)
+		}
 	}
 	if small.profiled-small.replay > 2 {
 		t.Errorf("attaching a profiler costs %v allocations per replay", small.profiled-small.replay)
@@ -287,6 +305,66 @@ func TestReplayFileRoundTrip(t *testing.T) {
 	}
 	if want := liveReport(t, k, Branchy, 1, 1, cfg, Observer{}); got != want {
 		t.Error("file-round-tripped trace diverges from the live-fed core")
+	}
+}
+
+// TestConcurrentReplaysShareOneDecode: a trace that arrived as bytes
+// is decoded into columns once, by whichever replay gets there first,
+// and every replay sharing it — here each under a different machine
+// configuration, at once — reads those columns and reports what a
+// replay of the captured trace does.
+func TestConcurrentReplaysShareOneDecode(t *testing.T) {
+	k, err := ByApp("Hmmer")
+	if err != nil {
+		t.Fatal(err)
+	}
+	captured, err := CaptureTrace(k, Combination, 1, 1, replayLimit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	file, err := captured.EncodeFile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := trace.DecodeFile(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfgs := make([]cpu.Config, 6)
+	for i := range cfgs {
+		cfgs[i] = cpu.POWER5Baseline()
+		cfgs[i].NumFXU = 2 + i%3
+		cfgs[i].UseBTAC = i >= 3
+	}
+	before := trace.Decodes()
+	got := make([]cpu.Report, len(cfgs))
+	var wg sync.WaitGroup
+	for i := range cfgs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			rep, err := ReplayTrace(k, Combination, loaded, cfgs[i])
+			if err != nil {
+				t.Error(err)
+			}
+			got[i] = rep
+		}(i)
+	}
+	wg.Wait()
+	if n := trace.Decodes() - before; n != 1 {
+		t.Errorf("%d replays decoded the payload %d times, want 1", len(cfgs), n)
+	}
+	for i, cfg := range cfgs {
+		want, err := ReplayTrace(k, Combination, captured, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got[i] != want {
+			t.Errorf("config %d: replay of the loaded trace differs from the captured one", i)
+		}
+	}
+	if n := trace.Decodes() - before; n != 1 {
+		t.Errorf("replaying the captured trace decoded a payload: %d decodes", n)
 	}
 }
 

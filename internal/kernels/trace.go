@@ -183,28 +183,34 @@ func ReplayObserved(k *Kernel, v Variant, t *trace.Trace, cfg cpu.Config, obs Ob
 	if obs.Registry != nil {
 		defer core.PublishTo(obs.Registry)
 	}
+	heads, eas, err := t.Columns()
+	if err != nil {
+		return core.Report(), err
+	}
 	var ev cpu.Event
-	it := t.Iter()
-	for it.Next() {
-		rec := it.Rec()
-		if rec.PC < 0 || rec.PC >= len(c.Meta) {
+	mem := 0 // memory ops replayed so far: the index into eas
+	for i, h := range heads {
+		pc := h.PC()
+		if pc >= len(c.Meta) {
 			return core.Report(), fmt.Errorf("%w: PC %d outside program of %d instructions",
-				trace.ErrCorrupt, rec.PC, len(c.Meta))
+				trace.ErrCorrupt, pc, len(c.Meta))
 		}
-		ev = cpu.Event{
-			Meta:      &c.Meta[rec.PC],
-			PC:        rec.PC,
-			Next:      rec.Next,
-			Taken:     rec.Taken,
-			MissLevel: rec.MissLevel,
-			EA:        rec.EA,
+		ev.Meta, ev.PC, ev.Next = &c.Meta[pc], pc, pc
+		if i+1 < len(heads) {
+			ev.Next = heads[i+1].PC()
+		}
+		ev.Taken, ev.MissLevel, ev.EA = h.Taken(), h.MissLevel(), 0
+		if h.HasEA() {
+			if mem >= len(eas) {
+				return core.Report(), fmt.Errorf("%w: more memory ops than the %d effective addresses",
+					trace.ErrCorrupt, len(eas))
+			}
+			ev.EA = eas[mem]
+			mem++
 		}
 		if err := core.Consume(&ev); err != nil {
 			return core.Report(), fmt.Errorf("kernels: %s/%s: %w", k.Name, v, err)
 		}
-	}
-	if err := it.Err(); err != nil {
-		return core.Report(), err
 	}
 	return core.Report(), nil
 }

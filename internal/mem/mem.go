@@ -70,17 +70,39 @@ func (m *Memory) Write(addr uint64, b []byte) {
 
 // ReadUint reads an unsigned big-endian integer of size 1, 2, 4 or 8.
 func (m *Memory) ReadUint(addr uint64, size int) uint64 {
+	off := addr & pageMask
+	if off+uint64(size) > pageSize {
+		// The access straddles two pages: go byte by byte.
+		var v uint64
+		for i := 0; i < size; i++ {
+			v = v<<8 | uint64(m.LoadByte(addr+uint64(i)))
+		}
+		return v
+	}
+	p := m.page(addr, false)
+	if p == nil {
+		return 0
+	}
 	var v uint64
-	for i := 0; i < size; i++ {
-		v = v<<8 | uint64(m.LoadByte(addr+uint64(i)))
+	for _, b := range p[off : off+uint64(size)] {
+		v = v<<8 | uint64(b)
 	}
 	return v
 }
 
 // WriteUint writes an unsigned big-endian integer of size 1, 2, 4 or 8.
 func (m *Memory) WriteUint(addr uint64, size int, v uint64) {
-	for i := size - 1; i >= 0; i-- {
-		m.StoreByte(addr+uint64(i), byte(v))
+	off := addr & pageMask
+	if off+uint64(size) > pageSize {
+		for i := size - 1; i >= 0; i-- {
+			m.StoreByte(addr+uint64(i), byte(v))
+			v >>= 8
+		}
+		return
+	}
+	b := m.page(addr, true)[off : off+uint64(size)]
+	for i := len(b) - 1; i >= 0; i-- {
+		b[i] = byte(v)
 		v >>= 8
 	}
 }

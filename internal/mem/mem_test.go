@@ -57,6 +57,53 @@ func TestCrossPageAccess(t *testing.T) {
 	}
 }
 
+// TestUintAccessAroundPageBoundary holds the one-lookup fast path and
+// the page-crossing byte loop to the same byte-wise reference: at every
+// offset from well inside a page to well inside the next, at sizes
+// 1/2/4/8, a write lays its bytes big-endian exactly where StoreByte
+// would, touches nothing around them, and reads back.
+func TestUintAccessAroundPageBoundary(t *testing.T) {
+	const v = 0x0102030405060708
+	for _, size := range []int{1, 2, 4, 8} {
+		for addr := uint64(pageSize - 9); addr <= pageSize+1; addr++ {
+			m := New()
+			m.StoreByte(addr-1, 0xEE)
+			m.StoreByte(addr+uint64(size), 0xEE)
+			m.WriteUint(addr, size, v)
+			want := uint64(v) & (1<<(8*size) - 1) // a 64-bit shift leaves the all-ones mask
+			for i := 0; i < size; i++ {
+				if got, w := m.LoadByte(addr+uint64(i)), byte(want>>(8*(size-1-i))); got != w {
+					t.Fatalf("size %d at %#x: byte %d = %#x, want %#x", size, addr, i, got, w)
+				}
+			}
+			if m.LoadByte(addr-1) != 0xEE || m.LoadByte(addr+uint64(size)) != 0xEE {
+				t.Fatalf("size %d at %#x: write spilled onto a neighbour", size, addr)
+			}
+			if got := m.ReadUint(addr, size); got != want {
+				t.Fatalf("size %d at %#x: read %#x, want %#x", size, addr, got, want)
+			}
+		}
+	}
+}
+
+// TestUntouchedPagesReadZero: a read allocates nothing, whether it
+// falls inside an untouched page or straddles into one.
+func TestUntouchedPagesReadZero(t *testing.T) {
+	m := New()
+	m.WriteUint(pageSize-4, 4, 0xAABBCCDD) // the page below the boundary exists
+	for _, size := range []int{1, 2, 4, 8} {
+		if got := m.ReadUint(5*pageSize+16, size); got != 0 {
+			t.Errorf("size %d read of an untouched page = %#x", size, got)
+		}
+	}
+	if got := m.ReadUint(pageSize-4, 8); got != 0xAABBCCDD00000000 {
+		t.Errorf("read straddling into an untouched page = %#x", got)
+	}
+	if m.Footprint() != pageSize {
+		t.Errorf("reads allocated pages: footprint %d, want one page", m.Footprint())
+	}
+}
+
 func TestQuickUintRoundTrip(t *testing.T) {
 	m := New()
 	f := func(addr uint32, v uint64, szSel uint8) bool {

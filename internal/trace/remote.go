@@ -73,7 +73,7 @@ func (r *remoteTier) load(hash string, key Key) (*Trace, bool) {
 		r.mErrors.Add(1)
 		return nil, false
 	}
-	t, err := DecodeFile(b)
+	t, err := DecodeReplayable(b)
 	if err != nil || !key.Matches(t.Meta) {
 		r.mErrors.Add(1)
 		return nil, false

@@ -13,7 +13,10 @@ import (
 )
 
 // DefaultBudget is the in-memory byte budget of a Store when none is
-// configured: enough for hundreds of scale-1 kernel traces.
+// configured.  A resident trace costs about 9.5 bytes per instruction
+// (2 of payload, 4 of heads, 8 per memory op); the scale-1 kernel
+// traces measure 1.2-6.8 MB each and 29.6 MB for the paper grid's
+// eight, so the default holds about 70 of them — the grid at 8 seeds.
 const DefaultBudget = int64(256 << 20)
 
 // StoreOptions configures a Store.  The zero value is usable: default
@@ -218,6 +221,7 @@ func (s *Store) fill(hash string, key Key, capture func() (*Trace, error)) (*Tra
 // install puts a trace into the in-memory tier and evicts past the
 // byte budget.
 func (s *Store) install(hash string, t *Trace) {
+	size := t.SizeBytes() // before the lock: sizing a trace no one has replayed decodes it
 	s.mu.Lock()
 	if el, ok := s.entries[hash]; ok {
 		old := el.Value.(*storeEntry)
@@ -227,7 +231,7 @@ func (s *Store) install(hash string, t *Trace) {
 	} else {
 		s.entries[hash] = s.lru.PushFront(&storeEntry{hash: hash, t: t})
 	}
-	s.bytes += t.SizeBytes()
+	s.bytes += size
 	var evicted int64
 	for s.bytes > s.budget && s.lru.Len() > 1 {
 		el := s.lru.Back()
@@ -335,7 +339,7 @@ func (s *Store) Entry(hash string) ([]byte, bool) {
 // stores it in both local tiers — the write path behind
 // PUT /v1/traces/{key}.
 func (s *Store) Install(hash string, body []byte) error {
-	t, err := DecodeFile(body)
+	t, err := DecodeReplayable(body)
 	if err != nil {
 		return err
 	}
@@ -362,7 +366,7 @@ func (s *Store) diskLoad(hash string, key Key) (*Trace, bool) {
 	if err != nil {
 		return nil, false
 	}
-	t, err := DecodeFile(b)
+	t, err := DecodeReplayable(b)
 	if err != nil || !key.Matches(t.Meta) {
 		s.mCorrupt.Add(1)
 		os.Remove(s.path(hash))

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"bioperf5/internal/fault"
+	"bioperf5/internal/telemetry"
 )
 
 func testKey(i int) Key {
@@ -20,7 +21,7 @@ func testKey(i int) Key {
 // testTrace builds a trace of roughly n payload bytes answering testKey(i).
 func testTrace(i, n int) *Trace {
 	var b Builder
-	for pc := 0; len(b.payload) < n; pc++ {
+	for pc := 0; b.s == nil || len(b.s.payload) < n; pc++ {
 		b.Add(Record{PC: pc, HasEA: true, EA: uint64(pc * 64)})
 	}
 	k := testKey(i)
@@ -263,6 +264,44 @@ func TestStoreDiskKeyMismatchRejected(t *testing.T) {
 	}
 }
 
+// TestStoreRefusesFilesThatCannotReplay: a sound checksum over a
+// payload the decoder rejects is corruption like any other — refused
+// on upload, and on disk detected, removed and recaptured — instead of
+// a resident trace that fails every cell that asks for it.
+func TestStoreRefusesFilesThatCannotReplay(t *testing.T) {
+	good := testTrace(1, 200)
+	meta := good.Meta
+	meta.Records-- // the payload now carries one record too many
+	file, err := undecoded(meta, good.Payload).EncodeFile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DecodeFile(file); err != nil {
+		t.Fatalf("the file layer should pass this file: %v", err)
+	}
+	hash := testKey(1).Hash()
+
+	dir := t.TempDir()
+	s := NewStore(StoreOptions{Dir: dir})
+	if err := s.Install(hash, file); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("Install = %v, want ErrCorrupt", err)
+	}
+	if s.Len() != 0 {
+		t.Fatal("a refused upload is resident")
+	}
+
+	if err := os.WriteFile(filepath.Join(dir, hash+".trace"), file, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	tr, hit, err := s.GetOrCapture(testKey(1), func() (*Trace, error) { return good, nil })
+	if err != nil || hit || tr != good {
+		t.Fatalf("GetOrCapture = (%p, hit %v, %v), want a fresh capture", tr, hit, err)
+	}
+	if st := s.Stats(); st.Corrupt != 1 || st.Captures != 1 || st.DiskWrites != 1 {
+		t.Errorf("stats = %+v, want the file counted corrupt and rewritten", st)
+	}
+}
+
 func TestStorePutReplaces(t *testing.T) {
 	s := NewStore(StoreOptions{})
 	s.Put(testKey(1), testTrace(1, 100))
@@ -278,6 +317,76 @@ func TestStorePutReplaces(t *testing.T) {
 	if s.Bytes() != bigger.SizeBytes() {
 		t.Errorf("Bytes = %d, want %d (old size must be released)", s.Bytes(), bigger.SizeBytes())
 	}
+}
+
+// TestStoreBytesCountPayloadAndColumns: the byte budget is charged
+// what a resident trace really holds — payload plus both columns — and
+// the store's figure is the sum over its entries after captures, after
+// disk loads that have since been replayed, and after evictions.
+func TestStoreBytesCountPayloadAndColumns(t *testing.T) {
+	dir := t.TempDir()
+	reg := telemetry.NewRegistry()
+	resident := func(s *Store, keys ...int) (sum int64) {
+		for _, i := range keys {
+			tr, ok := s.Get(testKey(i))
+			if !ok {
+				t.Fatalf("trace %d not resident", i)
+			}
+			sum += tr.SizeBytes()
+		}
+		return sum
+	}
+	agree := func(when string, s *Store, want int64) {
+		t.Helper()
+		if s.Bytes() != want || s.Stats().Bytes != want {
+			t.Errorf("%s: Bytes = %d, Stats.Bytes = %d, entries sum to %d", when, s.Bytes(), s.Stats().Bytes, want)
+		}
+	}
+
+	writer := NewStore(StoreOptions{Dir: dir, Registry: reg})
+	for i := 1; i <= 3; i++ {
+		i := i
+		tr, _, err := writer.GetOrCapture(testKey(i), func() (*Trace, error) { return testTrace(i, 1000*i), nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+		// testTrace is all memory ops: 4 + 8 column bytes per record.
+		if want := int64(len(tr.Payload)) + 12*int64(tr.Meta.Records) + 256; tr.SizeBytes() != want {
+			t.Fatalf("trace %d: SizeBytes = %d, want %d", i, tr.SizeBytes(), want)
+		}
+	}
+	captured := resident(writer, 1, 2, 3)
+	agree("after capture", writer, captured)
+	if g := reg.Gauge("trace.bytes").Value(); int64(g) != captured {
+		t.Errorf("trace.bytes gauge = %v, want %d", g, captured)
+	}
+
+	reader := NewStore(StoreOptions{Dir: dir})
+	for i := 1; i <= 3; i++ {
+		tr, ok := reader.Get(testKey(i))
+		if !ok {
+			t.Fatalf("trace %d not loaded from disk", i)
+		}
+		if err := iterErr(tr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := reader.Stats(); st.DiskHits != 3 {
+		t.Fatalf("stats = %+v, want 3 disk hits", st)
+	}
+	agree("after replayed disk loads", reader, captured)
+
+	// Room for the two largest: installing them in turn evicts the rest.
+	small := NewStore(StoreOptions{Dir: dir, Budget: captured - 1})
+	for i := 1; i <= 3; i++ {
+		if _, ok := small.Get(testKey(i)); !ok {
+			t.Fatalf("trace %d not loaded from disk", i)
+		}
+	}
+	if st := small.Stats(); st.Evictions != 1 || st.Entries != 2 {
+		t.Fatalf("stats = %+v, want one eviction", st)
+	}
+	agree("after eviction", small, resident(small, 2, 3))
 }
 
 func TestStoreNoStrayTempFiles(t *testing.T) {
