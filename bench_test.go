@@ -139,7 +139,7 @@ func BenchmarkAblationBTACSize(b *testing.B) {
 			var bubbles, taken uint64
 			var ipc float64
 			for i := 0; i < b.N; i++ {
-				ctr, err := core.RunKernel(k, s, []int64{1}, 1)
+				ctr, err := coupledCounters(k, s)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -169,7 +169,7 @@ func BenchmarkAblationBTACThreshold(b *testing.B) {
 			s := core.Setup{Name: "btac", Variant: kernels.Branchy, CPU: cfg}
 			var ipc, mis float64
 			for i := 0; i < b.N; i++ {
-				ctr, err := core.RunKernel(k, s, []int64{1}, 1)
+				ctr, err := coupledCounters(k, s)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -197,7 +197,7 @@ func BenchmarkAblationPredictor(b *testing.B) {
 			s := core.Setup{Name: name, Variant: kernels.Branchy, CPU: cfg}
 			var ipc, mr float64
 			for i := 0; i < b.N; i++ {
-				ctr, err := core.RunKernel(k, s, []int64{1}, 1)
+				ctr, err := coupledCounters(k, s)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -225,7 +225,7 @@ func BenchmarkAblationTakenPenalty(b *testing.B) {
 			s := core.Setup{Name: "pen", Variant: kernels.Branchy, CPU: cfg}
 			var ipc float64
 			for i := 0; i < b.N; i++ {
-				ctr, err := core.RunKernel(k, s, []int64{1}, 1)
+				ctr, err := coupledCounters(k, s)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -348,4 +348,15 @@ func BenchmarkAblationIfConvertArmLimit(b *testing.B) {
 		}
 		_ = prog
 	}
+}
+
+// coupledCounters simulates seed 1 of k under s on the coupled path
+// (TraceOff), so each iteration pays for a full functional execution.
+func coupledCounters(k *kernels.Kernel, s core.Setup) (cpu.Counters, error) {
+	resp, err := core.Simulate(core.Request{App: k.App, Variant: s.Variant, Seeds: []int64{1}, Scale: 1,
+		CPU: s.CPU, Trace: core.TraceOff})
+	if err != nil {
+		return cpu.Counters{}, err
+	}
+	return resp.Aggregate.Counters, nil
 }

@@ -12,6 +12,7 @@ import (
 	"bioperf5/internal/bio/score"
 	"bioperf5/internal/bio/seq"
 	"bioperf5/internal/core"
+	"bioperf5/internal/cpu"
 	"bioperf5/internal/kernels"
 )
 
@@ -34,17 +35,15 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	seeds := []int64{1}
-	base, err := core.RunKernel(k, core.Baseline(), seeds, 1)
-	if err != nil {
-		log.Fatal(err)
+	simulate := func(s core.Setup) cpu.Counters {
+		resp, err := core.Simulate(core.Request{App: k.App, Variant: s.Variant, Seeds: []int64{1}, Scale: 1, CPU: s.CPU})
+		if err != nil {
+			log.Fatal(err)
+		}
+		return resp.Aggregate.Counters
 	}
-	improved, err := core.RunKernel(k,
-		core.Baseline().WithVariant(kernels.Combination).WithBTAC().WithFXUs(4),
-		seeds, 1)
-	if err != nil {
-		log.Fatal(err)
-	}
+	base := simulate(core.Baseline())
+	improved := simulate(core.Baseline().WithVariant(kernels.Combination).WithBTAC().WithFXUs(4))
 	fmt.Println("\n=== dropgsw kernel on the simulated POWER5 ===")
 	fmt.Printf("baseline:  %8d cycles  IPC %.2f  mispredicts %d\n",
 		base.Cycles, base.IPC(), base.DirMispredicts)

@@ -1,0 +1,201 @@
+// Package cas is the one place that knows how a verified blob lives on
+// disk and on the wire.  A blob is opaque bytes filed under the hex
+// SHA-256 of the key it answers; what the bytes mean belongs to the
+// payload's owner, which describes itself with a Kind (sched.EntryKind
+// for result entries, trace.FileKind for captured traces).  From a Kind
+// this package derives the directory tier (Dir), the best-effort client
+// of an upstream hub (Client), the hub's GET/PUT endpoints (Register)
+// and what `bioperf5 fsck` scans for.
+//
+// Nothing read from disk or the network is trusted until its owner's
+// codec has decoded it against the address it was asked for: Dir.Load
+// and Client.Get hand the bytes to a decode function and treat its
+// refusal as the one policy each tier has — a corrupt local blob is
+// counted, removed and recomputed; a corrupt upstream blob is counted
+// as an error and is a miss.  The typed codecs and the in-memory tiers
+// (an unbounded memo of futures in sched, a byte-budget LRU in trace)
+// stay with their owners.  DESIGN "Storage: verified blobs and
+// journals" has the layout and the wire protocol.
+package cas
+
+import (
+	"errors"
+	"io"
+	"os"
+	"path/filepath"
+	"strings"
+	"time"
+
+	"bioperf5/internal/telemetry"
+)
+
+// ErrNoDir is returned by writes to an absent directory tier: a hub
+// without -cache-dir cannot keep what it is sent (503, not 400).
+var ErrNoDir = errors.New("cas: no cache directory configured")
+
+// ErrWrongKey marks a blob that is sound in itself but answers a
+// different key than the address it sits at.  Kind.Verify wraps it so
+// fsck can tell a misfiled blob from a damaged one.
+var ErrWrongKey = errors.New("blob does not answer its address")
+
+// Kind describes one payload family.  Everything that differs between
+// result entries and traces outside their codecs is a field here.
+type Kind struct {
+	Route       string        // URL segment: /v1/<Route>/{key}
+	Ext         string        // file extension, with the dot
+	ContentType string        // of a GET response and a PUT request
+	MaxBytes    int64         // size cap of one blob, client and server
+	Timeout     time.Duration // bound on one upstream round trip
+	// Verify reports whether b is a well-formed blob of this kind that
+	// answers hash.  It is the untyped face of the owner's codec, for
+	// callers that move or check bytes without needing the value.
+	Verify func(hash string, b []byte) error
+}
+
+// ValidKey reports whether s is a content address: 64 lower-case hex
+// digits and nothing else, so a key can never traverse paths or name a
+// foreign file.
+func ValidKey(s string) bool {
+	return len(s) == 64 && strings.Trim(s, "0123456789abcdef") == ""
+}
+
+// WriteFileAtomic lands what write produces at path so that a crash
+// leaves either the old state or the complete new file, never a torn
+// one: temp file `<name>.tmp*` beside it, write, fsync, rename,
+// directory fsync.  A write that fails is cleaned up; one that never
+// returns (the process died) leaves only the temp file, which no reader
+// opens and fsck quarantines as stale.
+func WriteFileAtomic(path string, write func(io.Writer) error) error {
+	dir := filepath.Dir(path)
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
+	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
+	if err != nil {
+		return err
+	}
+	err = write(tmp)
+	if err == nil {
+		// Flush the payload before the rename publishes it, so the file
+		// can never be durable by name but empty by content.
+		err = tmp.Sync()
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
+	}
+	if err != nil {
+		os.Remove(tmp.Name())
+		return err
+	}
+	syncDir(dir)
+	return nil
+}
+
+// syncDir fsyncs a directory so a rename in it survives a crash.
+// Best-effort: some filesystems reject directory fsync, and a lost
+// rename only costs a recompute.
+func syncDir(dir string) {
+	if d, err := os.Open(dir); err == nil {
+		d.Sync()
+		d.Close()
+	}
+}
+
+// Dir is the directory tier of one kind: one file per blob, named
+// <hash><Ext>.  A nil *Dir is the absent tier — reads miss and writes
+// return ErrNoDir — so owners need no "is there a disk" branches.
+type Dir struct {
+	kind            Kind
+	path            string
+	writes, corrupt *telemetry.Counter
+}
+
+// NewDir returns the tier under path, or nil when path is empty.  The
+// counters are the owner's existing disk-write and corrupt-blob metrics.
+func NewDir(k Kind, path string, writes, corrupt *telemetry.Counter) *Dir {
+	if path == "" {
+		return nil
+	}
+	return &Dir{kind: k, path: path, writes: writes, corrupt: corrupt}
+}
+
+func (d *Dir) file(hash string) string { return filepath.Join(d.path, hash+d.kind.Ext) }
+
+// Load reads the blob at hash and hands it to decode, the owner's codec
+// checking it against the key it wants.  It reports a verified hit.  A
+// blob decode refuses is corrupt: counted, removed (its bytes are worth
+// nothing, and the recompute's write heals the address), and a miss.
+func (d *Dir) Load(hash string, decode func(b []byte) error) bool {
+	if d == nil {
+		return false
+	}
+	b, err := os.ReadFile(d.file(hash))
+	if err != nil {
+		return false
+	}
+	if err := decode(b); err != nil {
+		d.corrupt.Add(1)
+		os.Remove(d.file(hash))
+		return false
+	}
+	return true
+}
+
+// Entry returns the verified bytes at hash — what a hub serves.
+func (d *Dir) Entry(hash string) (b []byte, ok bool) {
+	ok = d.Load(hash, func(got []byte) error {
+		b = got
+		return d.kind.Verify(hash, got)
+	})
+	return b, ok
+}
+
+// Write files b, which the caller has verified or just encoded, at hash.
+func (d *Dir) Write(hash string, b []byte) error {
+	if d == nil {
+		return ErrNoDir
+	}
+	err := WriteFileAtomic(d.file(hash), func(w io.Writer) error {
+		_, err := w.Write(b)
+		return err
+	})
+	if err != nil {
+		return err
+	}
+	d.writes.Add(1)
+	return nil
+}
+
+// Install verifies body as a blob answering hash and files it — the
+// write path behind a hub's PUT.
+func (d *Dir) Install(hash string, body []byte) error {
+	if d == nil {
+		return ErrNoDir
+	}
+	if err := d.kind.Verify(hash, body); err != nil {
+		return err
+	}
+	return d.Write(hash, body)
+}
+
+// Tear truncates the blob at hash to half its size in place: the damage
+// a torn write or bit rot would leave at a final address, which the
+// write discipline cannot produce by itself.  Only the fault injector's
+// SiteStore and SiteTrace hooks call it; the next Load must detect it.
+func (d *Dir) Tear(hash string) error {
+	fi, err := os.Stat(d.file(hash))
+	if err != nil {
+		return err
+	}
+	return os.Truncate(d.file(hash), fi.Size()/2)
+}
+
+// Sync fsyncs the directory; owners call it once on shutdown.
+func (d *Dir) Sync() {
+	if d != nil {
+		syncDir(d.path)
+	}
+}

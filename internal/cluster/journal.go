@@ -1,33 +1,18 @@
 package cluster
 
 import (
-	"bufio"
-	"encoding/json"
-	"fmt"
-	"os"
-	"path/filepath"
-	"sync"
-
 	"bioperf5/internal/harness"
+	"bioperf5/internal/journal"
 )
 
-// Journal is the coordinator's crash-safe completion record.  Unlike
-// the scheduler's journal (which marks hashes done and relies on the
-// local disk cache for the bytes), the coordinator has no local cache
-// — results live on the workers and the shared hub — so its journal
+// Journal is the coordinator's crash-safe completion record
+// (internal/journal has the format and the torn-tail rules).  Unlike
+// the scheduler's journal, which marks hashes done and relies on the
+// local disk cache for the bytes, the coordinator has no local cache —
+// results live on the workers and the shared hub — so its journal
 // carries the full per-cell stats.  A resumed sweep replays completed
 // cells straight from this file and dispatches only the remainder.
-//
-// The format is append-only JSONL, fsync'd per record, tolerant of a
-// torn tail exactly like sched.Journal: a line that does not parse or
-// lacks a key is ignored, and a missing trailing newline is repaired
-// before the next append.
-type Journal struct {
-	mu          sync.Mutex
-	f           *os.File
-	done        map[string]Record
-	needNewline bool
-}
+type Journal = journal.Log[Record]
 
 // Record is one completed cell: its content key and the stats the
 // manifest needs to reproduce it without re-dispatching.
@@ -39,89 +24,13 @@ type Record struct {
 }
 
 // OpenJournal opens (creating if necessary) the journal at path and
-// replays its records.
+// replays its records.  Only ok cells are durable — a failed cell must
+// be retried by the next run, not remembered.
 func OpenJournal(path string) (*Journal, error) {
-	if dir := filepath.Dir(path); dir != "." {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return nil, fmt.Errorf("cluster: journal: %w", err)
+	return journal.Open(path, func(r Record) string {
+		if r.Status != harness.StatusOK {
+			return ""
 		}
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: journal: %w", err)
-	}
-	j := &Journal{f: f, done: make(map[string]Record)}
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 16<<20)
-	for sc.Scan() {
-		var rec Record
-		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil || rec.Key == "" || rec.Status != harness.StatusOK {
-			continue // torn, foreign, or failed line: never trust
-		}
-		j.done[rec.Key] = rec
-	}
-	if err := sc.Err(); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("cluster: journal: %w", err)
-	}
-	if end, err := f.Seek(0, 2); err == nil && end > 0 {
-		buf := make([]byte, 1)
-		if _, err := f.ReadAt(buf, end-1); err == nil && buf[0] != '\n' {
-			j.needNewline = true
-		}
-	}
-	return j, nil
-}
-
-// Lookup returns the completed record for key, if one is on file.
-func (j *Journal) Lookup(key string) (Record, bool) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	rec, ok := j.done[key]
-	return rec, ok
-}
-
-// Len returns the number of completed cells on record.
-func (j *Journal) Len() int {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return len(j.done)
-}
-
-// Append records one completed cell and fsyncs.  Only ok cells are
-// durable — a failed cell must be retried by the next run, not
-// remembered.  Re-appending a key is a no-op.
-func (j *Journal) Append(rec Record) error {
-	if rec.Key == "" || rec.Status != harness.StatusOK {
-		return nil
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if _, ok := j.done[rec.Key]; ok {
-		return nil
-	}
-	b, err := json.Marshal(rec)
-	if err != nil {
-		return fmt.Errorf("cluster: journal: %w", err)
-	}
-	if j.needNewline {
-		b = append([]byte{'\n'}, b...)
-	}
-	b = append(b, '\n')
-	if _, err := j.f.Write(b); err != nil {
-		return fmt.Errorf("cluster: journal: %w", err)
-	}
-	if err := j.f.Sync(); err != nil {
-		return fmt.Errorf("cluster: journal: %w", err)
-	}
-	j.needNewline = false
-	j.done[rec.Key] = rec
-	return nil
-}
-
-// Close releases the underlying file.
-func (j *Journal) Close() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.f.Close()
+		return r.Key
+	})
 }

@@ -12,7 +12,6 @@ import (
 	"fmt"
 
 	"bioperf5/internal/cpu"
-	"bioperf5/internal/isa"
 	"bioperf5/internal/kernels"
 	"bioperf5/internal/machine"
 )
@@ -54,20 +53,6 @@ func (s Setup) WithFXUs(n int) Setup {
 // stepLimit bounds a single kernel invocation.
 const stepLimit = 500_000_000
 
-// RunKernel compiles app's kernel under the setup and simulates one
-// invocation per seed, returning the summed counters.
-//
-// Deprecated: use Simulate, which adds trace policies and hit
-// accounting behind the same semantics.  RunKernel runs the coupled
-// path (TraceOff).
-func RunKernel(k *kernels.Kernel, s Setup, seeds []int64, scale int) (cpu.Counters, error) {
-	det, err := RunKernelDetailed(k, s, seeds, scale)
-	if err != nil {
-		return cpu.Counters{}, err
-	}
-	return det.Aggregate.Counters, nil
-}
-
 // SeedReport is one seed's detailed simulation outcome.
 type SeedReport struct {
 	Seed     int64          `json:"seed"`
@@ -81,70 +66,6 @@ type SeedReport struct {
 type Detail struct {
 	Seeds     []SeedReport `json:"seeds"`
 	Aggregate cpu.Report   `json:"aggregate"`
-}
-
-// RunCell simulates exactly one (kernel, setup, seed) cell — the unit
-// of work the internal/sched engine schedules and caches.  It touches
-// no state outside its own run, so cells are safe to execute from
-// concurrent workers.
-//
-// Deprecated: use Simulate.  RunCell runs the coupled path (TraceOff).
-func RunCell(k *kernels.Kernel, s Setup, seed int64, scale int) (cpu.Report, error) {
-	resp, err := Simulate(Request{
-		App:     k.App,
-		Variant: s.Variant,
-		Seeds:   []int64{seed},
-		Scale:   scale,
-		CPU:     s.CPU,
-		Trace:   TraceOff,
-	})
-	if err != nil {
-		return cpu.Report{}, err
-	}
-	return resp.Aggregate, nil
-}
-
-// RunKernelDetailed simulates one invocation per seed, keeping each
-// seed's counters and CPI stall stack as well as the aggregate.
-//
-// Deprecated: use Simulate.  RunKernelDetailed runs the coupled path
-// (TraceOff).
-func RunKernelDetailed(k *kernels.Kernel, s Setup, seeds []int64, scale int) (*Detail, error) {
-	resp, err := Simulate(Request{
-		App:     k.App,
-		Variant: s.Variant,
-		Seeds:   seeds,
-		Scale:   scale,
-		CPU:     s.CPU,
-		Trace:   TraceOff,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &Detail{Seeds: resp.Seeds, Aggregate: resp.Aggregate}, nil
-}
-
-// RunProfiled simulates one invocation per seed with a branch profiler
-// attached to the timing core, under the default trace policy: each
-// seed's trace is captured into (or found in) the default store and
-// replayed with the profiler watching.  The profiler observes every
-// resolved conditional branch and BTAC lookup without touching timing,
-// so the counters are identical to an unprofiled run.
-//
-// Deprecated: use Simulate with Request.Branches.
-func RunProfiled(k *kernels.Kernel, s Setup, seeds []int64, scale int, prof cpu.BranchProfiler) (*Detail, error) {
-	resp, err := Simulate(Request{
-		App:      k.App,
-		Variant:  s.Variant,
-		Seeds:    seeds,
-		Scale:    scale,
-		CPU:      s.CPU,
-		Branches: prof,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &Detail{Seeds: resp.Seeds, Aggregate: resp.Aggregate}, nil
 }
 
 // Interval is one sampling window of a run (Figure 2's x-axis is
@@ -166,45 +87,17 @@ func RunIntervals(k *kernels.Kernel, s Setup, seed int64, scale int, every uint6
 	if err != nil {
 		return nil, err
 	}
-	c, err := kernels.CompileCached(k, s.Variant)
-	if err != nil {
-		return nil, err
-	}
-	cfg := s.CPU
-	if s.Variant.NeedsExtensions() {
-		cfg.Extensions = true
-	}
-	model, err := cpu.New(cfg, c.Meta)
-	if err != nil {
-		return nil, err
-	}
-	mach := machine.New(c.Prog, run.Mem)
-	mach.Reset()
-	if err := mach.SetPC(k.Name); err != nil {
-		return nil, err
-	}
-	mach.SetReg(isa.SP, 0x7FFF0000)
-	for i, a := range run.Args {
-		mach.SetReg(isa.R3+isa.Reg(i), a)
-	}
-
-	var out []Interval
-	prev := model.Counters()
-	var steps uint64
-	for !mach.Halted() {
-		if steps >= stepLimit {
-			return nil, machine.ErrLimit
+	var (
+		out   []Interval
+		prev  cpu.Counters
+		steps uint64
+	)
+	_, err = kernels.Step(k, s.Variant, run, s.CPU, stepLimit, func(m *cpu.Model, d machine.DynInst) error {
+		if err := m.Consume(d); err != nil {
+			return err
 		}
-		d, err := mach.Step()
-		if err != nil {
-			return nil, err
-		}
-		if err := model.Consume(d); err != nil {
-			return nil, err
-		}
-		steps++
-		if steps%every == 0 {
-			cur := model.Counters()
+		if steps++; steps%every == 0 {
+			cur := m.Counters()
 			win := cur.Sub(prev)
 			out = append(out, Interval{
 				Instructions:   cur.Instructions,
@@ -213,11 +106,9 @@ func RunIntervals(k *kernels.Kernel, s Setup, seed int64, scale int, every uint6
 			})
 			prev = cur
 		}
-	}
-	if got := int64(mach.Reg(isa.R3)); got != run.Want {
-		return nil, fmt.Errorf("core: %s computed %d, want %d", k.Name, got, run.Want)
-	}
-	return out, nil
+		return nil
+	})
+	return out, err
 }
 
 // SampleConfig is a SMARTS-style systematic sampling schedule: Detail
@@ -254,43 +145,13 @@ func RunSampled(k *kernels.Kernel, s Setup, seed int64, scale int, sc SampleConf
 	if err != nil {
 		return SampledResult{}, err
 	}
-	c, err := kernels.CompileCached(k, s.Variant)
-	if err != nil {
-		return SampledResult{}, err
-	}
-	cfg := s.CPU
-	if s.Variant.NeedsExtensions() {
-		cfg.Extensions = true
-	}
-	model, err := cpu.New(cfg, c.Meta)
-	if err != nil {
-		return SampledResult{}, err
-	}
-	mach := machine.New(c.Prog, run.Mem)
-	mach.Reset()
-	if err := mach.SetPC(k.Name); err != nil {
-		return SampledResult{}, err
-	}
-	mach.SetReg(isa.SP, 0x7FFF0000)
-	for i, a := range run.Args {
-		mach.SetReg(isa.R3+isa.Reg(i), a)
-	}
-
 	var res SampledResult
-	inWindow := uint64(0)
-	detail := true
-	for !mach.Halted() {
-		if res.TotalInstr >= stepLimit {
-			return res, machine.ErrLimit
-		}
-		d, err := mach.Step()
-		if err != nil {
-			return res, err
-		}
+	inWindow, detail := uint64(0), true
+	model, err := kernels.Step(k, s.Variant, run, s.CPU, stepLimit, func(m *cpu.Model, d machine.DynInst) error {
 		res.TotalInstr++
 		if detail {
-			if err := model.Consume(d); err != nil {
-				return res, err
+			if err := m.Consume(d); err != nil {
+				return err
 			}
 		}
 		inWindow++
@@ -299,14 +160,15 @@ func RunSampled(k *kernels.Kernel, s Setup, seed int64, scale int, sc SampleConf
 		} else if !detail && inWindow >= sc.Skip {
 			detail, inWindow = true, 0
 		}
+		return nil
+	})
+	if model == nil {
+		return res, err
 	}
 	res.Detailed = model.Counters()
 	if res.Detailed.Instructions > 0 {
 		cpi := float64(res.Detailed.Cycles) / float64(res.Detailed.Instructions)
 		res.EstimatedCycles = cpi * float64(res.TotalInstr)
 	}
-	if got := int64(mach.Reg(isa.R3)); got != run.Want {
-		return res, fmt.Errorf("core: %s computed %d, want %d", k.Name, got, run.Want)
-	}
-	return res, nil
+	return res, err
 }

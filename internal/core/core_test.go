@@ -4,8 +4,18 @@ import (
 	"math"
 	"testing"
 
+	"bioperf5/internal/cpu"
 	"bioperf5/internal/kernels"
 )
+
+// coupled sums the counters of k's seeds under s on the coupled path.
+func coupled(k *kernels.Kernel, s Setup, seeds []int64) (cpu.Counters, error) {
+	resp, err := Simulate(Request{App: k.App, Variant: s.Variant, Seeds: seeds, Scale: 1, CPU: s.CPU, Trace: TraceOff})
+	if err != nil {
+		return cpu.Counters{}, err
+	}
+	return resp.Aggregate.Counters, nil
+}
 
 func TestSetupBuilders(t *testing.T) {
 	s := Baseline()
@@ -27,18 +37,18 @@ func TestRunKernelAggregates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	one, err := RunKernel(k, Baseline(), []int64{1}, 1)
+	one, err := coupled(k, Baseline(), []int64{1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	two, err := RunKernel(k, Baseline(), []int64{1, 2}, 1)
+	two, err := coupled(k, Baseline(), []int64{1, 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if two.Instructions <= one.Instructions || two.Cycles <= one.Cycles {
 		t.Errorf("aggregation: one=%d instr, two=%d instr", one.Instructions, two.Instructions)
 	}
-	if _, err := RunKernel(k, Baseline(), nil, 1); err == nil {
+	if _, err := coupled(k, Baseline(), nil); err == nil {
 		t.Error("empty seed list accepted")
 	}
 }
@@ -50,11 +60,11 @@ func TestImprovedSetupBeatsBaseline(t *testing.T) {
 		t.Fatal(err)
 	}
 	seeds := []int64{1, 2}
-	base, err := RunKernel(k, Baseline(), seeds, 1)
+	base, err := coupled(k, Baseline(), seeds)
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := RunKernel(k, Baseline().WithVariant(kernels.Combination).WithBTAC().WithFXUs(4), seeds, 1)
+	full, err := coupled(k, Baseline().WithVariant(kernels.Combination).WithBTAC().WithFXUs(4), seeds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +147,7 @@ func TestRunSampledApproximatesFullRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := RunKernel(k, Baseline(), []int64{4}, 1)
+	full, err := coupled(k, Baseline(), []int64{4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +176,7 @@ func TestSampledDetailOnlyEqualsFull(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := RunKernel(k, Baseline(), []int64{6}, 1)
+	full, err := coupled(k, Baseline(), []int64{6})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,7 +19,7 @@ func TestStallStackInvariantTier1Workloads(t *testing.T) {
 	seeds := []int64{1, 2}
 	for _, k := range kernels.All() {
 		for _, s := range setups {
-			det, err := RunKernelDetailed(k, s, seeds, 1)
+			det, err := Simulate(Request{App: k.App, Variant: s.Variant, Seeds: seeds, Scale: 1, CPU: s.CPU, Trace: TraceOff})
 			if err != nil {
 				t.Fatalf("%s / %s: %v", k.App, s.Name, err)
 			}
@@ -40,23 +40,5 @@ func TestStallStackInvariantTier1Workloads(t *testing.T) {
 				t.Errorf("%s / %s: all cycles fell in the base bucket", k.App, s.Name)
 			}
 		}
-	}
-}
-
-// TestRunKernelMatchesDetailedAggregate pins RunKernel as a thin view
-// over RunKernelDetailed.
-func TestRunKernelMatchesDetailedAggregate(t *testing.T) {
-	k := kernels.All()[0]
-	seeds := []int64{1}
-	ctr, err := RunKernel(k, Baseline(), seeds, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	det, err := RunKernelDetailed(k, Baseline(), seeds, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ctr != det.Aggregate.Counters {
-		t.Errorf("RunKernel diverged from RunKernelDetailed aggregate")
 	}
 }

@@ -242,7 +242,7 @@ func simulateSeed(ctx context.Context, k *kernels.Kernel, v kernels.Variant, see
 		// capture portion so the remainder attributes to the store.
 		getStart := time.Now()
 		var captureNS int64
-		t, hit, err = store.GetOrCapture(key, func() (*trace.Trace, error) {
+		t, hit, err = store.GetOrCapture(ctx, key, func() (*trace.Trace, error) {
 			capStart := time.Now()
 			_, sp := telemetry.StartSpan(ctx, telemetry.StageCapture)
 			sp.Attr("app", k.App)

@@ -176,44 +176,6 @@ func TestSimulateCorruptDiskTraceFallsBack(t *testing.T) {
 	}
 }
 
-// TestDeprecatedWrappersMatchSimulate keeps the old entry points exact:
-// they are thin shims over Simulate with tracing off.
-func TestDeprecatedWrappersMatchSimulate(t *testing.T) {
-	k, err := kernels.ByApp("Clustalw")
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := Baseline().WithBTAC()
-	seeds := []int64{1, 2}
-
-	resp, err := Simulate(Request{App: k.App, Variant: s.Variant, Seeds: seeds,
-		Scale: 1, CPU: s.CPU, Trace: TraceOff})
-	if err != nil {
-		t.Fatal(err)
-	}
-	det, err := RunKernelDetailed(k, s, seeds, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(det.Seeds, resp.Seeds) || det.Aggregate != resp.Aggregate {
-		t.Error("RunKernelDetailed diverges from Simulate")
-	}
-	ctrs, err := RunKernel(k, s, seeds, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ctrs != resp.Aggregate.Counters {
-		t.Error("RunKernel diverges from Simulate")
-	}
-	rep, err := RunCell(k, s, 1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Counters != resp.Seeds[0].Counters || rep.Stalls != resp.Seeds[0].Stalls {
-		t.Error("RunCell diverges from Simulate")
-	}
-}
-
 func TestParseTracePolicy(t *testing.T) {
 	for in, want := range map[string]TracePolicy{
 		"": TraceAuto, "auto": TraceAuto, "capture": TraceCapture,

@@ -102,7 +102,7 @@ func TestBTACCounterCoherence(t *testing.T) {
 	}
 }
 
-// TestCountersAdd checks the aggregation used by core.RunKernel.
+// TestCountersAdd checks the aggregation used by core.Simulate.
 func TestCountersAdd(t *testing.T) {
 	a := Counters{Cycles: 10, Instructions: 20, Branches: 3, StallFXU: 4,
 		L1DAccesses: 5, BTACCorrect: 6}

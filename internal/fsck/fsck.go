@@ -11,25 +11,23 @@
 // quarantine first.
 //
 // Every durable format is self-verifying, so the scrubber needs no
-// engine and no sweep spec — just the directory:
+// engine and no sweep spec — just the directory.  What it looks for is
+// derived from the storage layer, not listed here a second time:
 //
-//   - <64-hex>.json   result-cache entry: must parse, its key must hash
-//     back to the filename, its result must match the embedded checksum
-//     (sched.VerifyEntry)
-//   - <64-hex>.trace  trace file: magic | meta | payload | SHA-256
-//     suffix must verify, and the meta's key must hash to the filename
-//   - *.jsonl         append-only journal: every complete line must be
-//     valid JSON; a final unterminated line is a torn tail
-//   - *.tmp*          a write that never reached its rename: stale,
-//     quarantined
+//   - <64-hex><Ext> for every blob kind in `kinds` (result entries,
+//     trace files): the kind's Verify must accept the bytes as answering
+//     the address in the filename
+//   - *.jsonl         append-only journal: journal.Scan must find no
+//     corrupt line, torn tail or missing final newline
+//   - *.tmp*          a cas.WriteFileAtomic that never reached its
+//     rename: stale, quarantined
 //
 // Anything else (manifests, span logs the scrubber does not recognize,
 // README files) is left untouched.
 package fsck
 
 import (
-	"bytes"
-	"encoding/json"
+	"errors"
 	"fmt"
 	"io/fs"
 	"os"
@@ -37,10 +35,22 @@ import (
 	"strconv"
 	"strings"
 
+	"bioperf5/internal/cas"
+	"bioperf5/internal/journal"
 	"bioperf5/internal/sched"
 	"bioperf5/internal/telemetry"
 	"bioperf5/internal/trace"
 )
+
+// kinds is every blob family a state directory can hold, with the
+// finding a damaged and a misfiled blob of it is reported as.
+var kinds = []struct {
+	cas.Kind
+	corrupt, wrongKey string
+}{
+	{sched.EntryKind, KindCacheCorrupt, KindCacheCorrupt},
+	{trace.FileKind, KindTraceCorrupt, KindTraceKeyMismatch},
+}
 
 // Schema versions the JSON report shape.
 const Schema = 1
@@ -149,36 +159,29 @@ func (s *scrubber) scanFile(path, name string) error {
 	case strings.Contains(name, ".tmp"):
 		s.rep.Scanned++
 		return s.condemn(path, KindStaleTemp, "interrupted write never renamed into place")
-	case ext == ".json" && isHex64(stem):
-		s.rep.Scanned++
-		b, err := os.ReadFile(path)
-		if err != nil {
-			return fmt.Errorf("fsck: %w", err)
-		}
-		if err := sched.VerifyEntry(b, stem); err != nil {
-			return s.condemn(path, KindCacheCorrupt, err.Error())
-		}
-	case ext == ".trace" && isHex64(stem):
-		s.rep.Scanned++
-		b, err := os.ReadFile(path)
-		if err != nil {
-			return fmt.Errorf("fsck: %w", err)
-		}
-		t, err := trace.DecodeReplayable(b)
-		if err != nil {
-			return s.condemn(path, KindTraceCorrupt, err.Error())
-		}
-		if got := trace.KeyFromMeta(t.Meta).Hash(); got != stem {
-			return s.condemn(path, KindTraceKeyMismatch,
-				fmt.Sprintf("trace answers key %s, not its address", got))
-		}
 	case ext == ".jsonl":
 		s.rep.Scanned++
 		return s.scrubJournal(path)
-	default:
+	case !cas.ValidKey(stem):
 		return nil
 	}
-	s.rep.OK++
+	for _, k := range kinds {
+		if ext != k.Ext {
+			continue
+		}
+		s.rep.Scanned++
+		b, err := os.ReadFile(path)
+		if err != nil {
+			return fmt.Errorf("fsck: %w", err)
+		}
+		switch err := k.Verify(stem, b); {
+		case errors.Is(err, cas.ErrWrongKey):
+			return s.condemn(path, k.wrongKey, err.Error())
+		case err != nil:
+			return s.condemn(path, k.corrupt, err.Error())
+		}
+		s.rep.OK++
+	}
 	return nil
 }
 
@@ -197,52 +200,26 @@ func (s *scrubber) condemn(path, kind, detail string) error {
 	return nil
 }
 
-// scrubJournal validates an append-only JSONL log line by line.  Valid
-// lines are kept; a torn tail (final line with no newline that does not
-// parse) and complete-but-corrupt lines are dropped.  When anything is
-// dropped, the original bytes are preserved in quarantine and the
-// cleaned log is written back atomically, so a concurrent crash can
-// never make things worse.
+// scrubJournal validates an append-only JSONL log with the scanner the
+// journal itself replays with.  Valid lines are kept; a torn tail and
+// complete-but-corrupt lines are dropped.  When anything is dropped,
+// the original bytes are preserved in quarantine and the cleaned log is
+// written back atomically, so a concurrent crash can never make things
+// worse.
 func (s *scrubber) scrubJournal(path string) error {
 	b, err := os.ReadFile(path)
 	if err != nil {
 		return fmt.Errorf("fsck: %w", err)
 	}
-	var good bytes.Buffer
-	var badLines int
-	var tornTail, missingNewline bool
-	rest := b
-	for len(rest) > 0 {
-		line, tail, terminated := cutLine(rest)
-		rest = tail
-		if len(bytes.TrimSpace(line)) == 0 {
-			continue // blank line: drop silently, not damage
-		}
-		if !json.Valid(line) {
-			if terminated {
-				badLines++
-			} else {
-				tornTail = true
-			}
-			continue
-		}
-		if !terminated {
-			// A complete record missing only its newline: the crash hit
-			// between the write and the terminator.  Keep it.
-			missingNewline = true
-		}
-		good.Write(line)
-		good.WriteByte('\n')
-	}
-	if badLines == 0 && !tornTail && !missingNewline {
+	lines := journal.Scan(b)
+	if !lines.Damaged() {
 		s.rep.OK++
 		return nil
 	}
 	// Preserve the original before rewriting whenever bytes are about
 	// to be dropped.
 	var dst string
-	if badLines > 0 || tornTail {
-		var err error
+	if lines.Corrupt > 0 || lines.TornTail {
 		if dst, err = s.quarantinePath(path); err != nil {
 			return err
 		}
@@ -251,22 +228,22 @@ func (s *scrubber) scrubJournal(path string) error {
 		}
 		s.rep.Quarantined++
 	}
-	if err := atomicWrite(path, good.Bytes()); err != nil {
+	if err := cas.WriteFileAtomic(path, lines.Rewrite); err != nil {
 		return fmt.Errorf("fsck: repair %s: %w", path, err)
 	}
 	s.rep.Repaired++
-	if tornTail {
+	if lines.TornTail {
 		s.finding(Finding{Path: path, Kind: KindJournalTornTail,
 			Detail:        "torn final record truncated at last complete line",
 			QuarantinedTo: dst, Repaired: true})
 	}
-	if missingNewline {
+	if lines.MissingNewline {
 		s.finding(Finding{Path: path, Kind: KindJournalTornTail,
 			Detail: "final record unterminated; newline restored", Repaired: true})
 	}
-	if badLines > 0 {
+	if lines.Corrupt > 0 {
 		s.finding(Finding{Path: path, Kind: KindJournalBadLine,
-			Detail:        fmt.Sprintf("%d unparseable line(s) dropped", badLines),
+			Detail:        fmt.Sprintf("%d unparseable line(s) dropped", lines.Corrupt),
 			QuarantinedTo: dst, Repaired: true})
 	}
 	return nil
@@ -292,59 +269,4 @@ func (s *scrubber) quarantinePath(path string) (string, error) {
 		}
 		dst = base + "." + strconv.Itoa(i)
 	}
-}
-
-// cutLine splits off the first line of b.  terminated reports whether
-// the line ended in '\n' (as every healthy journal record must).
-func cutLine(b []byte) (line, rest []byte, terminated bool) {
-	if i := bytes.IndexByte(b, '\n'); i >= 0 {
-		return b[:i], b[i+1:], true
-	}
-	return b, nil, false
-}
-
-// atomicWrite lands content at path via temp + fsync + rename, the
-// same discipline the stores use, so the repair itself cannot tear.
-func atomicWrite(path string, content []byte) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".fsck-*")
-	if err != nil {
-		return err
-	}
-	if _, err := tmp.Write(content); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	if d, err := os.Open(dir); err == nil {
-		d.Sync()
-		d.Close()
-	}
-	return nil
-}
-
-func isHex64(s string) bool {
-	if len(s) != 64 {
-		return false
-	}
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if (c < '0' || c > '9') && (c < 'a' || c > 'f') {
-			return false
-		}
-	}
-	return true
 }

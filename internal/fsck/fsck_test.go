@@ -8,11 +8,13 @@ package fsck_test
 
 import (
 	"context"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"bioperf5/internal/cas"
 	"bioperf5/internal/cpu"
 	"bioperf5/internal/fsck"
 	"bioperf5/internal/kernels"
@@ -242,7 +244,9 @@ func TestFsckRepairsTornJournalTail(t *testing.T) {
 		t.Fatalf("repaired journal does not open: %v", err)
 	}
 	defer j.Close()
-	if j.Len() != 2 || !j.Done("aaa") || !j.Done("bbb") {
+	_, a := j.Lookup("aaa")
+	_, b2 := j.Lookup("bbb")
+	if j.Len() != 2 || !a || !b2 {
 		t.Errorf("repaired journal lost records: len=%d", j.Len())
 	}
 	b, _ := os.ReadFile(path)
@@ -306,6 +310,38 @@ func TestFsckQuarantinesStaleTemp(t *testing.T) {
 	}
 	if _, err := os.Stat(stale); !os.IsNotExist(err) {
 		t.Error("stale temp still present")
+	}
+}
+
+// TestFsckQuarantinesInterruptedAtomicWrites: every durable file —
+// blobs, the resume manifest, fsck's own journal repair — is written by
+// cas.WriteFileAtomic, so whatever a crash inside any of those writes
+// leaves behind carries the one temp name the sweep looks for.  (The
+// manifest's and the repair's temps used to be named .manifest-*.json
+// and .fsck-*, which the sweep never matched.)
+func TestFsckQuarantinesInterruptedAtomicWrites(t *testing.T) {
+	dir := t.TempDir()
+	names := []string{"manifest.json", "journal.jsonl", strings.Repeat("ab", 32) + ".trace"}
+	for _, name := range names {
+		func() {
+			defer func() { recover() }()
+			cas.WriteFileAtomic(filepath.Join(dir, name), func(w io.Writer) error {
+				io.WriteString(w, "half a wr")
+				panic("killed mid-write")
+			})
+		}()
+	}
+	rep := runFsck(t, dir)
+	if rep.Quarantined != len(names) || rep.Damaged != len(names) {
+		t.Fatalf("quarantined %d of %d interrupted writes: %+v", rep.Quarantined, len(names), rep)
+	}
+	for _, f := range rep.Findings {
+		if f.Kind != fsck.KindStaleTemp {
+			t.Errorf("%s reported as %s, want %s", f.Path, f.Kind, fsck.KindStaleTemp)
+		}
+	}
+	if left, _ := os.ReadDir(dir); len(left) != 1 || left[0].Name() != fsck.QuarantineDirName {
+		t.Errorf("state dir still holds %v", left)
 	}
 }
 

@@ -56,11 +56,12 @@ func RunBranches(cfg Config, app string, setup core.Setup) (*BranchReport, error
 		return nil, err
 	}
 	prof := bprof.New()
-	det, err := core.RunProfiled(k, setup, cfg.Seeds, cfg.Scale, prof)
+	resp, err := core.Simulate(core.Request{App: k.App, Variant: setup.Variant, Seeds: cfg.Seeds,
+		Scale: cfg.Scale, CPU: setup.CPU, Branches: prof})
 	if err != nil {
 		return nil, err
 	}
-	agg := det.Aggregate.Counters
+	agg := resp.Aggregate.Counters
 	exec, miss, wrong := prof.Totals()
 	if exec != agg.CondBranches || miss != agg.DirMispredicts || wrong != agg.TgtMispredicts {
 		return nil, fmt.Errorf(

@@ -73,7 +73,7 @@ func (c Config) submitCell(k *kernels.Kernel, s core.Setup) *pending {
 }
 
 // detail collects the cell into the per-seed + aggregate shape the
-// serial core.RunKernelDetailed produced, summing in seed order.
+// core.Simulate returns for a serial run, summing in seed order.
 func (cl *pending) detail() (*core.Detail, error) {
 	det := &core.Detail{}
 	for i, f := range cl.futs {

@@ -7,13 +7,12 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
 	"strconv"
 	"strings"
 	"time"
 
 	"bioperf5/internal/branch"
+	"bioperf5/internal/cas"
 	"bioperf5/internal/core"
 	"bioperf5/internal/cpu"
 	"bioperf5/internal/kernels"
@@ -254,43 +253,10 @@ func (m *SweepManifest) WriteJSON(w io.Writer) error {
 	return enc.Encode(m)
 }
 
-// WriteJSONFile persists the manifest at path crash-safely: the JSON
-// is written to a temp file in the same directory, fsync'd, and
-// renamed into place, so a reader (or a resumed sweep) never observes
-// a truncated manifest.
+// WriteJSONFile persists the manifest at path crash-safely, so a reader
+// (or a resumed sweep) never observes a truncated manifest.
 func (m *SweepManifest) WriteJSONFile(path string) error {
-	dir := filepath.Dir(path)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	tmp, err := os.CreateTemp(dir, ".manifest-*.json")
-	if err != nil {
-		return err
-	}
-	cleanup := func(err error) error {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := m.WriteJSON(tmp); err != nil {
-		return cleanup(err)
-	}
-	if err := tmp.Sync(); err != nil {
-		return cleanup(err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	if d, err := os.Open(dir); err == nil {
-		d.Sync() // best-effort directory fsync, like the disk cache
-		d.Close()
-	}
-	return nil
+	return cas.WriteFileAtomic(path, m.WriteJSON)
 }
 
 // cellKey derives the content hash of a whole cell from its per-seed

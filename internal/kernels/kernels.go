@@ -36,13 +36,37 @@ import (
 	"bioperf5/internal/telemetry"
 )
 
-// Entry conventions shared by Execute and Simulate.
+// Entry conventions, known to load and check alone (machine.Call, which
+// Execute uses, applies the same ones).
 const (
 	spReg  = isa.SP
 	spInit = uint64(0x7FFF0000)
 )
 
 func argReg(i int) isa.Reg { return isa.R3 + isa.Reg(i) }
+
+// load puts run on a fresh functional machine at the kernel's entry:
+// stack pointer set, arguments in their registers.
+func load(k *Kernel, c *Compiled, run *Run) (*machine.Machine, error) {
+	mach := machine.New(c.Prog, run.Mem)
+	mach.Reset()
+	if err := mach.SetPC(k.Name); err != nil {
+		return nil, fmt.Errorf("kernels: %s: %w", k.Name, err)
+	}
+	mach.SetReg(spReg, spInit)
+	for i, a := range run.Args {
+		mach.SetReg(argReg(i), a)
+	}
+	return mach, nil
+}
+
+// check verifies the functional result of a halted machine.
+func check(k *Kernel, v Variant, mach *machine.Machine, run *Run) error {
+	if got := int64(mach.Reg(argReg(0))); got != run.Want {
+		return fmt.Errorf("kernels: %s/%s: computed %d, want %d", k.Name, v, got, run.Want)
+	}
+	return nil
+}
 
 // Variant selects a predication strategy (a Figure 3 bar).
 type Variant int
@@ -246,27 +270,11 @@ func Simulate(k *Kernel, v Variant, run *Run, cfg cpu.Config, limit uint64) (cpu
 // lifecycle records to obs.Trace when set, and publishes the final
 // model state into obs.Registry when set.
 func SimulateObserved(k *Kernel, v Variant, run *Run, cfg cpu.Config, limit uint64, obs Observer) (cpu.Report, error) {
-	c, err := CompileCached(k, v)
-	if err != nil {
-		return cpu.Report{}, err
-	}
-	if v.NeedsExtensions() {
-		cfg.Extensions = true
-	}
-	model, err := cpu.New(cfg, c.Meta)
+	mach, model, err := coupled(k, v, run, cfg)
 	if err != nil {
 		return cpu.Report{}, err
 	}
 	model.Observe(obs.hooks())
-	mach := machine.New(c.Prog, run.Mem)
-	mach.Reset()
-	if err := mach.SetPC(k.Name); err != nil {
-		return cpu.Report{}, err
-	}
-	mach.SetReg(spReg, spInit)
-	for i, a := range run.Args {
-		mach.SetReg(argReg(i), a)
-	}
 	_, err = model.Run(mach, limit)
 	rep := model.Report()
 	if obs.Registry != nil {
@@ -276,10 +284,52 @@ func SimulateObserved(k *Kernel, v Variant, run *Run, cfg cpu.Config, limit uint
 	if err != nil {
 		return rep, fmt.Errorf("kernels: %s/%s: %w", k.Name, v, err)
 	}
-	if got := int64(mach.Reg(argReg(0))); got != run.Want {
-		return rep, fmt.Errorf("kernels: %s/%s: computed %d, want %d", k.Name, v, got, run.Want)
+	return rep, check(k, v, mach, run)
+}
+
+// coupled loads run on the functional machine and builds the timing
+// model for cfg beside it.
+func coupled(k *Kernel, v Variant, run *Run, cfg cpu.Config) (*machine.Machine, *cpu.Model, error) {
+	c, err := CompileCached(k, v)
+	if err != nil {
+		return nil, nil, err
 	}
-	return rep, nil
+	if v.NeedsExtensions() {
+		cfg.Extensions = true
+	}
+	model, err := cpu.New(cfg, c.Meta)
+	if err != nil {
+		return nil, nil, err
+	}
+	mach, err := load(k, c, run)
+	return mach, model, err
+}
+
+// Step runs one coupled invocation an instruction at a time, for
+// callers that window or sample the run: each is handed every retired
+// instruction and decides whether the timing model consumes it (skipping
+// it fast-forwards: the machine state advances, the model does not).
+// The functional result is verified; the model is returned for its
+// counters.
+func Step(k *Kernel, v Variant, run *Run, cfg cpu.Config, limit uint64,
+	each func(m *cpu.Model, d machine.DynInst) error) (*cpu.Model, error) {
+	mach, model, err := coupled(k, v, run, cfg)
+	if err != nil {
+		return nil, err
+	}
+	for n := uint64(0); !mach.Halted(); n++ {
+		if n >= limit {
+			return model, machine.ErrLimit
+		}
+		d, err := mach.Step()
+		if err != nil {
+			return model, err
+		}
+		if err := each(model, d); err != nil {
+			return model, err
+		}
+	}
+	return model, check(k, v, mach, run)
 }
 
 // All returns the four kernels in the order the paper lists the

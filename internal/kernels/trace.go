@@ -111,14 +111,9 @@ func CaptureTrace(k *Kernel, v Variant, seed int64, scale int, limit uint64) (*t
 		return nil, fmt.Errorf("kernels: %s/%s: %w", k.Name, v, err)
 	}
 	cap := trace.NewCapturer()
-	mach := machine.New(c.Prog, run.Mem)
-	mach.Reset()
-	if err := mach.SetPC(k.Name); err != nil {
-		return nil, fmt.Errorf("kernels: %s/%s: %w", k.Name, v, err)
-	}
-	mach.SetReg(spReg, spInit)
-	for i, a := range run.Args {
-		mach.SetReg(argReg(i), a)
+	mach, err := load(k, c, run)
+	if err != nil {
+		return nil, err
 	}
 	var n uint64
 	for !mach.Halted() {
@@ -132,9 +127,8 @@ func CaptureTrace(k *Kernel, v Variant, seed int64, scale int, limit uint64) (*t
 		cap.Observe(d)
 		n++
 	}
-	got := int64(mach.Reg(argReg(0)))
-	if got != run.Want {
-		return nil, fmt.Errorf("kernels: %s/%s: computed %d, want %d", k.Name, v, got, run.Want)
+	if err := check(k, v, mach, run); err != nil {
+		return nil, err
 	}
 	return cap.Finish(trace.Meta{
 		App:      k.App,
@@ -143,7 +137,7 @@ func CaptureTrace(k *Kernel, v Variant, seed int64, scale int, limit uint64) (*t
 		Seed:     seed,
 		Scale:    scale,
 		ProgHash: c.Hash,
-		Result:   got,
+		Result:   run.Want,
 	}), nil
 }
 

@@ -5,31 +5,38 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
+	"time"
 
+	"bioperf5/internal/cas"
 	"bioperf5/internal/cpu"
 )
 
-// diskStore is the content-addressed on-disk result cache: one JSON
-// file per job, named by the job's content hash.  Every entry embeds
-// the full canonical key plus a checksum of the result payload, so a
-// load verifies three things before trusting a file: it parses, its
-// key hashes back to the filename, and its result matches the stored
-// checksum.  Anything else is treated as corruption and recomputed.
-type diskStore struct {
-	dir string
-}
-
-// diskEntry is the file format.
+// diskEntry is the result-cache blob: one JSON document per job, filed
+// under the job's content hash, on disk and on the /v1/cache wire
+// alike.  It embeds the full canonical key plus a checksum of the
+// result payload, so decodeEntry can verify it with nothing but the
+// address it was asked for.
 type diskEntry struct {
 	Key    Key        `json:"key"`
 	SHA256 string     `json:"sha256"` // hex SHA-256 of the canonical result JSON
 	Result cpu.Report `json:"result"`
 }
 
-func (d *diskStore) path(hash string) string {
-	return filepath.Join(d.dir, hash+".json")
+// EntryKind describes result-cache entries to internal/cas: the disk
+// tier under -cache-dir, the upstream hub's /v1/cache endpoints and
+// fsck's scan are all derived from it.
+var EntryKind = cas.Kind{
+	Route:       "cache",
+	Ext:         ".json",
+	ContentType: "application/json",
+	MaxBytes:    4 << 20, // entries are small JSON documents
+	// A slow upstream must never cost more than a fraction of the
+	// simulation it might save.
+	Timeout: 10 * time.Second,
+	Verify: func(hash string, b []byte) error {
+		_, err := decodeEntry(b, hash)
+		return err
+	},
 }
 
 func resultSum(rep cpu.Report) (string, error) {
@@ -41,8 +48,7 @@ func resultSum(rep cpu.Report) (string, error) {
 	return hex.EncodeToString(sum[:]), nil
 }
 
-// encodeEntry serializes one cache entry in the self-verifying format
-// shared by the disk tier and the /v1/cache wire protocol.
+// encodeEntry serializes one cache entry.
 func encodeEntry(key Key, rep cpu.Report) ([]byte, error) {
 	sum, err := resultSum(rep)
 	if err != nil {
@@ -66,7 +72,7 @@ func decodeEntry(b []byte, hash string) (diskEntry, error) {
 	}
 	sum := sha256.Sum256(kb)
 	if hex.EncodeToString(sum[:]) != hash {
-		return e, fmt.Errorf("sched: cache entry key does not hash to its address %s", hash)
+		return e, fmt.Errorf("sched: cache entry key does not hash to %s: %w", hash, cas.ErrWrongKey)
 	}
 	got, err := resultSum(e.Result)
 	if err != nil || got != e.SHA256 {
@@ -75,108 +81,18 @@ func decodeEntry(b []byte, hash string) (diskEntry, error) {
 	return e, nil
 }
 
-// VerifyEntry checks that b is a well-formed result-cache entry whose
-// key hashes to hash and whose result matches its embedded checksum —
-// the integrity gate `bioperf5 fsck` runs over a cache directory
-// without needing an engine.
-func VerifyEntry(b []byte, hash string) error {
-	_, err := decodeEntry(b, hash)
-	return err
-}
-
-// load returns the cached result for hash.  ok reports a verified hit;
-// corrupt reports that a file existed but failed verification (the
-// caller recomputes and overwrites it).  A missing file is neither.
-func (d *diskStore) load(hash string, want Key) (rep cpu.Report, ok, corrupt bool) {
-	b, err := os.ReadFile(d.path(hash))
-	if err != nil {
-		return cpu.Report{}, false, false
-	}
-	e, err := decodeEntry(b, hash)
-	if err != nil || e.Key != want {
-		return cpu.Report{}, false, true
-	}
-	return e.Result, true, false
-}
-
-// loadRaw returns the verified encoded bytes of the entry at hash —
-// the form the /v1/cache endpoint serves.
-func (d *diskStore) loadRaw(hash string) ([]byte, bool) {
-	b, err := os.ReadFile(d.path(hash))
-	if err != nil {
-		return nil, false
-	}
-	if _, err := decodeEntry(b, hash); err != nil {
-		return nil, false
-	}
-	return b, true
-}
-
-// store persists one result.  The write goes through a temp file, an
-// fsync and a rename so a crash never leaves a truncated entry at the
-// final address: either the old state survives or the complete new
-// entry does (a torn file would be detected as corrupt anyway, but
-// this keeps concurrent readers — and post-crash resumes — from ever
-// seeing one).
-func (d *diskStore) store(hash string, key Key, rep cpu.Report) error {
-	b, err := encodeEntry(key, rep)
-	if err != nil {
-		return err
-	}
-	return d.storeRaw(hash, b)
-}
-
-// storeRaw atomically persists pre-encoded entry bytes at hash.  The
-// caller has already verified them (store just built them; the cache
-// endpoint ran decodeEntry).
-func (d *diskStore) storeRaw(hash string, b []byte) error {
-	if err := os.MkdirAll(d.dir, 0o755); err != nil {
-		return err
-	}
-	tmp, err := os.CreateTemp(d.dir, hash+".tmp*")
-	if err != nil {
-		return err
-	}
-	if _, err := tmp.Write(b); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	// Flush the payload before the rename publishes it, so the entry
-	// can never be durable-by-name but empty-by-content after a crash.
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := os.Rename(tmp.Name(), d.path(hash)); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	d.syncDir()
-	return nil
-}
-
-// syncDir fsyncs the cache directory so the rename itself survives a
-// crash.  Best-effort: some filesystems reject directory fsync, and a
-// lost rename only costs a recompute.
-func (d *diskStore) syncDir() {
-	if dir, err := os.Open(d.dir); err == nil {
-		dir.Sync()
-		dir.Close()
-	}
-}
-
-// mangle truncates a stored entry in place, simulating a torn write or
-// bit rot landing at the final address.  Only the fault injector calls
-// it; the next load must detect the damage and recompute.
-func (d *diskStore) mangle(hash string) {
-	p := d.path(hash)
-	if fi, err := os.Stat(p); err == nil && fi.Size() > 1 {
-		os.Truncate(p, fi.Size()/2)
+// decodeInto returns the decode step of a tier probe for one job: the
+// entry must verify against hash and carry exactly the key asked for.
+func decodeInto(rep *cpu.Report, hash string, want Key) func([]byte) error {
+	return func(b []byte) error {
+		e, err := decodeEntry(b, hash)
+		if err != nil {
+			return err
+		}
+		if e.Key != want {
+			return cas.ErrWrongKey
+		}
+		*rep = e.Result
+		return nil
 	}
 }

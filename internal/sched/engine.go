@@ -10,6 +10,7 @@ import (
 	"sync"
 	"time"
 
+	"bioperf5/internal/cas"
 	"bioperf5/internal/cpu"
 	"bioperf5/internal/fault"
 	"bioperf5/internal/telemetry"
@@ -111,8 +112,8 @@ func retryable(err error) bool {
 type Engine struct {
 	opts   Options
 	reg    *telemetry.Registry
-	disk   *diskStore
-	remote *remoteCache
+	disk   *cas.Dir    // result entries under CacheDir; nil without one
+	remote *cas.Client // the upstream hub's /v1/cache; nil without one
 	traces *trace.Store
 
 	// compute executes one job under the task's context (which carries
@@ -237,16 +238,12 @@ func New(o Options) *Engine {
 		}
 		e.traces = trace.NewStore(topts)
 	}
-	if o.CacheUpstream != "" {
-		e.remote = newRemoteCache(o.CacheUpstream, o.CacheTransport, reg)
-	}
+	e.remote = cas.NewClient(EntryKind, o.CacheUpstream, o.CacheTransport, reg, "sched.cache.remote")
 	e.compute = func(ctx context.Context, j Job) (JobResult, error) { return j.run(ctx, e.traces) }
 	if !o.DisableCache {
 		e.inflight = make(map[string]*Future)
 	}
-	if o.CacheDir != "" {
-		e.disk = &diskStore{dir: o.CacheDir}
-	}
+	e.disk = cas.NewDir(EntryKind, o.CacheDir, e.mDiskWrites, e.mCorrupt)
 	e.gWorkers.Set(float64(o.Workers))
 	for i := 0; i < o.Workers; i++ {
 		e.wg.Add(1)
@@ -261,6 +258,10 @@ func (e *Engine) Registry() *telemetry.Registry { return e.reg }
 // TraceStore returns the trace store the engine's jobs capture into
 // and replay from.
 func (e *Engine) TraceStore() *trace.Store { return e.traces }
+
+// Results returns the engine's on-disk result entries — what a hub
+// serves under /v1/cache.  Nil (the absent tier) without a CacheDir.
+func (e *Engine) Results() *cas.Dir { return e.disk }
 
 // Close stops accepting jobs and waits for queued work to drain.
 func (e *Engine) Close() {
@@ -289,9 +290,7 @@ func (e *Engine) Drain(ctx context.Context) error {
 	}()
 	select {
 	case <-done:
-		if e.disk != nil {
-			e.disk.syncDir()
-		}
+		e.disk.Sync()
 		return nil
 	case <-ctx.Done():
 		return fmt.Errorf("sched: drain: %w", ctx.Err())
@@ -419,41 +418,32 @@ func (e *Engine) execute(ctx context.Context, t *task) (JobResult, error) {
 		probeStart := time.Now()
 		_, sp := telemetry.StartSpan(ctx, telemetry.StageCacheRead)
 		var (
-			cached      cpu.Report
-			ok, corrupt bool
+			cached cpu.Report
+			raw    []byte
 		)
-		if e.disk != nil {
-			cached, ok, corrupt = e.disk.load(t.hash, t.job.Key())
-		}
-		remoteHit := false
-		if !ok && e.remote != nil {
-			// Local miss: ask the shared remote tier before simulating.
-			// The submission context bounds the round trip so a
-			// cancelled sweep never hangs on an upstream.
-			if rep, rok := e.remote.load(t.ctx, t.hash, t.job.Key()); rok {
-				cached, ok, remoteHit = rep, true, true
-			}
+		decode := decodeInto(&cached, t.hash, t.job.Key())
+		ok := e.disk.Load(t.hash, decode)
+		if ok {
+			e.mDiskHits.Add(1)
+		} else {
+			// Local miss (a corrupt entry is one: counted and removed):
+			// ask the shared remote tier before simulating.  The
+			// submission context bounds the round trip so a cancelled
+			// sweep never hangs on an upstream.
+			ok = e.remote.Get(t.ctx, t.hash, func(b []byte) error { raw = b; return decode(b) })
 		}
 		sp.AttrBool("hit", ok)
 		sp.End()
 		cost.CacheNS += time.Since(probeStart).Nanoseconds()
 		if ok {
-			if remoteHit {
+			if raw != nil {
 				// Write through to the local disk tier so the next
 				// process on this node does not repeat the round trip.
-				if e.disk != nil {
-					if err := e.disk.store(t.hash, t.job.Key(), cached); err == nil {
-						e.mDiskWrites.Add(1)
-					}
-				}
-			} else {
-				e.mDiskHits.Add(1)
+				e.disk.Write(t.hash, raw)
 			}
 			cost.JournalNS += e.journalFinish(ctx, t.hash, true)
 			// A cache-served result needed no fresh capture either.
 			return JobResult{Report: cached, TraceHit: true, Cost: cost}, nil
-		} else if corrupt {
-			e.mCorrupt.Add(1)
 		}
 	}
 	var err error
@@ -576,24 +566,21 @@ func (e *Engine) persist(ctx context.Context, t *task, rep cpu.Report, attempt i
 	start := time.Now()
 	_, sp := telemetry.StartSpan(ctx, telemetry.StageCacheWr)
 	defer sp.End()
-	if e.remote != nil {
-		// Share the fresh result with the fleet, best-effort: a failed
-		// push only costs the peers a recompute.
-		e.remote.store(t.ctx, t.hash, t.job.Key(), rep)
-	}
-	if e.disk == nil {
+	b, err := encodeEntry(t.job.Key(), rep)
+	if err != nil {
 		return time.Since(start).Nanoseconds()
 	}
-	if err := e.disk.store(t.hash, t.job.Key(), rep); err != nil {
-		// A failed write is not a job failure: the result is sound,
-		// only the cross-process cache misses next time.
-		return time.Since(start).Nanoseconds()
-	}
-	e.mDiskWrites.Add(1)
-	if inj := e.opts.Injector; inj != nil {
-		if d := inj.Decide(fault.SiteStore, t.hash, attempt); d.Kind == fault.Corrupt {
-			e.mInjected.Add(1)
-			e.disk.mangle(t.hash)
+	// Share the fresh result with the fleet, best-effort: a failed
+	// push only costs the peers a recompute.
+	e.remote.Put(t.ctx, t.hash, b)
+	// A failed write is not a job failure either: the result is sound,
+	// only the cross-process cache misses next time.
+	if e.disk.Write(t.hash, b) == nil {
+		if inj := e.opts.Injector; inj != nil {
+			if d := inj.Decide(fault.SiteStore, t.hash, attempt); d.Kind == fault.Corrupt {
+				e.mInjected.Add(1)
+				e.disk.Tear(t.hash)
+			}
 		}
 	}
 	return time.Since(start).Nanoseconds()
@@ -610,13 +597,13 @@ func (e *Engine) journalFinish(ctx context.Context, hash string, fromDisk bool) 
 	start := time.Now()
 	_, sp := telemetry.StartSpan(ctx, telemetry.StageJournal)
 	defer sp.End()
-	if j.Done(hash) {
+	if _, done := j.Lookup(hash); done {
 		if fromDisk {
 			e.mResumed.Add(1)
 		}
 		return time.Since(start).Nanoseconds()
 	}
-	if err := j.Record(hash); err == nil {
+	if err := j.Append(journalRecord{Hash: hash, Status: "ok"}); err == nil {
 		e.mJournal.Add(1)
 	}
 	return time.Since(start).Nanoseconds()
@@ -645,14 +632,11 @@ type Stats struct {
 
 // Stats snapshots the engine counters.
 func (e *Engine) Stats() Stats {
-	var rh, rp, re uint64
-	if e.remote != nil {
-		rh, rp, re = e.remote.mHits.Value(), e.remote.mPuts.Value(), e.remote.mErrors.Value()
-	}
+	rh, rp, re := e.remote.Counts()
 	return Stats{
-		RemoteHits: rh,
-		RemotePuts: rp,
-		RemoteErrs: re,
+		RemoteHits:  rh,
+		RemotePuts:  rp,
+		RemoteErrs:  re,
 		Submitted:   e.mSubmitted.Value(),
 		Computed:    e.mComputed.Value(),
 		MemoryHits:  e.mMemHits.Value(),

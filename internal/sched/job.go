@@ -7,7 +7,7 @@
 // cells — the shared baseline column across Figures 4-6, or re-runs
 // with overlapping configurations — are computed exactly once.
 //
-// Jobs are pure: core.RunCell touches no state outside its own run,
+// Jobs are pure: core.Simulate touches no state outside its own run,
 // which is what makes results bit-identical regardless of worker
 // count (enforced by the harness sweep determinism test).
 package sched

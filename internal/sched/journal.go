@@ -1,32 +1,14 @@
 package sched
 
-import (
-	"bufio"
-	"encoding/json"
-	"fmt"
-	"os"
-	"path/filepath"
-	"sync"
-)
+import "bioperf5/internal/journal"
 
-// Journal is the sweep's crash-safe completion record: an append-only
-// JSONL write-ahead log, one record per completed cell hash, fsync'd
-// after every append.  It lives next to the disk cache; the cache holds
+// Journal is the sweep's crash-safe completion record: one line per
+// completed cell hash (internal/journal has the format and the
+// torn-tail rules).  It lives next to the disk cache; the cache holds
 // the results, the journal is the durable statement of which cells are
 // done.  After a crash, re-running the same sweep against the same
-// directory consults the journal (via the engine's telemetry) and the
-// cache, re-simulating only unfinished cells.
-//
-// The load path tolerates a torn tail — a record cut short by the very
-// crash the journal exists to survive — by ignoring any line that does
-// not parse.  A missing trailing newline is repaired before the next
-// append so the torn bytes can never run into a fresh record.
-type Journal struct {
-	mu          sync.Mutex
-	f           *os.File
-	done        map[string]bool
-	needNewline bool // file ends mid-line (torn tail); prepend '\n' on next append
-}
+// directory consults both and re-simulates only unfinished cells.
+type Journal = journal.Log[journalRecord]
 
 // journalRecord is one JSONL line.
 type journalRecord struct {
@@ -35,86 +17,7 @@ type journalRecord struct {
 }
 
 // OpenJournal opens (creating if necessary) the journal at path and
-// replays its records.
+// replays its records.  Any line carrying a hash counts as done.
 func OpenJournal(path string) (*Journal, error) {
-	if dir := filepath.Dir(path); dir != "." {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return nil, fmt.Errorf("sched: journal: %w", err)
-		}
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("sched: journal: %w", err)
-	}
-	j := &Journal{f: f, done: make(map[string]bool)}
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	for sc.Scan() {
-		var rec journalRecord
-		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil || rec.Hash == "" {
-			continue // torn or foreign line: ignore, never trust
-		}
-		j.done[rec.Hash] = true
-	}
-	if err := sc.Err(); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("sched: journal: %w", err)
-	}
-	// Detect a torn tail: a non-empty file whose last byte is not '\n'.
-	if end, err := f.Seek(0, 2); err == nil && end > 0 {
-		buf := make([]byte, 1)
-		if _, err := f.ReadAt(buf, end-1); err == nil && buf[0] != '\n' {
-			j.needNewline = true
-		}
-	}
-	return j, nil
-}
-
-// Done reports whether hash has been recorded as completed.
-func (j *Journal) Done(hash string) bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.done[hash]
-}
-
-// Len returns the number of completed cells on record.
-func (j *Journal) Len() int {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return len(j.done)
-}
-
-// Record appends one completed cell hash and fsyncs.  Recording an
-// already-journaled hash is a no-op, so replays stay idempotent.
-func (j *Journal) Record(hash string) error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.done[hash] {
-		return nil
-	}
-	b, err := json.Marshal(journalRecord{Hash: hash, Status: "ok"})
-	if err != nil {
-		return fmt.Errorf("sched: journal: %w", err)
-	}
-	if j.needNewline {
-		b = append([]byte{'\n'}, b...)
-	}
-	b = append(b, '\n')
-	if _, err := j.f.Write(b); err != nil {
-		return fmt.Errorf("sched: journal: %w", err)
-	}
-	if err := j.f.Sync(); err != nil {
-		return fmt.Errorf("sched: journal: %w", err)
-	}
-	j.needNewline = false
-	j.done[hash] = true
-	return nil
-}
-
-// Close releases the underlying file.  The journal must not be used
-// afterwards.
-func (j *Journal) Close() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.f.Close()
+	return journal.Open(path, func(r journalRecord) string { return r.Hash })
 }

@@ -1,117 +1,20 @@
 package server
 
 import (
-	"io"
-	"net/http"
+	"bioperf5/internal/cas"
+	"bioperf5/internal/sched"
+	"bioperf5/internal/trace"
 )
 
-// Shared cache tier: GET/PUT /v1/cache/{key} for content-addressed
-// simulation results and GET/PUT /v1/traces/{key} for captured
-// instruction traces.  A server with these endpoints is a cache hub a
+// registerCacheTier mounts the shared cache tier: GET/PUT
+// /v1/cache/{key} for content-addressed simulation results and GET/PUT
+// /v1/traces/{key} for captured instruction traces, each derived from
+// its payload's cas.Kind and counted under server.cache.* and
+// server.traces.*.  A server with these endpoints is a cache hub a
 // fleet of workers shares (via sched.Options.CacheUpstream), so one
-// node's compute or capture is every node's hit.
-//
-// The endpoints are deliberately dumb: opaque verified blobs addressed
-// by content hash.  All verification is done by the stores themselves
-// — an uploaded entry must parse, checksum clean, and hash back to the
-// address it claims — so a confused or malicious client can waste a
-// PUT but never poison a result.
-
-// maxTraceBodyBytes bounds an uploaded trace file (result entries use
-// the tighter maxBodyBytes).  Scale-1 kernel traces are tens of
-// kilobytes; this leaves room for large-scale grids without letting a
-// client exhaust memory.
-const maxTraceBodyBytes = 64 << 20
-
-// cacheKeyOK sanity-checks a content address: hex SHA-256, nothing
-// else, so a key can never traverse paths or address a foreign file.
-func cacheKeyOK(key string) bool {
-	if len(key) != 64 {
-		return false
-	}
-	for i := 0; i < len(key); i++ {
-		c := key[i]
-		if (c < '0' || c > '9') && (c < 'a' || c > 'f') {
-			return false
-		}
-	}
-	return true
-}
-
-func (s *Server) handleCacheGet(w http.ResponseWriter, r *http.Request) {
-	key := r.PathValue("key")
-	if !cacheKeyOK(key) {
-		s.errorJSON(w, http.StatusBadRequest, "bad cache key %q: want a hex SHA-256", key)
-		return
-	}
-	b, ok := s.eng.CacheEntry(key)
-	if !ok {
-		s.mCacheMisses.Add(1)
-		s.errorJSON(w, http.StatusNotFound, "no cache entry for %s", key)
-		return
-	}
-	s.mCacheHits.Add(1)
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(b)
-}
-
-func (s *Server) handleCachePut(w http.ResponseWriter, r *http.Request) {
-	key := r.PathValue("key")
-	if !cacheKeyOK(key) {
-		s.errorJSON(w, http.StatusBadRequest, "bad cache key %q: want a hex SHA-256", key)
-		return
-	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes))
-	if err != nil {
-		s.errorJSON(w, http.StatusBadRequest, "read body: %v", err)
-		return
-	}
-	if err := s.eng.InstallCacheEntry(key, body); err != nil {
-		// No disk tier means this server cannot act as a durable hub;
-		// a verification failure is the client's fault.
-		status := http.StatusBadRequest
-		if err.Error() == "sched: no cache directory configured" {
-			status = http.StatusServiceUnavailable
-		}
-		s.errorJSON(w, status, "%v (start the hub with -cache-dir)", err)
-		return
-	}
-	s.mCachePuts.Add(1)
-	w.WriteHeader(http.StatusNoContent)
-}
-
-func (s *Server) handleTraceGet(w http.ResponseWriter, r *http.Request) {
-	key := r.PathValue("key")
-	if !cacheKeyOK(key) {
-		s.errorJSON(w, http.StatusBadRequest, "bad trace key %q: want a hex SHA-256", key)
-		return
-	}
-	b, ok := s.eng.TraceStore().Entry(key)
-	if !ok {
-		s.mTraceMisses.Add(1)
-		s.errorJSON(w, http.StatusNotFound, "no trace for %s", key)
-		return
-	}
-	s.mTraceHits.Add(1)
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Write(b)
-}
-
-func (s *Server) handleTracePut(w http.ResponseWriter, r *http.Request) {
-	key := r.PathValue("key")
-	if !cacheKeyOK(key) {
-		s.errorJSON(w, http.StatusBadRequest, "bad trace key %q: want a hex SHA-256", key)
-		return
-	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxTraceBodyBytes))
-	if err != nil {
-		s.errorJSON(w, http.StatusBadRequest, "read body: %v", err)
-		return
-	}
-	if err := s.eng.TraceStore().Install(key, body); err != nil {
-		s.errorJSON(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	s.mTracePuts.Add(1)
-	w.WriteHeader(http.StatusNoContent)
+// node's compute or capture is every node's hit.  Results need a
+// -cache-dir to be kept; traces also live in the store's memory tier.
+func (s *Server) registerCacheTier() {
+	cas.Register(s.mux, sched.EntryKind, s.eng.Results(), s.reg, "server", s.errorJSON)
+	cas.Register(s.mux, trace.FileKind, s.eng.TraceStore(), s.reg, "server", s.errorJSON)
 }

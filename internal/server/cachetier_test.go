@@ -50,7 +50,7 @@ func TestCacheEndpointRoundTrip(t *testing.T) {
 	if _, err := worker.Run(context.Background(), job); err != nil {
 		t.Fatal(err)
 	}
-	entry, ok := worker.CacheEntry(job.Hash())
+	entry, ok := worker.Results().Entry(job.Hash())
 	if !ok {
 		t.Fatal("worker holds no cache entry after a run")
 	}
@@ -87,6 +87,34 @@ func TestCacheEndpointValidation(t *testing.T) {
 	zeros := strings.Repeat("0", 64)
 	if w := put(hub, "/v1/cache/"+zeros, []byte("garbage")); w.Code != http.StatusBadRequest {
 		t.Errorf("garbage PUT = %d, want 400", w.Code)
+	}
+}
+
+// TestCachePutAcceptsWhatAFetchWould: the hub and its clients share one
+// size cap per kind, so an entry a worker would accept from the hub is
+// one the hub accepts from a worker.  (The endpoint used to cap uploads
+// at 1 MiB while the client read up to 4 MiB.)
+func TestCachePutAcceptsWhatAFetchWould(t *testing.T) {
+	worker := sched.New(sched.Options{Workers: 1, CacheDir: t.TempDir()})
+	t.Cleanup(worker.Close)
+	job := sched.Job{App: "Fasta", Variant: kernels.Branchy, CPU: cpu.POWER5Baseline(), Seed: 1, Scale: 1}
+	if _, err := worker.Run(context.Background(), job); err != nil {
+		t.Fatal(err)
+	}
+	entry, _ := worker.Results().Entry(job.Hash())
+	// Trailing whitespace keeps the entry valid JSON and verifiable.
+	padded := append(entry, bytes.Repeat([]byte{' '}, 2<<20)...)
+	if err := sched.EntryKind.Verify(job.Hash(), padded); err != nil {
+		t.Fatalf("padded entry does not verify: %v", err)
+	}
+	hub, _ := newTestServer(t, sched.Options{Workers: 1, CacheDir: t.TempDir()}, Options{})
+	if w := put(hub, "/v1/cache/"+job.Hash(), padded); w.Code != http.StatusNoContent {
+		t.Fatalf("PUT of a %d-byte entry under the %d-byte cap = %d, body %s",
+			len(padded), sched.EntryKind.MaxBytes, w.Code, w.Body)
+	}
+	over := append(entry, bytes.Repeat([]byte{' '}, int(sched.EntryKind.MaxBytes))...)
+	if w := put(hub, "/v1/cache/"+job.Hash(), over); w.Code != http.StatusBadRequest {
+		t.Errorf("PUT past the cap = %d, want 400", w.Code)
 	}
 }
 

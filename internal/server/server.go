@@ -101,13 +101,6 @@ type Server struct {
 	mCoalesced *telemetry.Counter
 	gInflight  *telemetry.Gauge
 	hLatency   *telemetry.Histogram
-
-	mCacheHits   *telemetry.Counter
-	mCacheMisses *telemetry.Counter
-	mCachePuts   *telemetry.Counter
-	mTraceHits   *telemetry.Counter
-	mTraceMisses *telemetry.Counter
-	mTracePuts   *telemetry.Counter
 }
 
 // latencyBoundsUS is the request-latency bucket layout in microseconds:
@@ -148,13 +141,6 @@ func New(o Options) *Server {
 		mCoalesced: reg.Counter("server.cells.coalesced"),
 		gInflight:  reg.Gauge("server.cells.inflight"),
 		hLatency:   reg.Histogram("server.request.latency_us", latencyBoundsUS),
-
-		mCacheHits:   reg.Counter("server.cache.hits"),
-		mCacheMisses: reg.Counter("server.cache.misses"),
-		mCachePuts:   reg.Counter("server.cache.puts"),
-		mTraceHits:   reg.Counter("server.traces.hits"),
-		mTraceMisses: reg.Counter("server.traces.misses"),
-		mTracePuts:   reg.Counter("server.traces.puts"),
 	}
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /readyz", s.handleReadyz)
@@ -163,10 +149,7 @@ func New(o Options) *Server {
 	s.mux.HandleFunc("GET /v1/experiments/{id}", s.handleExperiment)
 	s.mux.HandleFunc("POST /v1/cells", s.handleCell)
 	s.mux.HandleFunc("POST /v1/cells:batch", s.handleBatch)
-	s.mux.HandleFunc("GET /v1/cache/{key}", s.handleCacheGet)
-	s.mux.HandleFunc("PUT /v1/cache/{key}", s.handleCachePut)
-	s.mux.HandleFunc("GET /v1/traces/{key}", s.handleTraceGet)
-	s.mux.HandleFunc("PUT /v1/traces/{key}", s.handleTracePut)
+	s.registerCacheTier()
 	if o.EnablePprof {
 		// Registered explicitly: the server owns its mux, so the
 		// side-effect registrations on http.DefaultServeMux from

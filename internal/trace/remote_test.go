@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"context"
 	"errors"
 	"io"
 	"net/http"
@@ -37,7 +38,7 @@ func TestRemoteTierShared(t *testing.T) {
 	hub, store := traceHub(t)
 
 	sA := NewStore(StoreOptions{Upstream: hub.URL})
-	if _, hit, err := sA.GetOrCapture(testKey(1), func() (*Trace, error) {
+	if _, hit, err := sA.GetOrCapture(context.Background(), testKey(1), func() (*Trace, error) {
 		return testTrace(1, 100), nil
 	}); err != nil || hit {
 		t.Fatalf("first capture = (hit=%v, %v)", hit, err)
@@ -50,7 +51,7 @@ func TestRemoteTierShared(t *testing.T) {
 	}
 
 	sB := NewStore(StoreOptions{Upstream: hub.URL})
-	tr, hit, err := sB.GetOrCapture(testKey(1), func() (*Trace, error) {
+	tr, hit, err := sB.GetOrCapture(context.Background(), testKey(1), func() (*Trace, error) {
 		return nil, errors.New("should have been a remote hit")
 	})
 	if err != nil || !hit || tr == nil {
@@ -80,7 +81,7 @@ func TestRemoteTierRejectsCorrupt(t *testing.T) {
 
 	var captures atomic.Int64
 	s := NewStore(StoreOptions{Upstream: hub.URL})
-	if _, hit, err := s.GetOrCapture(testKey(1), func() (*Trace, error) {
+	if _, hit, err := s.GetOrCapture(context.Background(), testKey(1), func() (*Trace, error) {
 		captures.Add(1)
 		return testTrace(1, 100), nil
 	}); err != nil || hit {
@@ -103,7 +104,7 @@ func TestRemoteTierRejectsWrongKey(t *testing.T) {
 
 	var captures atomic.Int64
 	s := NewStore(StoreOptions{Upstream: hub.URL})
-	if _, hit, err := s.GetOrCapture(testKey(2), func() (*Trace, error) {
+	if _, hit, err := s.GetOrCapture(context.Background(), testKey(2), func() (*Trace, error) {
 		captures.Add(1)
 		return testTrace(2, 100), nil
 	}); err != nil || hit {
@@ -118,10 +119,34 @@ func TestRemoteTierRejectsWrongKey(t *testing.T) {
 // capture.
 func TestRemoteTierUnreachableDegrades(t *testing.T) {
 	s := NewStore(StoreOptions{Upstream: "http://127.0.0.1:1"})
-	tr, hit, err := s.GetOrCapture(testKey(1), func() (*Trace, error) {
+	tr, hit, err := s.GetOrCapture(context.Background(), testKey(1), func() (*Trace, error) {
 		return testTrace(1, 100), nil
 	})
 	if err != nil || hit || tr == nil {
 		t.Fatalf("fill with dead hub = (%v, hit=%v, %v)", tr, hit, err)
+	}
+}
+
+// TestRemoteTierFetchBoundByContext: like a result fetch, a trace fetch
+// belongs to the submission that asked for it — a cancelled one does not
+// wait on the hub, it degrades to a local capture.
+func TestRemoteTierFetchBoundByContext(t *testing.T) {
+	hub, store := traceHub(t)
+	b, err := testTrace(1, 100).EncodeFile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	store.Store(testKey(1).Hash(), b)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	s := NewStore(StoreOptions{Upstream: hub.URL})
+	if _, hit, err := s.GetOrCapture(ctx, testKey(1), func() (*Trace, error) {
+		return testTrace(1, 100), nil
+	}); err != nil || hit {
+		t.Fatalf("fill under a cancelled context = (hit=%v, %v), want a capture", hit, err)
+	}
+	if st := s.Stats(); st.RemoteHits != 0 || st.Captures != 1 {
+		t.Errorf("stats = %+v, want no remote hit", st)
 	}
 }

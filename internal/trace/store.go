@@ -2,15 +2,48 @@ package trace
 
 import (
 	"container/list"
+	"context"
 	"fmt"
 	"net/http"
-	"os"
-	"path/filepath"
 	"sync"
+	"time"
 
+	"bioperf5/internal/cas"
 	"bioperf5/internal/fault"
 	"bioperf5/internal/telemetry"
 )
+
+// FileKind describes encoded trace files to internal/cas: the disk
+// tier under <cache-dir>/traces, the upstream hub's /v1/traces endpoints
+// and fsck's scan are all derived from it.  The file form is about
+// 2 bytes per instruction, 0.3-1.5 MB for the scale-1 kernels; the cap
+// leaves room for large-scale grids without letting a peer exhaust
+// memory, and the timeout covers such a file on any sane link.
+var FileKind = cas.Kind{
+	Route:       "traces",
+	Ext:         ".trace",
+	ContentType: "application/octet-stream",
+	MaxBytes:    64 << 20,
+	Timeout:     30 * time.Second,
+	Verify: func(hash string, b []byte) error {
+		_, err := decodeFor(hash, b)
+		return err
+	},
+}
+
+// decodeFor decodes an encoded trace file that must answer the key
+// hashing to hash: structural and checksum integrity, a payload the
+// replayer accepts, and a meta that hashes back to the address.
+func decodeFor(hash string, b []byte) (*Trace, error) {
+	t, err := DecodeReplayable(b)
+	if err != nil {
+		return nil, err
+	}
+	if got := KeyFromMeta(t.Meta).Hash(); got != hash {
+		return nil, fmt.Errorf("trace: file answers key %s, not %s: %w", got, hash, cas.ErrWrongKey)
+	}
+	return t, nil
+}
 
 // DefaultBudget is the in-memory byte budget of a Store when none is
 // configured.  A resident trace costs about 9.5 bytes per instruction
@@ -29,7 +62,7 @@ type StoreOptions struct {
 	Budget int64
 	// Dir, when non-empty, adds a checksummed on-disk tier under that
 	// directory so captures survive across processes.  Corrupt files
-	// are detected, deleted and recaptured, never trusted.
+	// are detected, removed and recaptured, never trusted.
 	Dir string
 	// Registry receives the trace.* telemetry counters; nil gets a
 	// private registry.
@@ -55,8 +88,8 @@ type StoreOptions struct {
 // execution.  All methods are safe for concurrent use.
 type Store struct {
 	budget int64
-	dir    string
-	remote *remoteTier
+	disk   *cas.Dir    // nil without a Dir
+	remote *cas.Client // nil without an Upstream
 	inj    fault.Injector
 
 	mu       sync.Mutex
@@ -93,7 +126,6 @@ func NewStore(o StoreOptions) *Store {
 	}
 	s := &Store{
 		budget:   o.Budget,
-		dir:      o.Dir,
 		inj:      o.Injector,
 		entries:  make(map[string]*list.Element),
 		lru:      list.New(),
@@ -109,9 +141,8 @@ func NewStore(o StoreOptions) *Store {
 		gBytes:      reg.Gauge("trace.bytes"),
 		gEntries:    reg.Gauge("trace.entries"),
 	}
-	if o.Upstream != "" {
-		s.remote = newRemoteTier(o.Upstream, o.Transport, reg)
-	}
+	s.disk = cas.NewDir(FileKind, o.Dir, s.mDiskWrites, s.mCorrupt)
+	s.remote = cas.NewClient(FileKind, o.Upstream, o.Transport, reg, "trace.remote")
 	return s
 }
 
@@ -120,38 +151,46 @@ func NewStore(o StoreOptions) *Store {
 // when the trace already existed (in memory, on disk, or captured by a
 // concurrent caller this store coalesced with), false when this call
 // ran the capture.  A capture error is returned without storing
-// anything, so a later call retries.
-func (s *Store) GetOrCapture(key Key, capture func() (*Trace, error)) (*Trace, bool, error) {
+// anything, so a later call retries.  ctx bounds the upstream round
+// trips, not the capture.
+func (s *Store) GetOrCapture(ctx context.Context, key Key, capture func() (*Trace, error)) (*Trace, bool, error) {
 	hash := key.Hash()
-	for {
-		s.mu.Lock()
-		if el, ok := s.entries[hash]; ok {
-			s.lru.MoveToFront(el)
-			t := el.Value.(*storeEntry).t
-			s.mu.Unlock()
-			s.mMemHits.Add(1)
-			return t, true, nil
-		}
-		if fl, ok := s.inflight[hash]; ok {
-			s.mu.Unlock()
-			<-fl.done
-			if fl.err != nil {
-				return nil, false, fl.err
-			}
-			return fl.t, true, nil
-		}
-		fl := &flight{done: make(chan struct{})}
-		s.inflight[hash] = fl
+	s.mu.Lock()
+	if t := s.resident(hash); t != nil {
 		s.mu.Unlock()
-
-		t, hit, err := s.fill(hash, key, capture)
-		fl.t, fl.err = t, err
-		s.mu.Lock()
-		delete(s.inflight, hash)
-		s.mu.Unlock()
-		close(fl.done)
-		return t, hit, err
+		s.mMemHits.Add(1)
+		return t, true, nil
 	}
+	if fl, ok := s.inflight[hash]; ok {
+		s.mu.Unlock()
+		<-fl.done
+		if fl.err != nil {
+			return nil, false, fl.err
+		}
+		return fl.t, true, nil
+	}
+	fl := &flight{done: make(chan struct{})}
+	s.inflight[hash] = fl
+	s.mu.Unlock()
+
+	t, hit, err := s.fill(ctx, hash, key, capture)
+	fl.t, fl.err = t, err
+	s.mu.Lock()
+	delete(s.inflight, hash)
+	s.mu.Unlock()
+	close(fl.done)
+	return t, hit, err
+}
+
+// resident returns the in-memory trace at hash, marking it most
+// recently used, or nil.  The caller holds s.mu.
+func (s *Store) resident(hash string) *Trace {
+	el, ok := s.entries[hash]
+	if !ok {
+		return nil
+	}
+	s.lru.MoveToFront(el)
+	return el.Value.(*storeEntry).t
 }
 
 // Get returns the trace for key if some tier has it, without
@@ -159,51 +198,61 @@ func (s *Store) GetOrCapture(key Key, capture func() (*Trace, error)) (*Trace, b
 func (s *Store) Get(key Key) (*Trace, bool) {
 	hash := key.Hash()
 	s.mu.Lock()
-	if el, ok := s.entries[hash]; ok {
-		s.lru.MoveToFront(el)
-		t := el.Value.(*storeEntry).t
-		s.mu.Unlock()
+	t := s.resident(hash)
+	s.mu.Unlock()
+	if t != nil {
 		s.mMemHits.Add(1)
 		return t, true
 	}
-	s.mu.Unlock()
-	if t, ok := s.diskLoad(hash, key); ok {
-		s.install(hash, t)
-		s.mDiskHits.Add(1)
-		return t, true
-	}
-	if s.remote != nil {
-		if t, ok := s.remote.load(hash, key); ok {
-			s.install(hash, t)
-			s.diskWrite(hash, t)
-			return t, true
-		}
-	}
-	return nil, false
+	// The signature predates the upstream tier and supplies no context;
+	// the kind's timeout still bounds the round trip.
+	return s.fetch(context.TODO(), hash, key)
 }
 
 // Put installs a freshly captured trace under key, replacing any
 // existing entry (the forced-capture policy uses it).
 func (s *Store) Put(key Key, t *Trace) {
 	s.install(key.Hash(), t)
-	s.diskWrite(key.Hash(), t)
+	if s.disk != nil {
+		if b, err := t.EncodeFile(); err == nil {
+			s.diskWrite(key.Hash(), b)
+		}
+	}
 }
 
-// fill resolves a registered single-flight: disk probe, then the
-// shared remote tier, then capture (pushing the fresh capture back
-// upstream so the rest of the fleet replays it).
-func (s *Store) fill(hash string, key Key, capture func() (*Trace, error)) (*Trace, bool, error) {
-	if t, ok := s.diskLoad(hash, key); ok {
-		s.install(hash, t)
-		s.mDiskHits.Add(1)
-		return t, true, nil
-	}
-	if s.remote != nil {
-		if t, ok := s.remote.load(hash, key); ok {
-			s.install(hash, t)
-			s.diskWrite(hash, t)
-			return t, true, nil
+// fetch probes the tiers below memory: the directory, then the shared
+// hub (written through to the directory so the next process on this
+// node does not repeat the round trip).  Each blob is decoded and
+// verified once, by the decode both tiers are handed.
+func (s *Store) fetch(ctx context.Context, hash string, key Key) (*Trace, bool) {
+	var (
+		t   *Trace
+		raw []byte
+	)
+	decode := func(b []byte) (err error) {
+		if t, err = DecodeReplayable(b); err == nil && !key.Matches(t.Meta) {
+			err = cas.ErrWrongKey
 		}
+		raw = b
+		return err
+	}
+	if s.disk.Load(hash, decode) {
+		s.mDiskHits.Add(1)
+	} else if s.remote.Get(ctx, hash, decode) {
+		s.diskWrite(hash, raw)
+	} else {
+		return nil, false
+	}
+	s.install(hash, t)
+	return t, true
+}
+
+// fill resolves a registered single-flight: the lower tiers, then
+// capture (pushing the fresh capture upstream so the rest of the fleet
+// replays it).
+func (s *Store) fill(ctx context.Context, hash string, key Key, capture func() (*Trace, error)) (*Trace, bool, error) {
+	if t, ok := s.fetch(ctx, hash, key); ok {
+		return t, true, nil
 	}
 	t, err := capture()
 	if err != nil {
@@ -211,9 +260,11 @@ func (s *Store) fill(hash string, key Key, capture func() (*Trace, error)) (*Tra
 	}
 	s.mCaptures.Add(1)
 	s.install(hash, t)
-	s.diskWrite(hash, t)
-	if s.remote != nil {
-		s.remote.store(hash, t)
+	if s.disk != nil || s.remote != nil {
+		if b, err := t.EncodeFile(); err == nil {
+			s.diskWrite(hash, b)
+			s.remote.Put(ctx, hash, b)
+		}
 	}
 	return t, false, nil
 }
@@ -280,10 +331,7 @@ type Stats struct {
 
 // Stats snapshots the store counters.
 func (s *Store) Stats() Stats {
-	var rh, rp uint64
-	if s.remote != nil {
-		rh, rp = s.remote.mHits.Value(), s.remote.mPuts.Value()
-	}
+	rh, rp, _ := s.remote.Counts()
 	return Stats{
 		Captures:   s.mCaptures.Value(),
 		MemoryHits: s.mMemHits.Value(),
@@ -304,11 +352,7 @@ func (s *Store) Stats() Stats {
 // GET /v1/traces/{key} serves.
 func (s *Store) Entry(hash string) ([]byte, bool) {
 	s.mu.Lock()
-	var t *Trace
-	if el, ok := s.entries[hash]; ok {
-		s.lru.MoveToFront(el)
-		t = el.Value.(*storeEntry).t
-	}
+	t := s.resident(hash)
 	s.mu.Unlock()
 	if t != nil {
 		b, err := t.EncodeFile()
@@ -318,123 +362,37 @@ func (s *Store) Entry(hash string) ([]byte, bool) {
 		s.mMemHits.Add(1)
 		return b, true
 	}
-	if s.dir == "" {
-		return nil, false
+	b, ok := s.disk.Entry(hash)
+	if ok {
+		s.mDiskHits.Add(1)
 	}
-	b, err := os.ReadFile(s.path(hash))
-	if err != nil {
-		return nil, false
-	}
-	// Serve only what verifies: structural + checksum integrity and a
-	// meta that hashes back to the requested address.
-	dt, err := DecodeFile(b)
-	if err != nil || KeyFromMeta(dt.Meta).Hash() != hash {
-		return nil, false
-	}
-	s.mDiskHits.Add(1)
-	return b, true
+	return b, ok
 }
 
 // Install verifies body as an encoded trace file addressed by hash and
 // stores it in both local tiers — the write path behind
-// PUT /v1/traces/{key}.
+// PUT /v1/traces/{key}.  A hub without a Dir keeps it in memory only.
 func (s *Store) Install(hash string, body []byte) error {
-	t, err := DecodeReplayable(body)
+	t, err := decodeFor(hash, body)
 	if err != nil {
 		return err
 	}
-	if KeyFromMeta(t.Meta).Hash() != hash {
-		return fmt.Errorf("trace: uploaded trace does not answer key %s", hash)
-	}
 	s.install(hash, t)
-	s.diskWrite(hash, t)
+	s.diskWrite(hash, body)
 	return nil
 }
 
-func (s *Store) path(hash string) string {
-	return filepath.Join(s.dir, hash+".trace")
-}
-
-// diskLoad reads and verifies a trace file.  A file that fails the
-// checksum, or whose meta does not answer the key, is corrupt: it is
-// counted, removed, and the caller captures fresh.
-func (s *Store) diskLoad(hash string, key Key) (*Trace, bool) {
-	if s.dir == "" {
-		return nil, false
-	}
-	b, err := os.ReadFile(s.path(hash))
-	if err != nil {
-		return nil, false
-	}
-	t, err := DecodeReplayable(b)
-	if err != nil || !key.Matches(t.Meta) {
-		s.mCorrupt.Add(1)
-		os.Remove(s.path(hash))
-		return nil, false
-	}
-	return t, true
-}
-
-// diskWrite persists a trace crash-safely: temp file, fsync, rename,
-// directory fsync — the same discipline as the scheduler's result
-// cache, so a torn write can never sit at the final address.  Failures
-// are not errors: the in-memory trace is sound, only the cross-process
-// tier misses next time.
-func (s *Store) diskWrite(hash string, t *Trace) {
-	if s.dir == "" {
+// diskWrite files an encoded trace in the directory tier.  Failures are
+// not errors: the in-memory trace is sound, only the cross-process tier
+// misses next time.  It is also the SiteTrace fault hook: when the
+// injector orders a Corrupt, the just-written file is torn after it
+// landed at its final address, so Load's detect-and-recapture path and
+// `bioperf5 fsck` get exercised against a real torn file.
+func (s *Store) diskWrite(hash string, b []byte) {
+	if s.disk.Write(hash, b) != nil || s.inj == nil {
 		return
 	}
-	if err := os.MkdirAll(s.dir, 0o755); err != nil {
-		return
+	if s.inj.Decide(fault.SiteTrace, hash, 0).Kind == fault.Corrupt && s.disk.Tear(hash) == nil {
+		s.mFaults.Add(1)
 	}
-	b, err := t.EncodeFile()
-	if err != nil {
-		return
-	}
-	tmp, err := os.CreateTemp(s.dir, hash+".tmp*")
-	if err != nil {
-		return
-	}
-	if _, err := tmp.Write(b); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return
-	}
-	if err := os.Rename(tmp.Name(), s.path(hash)); err != nil {
-		os.Remove(tmp.Name())
-		return
-	}
-	if d, err := os.Open(s.dir); err == nil {
-		d.Sync()
-		d.Close()
-	}
-	s.mDiskWrites.Add(1)
-	s.mangle(hash, int64(len(b)))
-}
-
-// mangle is the SiteTrace fault hook: when the injector orders a
-// Corrupt, the just-written file is torn in half after it landed at
-// its final address — exactly the damage the crash-safe write protocol
-// cannot produce on its own, so diskLoad's detect-and-recapture path
-// and `bioperf5 fsck` get exercised against a real torn file.
-func (s *Store) mangle(hash string, size int64) {
-	if s.inj == nil {
-		return
-	}
-	if s.inj.Decide(fault.SiteTrace, hash, 0).Kind != fault.Corrupt {
-		return
-	}
-	if err := os.Truncate(s.path(hash), size/2); err != nil {
-		return
-	}
-	s.mFaults.Add(1)
 }

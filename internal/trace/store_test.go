@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -36,11 +37,11 @@ func TestStoreGetOrCapture(t *testing.T) {
 		captures.Add(1)
 		return testTrace(1, 100), nil
 	}
-	tr, hit, err := s.GetOrCapture(testKey(1), capture)
+	tr, hit, err := s.GetOrCapture(context.Background(), testKey(1), capture)
 	if err != nil || hit || tr == nil {
 		t.Fatalf("first call = (%v, %v, %v), want fresh capture", tr, hit, err)
 	}
-	tr2, hit, err := s.GetOrCapture(testKey(1), capture)
+	tr2, hit, err := s.GetOrCapture(context.Background(), testKey(1), capture)
 	if err != nil || !hit || tr2 != tr {
 		t.Fatalf("second call = (%p vs %p, %v, %v), want memory hit", tr2, tr, hit, err)
 	}
@@ -56,14 +57,14 @@ func TestStoreGetOrCapture(t *testing.T) {
 func TestStoreCaptureErrorNotCached(t *testing.T) {
 	s := NewStore(StoreOptions{})
 	var calls atomic.Int64
-	_, _, err := s.GetOrCapture(testKey(1), func() (*Trace, error) {
+	_, _, err := s.GetOrCapture(context.Background(), testKey(1), func() (*Trace, error) {
 		calls.Add(1)
 		return nil, errors.New("transient")
 	})
 	if err == nil {
 		t.Fatal("capture error swallowed")
 	}
-	if _, hit, err := s.GetOrCapture(testKey(1), func() (*Trace, error) {
+	if _, hit, err := s.GetOrCapture(context.Background(), testKey(1), func() (*Trace, error) {
 		calls.Add(1)
 		return testTrace(1, 10), nil
 	}); err != nil || hit {
@@ -87,7 +88,7 @@ func TestStoreSingleFlight(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_, hit, err := s.GetOrCapture(testKey(1), func() (*Trace, error) {
+			_, hit, err := s.GetOrCapture(context.Background(), testKey(1), func() (*Trace, error) {
 				captures.Add(1)
 				<-release
 				return testTrace(1, 10), nil
@@ -121,7 +122,7 @@ func TestStoreLRUEviction(t *testing.T) {
 	s := NewStore(StoreOptions{Budget: budget})
 	for i := 1; i <= 5; i++ {
 		i := i
-		if _, _, err := s.GetOrCapture(testKey(i), func() (*Trace, error) {
+		if _, _, err := s.GetOrCapture(context.Background(), testKey(i), func() (*Trace, error) {
 			return testTrace(i, 1000), nil
 		}); err != nil {
 			t.Fatal(err)
@@ -145,7 +146,7 @@ func TestStoreLRUEviction(t *testing.T) {
 
 func TestStoreKeepsNewestOverBudget(t *testing.T) {
 	s := NewStore(StoreOptions{Budget: 1}) // every trace exceeds this
-	if _, _, err := s.GetOrCapture(testKey(1), func() (*Trace, error) {
+	if _, _, err := s.GetOrCapture(context.Background(), testKey(1), func() (*Trace, error) {
 		return testTrace(1, 1000), nil
 	}); err != nil {
 		t.Fatal(err)
@@ -160,7 +161,7 @@ func TestStoreKeepsNewestOverBudget(t *testing.T) {
 func TestStoreDiskTierRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	s1 := NewStore(StoreOptions{Dir: dir})
-	if _, _, err := s1.GetOrCapture(testKey(1), func() (*Trace, error) {
+	if _, _, err := s1.GetOrCapture(context.Background(), testKey(1), func() (*Trace, error) {
 		return testTrace(1, 100), nil
 	}); err != nil {
 		t.Fatal(err)
@@ -172,7 +173,7 @@ func TestStoreDiskTierRoundTrip(t *testing.T) {
 	// A second store over the same directory must load from disk, not
 	// capture.
 	s2 := NewStore(StoreOptions{Dir: dir})
-	tr, hit, err := s2.GetOrCapture(testKey(1), func() (*Trace, error) {
+	tr, hit, err := s2.GetOrCapture(context.Background(), testKey(1), func() (*Trace, error) {
 		return nil, errors.New("should have been a disk hit")
 	})
 	if err != nil || !hit {
@@ -192,7 +193,7 @@ func TestStoreDiskTierRoundTrip(t *testing.T) {
 func TestStoreDiskCorruptionFallsBackToCapture(t *testing.T) {
 	dir := t.TempDir()
 	s1 := NewStore(StoreOptions{Dir: dir})
-	if _, _, err := s1.GetOrCapture(testKey(1), func() (*Trace, error) {
+	if _, _, err := s1.GetOrCapture(context.Background(), testKey(1), func() (*Trace, error) {
 		return testTrace(1, 100), nil
 	}); err != nil {
 		t.Fatal(err)
@@ -209,7 +210,7 @@ func TestStoreDiskCorruptionFallsBackToCapture(t *testing.T) {
 
 	var captures atomic.Int64
 	s2 := NewStore(StoreOptions{Dir: dir})
-	_, hit, err := s2.GetOrCapture(testKey(1), func() (*Trace, error) {
+	_, hit, err := s2.GetOrCapture(context.Background(), testKey(1), func() (*Trace, error) {
 		captures.Add(1)
 		return testTrace(1, 100), nil
 	})
@@ -238,7 +239,7 @@ func TestStoreDiskCorruptionFallsBackToCapture(t *testing.T) {
 func TestStoreDiskKeyMismatchRejected(t *testing.T) {
 	dir := t.TempDir()
 	s1 := NewStore(StoreOptions{Dir: dir})
-	if _, _, err := s1.GetOrCapture(testKey(1), func() (*Trace, error) {
+	if _, _, err := s1.GetOrCapture(context.Background(), testKey(1), func() (*Trace, error) {
 		return testTrace(1, 100), nil
 	}); err != nil {
 		t.Fatal(err)
@@ -253,7 +254,7 @@ func TestStoreDiskKeyMismatchRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	s2 := NewStore(StoreOptions{Dir: dir})
-	_, hit, err := s2.GetOrCapture(testKey(2), func() (*Trace, error) {
+	_, hit, err := s2.GetOrCapture(context.Background(), testKey(2), func() (*Trace, error) {
 		return testTrace(2, 100), nil
 	})
 	if err != nil || hit {
@@ -293,7 +294,7 @@ func TestStoreRefusesFilesThatCannotReplay(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, hash+".trace"), file, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	tr, hit, err := s.GetOrCapture(testKey(1), func() (*Trace, error) { return good, nil })
+	tr, hit, err := s.GetOrCapture(context.Background(), testKey(1), func() (*Trace, error) { return good, nil })
 	if err != nil || hit || tr != good {
 		t.Fatalf("GetOrCapture = (%p, hit %v, %v), want a fresh capture", tr, hit, err)
 	}
@@ -346,7 +347,7 @@ func TestStoreBytesCountPayloadAndColumns(t *testing.T) {
 	writer := NewStore(StoreOptions{Dir: dir, Registry: reg})
 	for i := 1; i <= 3; i++ {
 		i := i
-		tr, _, err := writer.GetOrCapture(testKey(i), func() (*Trace, error) { return testTrace(i, 1000*i), nil })
+		tr, _, err := writer.GetOrCapture(context.Background(), testKey(i), func() (*Trace, error) { return testTrace(i, 1000*i), nil })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -426,7 +427,7 @@ func TestStoreSiteTraceInjectionTearsWriteAndHeals(t *testing.T) {
 	// Rate-1 SiteTrace corruption: every disk write is torn after
 	// landing.
 	s := NewStore(StoreOptions{Dir: dir, Injector: &fault.Plan{TraceCorruptRate: 1}})
-	tr, hit, err := s.GetOrCapture(testKey(1), func() (*Trace, error) { return testTrace(1, 200), nil })
+	tr, hit, err := s.GetOrCapture(context.Background(), testKey(1), func() (*Trace, error) { return testTrace(1, 200), nil })
 	if err != nil || hit || tr == nil {
 		t.Fatalf("capture = (%v, %v, %v)", tr, hit, err)
 	}
@@ -449,7 +450,7 @@ func TestStoreSiteTraceInjectionTearsWriteAndHeals(t *testing.T) {
 	// The next process detects the damage and recaptures.
 	s2 := NewStore(StoreOptions{Dir: dir})
 	var captures atomic.Int64
-	tr2, hit, err := s2.GetOrCapture(testKey(1), func() (*Trace, error) {
+	tr2, hit, err := s2.GetOrCapture(context.Background(), testKey(1), func() (*Trace, error) {
 		captures.Add(1)
 		return testTrace(1, 200), nil
 	})
