@@ -1,25 +1,8 @@
-// Command bioperf5 regenerates the paper's tables and figures and
-// exposes the underlying tools: the application profiler (Figure 1) and
-// the kernel compiler/disassembler.
-//
-// Usage:
-//
-//	bioperf5 list
-//	bioperf5 run <experiment>|all [-scale N] [-seeds a,b,c] [-trace P] [-json]
-//	bioperf5 sweep [-fxus 2,3,4] [-btac off,8] [-variants v,...] [-apps a,...]
-//	               [-workers N|host1:port,host2:port] [-cache-dir DIR] [-trace P]
-//	               [-grid] [-json] [-spans DIR] [-cpuprofile FILE] [-memprofile FILE]
-//	bioperf5 serve [-addr HOST:PORT] [-workers N] [-cache-dir DIR] [-trace P]
-//	               [-cache-upstream URL] [-max-inflight N] [-request-timeout DUR]
-//	               [-drain-timeout DUR] [-pprof] [-spans DIR]
-//	bioperf5 fsck <dir> [<dir>...]
-//	bioperf5 version [-json]
-//	bioperf5 spans <spans.jsonl> [-json] [-chrome FILE]
-//	bioperf5 trace <Blast|Clustalw|Fasta|Hmmer> <variant> [-scale N] [-seed N]
-//	bioperf5 stats [application] [-scale N] [-seed N] [-json]
-//	bioperf5 profile <Blast|Clustalw|Fasta|Hmmer> [-scale N]
-//	bioperf5 disasm <Blast|Clustalw|Fasta|Hmmer> <variant>
-//	bioperf5 variants
+// Command bioperf5 regenerates the paper's tables and figures, sweeps
+// and serves the design space around them, and exposes the underlying
+// tools (profiler, tracer, disassembler, store scrubber).  Run it
+// without arguments for the command reference; `bioperf5 <command> -h`
+// lists a command's flags.
 package main
 
 import (
@@ -27,20 +10,18 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"os/signal"
 	"path/filepath"
-	"runtime"
-	"runtime/pprof"
 	"sort"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
 
 	"bioperf5/internal/branch"
-	"bioperf5/internal/cluster"
+	"bioperf5/internal/cas"
 	"bioperf5/internal/core"
 	"bioperf5/internal/cpu"
 	"bioperf5/internal/fault"
@@ -57,73 +38,45 @@ import (
 func usage() {
 	fmt.Fprintf(os.Stderr, `bioperf5: POWER5 bioinformatics workload study reproduction
 
-commands:
+commands (flags: bioperf5 <command> [arguments] -h):
   list                     list the experiments (one per paper table/figure)
-  run <id>|all             regenerate a table/figure (-scale N, -seeds a,b,c;
-                           -trace auto|capture|replay|off selects the trace
-                           policy — the numbers are identical under every
-                           policy; -json emits the machine-readable report)
+  run <id>|all             regenerate a table/figure; the numbers are identical
+                           under every -trace policy, -json emits the
+                           machine-readable report
   sweep                    full-factorial design-space sweep over FXU count x
                            BTAC sizing x direction predictor x predication
                            variant x application, run on the parallel
-                           cache-aware fault-tolerant scheduler
-                           (-fxus 2,3,4; -btac off,8;
-                           -predictors 'tournament;tage:tables=4,hist=2..64'
-                           semicolon-separated predictor specs;
-                           -variants original,combination;
-                           -apps all; -scale N; -seeds a,b,c;
-                           -workers N local pool size, or a comma-separated
-                           list of 'bioperf5 serve' URLs to shard the sweep
-                           across remote workers — the merged manifest is
-                           byte-identical to a single-node run;
-                           -cache-dir DIR persists results across runs;
-                           -retries N per-cell retry budget; -cell-timeout DUR
-                           per-cell deadline; -resume DIR keeps cache + journal +
-                           manifest under DIR and resumes a killed sweep;
-                           -grid prints every point; -json emits the manifest;
-                           -trace off disables capture-once/replay-many;
-                           -spans DIR records a span per lifecycle stage and
-                           writes spans.jsonl + trace.json (Perfetto-loadable)
-                           under DIR; -cpuprofile/-memprofile FILE write
-                           pprof profiles of the sweep;
-                           BIOPERF5_FAULTS=spec injects deterministic faults)
+                           cache-aware fault-tolerant scheduler or, with
+                           -workers host1,host2, sharded across 'bioperf5
+                           serve' workers into a byte-identical manifest;
+                           -resume DIR resumes a killed sweep, -spans DIR and
+                           -cpuprofile/-memprofile FILE say where the time
+                           went, BIOPERF5_FAULTS=spec injects deterministic
+                           faults
   serve                    expose the engine as an HTTP/JSON service:
                            POST /v1/cells runs one cell, POST /v1/cells:batch
                            streams a batch as JSONL, GET /v1/experiments/{id}
                            serves a paper experiment byte-identical to
-                           'run <id> -json', plus /healthz /readyz /metrics
-                           (-addr HOST:PORT; -workers N; -cache-dir DIR;
+                           'run <id> -json', plus /healthz /readyz /metrics;
                            -cache-upstream URL shares results and traces with
-                           a hub server via GET/PUT /v1/cache and /v1/traces;
-                           -trace P default trace policy for cells without a
-                           "trace" field; -retries N; -cell-timeout DUR;
-                           -max-inflight N
-                           admission bound; -request-timeout DUR default
-                           per-request deadline; -drain-timeout DUR graceful
-                           SIGTERM drain budget; -pprof mounts net/http/pprof
-                           under /debug/pprof/; -spans DIR records a span
-                           per request and writes spans.jsonl + trace.json
-                           under DIR at shutdown)
+                           a hub server via GET/PUT /v1/cache and /v1/traces
   branches <application>   per-static-branch predictability profile: every
                            conditional-branch site with execution/mispredict
                            counts, BTAC wrong-target attribution, and a
                            taxonomy class (biased, loop-exit, history, hard);
                            per-site counts sum exactly to the aggregate
-                           counters (-variant V; -fxus N; -btac N;
-                           -predictor SPEC; -scale N; -seeds a,b,c; -json)
+                           counters
   predictors               list the registered direction-predictor kinds as
                            canonical spec strings
   trace <application> <variant>
-                           emit a per-instruction pipeline event trace as
-                           JSONL (-scale N, -seed N, -cap N ring capacity)
+                           emit a per-instruction pipeline event trace as JSONL
   stats [application]      telemetry snapshot of a baseline run: counters,
                            CPI stall stack, cache/BTAC/profile metrics
-                           (-scale N, -seed N, -json)
-  profile <application>    gprof-style function breakout (-scale N)
+  profile <application>    gprof-style function breakout
   spans <spans.jsonl>      aggregate a recorded span log into a per-stage
                            profile: count, total, mean, max, share
-                           (-json; -chrome FILE converts the log to a
-                           Chrome trace-event file)
+                           (-chrome FILE converts the log to a Chrome
+                           trace-event file)
   fsck <dir> [<dir>...]    scrub sweep state directories (result cache,
                            trace store, resume dir): verify every
                            checksum, move corrupt files into a
@@ -136,54 +89,36 @@ commands:
                            show the compiled DP kernel for a predication variant
   variants                 list predication variants
   version                  print the binary's build identity and wire schema
-                           (-json; GET /v1/version serves the same document)
+                           (GET /v1/version serves the same document)
 
 experiment ids accept short aliases: t1, t2, f1..f6.
 `)
 	os.Exit(2)
 }
 
-// simLimit bounds a single traced or snapshotted kernel invocation.
-const simLimit = 500_000_000
+// commands maps each subcommand to its implementation.
+var commands = map[string]func(args []string) error{
+	"list":       func([]string) error { return cmdList() },
+	"run":        cmdRun,
+	"sweep":      cmdSweep,
+	"branches":   cmdBranches,
+	"predictors": func([]string) error { return cmdPredictors() },
+	"serve":      cmdServe,
+	"trace":      cmdTrace,
+	"stats":      cmdStats,
+	"profile":    cmdProfile,
+	"spans":      cmdSpans,
+	"fsck":       cmdFsck,
+	"disasm":     cmdDisasm,
+	"variants":   func([]string) error { return cmdVariants() },
+	"version":    cmdVersion,
+}
 
 func main() {
-	if len(os.Args) < 2 {
+	if len(os.Args) < 2 || commands[os.Args[1]] == nil {
 		usage()
 	}
-	var err error
-	switch os.Args[1] {
-	case "list":
-		err = cmdList()
-	case "run":
-		err = cmdRun(os.Args[2:])
-	case "sweep":
-		err = cmdSweep(os.Args[2:])
-	case "branches":
-		err = cmdBranches(os.Args[2:])
-	case "predictors":
-		err = cmdPredictors()
-	case "serve":
-		err = cmdServe(os.Args[2:])
-	case "trace":
-		err = cmdTrace(os.Args[2:])
-	case "stats":
-		err = cmdStats(os.Args[2:])
-	case "profile":
-		err = cmdProfile(os.Args[2:])
-	case "spans":
-		err = cmdSpans(os.Args[2:])
-	case "fsck":
-		err = cmdFsck(os.Args[2:])
-	case "disasm":
-		err = cmdDisasm(os.Args[2:])
-	case "variants":
-		err = cmdVariants()
-	case "version":
-		err = cmdVersion(os.Args[2:])
-	default:
-		usage()
-	}
-	if err != nil {
+	if err := commands[os.Args[1]](os.Args[2:]); err != nil {
 		fmt.Fprintln(os.Stderr, "bioperf5:", err)
 		os.Exit(1)
 	}
@@ -208,23 +143,8 @@ func parseConfig(fs *flag.FlagSet, args []string) (harness.Config, []string, err
 		return harness.Config{}, nil, fmt.Errorf("-trace: %w", err)
 	}
 	cfg := harness.Config{Scale: *scale, Trace: trace}
-	seen := make(map[int64]bool)
-	for _, s := range strings.Split(*seeds, ",") {
-		s = strings.TrimSpace(s)
-		v, err := strconv.ParseInt(s, 10, 64)
-		if err != nil {
-			return cfg, nil, fmt.Errorf("bad seed %q: %w", s, err)
-		}
-		if v < 0 {
-			return cfg, nil, fmt.Errorf("bad seed %q: seeds must be non-negative", s)
-		}
-		if seen[v] {
-			return cfg, nil, fmt.Errorf("bad seed %q: duplicate seed", s)
-		}
-		seen[v] = true
-		cfg.Seeds = append(cfg.Seeds, v)
-	}
-	return cfg, fs.Args(), nil
+	cfg.Seeds, err = harness.ParseSeeds(*seeds)
+	return cfg, fs.Args(), err
 }
 
 func cmdRun(args []string) error {
@@ -238,10 +158,8 @@ func cmdRun(args []string) error {
 	if err != nil {
 		return err
 	}
-	var exps []*harness.Experiment
-	if id == "all" {
-		exps = harness.Registry()
-	} else {
+	exps := harness.Registry()
+	if id != "all" {
 		e, err := harness.ByID(id)
 		if err != nil {
 			return err
@@ -260,9 +178,7 @@ func cmdRun(args []string) error {
 		if len(reps) == 1 {
 			return reps[0].WriteJSON(os.Stdout)
 		}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		return enc.Encode(reps)
+		return writeJSON(reps)
 	}
 	for _, e := range exps {
 		tab, err := e.Run(cfg)
@@ -274,56 +190,6 @@ func cmdRun(args []string) error {
 	return nil
 }
 
-// parseIntList parses a comma-separated list of ints, mapping the
-// word "off" to zero (used by -btac).
-func parseIntList(flagName, s string, allowOff bool) ([]int, error) {
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if allowOff && strings.EqualFold(part, "off") {
-			out = append(out, 0)
-			continue
-		}
-		v, err := strconv.Atoi(part)
-		if err != nil {
-			return nil, fmt.Errorf("-%s: bad value %q", flagName, part)
-		}
-		out = append(out, v)
-	}
-	return out, nil
-}
-
-// parsePredictorsFlag splits a -predictors value into predictor specs.
-// Specs are separated by ';' (their parameter lists contain commas); a
-// value without parameters may use commas instead ("gshare,tage").
-// Every spec is validated up front so a typo fails with the registered
-// kinds listed instead of deep inside the sweep.
-func parsePredictorsFlag(s string) ([]string, error) {
-	s = strings.TrimSpace(s)
-	if s == "" {
-		return nil, nil
-	}
-	sep := ";"
-	if !strings.Contains(s, ";") && !strings.Contains(s, ":") {
-		sep = ","
-	}
-	var out []string
-	for _, part := range strings.Split(s, sep) {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		if _, err := branch.ParseSpec(part); err != nil {
-			return nil, fmt.Errorf("-predictors: %w", err)
-		}
-		out = append(out, part)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("-predictors: no specs in %q", s)
-	}
-	return out, nil
-}
-
 // cmdPredictors lists every registered direction-predictor kind as its
 // canonical all-defaults spec string.
 func cmdPredictors() error {
@@ -333,439 +199,132 @@ func cmdPredictors() error {
 	return nil
 }
 
+// branchesCell reads the `branches` arguments into the canonical cell
+// they name — the CLI's spelling of what a /v1/cells body asks for.
+func branchesCell(args []string) (cell harness.Cell, jsonOut bool, err error) {
+	if len(args) < 1 || strings.HasPrefix(args[0], "-") {
+		return cell, false, fmt.Errorf("branches: missing application (one of %s)",
+			strings.Join(workload.Apps(), ", "))
+	}
+	cell.App = args[0]
+	fs := flag.NewFlagSet("branches", flag.ContinueOnError)
+	fs.StringVar(&cell.Variant, "variant", "original", "predication variant (see `bioperf5 variants`)")
+	fs.IntVar(&cell.FXUs, "fxus", 0, "fixed-point unit count (0 = the POWER5 baseline)")
+	fs.IntVar(&cell.BTACEntries, "btac", 0, "BTAC entry count (0 = no BTAC)")
+	fs.StringVar(&cell.Predictor, "predictor", "", "direction-predictor spec (empty = the POWER5-like tournament; see `bioperf5 predictors`)")
+	fs.IntVar(&cell.Scale, "scale", 1, "workload scale factor")
+	seeds := fs.String("seeds", "1,2,3", "comma-separated input seeds")
+	fs.BoolVar(&jsonOut, "json", false, "emit the machine-readable report as JSON")
+	if err = fs.Parse(args[1:]); err != nil {
+		return cell, false, err
+	}
+	if cell.Seeds, err = harness.ParseSeeds(*seeds); err != nil {
+		return cell, false, err
+	}
+	cell, err = cell.Canonical()
+	return cell, jsonOut, err
+}
+
 // cmdBranches profiles one application's static branches: replay the
 // cell's trace with the per-PC profiler attached and print every
 // conditional-branch site with its counts and taxonomy class.
 func cmdBranches(args []string) error {
-	if len(args) < 1 || strings.HasPrefix(args[0], "-") {
-		return fmt.Errorf("branches: missing application (one of %s)",
-			strings.Join(workload.Apps(), ", "))
-	}
-	app := args[0]
-	fs := flag.NewFlagSet("branches", flag.ContinueOnError)
-	variantFlag := fs.String("variant", "original", "predication variant (see `bioperf5 variants`)")
-	fxusFlag := fs.Int("fxus", 0, "fixed-point unit count (0 = the POWER5 baseline)")
-	btacFlag := fs.Int("btac", 0, "BTAC entry count (0 = no BTAC)")
-	predFlag := fs.String("predictor", "", "direction-predictor spec (empty = the POWER5-like tournament; see `bioperf5 predictors`)")
-	scale := fs.Int("scale", 1, "workload scale factor")
-	seedsFlag := fs.String("seeds", "1,2,3", "comma-separated input seeds")
-	jsonOut := fs.Bool("json", false, "emit the machine-readable report as JSON")
-	if err := fs.Parse(args[1:]); err != nil {
-		return err
-	}
-	v, err := parseVariant(*variantFlag)
+	cell, jsonOut, err := branchesCell(args)
 	if err != nil {
 		return err
 	}
-	if _, err := branch.ParseSpec(*predFlag); err != nil {
-		return fmt.Errorf("-predictor: %w", err)
-	}
-	if *btacFlag < 0 {
-		return fmt.Errorf("-btac: must be >= 0, got %d", *btacFlag)
-	}
-	fxus := *fxusFlag
-	if fxus == 0 {
-		fxus = core.Baseline().CPU.NumFXU
-	}
-	if fxus < 1 {
-		return fmt.Errorf("-fxus: must be >= 1, got %d", *fxusFlag)
-	}
-	cfg := harness.Config{Scale: *scale}
-	seen := make(map[int64]bool)
-	for _, s := range strings.Split(*seedsFlag, ",") {
-		s = strings.TrimSpace(s)
-		n, err := strconv.ParseInt(s, 10, 64)
-		if err != nil || n < 0 {
-			return fmt.Errorf("bad seed %q: want a non-negative integer", s)
-		}
-		if seen[n] {
-			return fmt.Errorf("duplicate seed %d", n)
-		}
-		seen[n] = true
-		cfg.Seeds = append(cfg.Seeds, n)
-	}
-	rep, err := harness.RunBranches(cfg, app, harness.SetupFor(v, fxus, *btacFlag, *predFlag))
+	rep, err := harness.RunBranches(harness.Config{Scale: cell.Scale, Seeds: cell.Seeds},
+		cell.App, cell.Setup())
 	if err != nil {
 		return err
 	}
-	if *jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		return enc.Encode(rep)
+	if jsonOut {
+		return writeJSON(rep)
 	}
 	fmt.Println(rep.Table().Render())
 	return nil
 }
 
-// cmdSweep runs a full-factorial design-space sweep on the parallel
-// scheduler and prints the best configuration per application plus the
-// scheduler's cache statistics.
-func cmdSweep(args []string) error {
-	fs := flag.NewFlagSet("sweep", flag.ContinueOnError)
-	fxusFlag := fs.String("fxus", "2,3,4", "comma-separated fixed-point unit counts")
-	btacFlag := fs.String("btac", "off,8", "comma-separated BTAC entry counts ('off' = none)")
-	predictorsFlag := fs.String("predictors", "", "semicolon-separated direction-predictor specs, e.g. 'tournament;tage:tables=4,hist=2..64' (empty = the POWER5-like default; see `bioperf5 predictors`)")
-	variantsFlag := fs.String("variants", "original,combination", "comma-separated predication variants")
-	appsFlag := fs.String("apps", "all", "comma-separated applications, or 'all'")
-	workersFlag := fs.String("workers", "", "local worker pool size (default GOMAXPROCS), or a comma-separated list of remote `bioperf5 serve` URLs to run the sweep distributed")
-	cacheDir := fs.String("cache-dir", "", "content-addressed on-disk result cache directory")
-	retries := fs.Int("retries", 2, "per-cell retry budget for transient failures (with remote workers: the per-dispatch HTTP retry budget)")
-	cellTimeout := fs.Duration("cell-timeout", 0, "per-cell simulation deadline, e.g. 30s (0 = none)")
-	resume := fs.String("resume", "", "sweep state directory (disk cache + completion journal + manifest); re-running against it resumes only unfinished cells")
-	grid := fs.Bool("grid", false, "print every grid point, not just the best per application")
-	jsonOut := fs.Bool("json", false, "emit the JSON manifest instead of the summary table")
-	spansDir := fs.String("spans", "", "record a span per lifecycle stage and write spans.jsonl + trace.json (Perfetto-loadable) under DIR")
-	cpuprofile := fs.String("cpuprofile", "", "write a pprof CPU profile of the sweep to FILE")
-	memprofile := fs.String("memprofile", "", "write a pprof heap profile (taken after the sweep) to FILE")
-	cfg, _, err := parseConfig(fs, args)
+// writeJSON prints v on stdout as indented JSON.
+func writeJSON(v any) error {
+	enc := json.NewEncoder(os.Stdout)
+	enc.SetIndent("", "  ")
+	return enc.Encode(v)
+}
+
+// execEnv is what a command that runs cells executes on: the local
+// engine (or, for a distributed sweep, none), the registry its metrics
+// land in, the BIOPERF5_FAULTS plan split between the engine's injector
+// and the outbound HTTP transport, and the span tracer.  sweep, serve
+// and stats all open theirs with openEnv.
+type execEnv struct {
+	eng      *sched.Engine       // nil when cells run on remote workers
+	reg      *telemetry.Registry // the engine's, or the coordinator's own
+	chaos    http.RoundTripper   // network faults for the outbound transport; nil when none are armed
+	tracer   *telemetry.Tracer   // nil without -spans
+	spansDir string
+}
+
+// openEnv builds the environment.  o is the engine the flags describe;
+// remote means there is no local engine (the sweep runs on workers);
+// wire names the outbound HTTP transport the plan's network fault
+// sites apply to ("coordinator", "cache-upstream"), "" when the command
+// has none.
+func openEnv(o sched.Options, remote bool, wire, spansDir string) (*execEnv, error) {
+	plan, err := fault.PlanFromEnv()
 	if err != nil {
-		return err
+		return nil, err
 	}
-	if *retries < 0 {
-		return fmt.Errorf("-retries: must be >= 0, got %d", *retries)
-	}
-	if *cellTimeout < 0 {
-		return fmt.Errorf("-cell-timeout: must be >= 0, got %v", *cellTimeout)
-	}
-	pool, hosts, err := parseWorkersFlag(*workersFlag)
-	if err != nil {
-		return err
-	}
-	if len(hosts) > 0 && *cacheDir != "" {
-		return fmt.Errorf("sweep: -cache-dir is local-engine state; with remote -workers run `serve -cache-dir` on a hub and point the workers at it with -cache-upstream")
-	}
-	dir := *cacheDir
-	var journal *sched.Journal
-	var cjournal *cluster.Journal
-	if *resume != "" {
-		if *cacheDir != "" {
-			return fmt.Errorf("-resume and -cache-dir are mutually exclusive: -resume DIR already keeps the result cache (plus journal.jsonl and manifest.json) under DIR")
+	env := &execEnv{spansDir: spansDir}
+	if plan != nil {
+		spec := fault.EnvVar + "=" + os.Getenv(fault.EnvVar)
+		if wire != "" && plan.HasNetworkFaults() {
+			env.chaos = &fault.ChaosTransport{Plan: plan}
+			fmt.Fprintf(os.Stderr, "bioperf5: network chaos enabled on the %s transport (%s)\n", wire, spec)
 		}
-		if len(hosts) > 0 {
-			// The coordinator has no local cache, so its journal carries
-			// full results; the manifest still lands at DIR/manifest.json.
-			cjournal, err = cluster.OpenJournal(filepath.Join(*resume, "journal.jsonl"))
-			if err != nil {
-				return fmt.Errorf("-resume: %w", err)
-			}
-			defer cjournal.Close()
-		} else {
-			dir = *resume
-			journal, err = sched.OpenJournal(filepath.Join(*resume, "journal.jsonl"))
-			if err != nil {
-				return fmt.Errorf("-resume: %w", err)
-			}
-			defer journal.Close()
+		switch {
+		case !remote:
+			o.Injector = plan
+			fmt.Fprintf(os.Stderr, "bioperf5: fault injection enabled (%s)\n", spec)
+		case plan.HasLocalFaults():
+			fmt.Fprintf(os.Stderr, "bioperf5: %s engine-site faults target the local engine; ignored with remote -workers (set them on the workers instead)\n", fault.EnvVar)
 		}
 	}
-	injector, err := fault.FromEnv()
-	if err != nil {
-		return err
-	}
-	var clusterHTTP *http.Client
-	if injector != nil {
-		if len(hosts) > 0 {
-			// Distributed mode: the local engine does not exist, so the
-			// engine-site faults are meaningless here — but the network
-			// sites target exactly this coordinator→worker transport.
-			plan, perr := fault.PlanFromEnv()
-			if perr != nil {
-				return perr
-			}
-			injector = nil
-			if plan.HasNetworkFaults() {
-				clusterHTTP = &http.Client{Transport: &fault.ChaosTransport{Plan: plan}}
-				fmt.Fprintf(os.Stderr, "bioperf5: network chaos enabled on the coordinator transport (%s=%s)\n",
-					fault.EnvVar, os.Getenv(fault.EnvVar))
-			}
-			if plan.HasLocalFaults() {
-				fmt.Fprintf(os.Stderr, "bioperf5: %s engine-site faults target the local engine; ignored with remote -workers (set them on the workers instead)\n", fault.EnvVar)
-			}
-		} else {
-			fmt.Fprintf(os.Stderr, "bioperf5: fault injection enabled (%s=%s)\n",
-				fault.EnvVar, os.Getenv(fault.EnvVar))
-		}
-	}
-	fxus, err := parseIntList("fxus", *fxusFlag, false)
-	if err != nil {
-		return err
-	}
-	btac, err := parseIntList("btac", *btacFlag, true)
-	if err != nil {
-		return err
-	}
-	predictors, err := parsePredictorsFlag(*predictorsFlag)
-	if err != nil {
-		return err
-	}
-	var variants []kernels.Variant
-	for _, name := range strings.Split(*variantsFlag, ",") {
-		v, err := parseVariant(strings.TrimSpace(name))
-		if err != nil {
-			return err
-		}
-		variants = append(variants, v)
-	}
-	apps := workload.Apps()
-	if *appsFlag != "all" {
-		apps = nil
-		for _, a := range strings.Split(*appsFlag, ",") {
-			apps = append(apps, strings.TrimSpace(a))
-		}
-	}
-	// SIGINT/SIGTERM cancel pending cells instead of killing the
-	// process: the sweep degrades, the journal and cache keep what
-	// finished, and -resume picks up the rest.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	cfg.Context = ctx
-	var reg *telemetry.Registry
-	if len(hosts) > 0 {
-		// Distributed mode: no local engine — the coordinator owns its
-		// own registry for the cluster.* counters and span histograms.
-		reg = telemetry.NewRegistry()
+	if remote {
+		env.reg = telemetry.NewRegistry()
 	} else {
-		eng := sched.New(sched.Options{
-			Workers:     pool,
-			CacheDir:    dir,
-			Retries:     *retries,
-			CellTimeout: *cellTimeout,
-			Injector:    injector,
-			Journal:     journal,
-		})
-		defer eng.Drain(context.Background())
-		cfg.Engine = eng
-		reg = eng.Registry()
+		o.CacheTransport = env.chaos
+		env.eng = sched.New(o)
+		env.reg = env.eng.Registry()
 	}
-	var tracer *telemetry.Tracer
-	if *spansDir != "" {
-		// The registry hookup puts span.<stage>.us histograms in the
-		// manifest's scheduler snapshot path for free.
-		tracer = telemetry.NewTracer(0, reg)
-		cfg.Context = telemetry.WithTracer(ctx, tracer)
+	if spansDir != "" {
+		// The registry hookup puts span.<stage>.us histograms beside the
+		// engine's (or the coordinator's) own metrics for free.
+		env.tracer = telemetry.NewTracer(0, env.reg)
 	}
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			return fmt.Errorf("-cpuprofile: %w", err)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			f.Close()
-			return fmt.Errorf("-cpuprofile: %w", err)
-		}
-		defer func() {
-			pprof.StopCPUProfile()
-			f.Close()
-		}()
-	}
-	spec := harness.SweepSpec{
-		FXUs:        fxus,
-		BTACEntries: btac,
-		Predictors:  predictors,
-		Variants:    variants,
-		Apps:        apps,
-		Config:      cfg,
-	}
-	var m *harness.SweepManifest
-	if len(hosts) > 0 {
-		m, err = cluster.Run(cluster.Options{
-			Workers:  hosts,
-			Spec:     spec,
-			Retries:  *retries,
-			Journal:  cjournal,
-			Registry: reg,
-			HTTP:     clusterHTTP,
-		})
-	} else {
-		m, err = harness.RunSweep(spec)
-	}
-	if err != nil {
-		return err
-	}
-	if *resume != "" {
-		_, msp := telemetry.StartSpan(cfg.Context, telemetry.StageManifest)
-		werr := m.WriteJSONFile(filepath.Join(*resume, "manifest.json"))
-		msp.End()
-		if werr != nil {
-			return fmt.Errorf("write manifest: %w", werr)
-		}
-	}
-	if *memprofile != "" {
-		if err := writeHeapProfile(*memprofile); err != nil {
-			return fmt.Errorf("-memprofile: %w", err)
-		}
-	}
-	if tracer != nil {
-		if err := writeSpanFiles(*spansDir, tracer); err != nil {
-			return fmt.Errorf("-spans: %w", err)
-		}
-		fmt.Fprintf(os.Stderr, "bioperf5: wrote %d spans to %s (spans.jsonl + trace.json)\n",
-			tracer.Len(), *spansDir)
-		if n := tracer.Dropped(); n > 0 {
-			fmt.Fprintf(os.Stderr, "bioperf5: span capacity reached, dropped %d spans\n", n)
-		}
-	}
-	if *jsonOut {
-		if err := m.WriteJSON(os.Stdout); err != nil {
-			return err
-		}
-		return sweepDegradedSummary(m)
-	}
-	if *grid {
-		fmt.Println(m.Grid().Render())
-	}
-	fmt.Println(m.Summary().Render())
-	if tbl := m.ProfileTable(); tbl != nil {
-		fmt.Println(tbl.Render())
-	}
-	if cs := m.Cluster; cs != nil {
-		printClusterSummary(cs)
-	} else {
-		st := m.Scheduler
-		poolDesc := fmt.Sprintf("%d workers", st.Workers)
-		if st.Workers == 1 {
-			poolDesc = "1 worker"
-		}
-		fmt.Printf("scheduler: %d jobs on %s, %d simulated, cache hit rate %.0f%% (%d in-memory, %d disk)\n",
-			st.Submitted, poolDesc, st.Computed, 100*st.HitRate(), st.MemoryHits, st.DiskHits)
-		if st.DiskCorrupt > 0 {
-			fmt.Printf("scheduler: %d corrupted disk cache entries detected and recomputed\n", st.DiskCorrupt)
-		}
-		if st.Retries > 0 || st.Timeouts > 0 || st.Injected > 0 {
-			fmt.Printf("scheduler: %d retries, %d cell timeouts, %d injected faults\n",
-				st.Retries, st.Timeouts, st.Injected)
-		}
-		if st.Resumed > 0 {
-			fmt.Printf("scheduler: resumed — %d completed cells skipped via the journal and cache\n", st.Resumed)
-		}
-	}
-	fmt.Println(sweepElapsedLine(m))
-	return sweepDegradedSummary(m)
+	return env, nil
 }
 
-// printClusterSummary renders the distributed fabric's closing lines:
-// how the fleet behaved, and what fraction of cells were served
-// without fresh simulation (worker trace/cache hits plus cells
-// replayed from the coordinator journal).
-func printClusterSummary(cs *harness.ClusterStats) {
-	fmt.Printf("cluster: %d cells on %d workers — %d completed, %d failed, %d resumed from journal\n",
-		cs.Cells, cs.Workers, cs.Completed, cs.FailedCells, cs.Resumed)
-	fmt.Printf("cluster: %d dispatches in %d batches (%d stolen, %d re-dispatched, %d duplicate results dropped, %d HTTP retries)\n",
-		cs.Dispatched, cs.Batches, cs.Stolen, cs.Redispatched, cs.Duplicates, cs.Retries)
-	if cs.Cells > 0 {
-		fmt.Printf("cluster: cache hit rate %.0f%% (%d trace/cache-served + %d journal-resumed of %d cells)\n",
-			100*float64(cs.CacheHits+cs.Resumed)/float64(cs.Cells),
-			cs.CacheHits, cs.Resumed, cs.Cells)
-	}
-	if cs.WorkersLost > 0 {
-		fmt.Printf("cluster: %d worker(s) lost mid-sweep; their shards were redistributed\n", cs.WorkersLost)
-	}
-}
-
-// parseWorkersFlag reads -workers as either a local pool size ("8") or
-// a comma-separated list of remote worker URLs ("host:8077,host2:8077").
-func parseWorkersFlag(s string) (pool int, hosts []string, err error) {
-	s = strings.TrimSpace(s)
-	if s == "" {
-		return 0, nil, nil
-	}
-	if n, aerr := strconv.Atoi(s); aerr == nil {
-		if n < 0 {
-			return 0, nil, fmt.Errorf("-workers: pool size must be >= 0, got %d", n)
-		}
-		return n, nil, nil
-	}
-	for _, part := range strings.Split(s, ",") {
-		if part = strings.TrimSpace(part); part != "" {
-			hosts = append(hosts, part)
-		}
-	}
-	if len(hosts) == 0 {
-		return 0, nil, fmt.Errorf("-workers: want a pool size or a comma-separated worker list, got %q", s)
-	}
-	return 0, hosts, nil
-}
-
-// sweepElapsedLine renders the closing wall-clock summary.  When the
-// manifest carries a stage profile it also says where that time went:
-// total attributed across workers (which exceeds wall time whenever
-// the sweep ran in parallel) and the dominant stage with its share.
-func sweepElapsedLine(m *harness.SweepManifest) string {
-	wall := time.Duration(m.ElapsedMS) * time.Millisecond
-	p := m.Profile
-	if p == nil || p.Aggregate.IsZero() || len(p.Stages) == 0 || p.Stages[0].NS == 0 {
-		return fmt.Sprintf("elapsed: %s wall", wall)
-	}
-	var attributed int64
-	for _, s := range p.Stages {
-		attributed += s.NS
-	}
-	dom := p.Stages[0]
-	return fmt.Sprintf("elapsed: %s wall; %s attributed across workers; dominant stage: %s (%s, %.0f%%)",
-		wall, time.Duration(attributed).Round(time.Millisecond),
-		dom.Name, time.Duration(dom.NS).Round(time.Millisecond),
-		100*float64(dom.NS)/float64(attributed))
-}
-
-// writeHeapProfile snapshots the heap into path, after a GC so the
-// profile reflects live objects rather than garbage.
-func writeHeapProfile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	runtime.GC()
-	return pprof.WriteHeapProfile(f)
-}
-
-// writeSpanFiles exports a tracer's spans under dir in both formats:
-// spans.jsonl (the loadable log `bioperf5 spans` reads) and trace.json
-// (Chrome trace-event, for Perfetto / chrome://tracing).
-func writeSpanFiles(dir string, tr *telemetry.Tracer) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	jf, err := os.Create(filepath.Join(dir, "spans.jsonl"))
-	if err != nil {
-		return err
-	}
-	if err := tr.WriteJSONL(jf); err != nil {
-		jf.Close()
-		return err
-	}
-	if err := jf.Close(); err != nil {
-		return err
-	}
-	cf, err := os.Create(filepath.Join(dir, "trace.json"))
-	if err != nil {
-		return err
-	}
-	if err := tr.WriteChromeTrace(cf); err != nil {
-		cf.Close()
-		return err
-	}
-	return cf.Close()
-}
-
-// sweepDegradedSummary reports degraded cells on stderr and returns a
-// nonzero-exit error when the manifest is partial, so scripted sweeps
-// cannot mistake a degraded run for a complete one.
-func sweepDegradedSummary(m *harness.SweepManifest) error {
-	if m.Degraded == 0 {
+// flushSpans exports the recorded spans under the -spans directory in
+// both formats: spans.jsonl (the loadable log `bioperf5 spans` reads)
+// and trace.json (Chrome trace-event, for Perfetto / chrome://tracing).
+func (env *execEnv) flushSpans() error {
+	if env.tracer == nil {
 		return nil
 	}
-	fmt.Fprintf(os.Stderr, "bioperf5: %d of %d cells degraded:\n", m.Degraded, len(m.Points))
-	for _, p := range m.DegradedPoints() {
-		btac := strconv.Itoa(p.BTACEntries)
-		if p.BTACEntries == 0 {
-			btac = "off"
-		}
-		fmt.Fprintf(os.Stderr, "  %s/%s FXUs=%d BTAC=%s: %s (%s)\n",
-			p.App, p.Variant, p.FXUs, btac, p.Status, p.Error)
+	err := cas.WriteFileAtomic(filepath.Join(env.spansDir, "spans.jsonl"), env.tracer.WriteJSONL)
+	if err == nil {
+		err = cas.WriteFileAtomic(filepath.Join(env.spansDir, "trace.json"), env.tracer.WriteChromeTrace)
 	}
-	return fmt.Errorf("sweep: %d of %d cells degraded (re-run with -resume to retry them)",
-		m.Degraded, len(m.Points))
+	if err != nil {
+		return fmt.Errorf("-spans: %w", err)
+	}
+	fmt.Fprintf(os.Stderr, "bioperf5: wrote %d spans to %s (spans.jsonl + trace.json)\n",
+		env.tracer.Len(), env.spansDir)
+	if n := env.tracer.Dropped(); n > 0 {
+		fmt.Fprintf(os.Stderr, "bioperf5: span capacity reached, dropped %d spans\n", n)
+	}
+	return nil
 }
 
 // cmdFsck scrubs one or more sweep state directories with the store
@@ -783,9 +342,7 @@ func cmdFsck(args []string) error {
 	if err != nil {
 		return err
 	}
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(rep); err != nil {
+	if err := writeJSON(rep); err != nil {
 		return err
 	}
 	if rep.Damaged > 0 {
@@ -827,41 +384,25 @@ func cmdServe(args []string) error {
 	if *cellTimeout < 0 || *reqTimeout < 0 || *drainTimeout <= 0 {
 		return fmt.Errorf("-cell-timeout and -request-timeout must be >= 0 and -drain-timeout > 0")
 	}
-	injector, err := fault.FromEnv()
-	if err != nil {
-		return err
-	}
 	// The network fault sites apply to this worker's upstream hub
 	// traffic (shared result cache and trace tier), not just to the
 	// coordinator: a chaos plan set on a worker exercises the tiers'
 	// verify-and-degrade paths over a hostile wire.
-	var cacheTransport http.RoundTripper
-	if injector != nil && *cacheUpstream != "" {
-		if plan, perr := fault.PlanFromEnv(); perr == nil && plan != nil && plan.HasNetworkFaults() {
-			cacheTransport = &fault.ChaosTransport{Plan: plan}
-			fmt.Fprintf(os.Stderr, "bioperf5: network chaos enabled on the cache-upstream transport (%s=%s)\n",
-				fault.EnvVar, os.Getenv(fault.EnvVar))
-		}
+	wire := ""
+	if *cacheUpstream != "" {
+		wire = "cache-upstream"
 	}
-	eng := sched.New(sched.Options{
-		Workers:        *workers,
-		CacheDir:       *cacheDir,
-		CacheUpstream:  *cacheUpstream,
-		CacheTransport: cacheTransport,
-		Retries:        *retries,
-		CellTimeout:    *cellTimeout,
-		Injector:       injector,
-	})
-	var tracer *telemetry.Tracer
-	if *spansDir != "" {
-		tracer = telemetry.NewTracer(0, eng.Registry())
+	env, err := openEnv(sched.Options{Workers: *workers, CacheDir: *cacheDir, CacheUpstream: *cacheUpstream,
+		Retries: *retries, CellTimeout: *cellTimeout}, false, wire, *spansDir)
+	if err != nil {
+		return err
 	}
 	srv := server.New(server.Options{
-		Engine:         eng,
+		Engine:         env.eng,
 		MaxInflight:    *maxInflight,
 		DefaultTimeout: *reqTimeout,
 		DefaultTrace:   defaultTrace,
-		Tracer:         tracer,
+		Tracer:         env.tracer,
 		EnablePprof:    *enablePprof,
 	})
 	httpSrv := &http.Server{Addr: *addr, Handler: srv}
@@ -878,7 +419,7 @@ func cmdServe(args []string) error {
 	fmt.Fprintf(os.Stderr, "bioperf5: serving on http://%s\n", *addr)
 	select {
 	case err := <-errc:
-		eng.Drain(context.Background())
+		env.eng.Drain(context.Background())
 		return err // the listener died before any signal
 	case <-ctx.Done():
 	}
@@ -890,32 +431,25 @@ func cmdServe(args []string) error {
 	if err := httpSrv.Shutdown(sctx); err != nil {
 		return fmt.Errorf("serve: shutdown: %w", err)
 	}
-	if err := eng.Drain(sctx); err != nil {
+	if err := env.eng.Drain(sctx); err != nil {
 		return fmt.Errorf("serve: %w", err)
 	}
 	if err := <-errc; err != nil {
 		return err
 	}
-	if tracer != nil {
-		if err := writeSpanFiles(*spansDir, tracer); err != nil {
-			return fmt.Errorf("-spans: %w", err)
-		}
-		fmt.Fprintf(os.Stderr, "bioperf5: wrote %d spans to %s (spans.jsonl + trace.json)\n",
-			tracer.Len(), *spansDir)
+	if err := env.flushSpans(); err != nil {
+		return err
 	}
 	fmt.Fprintln(os.Stderr, "bioperf5: drained cleanly")
 	return nil
 }
 
-// cmdTrace runs one kernel invocation with the pipeline event trace
+// cmdTrace runs one kernel invocation through core.Simulate (default
+// policy: captured once, then replayed) with the pipeline event trace
 // attached and streams the per-instruction lifecycle records as JSONL.
 func cmdTrace(args []string) error {
 	if len(args) < 2 {
 		return fmt.Errorf("trace: need <application> <variant>")
-	}
-	k, err := kernels.ByApp(args[0])
-	if err != nil {
-		return err
 	}
 	v, err := parseVariant(args[1])
 	if err != nil {
@@ -928,13 +462,9 @@ func cmdTrace(args []string) error {
 	if err := fs.Parse(args[2:]); err != nil {
 		return err
 	}
-	run, err := k.NewRun(*seed, *scale)
-	if err != nil {
-		return err
-	}
 	buf := telemetry.NewTraceBuffer(*capacity)
-	if _, err := kernels.SimulateObserved(k, v, run, cpu.POWER5Baseline(), simLimit,
-		kernels.Observer{Trace: buf}); err != nil {
+	if _, err := core.Simulate(core.Request{App: args[0], Variant: v, Seeds: []int64{*seed}, Scale: *scale,
+		CPU: cpu.POWER5Baseline(), Observer: kernels.Observer{Trace: buf}}); err != nil {
 		return err
 	}
 	if n := buf.Dropped(); n > 0 {
@@ -957,29 +487,21 @@ type statsReport struct {
 // registry, so the sched.* counters — including the fault and retry
 // counters, live when BIOPERF5_FAULTS is set — appear in the snapshot.
 func statsFor(app string, scale int, seed int64) (statsReport, error) {
-	k, err := kernels.ByApp(app)
-	if err != nil {
-		return statsReport{}, err
-	}
-	run, err := k.NewRun(seed, scale)
-	if err != nil {
-		return statsReport{}, err
-	}
 	reg := telemetry.NewRegistry()
-	if _, err := kernels.SimulateObserved(k, kernels.Branchy, run, cpu.POWER5Baseline(),
-		simLimit, kernels.Observer{Registry: reg}); err != nil {
+	// TraceOff: the snapshot includes the live cache and memory
+	// statistics, which only the coupled path has.
+	if _, err := core.Simulate(core.Request{App: app, Variant: kernels.Branchy, Seeds: []int64{seed},
+		Scale: scale, CPU: cpu.POWER5Baseline(), Trace: core.TraceOff,
+		Observer: kernels.Observer{Registry: reg}}); err != nil {
 		return statsReport{}, err
 	}
-	injector, err := fault.FromEnv()
+	env, err := openEnv(sched.Options{Workers: 1, Registry: reg, Retries: 2}, false, "", "")
 	if err != nil {
 		return statsReport{}, err
 	}
-	eng := sched.New(sched.Options{Workers: 1, Registry: reg, Retries: 2, Injector: injector})
-	_, schedErr := eng.Run(context.Background(), sched.Job{
-		App: app, Variant: kernels.Branchy, CPU: cpu.POWER5Baseline(),
-		Seed: seed, Scale: scale,
-	})
-	eng.Close()
+	_, schedErr := harness.CellStats(harness.Config{Scale: scale, Seeds: []int64{seed}, Engine: env.eng},
+		app, core.Baseline())
+	env.eng.Close()
 	if schedErr != nil {
 		return statsReport{}, schedErr
 	}
@@ -987,11 +509,7 @@ func statsFor(app string, scale int, seed int64) (statsReport, error) {
 	if err != nil {
 		return statsReport{}, err
 	}
-	p := perf.New()
-	for _, e := range res.Breakdown {
-		p.Add(e.Name, e.Time, e.Calls)
-	}
-	p.PublishTo(reg)
+	profileOf(res).PublishTo(reg)
 	return statsReport{App: app, Variant: kernels.Branchy.String(), Snapshot: reg.Snapshot(8)}, nil
 }
 
@@ -1020,9 +538,7 @@ func cmdStats(args []string) error {
 		reports = append(reports, rep)
 	}
 	if *jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		return enc.Encode(reports)
+		return writeJSON(reports)
 	}
 	for _, rep := range reports {
 		fmt.Printf("== %s (%s, POWER5 baseline) ==\n", rep.App, rep.Variant)
@@ -1046,12 +562,18 @@ func cmdProfile(args []string) error {
 		return err
 	}
 	fmt.Println(res.Summary)
+	fmt.Print(profileOf(res).Format())
+	return nil
+}
+
+// profileOf folds an application run's function breakdown into a
+// gprof-style profile.
+func profileOf(res *workload.Result) *perf.Profiler {
 	p := perf.New()
 	for _, e := range res.Breakdown {
 		p.Add(e.Name, e.Time, e.Calls)
 	}
-	fmt.Print(p.Format())
-	return nil
+	return p
 }
 
 // spanStat is one stage row of the aggregated spans report.
@@ -1119,15 +641,9 @@ func cmdSpans(args []string) error {
 		return fmt.Errorf("spans: %s holds no spans", fs.Arg(0))
 	}
 	if *chromeOut != "" {
-		cf, err := os.Create(*chromeOut)
-		if err != nil {
-			return err
-		}
-		if err := telemetry.WriteChromeTraceData(cf, spans); err != nil {
-			cf.Close()
-			return err
-		}
-		if err := cf.Close(); err != nil {
+		if err := cas.WriteFileAtomic(*chromeOut, func(w io.Writer) error {
+			return telemetry.WriteChromeTraceData(w, spans)
+		}); err != nil {
 			return err
 		}
 		fmt.Fprintf(os.Stderr, "bioperf5: wrote Chrome trace-event file %s (%d events)\n",
@@ -1135,9 +651,7 @@ func cmdSpans(args []string) error {
 	}
 	stats := aggregateSpans(spans)
 	if *jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		return enc.Encode(stats)
+		return writeJSON(stats)
 	}
 	fmt.Printf("%d spans, %d stages\n", len(spans), len(stats))
 	fmt.Printf("%-16s %8s %12s %12s %12s\n", "stage", "count", "total", "mean", "max")
@@ -1199,9 +713,7 @@ func cmdVersion(args []string) error {
 	}
 	v := server.BuildVersion()
 	if *jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		return enc.Encode(v)
+		return writeJSON(v)
 	}
 	fmt.Printf("bioperf5 %s\n", v.Version)
 	fmt.Printf("schema:   %s\n", v.Schema)

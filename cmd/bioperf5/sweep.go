@@ -1,0 +1,363 @@
+package main
+
+import (
+	"context"
+	"flag"
+	"fmt"
+	"net/http"
+	"os"
+	"os/signal"
+	"path/filepath"
+	"runtime"
+	"runtime/pprof"
+	"strconv"
+	"strings"
+	"syscall"
+	"time"
+
+	"bioperf5/internal/cas"
+	"bioperf5/internal/cluster"
+	"bioperf5/internal/harness"
+	"bioperf5/internal/sched"
+	"bioperf5/internal/telemetry"
+)
+
+// sweepFlags is a parsed `sweep` command line.
+type sweepFlags struct {
+	spec                   harness.SweepSpec
+	engine                 sched.Options // the local engine: pool, cache dir, retries, cell deadline
+	hosts                  []string      // remote workers; non-empty = distributed
+	resume, spansDir       string
+	cpuprofile, memprofile string
+	grid, jsonOut          bool
+}
+
+// cmdSweep runs a full-factorial design-space sweep in four steps:
+// parse the flags into a spec, open the execution environment (the
+// local parallel scheduler with its cache and resume journal, or just a
+// registry when remote workers run the cells), run, report.
+func cmdSweep(args []string) error {
+	f, err := parseSweepFlags(args)
+	if err != nil {
+		return err
+	}
+	remote := len(f.hosts) > 0
+	if f.resume != "" && !remote {
+		f.engine.CacheDir = f.resume
+		if f.engine.Journal, err = sched.OpenJournal(filepath.Join(f.resume, "journal.jsonl")); err != nil {
+			return fmt.Errorf("-resume: %w", err)
+		}
+		defer f.engine.Journal.Close()
+	}
+	env, err := openEnv(f.engine, remote, "coordinator", f.spansDir)
+	if err != nil {
+		return err
+	}
+	if env.eng != nil {
+		defer env.eng.Drain(context.Background()) // before the journal closes
+	}
+	// SIGINT/SIGTERM cancel pending cells instead of killing the
+	// process: the sweep degrades, the journal and cache keep what
+	// finished, and -resume picks up the rest.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	if env.tracer != nil {
+		ctx = telemetry.WithTracer(ctx, env.tracer)
+	}
+	f.spec.Config.Context, f.spec.Config.Engine = ctx, env.eng
+	if f.cpuprofile != "" {
+		pf, err := os.Create(f.cpuprofile)
+		if err != nil {
+			return fmt.Errorf("-cpuprofile: %w", err)
+		}
+		defer pf.Close()
+		if err := pprof.StartCPUProfile(pf); err != nil {
+			return fmt.Errorf("-cpuprofile: %w", err)
+		}
+		defer pprof.StopCPUProfile()
+	}
+	m, err := f.run(env)
+	if err != nil {
+		return err
+	}
+	return f.report(env, m)
+}
+
+// parseSweepFlags reads and validates the sweep command line; nothing
+// is opened or created yet.
+func parseSweepFlags(args []string) (*sweepFlags, error) {
+	f := &sweepFlags{}
+	fs := flag.NewFlagSet("sweep", flag.ContinueOnError)
+	fxusFlag := fs.String("fxus", "2,3,4", "comma-separated fixed-point unit counts")
+	btacFlag := fs.String("btac", "off,8", "comma-separated BTAC entry counts ('off' = none)")
+	predictorsFlag := fs.String("predictors", "", "semicolon-separated direction-predictor specs, e.g. 'tournament;tage:tables=4,hist=2..64' (empty = the POWER5-like default; see `bioperf5 predictors`)")
+	variantsFlag := fs.String("variants", "original,combination", "comma-separated predication variants")
+	appsFlag := fs.String("apps", "all", "comma-separated applications, or 'all'")
+	workersFlag := fs.String("workers", "", "local worker pool size (default GOMAXPROCS), or a comma-separated list of remote `bioperf5 serve` URLs to run the sweep distributed")
+	fs.StringVar(&f.engine.CacheDir, "cache-dir", "", "content-addressed on-disk result cache directory")
+	fs.IntVar(&f.engine.Retries, "retries", 2, "per-cell retry budget for transient failures (with remote workers: the per-dispatch HTTP retry budget)")
+	fs.DurationVar(&f.engine.CellTimeout, "cell-timeout", 0, "per-cell simulation deadline, e.g. 30s (0 = none)")
+	fs.StringVar(&f.resume, "resume", "", "sweep state directory (disk cache + completion journal + manifest); re-running against it resumes only unfinished cells")
+	fs.BoolVar(&f.grid, "grid", false, "print every grid point, not just the best per application")
+	fs.BoolVar(&f.jsonOut, "json", false, "emit the JSON manifest instead of the summary table")
+	fs.StringVar(&f.spansDir, "spans", "", "record a span per lifecycle stage and write spans.jsonl + trace.json (Perfetto-loadable) under DIR")
+	fs.StringVar(&f.cpuprofile, "cpuprofile", "", "write a pprof CPU profile of the sweep to FILE")
+	fs.StringVar(&f.memprofile, "memprofile", "", "write a pprof heap profile (taken after the sweep) to FILE")
+	var err error
+	if f.spec.Config, _, err = parseConfig(fs, args); err != nil {
+		return nil, err
+	}
+	if f.engine.Retries < 0 {
+		return nil, fmt.Errorf("-retries: must be >= 0, got %d", f.engine.Retries)
+	}
+	if f.engine.CellTimeout < 0 {
+		return nil, fmt.Errorf("-cell-timeout: must be >= 0, got %v", f.engine.CellTimeout)
+	}
+	if f.engine.Workers, f.hosts, err = parseWorkersFlag(*workersFlag); err != nil {
+		return nil, err
+	}
+	if len(f.hosts) > 0 && f.engine.CacheDir != "" {
+		return nil, fmt.Errorf("sweep: -cache-dir is local-engine state; with remote -workers run `serve -cache-dir` on a hub and point the workers at it with -cache-upstream")
+	}
+	if f.resume != "" && f.engine.CacheDir != "" {
+		return nil, fmt.Errorf("-resume and -cache-dir are mutually exclusive: -resume DIR already keeps the result cache (plus journal.jsonl and manifest.json) under DIR")
+	}
+	if f.spec.FXUs, err = parseIntList("fxus", *fxusFlag, false); err != nil {
+		return nil, err
+	}
+	if f.spec.BTACEntries, err = parseIntList("btac", *btacFlag, true); err != nil {
+		return nil, err
+	}
+	if f.spec.Predictors, err = parsePredictorsFlag(*predictorsFlag); err != nil {
+		return nil, err
+	}
+	for _, name := range strings.Split(*variantsFlag, ",") {
+		v, err := parseVariant(strings.TrimSpace(name))
+		if err != nil {
+			return nil, err
+		}
+		f.spec.Variants = append(f.spec.Variants, v)
+	}
+	if *appsFlag != "all" {
+		for _, a := range strings.Split(*appsFlag, ",") {
+			f.spec.Apps = append(f.spec.Apps, strings.TrimSpace(a))
+		}
+	}
+	return f, nil
+}
+
+// run evaluates the grid: harness.RunSweep on the local engine, or
+// cluster.Run across the remote workers (whose -resume journal, unlike
+// the engine's, carries full results — the coordinator has no cache).
+func (f *sweepFlags) run(env *execEnv) (*harness.SweepManifest, error) {
+	if len(f.hosts) == 0 {
+		return harness.RunSweep(f.spec)
+	}
+	opts := cluster.Options{Workers: f.hosts, Spec: f.spec, Retries: f.engine.Retries, Registry: env.reg}
+	if env.chaos != nil {
+		opts.HTTP = &http.Client{Transport: env.chaos}
+	}
+	if f.resume != "" {
+		j, err := cluster.OpenJournal(filepath.Join(f.resume, "journal.jsonl"))
+		if err != nil {
+			return nil, fmt.Errorf("-resume: %w", err)
+		}
+		defer j.Close()
+		opts.Journal = j
+	}
+	return cluster.Run(opts)
+}
+
+// report writes everything a finished sweep leaves behind — the resume
+// manifest, the heap profile, the span files — then prints the manifest
+// or the tables and summary lines.  A degraded manifest is a nonzero
+// exit.
+func (f *sweepFlags) report(env *execEnv, m *harness.SweepManifest) error {
+	if f.resume != "" {
+		_, msp := telemetry.StartSpan(f.spec.Config.Context, telemetry.StageManifest)
+		werr := m.WriteJSONFile(filepath.Join(f.resume, "manifest.json"))
+		msp.End()
+		if werr != nil {
+			return fmt.Errorf("write manifest: %w", werr)
+		}
+	}
+	if f.memprofile != "" {
+		runtime.GC() // so the profile reflects live objects rather than garbage
+		if err := cas.WriteFileAtomic(f.memprofile, pprof.WriteHeapProfile); err != nil {
+			return fmt.Errorf("-memprofile: %w", err)
+		}
+	}
+	if err := env.flushSpans(); err != nil {
+		return err
+	}
+	if f.jsonOut {
+		if err := m.WriteJSON(os.Stdout); err != nil {
+			return err
+		}
+		return sweepDegradedSummary(m)
+	}
+	if f.grid {
+		fmt.Println(m.Grid().Render())
+	}
+	fmt.Println(m.Summary().Render())
+	if tbl := m.ProfileTable(); tbl != nil {
+		fmt.Println(tbl.Render())
+	}
+	if cs := m.Cluster; cs != nil {
+		printClusterSummary(cs)
+	} else {
+		printSchedulerSummary(m.Scheduler)
+	}
+	fmt.Println(sweepElapsedLine(m))
+	return sweepDegradedSummary(m)
+}
+
+// printSchedulerSummary renders the local engine's closing lines.
+func printSchedulerSummary(st sched.Stats) {
+	poolDesc := fmt.Sprintf("%d workers", st.Workers)
+	if st.Workers == 1 {
+		poolDesc = "1 worker"
+	}
+	fmt.Printf("scheduler: %d jobs on %s, %d simulated, cache hit rate %.0f%% (%d in-memory, %d disk)\n",
+		st.Submitted, poolDesc, st.Computed, 100*st.HitRate(), st.MemoryHits, st.DiskHits)
+	if st.DiskCorrupt > 0 {
+		fmt.Printf("scheduler: %d corrupted disk cache entries detected and recomputed\n", st.DiskCorrupt)
+	}
+	if st.Retries > 0 || st.Timeouts > 0 || st.Injected > 0 {
+		fmt.Printf("scheduler: %d retries, %d cell timeouts, %d injected faults\n",
+			st.Retries, st.Timeouts, st.Injected)
+	}
+	if st.Resumed > 0 {
+		fmt.Printf("scheduler: resumed — %d completed cells skipped via the journal and cache\n", st.Resumed)
+	}
+}
+
+// printClusterSummary renders the distributed fabric's closing lines:
+// how the fleet behaved, and what fraction of cells were served
+// without fresh simulation (worker trace/cache hits plus cells
+// replayed from the coordinator journal).
+func printClusterSummary(cs *harness.ClusterStats) {
+	fmt.Printf("cluster: %d cells on %d workers — %d completed, %d failed, %d resumed from journal\n",
+		cs.Cells, cs.Workers, cs.Completed, cs.FailedCells, cs.Resumed)
+	fmt.Printf("cluster: %d dispatches in %d batches (%d stolen, %d re-dispatched, %d duplicate results dropped, %d HTTP retries)\n",
+		cs.Dispatched, cs.Batches, cs.Stolen, cs.Redispatched, cs.Duplicates, cs.Retries)
+	if cs.Cells > 0 {
+		fmt.Printf("cluster: cache hit rate %.0f%% (%d trace/cache-served + %d journal-resumed of %d cells)\n",
+			100*float64(cs.CacheHits+cs.Resumed)/float64(cs.Cells),
+			cs.CacheHits, cs.Resumed, cs.Cells)
+	}
+	if cs.WorkersLost > 0 {
+		fmt.Printf("cluster: %d worker(s) lost mid-sweep; their shards were redistributed\n", cs.WorkersLost)
+	}
+}
+
+// parseWorkersFlag reads -workers as either a local pool size ("8") or
+// a comma-separated list of remote worker URLs ("host:8077,host2:8077").
+func parseWorkersFlag(s string) (pool int, hosts []string, err error) {
+	s = strings.TrimSpace(s)
+	if s == "" {
+		return 0, nil, nil
+	}
+	if n, aerr := strconv.Atoi(s); aerr == nil {
+		if n < 0 {
+			return 0, nil, fmt.Errorf("-workers: pool size must be >= 0, got %d", n)
+		}
+		return n, nil, nil
+	}
+	for _, part := range strings.Split(s, ",") {
+		if part = strings.TrimSpace(part); part != "" {
+			hosts = append(hosts, part)
+		}
+	}
+	if len(hosts) == 0 {
+		return 0, nil, fmt.Errorf("-workers: want a pool size or a comma-separated worker list, got %q", s)
+	}
+	return 0, hosts, nil
+}
+
+// sweepElapsedLine renders the closing wall-clock summary.  When the
+// manifest carries a stage profile it also says where that time went:
+// total attributed across workers (which exceeds wall time whenever
+// the sweep ran in parallel) and the dominant stage with its share.
+func sweepElapsedLine(m *harness.SweepManifest) string {
+	wall := time.Duration(m.ElapsedMS) * time.Millisecond
+	p := m.Profile
+	if p == nil || p.Aggregate.IsZero() || len(p.Stages) == 0 || p.Stages[0].NS == 0 {
+		return fmt.Sprintf("elapsed: %s wall", wall)
+	}
+	var attributed int64
+	for _, s := range p.Stages {
+		attributed += s.NS
+	}
+	dom := p.Stages[0]
+	return fmt.Sprintf("elapsed: %s wall; %s attributed across workers; dominant stage: %s (%s, %.0f%%)",
+		wall, time.Duration(attributed).Round(time.Millisecond),
+		dom.Name, time.Duration(dom.NS).Round(time.Millisecond),
+		100*float64(dom.NS)/float64(attributed))
+}
+
+// sweepDegradedSummary reports degraded cells on stderr and returns a
+// nonzero-exit error when the manifest is partial, so scripted sweeps
+// cannot mistake a degraded run for a complete one.
+func sweepDegradedSummary(m *harness.SweepManifest) error {
+	if m.Degraded == 0 {
+		return nil
+	}
+	fmt.Fprintf(os.Stderr, "bioperf5: %d of %d cells degraded:\n", m.Degraded, len(m.Points))
+	for _, p := range m.DegradedPoints() {
+		btac := strconv.Itoa(p.BTACEntries)
+		if p.BTACEntries == 0 {
+			btac = "off"
+		}
+		fmt.Fprintf(os.Stderr, "  %s/%s FXUs=%d BTAC=%s: %s (%s)\n",
+			p.App, p.Variant, p.FXUs, btac, p.Status, p.Error)
+	}
+	return fmt.Errorf("sweep: %d of %d cells degraded (re-run with -resume to retry them)",
+		m.Degraded, len(m.Points))
+}
+
+// parseIntList parses a comma-separated list of ints, mapping the
+// word "off" to zero (used by -btac).
+func parseIntList(flagName, s string, allowOff bool) ([]int, error) {
+	var out []int
+	for _, part := range strings.Split(s, ",") {
+		part = strings.TrimSpace(part)
+		if allowOff && strings.EqualFold(part, "off") {
+			out = append(out, 0)
+			continue
+		}
+		v, err := strconv.Atoi(part)
+		if err != nil {
+			return nil, fmt.Errorf("-%s: bad value %q", flagName, part)
+		}
+		out = append(out, v)
+	}
+	return out, nil
+}
+
+// parsePredictorsFlag splits a -predictors value into predictor specs.
+// Specs are separated by ';' (their parameter lists contain commas); a
+// value without parameters may use commas instead ("gshare,tage").
+// The sweep plan canonicalises them (a typo fails there, listing the
+// registered kinds).
+func parsePredictorsFlag(s string) ([]string, error) {
+	s = strings.TrimSpace(s)
+	if s == "" {
+		return nil, nil
+	}
+	sep := ";"
+	if !strings.Contains(s, ";") && !strings.Contains(s, ":") {
+		sep = ","
+	}
+	var out []string
+	for _, part := range strings.Split(s, sep) {
+		part = strings.TrimSpace(part)
+		if part != "" {
+			out = append(out, part)
+		}
+	}
+	if len(out) == 0 {
+		return nil, fmt.Errorf("-predictors: no specs in %q", s)
+	}
+	return out, nil
+}

@@ -134,3 +134,31 @@ func TestTAGEHistoryLengths(t *testing.T) {
 		}
 	}
 }
+
+// FuzzParseSpec: any string is either refused with a *SpecError or has
+// a canonical form that is a fixed point of CanonicalSpec — the
+// property every cell key rests on.
+func FuzzParseSpec(f *testing.F) {
+	for _, s := range []string{
+		"", "tournament", "  Tournament : hist=11 , bits=12 ", "gshare", "gshare:hist=11,bits=12",
+		"bimodal", "static-taken", "perceptron:weights=256", "tage:tables=4,hist=2..64",
+		"tage:hist=4..32,tables=6", "tage:hist=8",
+		"tge", "gshare:", "gshare:bits", "gshare:bits=99", "gshare:bits=x", "gshare:entries=4",
+		"tage:hist=64..2", "tage:hist=0..64", "perceptron:weights=0",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		c, err := CanonicalSpec(s)
+		if err != nil {
+			var se *SpecError
+			if !errors.As(err, &se) {
+				t.Fatalf("CanonicalSpec(%q): error %T is not a *SpecError", s, err)
+			}
+			return
+		}
+		if again, err := CanonicalSpec(c); err != nil || again != c {
+			t.Fatalf("CanonicalSpec(%q) = %q, which canonicalises to %q, %v", s, c, again, err)
+		}
+	})
+}

@@ -36,8 +36,6 @@ import (
 	"sync"
 	"time"
 
-	"bioperf5/internal/core"
-	"bioperf5/internal/cpu"
 	"bioperf5/internal/harness"
 	"bioperf5/internal/sched"
 	"bioperf5/internal/server"
@@ -293,18 +291,17 @@ func (c *coordinator) handshake(ctx context.Context) error {
 // shared key — the one that will carry its cost — matches local
 // submission order.
 func (c *coordinator) buildUnits() {
-	cfg := c.plan.Spec.Config
 	add := func(pc harness.PlanCell) {
 		if _, ok := c.units[pc.Key]; ok {
 			return
 		}
-		u := &unit{key: pc.Key, req: cellRequest(pc, cfg)}
+		u := &unit{key: pc.Key, req: server.CellRequest(pc.Cell)}
 		if c.o.Journal != nil {
 			if rec, ok := c.o.Journal.Lookup(pc.Key); ok {
 				u.done = true
 				u.traceHit = rec.TraceHit
 				u.res = harness.CellResult{
-					Detail: detailFromStats(rec.Stats),
+					Detail: rec.Stats.Detail(),
 					Status: harness.StatusOK,
 				}
 				c.stats.Resumed++
@@ -350,20 +347,6 @@ func (c *coordinator) shard() {
 		if u.dispatches == -1 {
 			u.dispatches = 0
 		}
-	}
-}
-
-// cellRequest is the wire form of one planned cell.
-func cellRequest(pc harness.PlanCell, cfg harness.Config) server.CellRequest {
-	return server.CellRequest{
-		App:         pc.App,
-		Variant:     pc.Variant.String(),
-		FXUs:        pc.FXUs,
-		BTACEntries: pc.BTACEntries,
-		Predictor:   pc.Predictor,
-		Scale:       cfg.Scale,
-		Seeds:       cfg.Seeds,
-		Trace:       string(cfg.Trace),
 	}
 }
 
@@ -643,7 +626,7 @@ func (c *coordinator) record(batch []*unit, item server.BatchItem) {
 		c.stats.FailedCells++
 	case item.Status == "ok" && item.Result != nil:
 		u.res = harness.CellResult{
-			Detail: detailFromStats(item.Result.Stats),
+			Detail: item.Result.Stats.Detail(),
 			Cost:   item.Result.Cost,
 			Status: harness.StatusOK,
 		}
@@ -866,23 +849,4 @@ func (c *coordinator) publish() {
 		}
 	}
 	reg.Gauge("cluster.breaker.min_health").Set(minHealth)
-}
-
-// detailFromStats reconstructs the engine-side per-seed detail from
-// the wire stats, the inverse of the server's packKernelStats.  Rates
-// are derived fields and recomputed by the manifest assembly, so only
-// counters and stall stacks need to survive the round trip.
-func detailFromStats(ks harness.KernelStats) *core.Detail {
-	det := &core.Detail{
-		Aggregate: cpu.Report{
-			Counters: ks.Aggregate.Counters,
-			Stalls:   ks.Aggregate.Stalls,
-		},
-	}
-	for _, s := range ks.Seeds {
-		det.Seeds = append(det.Seeds, core.SeedReport{
-			Seed: s.Seed, Counters: s.Counters, Stalls: s.Stalls,
-		})
-	}
-	return det
 }

@@ -71,10 +71,11 @@ type Request struct {
 	// Limit bounds each seed's dynamic instruction count; 0 means the
 	// standard per-invocation limit.
 	Limit uint64
-	// Branches, when set, watches every resolved branch of every seed
-	// on the timing core, whichever policy feeds it.  It observes
-	// without perturbing, so results do not depend on it.
-	Branches cpu.BranchProfiler
+	// Observer's hooks (event trace, registry, branch profiler) watch
+	// the timing core for every seed, whichever policy feeds it,
+	// without perturbing it.  The live cache and memory publish into
+	// the registry only under TraceOff: a replay has neither.
+	Observer kernels.Observer
 }
 
 // Response is the result of one Simulate call.
@@ -147,8 +148,7 @@ func Simulate(req Request) (*Response, error) {
 
 	resp := &Response{}
 	for _, seed := range req.Seeds {
-		rep, hit, cost, err := simulateSeed(ctx, k, req.Variant, seed, scale, req.CPU, policy, store, limit,
-			kernels.Observer{Branches: req.Branches})
+		rep, hit, cost, err := simulateSeed(ctx, k, req.Variant, seed, scale, req.CPU, policy, store, limit, req.Observer)
 		if err != nil {
 			return nil, err
 		}

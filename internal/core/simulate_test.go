@@ -235,7 +235,7 @@ func (s siteCounts) OnBTAC(pc int, predicted, wrong bool) {
 	s[pc] = c
 }
 
-// TestSimulateBranchesRideEveryPolicy: Request.Branches sees the same
+// TestSimulateBranchesRideEveryPolicy: Request.Observer.Branches sees the same
 // per-site stream whether the core is fed live, from a fresh capture or
 // from a stored trace, and its totals are the aggregate counters.
 func TestSimulateBranchesRideEveryPolicy(t *testing.T) {
@@ -247,7 +247,7 @@ func TestSimulateBranchesRideEveryPolicy(t *testing.T) {
 	}{{"off", TraceOff}, {"auto cold", TraceAuto}, {"auto warm", TraceAuto}, {"replay", TraceReplay}} {
 		prof := siteCounts{}
 		req := simRequest(store, c.policy)
-		req.Branches = prof
+		req.Observer.Branches = prof
 		resp, err := Simulate(req)
 		if err != nil {
 			t.Fatal(err)

@@ -57,7 +57,7 @@ func RunBranches(cfg Config, app string, setup core.Setup) (*BranchReport, error
 	}
 	prof := bprof.New()
 	resp, err := core.Simulate(core.Request{App: k.App, Variant: setup.Variant, Seeds: cfg.Seeds,
-		Scale: cfg.Scale, CPU: setup.CPU, Branches: prof})
+		Scale: cfg.Scale, CPU: setup.CPU, Observer: kernels.Observer{Branches: prof}})
 	if err != nil {
 		return nil, err
 	}

@@ -62,13 +62,14 @@ func Table1(cfg Config) (*Table, error) {
 	ks := kernels.All()
 	cells := make([]*pending, len(ks))
 	for i, k := range ks {
-		cells[i] = cfg.submitCell(k, core.Baseline())
+		cells[i] = cfg.submitCell(k.App, core.Baseline())
+	}
+	ctrs, err := countersOf(cells)
+	if err != nil {
+		return nil, err
 	}
 	for i, k := range ks {
-		ctr, err := cells[i].counters()
-		if err != nil {
-			return nil, err
-		}
+		ctr := ctrs[i]
 		t.Rows = append(t.Rows, []string{k.App, f2(ctr.IPC()),
 			pct(ctr.L1DMissRate()), pct(ctr.DirectionShare()),
 			pct(ctr.StallFXUShare())})
@@ -103,10 +104,28 @@ func Fig2(cfg Config) (*Table, error) {
 	return t, nil
 }
 
-// submitVariant schedules one application kernel under one predication
-// variant on the baseline core.
-func submitVariant(k *kernels.Kernel, v kernels.Variant, cfg Config) *pending {
-	return cfg.submitCell(k, core.Baseline().WithVariant(v))
+// submitVariants schedules every kernel under every listed predication
+// variant on the baseline core: cells[kernel][variant].
+func submitVariants(ks []*kernels.Kernel, vs []kernels.Variant, cfg Config) [][]*pending {
+	cells := make([][]*pending, len(ks))
+	for i, k := range ks {
+		for _, v := range vs {
+			cells[i] = append(cells[i], cfg.submitCell(k.App, core.Baseline().WithVariant(v)))
+		}
+	}
+	return cells
+}
+
+// countersOf collects cells in order, stopping at the first failure.
+func countersOf(cells []*pending) ([]cpu.Counters, error) {
+	out := make([]cpu.Counters, len(cells))
+	for i, cl := range cells {
+		var err error
+		if out[i], err = cl.counters(); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
 }
 
 // normIPC is the performance metric of Figures 3-6: instructions of the
@@ -133,29 +152,18 @@ func Fig3(cfg Config) (*Table, error) {
 		Columns: []string{"application", "variant", "IPC", "improvement"},
 	}
 	ks := kernels.All()
-	vs := figure3Variants()
-	baseCells := make([]*pending, len(ks))
-	varCells := make([][]*pending, len(ks))
+	vs := append([]kernels.Variant{kernels.Branchy}, figure3Variants()...)
+	cells := submitVariants(ks, vs, cfg)
 	for i, k := range ks {
-		baseCells[i] = submitVariant(k, kernels.Branchy, cfg)
-		varCells[i] = make([]*pending, len(vs))
-		for j, v := range vs {
-			varCells[i][j] = submitVariant(k, v, cfg)
-		}
-	}
-	for i, k := range ks {
-		base, err := baseCells[i].counters()
+		ctrs, err := countersOf(cells[i])
 		if err != nil {
 			return nil, err
 		}
+		base := ctrs[0]
 		t.Rows = append(t.Rows, []string{k.App, kernels.Branchy.String(), f2(base.IPC()), "-"})
-		for j, v := range vs {
-			ctr, err := varCells[i][j].counters()
-			if err != nil {
-				return nil, err
-			}
+		for j, ctr := range ctrs[1:] {
 			ipc := normIPC(base, ctr)
-			t.Rows = append(t.Rows, []string{"", v.String(), f2(ipc),
+			t.Rows = append(t.Rows, []string{"", vs[j+1].String(), f2(ipc),
 				pctDelta(ipc, base.IPC())})
 		}
 	}
@@ -178,24 +186,18 @@ func Table2(cfg Config) (*Table, error) {
 		kernels.Branchy,
 	}
 	ks := kernels.All()
-	cells := make([][]*pending, len(ks))
+	cells := submitVariants(ks, order, cfg)
 	for i, k := range ks {
-		cells[i] = make([]*pending, len(order))
-		for j, v := range order {
-			cells[i][j] = submitVariant(k, v, cfg)
+		ctrs, err := countersOf(cells[i])
+		if err != nil {
+			return nil, err
 		}
-	}
-	for i, k := range ks {
-		for j, v := range order {
-			ctr, err := cells[i][j].counters()
-			if err != nil {
-				return nil, err
-			}
+		for j, ctr := range ctrs {
 			app := k.App
 			if j > 0 {
 				app = ""
 			}
-			t.Rows = append(t.Rows, []string{app, v.String(),
+			t.Rows = append(t.Rows, []string{app, order[j].String(),
 				pct(ctr.BranchFraction()), pct(ctr.BranchMispredictRate()),
 				pct(ctr.TakenFraction())})
 		}
@@ -222,32 +224,23 @@ func Fig4(cfg Config) (*Table, error) {
 		{"with predication", core.Baseline().WithVariant(kernels.Combination)},
 	}
 	ks := kernels.All()
-	type fig4Cells struct {
-		baseWork    *pending
-		plain, btac [2]*pending
-	}
-	cells := make([]fig4Cells, len(ks))
+	// Per kernel: the baseline (the work unit), then plain and +BTAC of
+	// each setup.
+	cells := make([][]*pending, len(ks))
 	for i, k := range ks {
-		cells[i].baseWork = cfg.submitCell(k, core.Baseline())
-		for j, s := range setups {
-			cells[i].plain[j] = cfg.submitCell(k, s.base)
-			cells[i].btac[j] = cfg.submitCell(k, s.base.WithBTAC())
+		cells[i] = append(cells[i], cfg.submitCell(k.App, core.Baseline()))
+		for _, s := range setups {
+			cells[i] = append(cells[i], cfg.submitCell(k.App, s.base), cfg.submitCell(k.App, s.base.WithBTAC()))
 		}
 	}
 	for i, k := range ks {
-		baseWork, err := cells[i].baseWork.counters()
+		ctrs, err := countersOf(cells[i])
 		if err != nil {
 			return nil, err
 		}
+		baseWork := ctrs[0]
 		for j, s := range setups {
-			plain, err := cells[i].plain[j].counters()
-			if err != nil {
-				return nil, err
-			}
-			btac, err := cells[i].btac[j].counters()
-			if err != nil {
-				return nil, err
-			}
+			plain, btac := ctrs[1+2*j], ctrs[2+2*j]
 			app := k.App
 			if j > 0 {
 				app = ""
@@ -330,38 +323,32 @@ func Fig5(cfg Config) (*Table, error) {
 	}
 	fxus := []int{2, 3, 4}
 	ks := kernels.All()
-	type fig5Cells struct {
-		baseWork *pending
-		byFXU    [2][]*pending
-	}
-	cells := make([]fig5Cells, len(ks))
+	// Per kernel: the baseline (the work unit), then every FXU count of
+	// each base.
+	cells := make([][]*pending, len(ks))
 	for i, k := range ks {
-		cells[i].baseWork = cfg.submitCell(k, core.Baseline())
-		for j, b := range bases {
+		cells[i] = append(cells[i], cfg.submitCell(k.App, core.Baseline()))
+		for _, b := range bases {
 			for _, n := range fxus {
-				cells[i].byFXU[j] = append(cells[i].byFXU[j], cfg.submitCell(k, b.s.WithFXUs(n)))
+				cells[i] = append(cells[i], cfg.submitCell(k.App, b.s.WithFXUs(n)))
 			}
 		}
 	}
 	for i, k := range ks {
-		baseWork, err := cells[i].baseWork.counters()
+		ctrs, err := countersOf(cells[i])
 		if err != nil {
 			return nil, err
 		}
 		for j, b := range bases {
-			var ipcs []string
-			for fi := range fxus {
-				ctr, err := cells[i].byFXU[j][fi].counters()
-				if err != nil {
-					return nil, err
-				}
-				ipcs = append(ipcs, f2(normIPC(baseWork, ctr)))
-			}
 			app := k.App
 			if j > 0 {
 				app = ""
 			}
-			t.Rows = append(t.Rows, append([]string{app, b.name}, ipcs...))
+			row := []string{app, b.name}
+			for _, ctr := range ctrs[1+j*len(fxus):][:len(fxus)] {
+				row = append(row, f2(normIPC(ctrs[0], ctr)))
+			}
+			t.Rows = append(t.Rows, row)
 		}
 	}
 	return t, nil
@@ -380,41 +367,24 @@ func Fig6(cfg Config) (*Table, error) {
 			"all", "residual", "total gain"},
 	}
 	ks := kernels.All()
-	type fig6Cells struct {
-		base, pred, btac, fxu, all *pending
-	}
-	cells := make([]fig6Cells, len(ks))
+	cells := make([][]*pending, len(ks))
 	for i, k := range ks {
-		cells[i] = fig6Cells{
-			base: cfg.submitCell(k, core.Baseline()),
-			pred: cfg.submitCell(k, core.Baseline().WithVariant(kernels.Combination)),
-			btac: cfg.submitCell(k, core.Baseline().WithBTAC()),
-			fxu:  cfg.submitCell(k, core.Baseline().WithFXUs(4)),
-			all: cfg.submitCell(k,
-				core.Baseline().WithVariant(kernels.Combination).WithBTAC().WithFXUs(4)),
+		for _, s := range []core.Setup{
+			core.Baseline(),
+			core.Baseline().WithVariant(kernels.Combination),
+			core.Baseline().WithBTAC(),
+			core.Baseline().WithFXUs(4),
+			core.Baseline().WithVariant(kernels.Combination).WithBTAC().WithFXUs(4),
+		} {
+			cells[i] = append(cells[i], cfg.submitCell(k.App, s))
 		}
 	}
 	for i, k := range ks {
-		base, err := cells[i].base.counters()
+		ctrs, err := countersOf(cells[i])
 		if err != nil {
 			return nil, err
 		}
-		pred, err := cells[i].pred.counters()
-		if err != nil {
-			return nil, err
-		}
-		btac, err := cells[i].btac.counters()
-		if err != nil {
-			return nil, err
-		}
-		fxu, err := cells[i].fxu.counters()
-		if err != nil {
-			return nil, err
-		}
-		all, err := cells[i].all.counters()
-		if err != nil {
-			return nil, err
-		}
+		base, pred, btac, fxu, all := ctrs[0], ctrs[1], ctrs[2], ctrs[3], ctrs[4]
 		b := base.IPC()
 		dPred := normIPC(base, pred) - b
 		dBTAC := normIPC(base, btac) - b

@@ -61,17 +61,6 @@ type KernelStats struct {
 	Aggregate SeedStats   `json:"aggregate"`
 }
 
-// KernelStatsFor runs one kernel under one setup through the scheduler
-// and packages the detailed result.
-func KernelStatsFor(k *kernels.Kernel, s core.Setup, cfg Config) (KernelStats, error) {
-	cfg = cfg.normalize()
-	det, err := cfg.submitCell(k, s).detail()
-	if err != nil {
-		return KernelStats{}, err
-	}
-	return packKernelStats(k, s, det), nil
-}
-
 // packKernelStats shapes a collected cell detail into the JSON-report
 // form.
 func packKernelStats(k *kernels.Kernel, s core.Setup, det *core.Detail) KernelStats {
@@ -98,6 +87,23 @@ func packKernelStats(k *kernels.Kernel, s core.Setup, det *core.Detail) KernelSt
 	return ks
 }
 
+// Detail is the inverse of packKernelStats: the engine-side per-seed
+// detail behind wire stats — how the coordinator folds a worker's
+// answer (or a journal record) back into the plan.  Rates are derived
+// and recomputed by the manifest assembly, so only counters and stall
+// stacks need to survive the round trip.
+func (ks KernelStats) Detail() *core.Detail {
+	det := &core.Detail{
+		Aggregate: cpu.Report{Counters: ks.Aggregate.Counters, Stalls: ks.Aggregate.Stalls},
+	}
+	for _, s := range ks.Seeds {
+		det.Seeds = append(det.Seeds, core.SeedReport{
+			Seed: s.Seed, Counters: s.Counters, Stalls: s.Stalls,
+		})
+	}
+	return det
+}
+
 // BaselineStats runs every application kernel on the POWER5 baseline
 // and returns the detailed stats — the data behind Table I's rows and
 // the `bioperf5 stats` subcommand.
@@ -106,15 +112,15 @@ func BaselineStats(cfg Config) ([]KernelStats, error) {
 	ks := kernels.All()
 	cells := make([]*pending, len(ks))
 	for i, k := range ks {
-		cells[i] = cfg.submitCell(k, core.Baseline())
+		cells[i] = cfg.submitCell(k.App, core.Baseline())
 	}
 	var out []KernelStats
 	for i, k := range ks {
-		det, err := cells[i].detail()
-		if err != nil {
-			return nil, err
+		c := cells[i].collect()
+		if c.err != nil {
+			return nil, c.err
 		}
-		out = append(out, packKernelStats(k, core.Baseline(), det))
+		out = append(out, packKernelStats(k, core.Baseline(), c.Detail))
 	}
 	return out, nil
 }

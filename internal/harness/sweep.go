@@ -1,10 +1,7 @@
 package harness
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"strconv"
@@ -48,65 +45,58 @@ func DefaultSweepSpec() SweepSpec {
 	}
 }
 
+// normalize fills the defaults and canonicalises every axis through the
+// per-coordinate rules Cell.Canonical applies (cell.go), deduplicating
+// spellings of one value: the manifest spec, every plan cell and every
+// job key carry one spelling, so sweeps written with different
+// (equivalent) spellings produce byte-identical manifests and share
+// cache entries.
 func (sp SweepSpec) normalize() (SweepSpec, error) {
-	if len(sp.FXUs) == 0 {
-		sp.FXUs = []int{2, 3, 4}
-	}
-	if len(sp.BTACEntries) == 0 {
-		sp.BTACEntries = []int{0, 8}
-	}
-	if len(sp.Predictors) == 0 {
-		sp.Predictors = []string{branch.DefaultSpec()}
-	}
-	if len(sp.Variants) == 0 {
-		sp.Variants = []kernels.Variant{kernels.Branchy, kernels.Combination}
-	}
-	if len(sp.Apps) == 0 {
-		sp.Apps = workload.Apps()
-	}
-	for _, n := range sp.FXUs {
-		if n < 1 {
-			return sp, fmt.Errorf("sweep: FXU count %d out of range", n)
-		}
-	}
-	for _, n := range sp.BTACEntries {
-		if n < 0 {
-			return sp, fmt.Errorf("sweep: BTAC entry count %d out of range", n)
-		}
-	}
-	// Predictor specs are canonicalized (and deduplicated) up front:
-	// the manifest spec, every plan cell and every job key carry one
-	// spelling, so sweeps written with different (equivalent) spellings
-	// produce byte-identical manifests and share cache entries.
-	canon := make([]string, 0, len(sp.Predictors))
-	seen := make(map[string]bool, len(sp.Predictors))
-	for _, spec := range sp.Predictors {
-		c, err := branch.CanonicalSpec(spec)
+	def := DefaultSweepSpec()
+	sp.Config = sp.Config.normalize()
+	var errs [6]error
+	sp.FXUs, errs[0] = canonicalAxis(sp.FXUs, def.FXUs, canonicalFXUs)
+	sp.BTACEntries, errs[1] = canonicalAxis(sp.BTACEntries, def.BTACEntries, canonicalBTAC)
+	sp.Predictors, errs[2] = canonicalAxis(sp.Predictors, def.Predictors, branch.CanonicalSpec)
+	sp.Variants, errs[3] = canonicalAxis(sp.Variants, def.Variants, func(v kernels.Variant) (kernels.Variant, error) { return v, nil })
+	sp.Apps, errs[4] = canonicalAxis(sp.Apps, def.Apps, canonicalApp)
+	errs[5] = checkSeeds(sp.Config.Seeds)
+	for _, err := range errs {
 		if err != nil {
 			return sp, fmt.Errorf("sweep: %w", err)
 		}
-		if seen[c] {
-			continue
-		}
-		seen[c] = true
-		canon = append(canon, c)
 	}
-	sp.Predictors = canon
-	for _, app := range sp.Apps {
-		if _, err := kernels.ByApp(app); err != nil {
-			return sp, err
-		}
-	}
-	sp.Config = sp.Config.normalize()
 	return sp, nil
+}
+
+// canonicalAxis maps one sweep axis (def when empty) through its
+// coordinate rule, keeping the first of each canonical value.
+func canonicalAxis[T comparable](axis, def []T, canonical func(T) (T, error)) ([]T, error) {
+	if len(axis) == 0 {
+		axis = def
+	}
+	out := make([]T, 0, len(axis))
+	seen := make(map[T]bool, len(axis))
+	for _, v := range axis {
+		c, err := canonical(v)
+		if err != nil {
+			return nil, err
+		}
+		if !seen[c] {
+			seen[c] = true
+			out = append(out, c)
+		}
+	}
+	return out, nil
 }
 
 // SetupFor builds the core setup of one grid point: a predication
 // variant, a fixed-point unit count, a BTAC sizing (0 disables the
 // BTAC), and a direction-predictor spec ("" keeps the POWER5-like
-// default).  It is the single canonicalization point shared by the
-// sweep and the HTTP server, so a served cell and a swept cell with
-// the same coordinates produce identical sched.Job keys and coalesce.
+// default).  It takes canonical coordinates (Cell.Canonical, or a
+// normalized SweepSpec's axes) and is the one mapping from them to a
+// cpu.Config, so a served cell and a swept cell with the same
+// coordinates produce identical sched.Job keys and coalesce.
 func SetupFor(v kernels.Variant, fxus, btacEntries int, predictor string) core.Setup {
 	s := core.Baseline()
 	s.Variant = v
@@ -259,30 +249,16 @@ func (m *SweepManifest) WriteJSONFile(path string) error {
 	return cas.WriteFileAtomic(path, m.WriteJSON)
 }
 
-// cellKey derives the content hash of a whole cell from its per-seed
-// job hashes.
-func cellKey(jobs []sched.Job) string {
-	h := sha256.New()
-	for _, j := range jobs {
-		io.WriteString(h, j.Hash())
-		io.WriteString(h, "\n")
-	}
-	return hex.EncodeToString(h.Sum(nil))
-}
-
 // PlanCell is one planned unit of a sweep: an application baseline or
-// a grid point, with its canonical setup and content key.  The plan
-// fixes identity and order; execution — local engine or remote worker
-// — only fills in results.
+// a grid point — its canonical coordinates (scale, seeds and trace
+// policy are the sweep's), setup and content key.  The plan fixes
+// identity and order; execution — local engine or remote worker — only
+// fills in results.
 type PlanCell struct {
-	App         string
-	Variant     kernels.Variant
-	FXUs        int
-	BTACEntries int
-	Predictor   string // canonical direction-predictor spec
-	Baseline    bool   // an IPC-normalizing baseline, not a grid point
-	Setup       core.Setup
-	Key         string // content hash over the cell's per-seed job hashes
+	Cell
+	Baseline bool // an IPC-normalizing baseline, not a grid point
+	Setup    core.Setup
+	Key      string // content hash over the cell's per-seed job hashes
 }
 
 // SweepPlan is the deterministic expansion of a SweepSpec: the
@@ -303,48 +279,34 @@ func PlanSweep(sp SweepSpec) (*SweepPlan, error) {
 		return nil, err
 	}
 	plan := &SweepPlan{Spec: sp}
+	cell := func(app string, s core.Setup, baseline bool) PlanCell {
+		return PlanCell{
+			Cell: Cell{
+				App: app, Variant: s.Variant.String(),
+				FXUs: s.CPU.NumFXU, BTACEntries: btacEntries(s.CPU),
+				Predictor: branch.CanonicalOrRaw(s.CPU.Predictor),
+				Scale:     sp.Config.Scale, Seeds: sp.Config.Seeds, Trace: sp.Config.Trace,
+			},
+			Baseline: baseline, Setup: s,
+			Key: sp.Config.cellKey(app, s),
+		}
+	}
 	for _, app := range sp.Apps {
-		s := core.Baseline()
-		plan.Baselines = append(plan.Baselines, PlanCell{
-			App: app, Variant: s.Variant,
-			FXUs: s.CPU.NumFXU, BTACEntries: 0,
-			Predictor: branch.CanonicalOrRaw(s.CPU.Predictor),
-			Baseline:  true, Setup: s,
-			Key: cellKey(cellJobs(app, s, sp.Config)),
-		})
+		plan.Baselines = append(plan.Baselines, cell(app, core.Baseline(), true))
 	}
 	for _, app := range sp.Apps {
 		for _, v := range sp.Variants {
 			for _, fxus := range sp.FXUs {
 				for _, entries := range sp.BTACEntries {
 					for _, pred := range sp.Predictors {
-						s := SetupFor(v, fxus, entries, pred)
-						plan.Points = append(plan.Points, PlanCell{
-							App: app, Variant: v, FXUs: fxus, BTACEntries: entries,
-							Predictor: pred,
-							Setup:     s,
-							Key:       cellKey(cellJobs(app, s, sp.Config)),
-						})
+						plan.Points = append(plan.Points,
+							cell(app, SetupFor(v, fxus, entries, pred), false))
 					}
 				}
 			}
 		}
 	}
 	return plan, nil
-}
-
-// cellJobs expands one cell into its per-seed jobs, the unit the
-// scheduler hashes.  Trace policy is execution strategy, not identity,
-// so it is deliberately left out.
-func cellJobs(app string, s core.Setup, cfg Config) []sched.Job {
-	var jobs []sched.Job
-	for _, seed := range cfg.Seeds {
-		jobs = append(jobs, sched.Job{
-			App: app, Variant: s.Variant, CPU: s.CPU,
-			Seed: seed, Scale: cfg.Scale,
-		})
-	}
-	return jobs
 }
 
 // CellResult is the outcome of one planned cell, however it was
@@ -400,7 +362,7 @@ func (plan *SweepPlan) Manifest(baselines, points []CellResult) *SweepManifest {
 		r := points[i]
 		p := SweepPoint{
 			App:         pc.App,
-			Variant:     pc.Variant.String(),
+			Variant:     pc.Variant,
 			FXUs:        pc.FXUs,
 			BTACEntries: pc.BTACEntries,
 			Predictor:   pc.Predictor,
@@ -484,14 +446,8 @@ func RunSweep(sp SweepSpec) (*SweepManifest, error) {
 	// capture while replayable cells sit in the queue.
 	cells := append(append([]PlanCell(nil), plan.Baselines...), plan.Points...)
 	pends := make([]*pending, len(cells))
-	submit := func(i int) {
-		k, _ := kernels.ByApp(cells[i].App)
-		pends[i] = cfg.submitCell(k, cells[i].Setup)
-	}
-	type stream struct {
-		app     string
-		variant kernels.Variant
-	}
+	submit := func(i int) { pends[i] = cfg.submitCell(cells[i].App, cells[i].Setup) }
+	type stream struct{ app, variant string }
 	captured := make(map[stream]bool)
 	var rest []int
 	for i, pc := range cells {
@@ -505,26 +461,14 @@ func RunSweep(sp SweepSpec) (*SweepManifest, error) {
 	for _, i := range rest {
 		submit(i)
 	}
-	basePend, pointPend := pends[:len(plan.Baselines)], pends[len(plan.Baselines):]
 
 	// Collect phase, in plan order.
-	collect := func(pends []*pending) []CellResult {
-		out := make([]CellResult, len(pends))
-		for i, cell := range pends {
-			det, err := cell.detail()
-			if err != nil {
-				st := StatusFailed
-				if errors.Is(err, sched.ErrCellTimeout) {
-					st = StatusTimeout
-				}
-				out[i] = CellResult{Status: st, Err: err.Error()}
-				continue
-			}
-			out[i] = CellResult{Detail: det, Cost: cell.cost(), Status: StatusOK}
-		}
-		return out
+	results := make([]CellResult, len(pends))
+	for i, cell := range pends {
+		results[i] = cell.collect().CellResult
 	}
-	m := plan.Manifest(collect(basePend), collect(pointPend))
+	nb := len(plan.Baselines)
+	m := plan.Manifest(results[:nb], results[nb:])
 	m.Scheduler = cfg.engine().Stats()
 	m.ElapsedMS = time.Since(start).Milliseconds()
 	return m, nil

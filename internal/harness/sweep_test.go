@@ -90,13 +90,11 @@ func TestSweepCaptureFirstOrderLeavesManifestAlone(t *testing.T) {
 		run := func(cells []PlanCell) []CellResult {
 			out := make([]CellResult, len(cells))
 			for i, pc := range cells {
-				k, _ := kernels.ByApp(pc.App)
-				cell := plan.Spec.Config.submitCell(k, pc.Setup)
-				det, err := cell.detail()
-				if err != nil {
-					t.Fatal(err)
+				c := plan.Spec.Config.submitCell(pc.App, pc.Setup).collect()
+				if c.err != nil {
+					t.Fatal(c.err)
 				}
-				out[i] = CellResult{Detail: det, Cost: cell.cost(), Status: StatusOK}
+				out[i] = c.CellResult
 			}
 			return out
 		}
@@ -282,18 +280,6 @@ func TestSweepPredictorDimension(t *testing.T) {
 	if !bytes.Equal(manifests[0], manifests[1]) {
 		t.Errorf("manifests diverge across predictor spellings:\n%s\n---\n%s",
 			manifests[0], manifests[1])
-	}
-}
-
-func TestSweepRejectsBadSpec(t *testing.T) {
-	if _, err := RunSweep(SweepSpec{Apps: []string{"NoSuchApp"}}); err == nil {
-		t.Error("unknown app accepted")
-	}
-	if _, err := RunSweep(SweepSpec{FXUs: []int{0}, Apps: []string{"Fasta"}}); err == nil {
-		t.Error("zero FXUs accepted")
-	}
-	if _, err := RunSweep(SweepSpec{BTACEntries: []int{-1}, Apps: []string{"Fasta"}}); err == nil {
-		t.Error("negative BTAC entries accepted")
 	}
 }
 

@@ -1,18 +1,16 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"strconv"
-	"strings"
 	"sync"
 
-	"bioperf5/internal/branch"
 	"bioperf5/internal/core"
 	"bioperf5/internal/harness"
-	"bioperf5/internal/kernels"
 	"bioperf5/internal/telemetry"
 )
 
@@ -43,7 +41,7 @@ type CellRequest struct {
 	// Trace selects the execution strategy ("auto", "capture", "replay",
 	// "off"); empty means the server's default.  It never changes the
 	// numbers or the cell's key — only how they are computed.
-	Trace string `json:"trace,omitempty"`
+	Trace core.TracePolicy `json:"trace,omitempty"`
 }
 
 // CellResponse is the result of one cell: the canonical coordinates
@@ -72,133 +70,47 @@ type CellResponse struct {
 	Stats harness.KernelStats `json:"stats"`
 }
 
-// cellSpec is a validated, canonicalized cell: the exact coordinates
-// that address the engine's caches.
-type cellSpec struct {
-	app     string
-	variant kernels.Variant
-	fxus    int
-	btac    int
-	pred    string // canonical predictor spec
-	scale   int
-	seeds   []int64
-	trace   core.TracePolicy
-	setup   core.Setup
+// canonicalize resolves the request to the canonical cell that
+// addresses the engine's caches — harness.Cell.Canonical, the rules
+// every front door shares, which is what makes coalescing work — and
+// applies this server's size guardrails.
+func (r CellRequest) canonicalize() (harness.Cell, error) {
+	c, err := harness.Cell(r).Canonical()
+	switch {
+	case err != nil:
+	case c.FXUs > maxFXUs:
+		err = fmt.Errorf("fxus %d out of range [1, %d]", c.FXUs, maxFXUs)
+	case c.BTACEntries > maxBTAC:
+		err = fmt.Errorf("btac_entries %d out of range [0, %d]", c.BTACEntries, maxBTAC)
+	case c.Scale > maxScale:
+		err = fmt.Errorf("scale %d out of range [1, %d]", c.Scale, maxScale)
+	case len(c.Seeds) > maxSeeds:
+		err = fmt.Errorf("%d seeds exceed the per-cell limit of %d", len(c.Seeds), maxSeeds)
+	}
+	return c, err
 }
 
-// canonicalize validates the request and resolves every field to its
-// canonical form: the kernel's exact application name (matched
-// case-insensitively), the variant through the shared alias table, and
-// defaults identical to the CLI baseline.  Canonical requests are what
-// make coalescing work — two spellings of the same cell must produce
-// the same sched.Job keys.
-func (r CellRequest) canonicalize() (cellSpec, error) {
-	var sp cellSpec
-	if strings.TrimSpace(r.App) == "" {
-		return sp, fmt.Errorf("missing app (one of %s)", strings.Join(appNames(), ", "))
-	}
-	k, err := kernelByAppFold(r.App)
-	if err != nil {
-		return sp, err
-	}
-	sp.app = k.App
-	variant := r.Variant
-	if strings.TrimSpace(variant) == "" {
-		variant = kernels.Branchy.String()
-	}
-	if sp.variant, err = kernels.VariantByName(variant); err != nil {
-		return sp, fmt.Errorf("unknown variant %q", r.Variant)
-	}
-	sp.fxus = r.FXUs
-	if sp.fxus == 0 {
-		sp.fxus = core.Baseline().CPU.NumFXU
-	}
-	if sp.fxus < 1 || sp.fxus > maxFXUs {
-		return sp, fmt.Errorf("fxus %d out of range [1, %d]", r.FXUs, maxFXUs)
-	}
-	sp.btac = r.BTACEntries
-	if sp.btac < 0 || sp.btac > maxBTAC {
-		return sp, fmt.Errorf("btac_entries %d out of range [0, %d]", r.BTACEntries, maxBTAC)
-	}
-	if sp.pred, err = branch.CanonicalSpec(r.Predictor); err != nil {
-		return sp, err
-	}
-	sp.scale = r.Scale
-	if sp.scale == 0 {
-		sp.scale = 1
-	}
-	if sp.scale < 1 || sp.scale > maxScale {
-		return sp, fmt.Errorf("scale %d out of range [1, %d]", r.Scale, maxScale)
-	}
-	sp.seeds = r.Seeds
-	if len(sp.seeds) == 0 {
-		sp.seeds = []int64{1}
-	}
-	if len(sp.seeds) > maxSeeds {
-		return sp, fmt.Errorf("%d seeds exceed the per-cell limit of %d", len(sp.seeds), maxSeeds)
-	}
-	seen := make(map[int64]bool, len(sp.seeds))
-	for _, s := range sp.seeds {
-		if s < 0 {
-			return sp, fmt.Errorf("bad seed %d: seeds must be non-negative", s)
-		}
-		if seen[s] {
-			return sp, fmt.Errorf("duplicate seed %d", s)
-		}
-		seen[s] = true
-	}
-	if strings.TrimSpace(r.Trace) != "" {
-		if sp.trace, err = core.ParseTracePolicy(r.Trace); err != nil {
-			return sp, fmt.Errorf("bad trace policy %q (one of auto, capture, replay, off)", r.Trace)
-		}
-	}
-	sp.setup = harness.SetupFor(sp.variant, sp.fxus, sp.btac, sp.pred)
-	return sp, nil
-}
-
-// appNames lists the canonical application names.
-func appNames() []string {
-	var out []string
-	for _, k := range kernels.All() {
-		out = append(out, k.App)
-	}
-	return out
-}
-
-// kernelByAppFold resolves an application name case-insensitively.
-func kernelByAppFold(app string) (*kernels.Kernel, error) {
-	for _, k := range kernels.All() {
-		if strings.EqualFold(k.App, strings.TrimSpace(app)) {
-			return k, nil
-		}
-	}
-	return nil, fmt.Errorf("unknown app %q (one of %s)", app, strings.Join(appNames(), ", "))
-}
-
-// runCell executes one canonicalized cell through the engine and
-// packages the response.
-func (s *Server) runCell(cfg harness.Config, sp cellSpec) (*CellResponse, error) {
-	cfg.Scale = sp.scale
-	cfg.Seeds = sp.seeds
-	cfg.Engine = s.eng
-	cfg.Trace = sp.trace
+// runCell executes one canonical cell through the engine and packages
+// the response.
+func (s *Server) runCell(ctx context.Context, c harness.Cell) (*CellResponse, error) {
+	cfg := harness.Config{Scale: c.Scale, Seeds: c.Seeds, Engine: s.eng, Context: ctx, Trace: c.Trace}
 	if cfg.Trace == "" {
 		cfg.Trace = s.opts.DefaultTrace
 	}
-	out, err := harness.CellStats(cfg, sp.app, sp.setup)
+	out, err := harness.CellStats(cfg, c.App, c.Setup())
 	s.mCoalesced.Add(uint64(out.Coalesced))
 	if err != nil {
 		return nil, err
 	}
 	return &CellResponse{
 		Schema:      harness.SchemaVersion,
-		App:         sp.app,
-		Variant:     sp.variant.String(),
-		FXUs:        sp.fxus,
-		BTACEntries: sp.btac,
-		Predictor:   sp.pred,
-		Scale:       sp.scale,
-		Seeds:       sp.seeds,
+		App:         c.App,
+		Variant:     c.Variant,
+		FXUs:        c.FXUs,
+		BTACEntries: c.BTACEntries,
+		Predictor:   c.Predictor,
+		Scale:       c.Scale,
+		Seeds:       c.Seeds,
 		Key:         out.Key,
 		Coalesced:   out.Coalesced,
 		TraceHit:    out.TraceHit,
@@ -215,7 +127,7 @@ func (s *Server) handleCell(w http.ResponseWriter, r *http.Request) {
 		s.errorJSON(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	sp, err := req.canonicalize()
+	c, err := req.canonicalize()
 	if err != nil {
 		s.badRequest(w, err)
 		return
@@ -231,7 +143,7 @@ func (s *Server) handleCell(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer s.release(1)
-	resp, err := s.runCell(harness.Config{Context: ctx}, sp)
+	resp, err := s.runCell(ctx, c)
 	if err != nil {
 		s.errorJSON(w, statusForRunError(err), "%v", err)
 		return
@@ -270,19 +182,21 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		s.errorJSON(w, http.StatusBadRequest, "empty batch: cells must name at least one cell")
 		return
 	}
-	if len(req.Cells) > s.opts.MaxBatch {
+	// Admission is all-or-nothing, so a batch larger than the admission
+	// bound could never run: a 429 would tell the client to retry forever.
+	if limit := min(s.opts.MaxBatch, cap(s.sem)); len(req.Cells) > limit {
 		s.errorJSON(w, http.StatusBadRequest,
-			"batch of %d cells exceeds the limit of %d", len(req.Cells), s.opts.MaxBatch)
+			"batch of %d cells exceeds the limit of %d (at most %d cells per batch, %d cells in flight); split it",
+			len(req.Cells), limit, s.opts.MaxBatch, cap(s.sem))
 		return
 	}
-	specs := make([]cellSpec, len(req.Cells))
+	cells := make([]harness.Cell, len(req.Cells))
 	for i, c := range req.Cells {
-		sp, err := c.canonicalize()
-		if err != nil {
+		var err error
+		if cells[i], err = c.canonicalize(); err != nil {
 			s.badRequest(w, fmt.Errorf("cell %d: %w", i, err))
 			return
 		}
-		specs[i] = sp
 	}
 	ctx, cancel, err := s.requestContext(r)
 	if err != nil {
@@ -290,7 +204,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer cancel()
-	if !s.admit(ctx, len(specs)) {
+	if !s.admit(ctx, len(cells)) {
 		s.saturated(w)
 		return
 	}
@@ -301,14 +215,13 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 
 	items := make(chan BatchItem)
 	var wg sync.WaitGroup
-	for i, sp := range specs {
-		i, sp := i, sp
+	for i := range cells {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			defer s.release(1)
 			item := BatchItem{Schema: harness.SchemaVersion, Index: i, Status: "ok"}
-			resp, err := s.runCell(harness.Config{Context: ctx}, sp)
+			resp, err := s.runCell(ctx, cells[i])
 			if err != nil {
 				item.Status = "error"
 				item.Error = err.Error()
@@ -350,7 +263,7 @@ func decodeBody(r *http.Request, v any) error {
 // ?seeds=, with the CLI's defaults (scale 1, seeds 1,2,3) so the
 // served bytes match an argument-less `bioperf5 run <id> -json`.
 func configFromQuery(r *http.Request) (harness.Config, error) {
-	cfg := harness.Config{Scale: 1, Seeds: []int64{1, 2, 3}}
+	cfg := harness.DefaultConfig()
 	q := r.URL.Query()
 	if v := q.Get("scale"); v != "" {
 		n, err := strconv.Atoi(v)
@@ -360,19 +273,9 @@ func configFromQuery(r *http.Request) (harness.Config, error) {
 		cfg.Scale = n
 	}
 	if v := q.Get("seeds"); v != "" {
-		cfg.Seeds = nil
-		seen := make(map[int64]bool)
-		for _, part := range strings.Split(v, ",") {
-			part = strings.TrimSpace(part)
-			n, err := strconv.ParseInt(part, 10, 64)
-			if err != nil || n < 0 {
-				return cfg, fmt.Errorf("bad seed %q: want a non-negative integer", part)
-			}
-			if seen[n] {
-				return cfg, fmt.Errorf("duplicate seed %d", n)
-			}
-			seen[n] = true
-			cfg.Seeds = append(cfg.Seeds, n)
+		var err error
+		if cfg.Seeds, err = harness.ParseSeeds(v); err != nil {
+			return cfg, err
 		}
 		if len(cfg.Seeds) > maxSeeds {
 			return cfg, fmt.Errorf("%d seeds exceed the limit of %d", len(cfg.Seeds), maxSeeds)

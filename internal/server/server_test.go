@@ -365,6 +365,37 @@ func TestBatchSaturation(t *testing.T) {
 	}
 }
 
+// TestBatchLargerThanAdmissionBoundIs400: admission is all-or-nothing,
+// so a batch bigger than MaxInflight can never run — it must be refused
+// outright (naming both numbers), not told to retry forever with a 429.
+func TestBatchLargerThanAdmissionBoundIs400(t *testing.T) {
+	s, _ := newTestServer(t, sched.Options{Workers: 1}, Options{MaxInflight: 2})
+	batch := func(body string) *httptest.ResponseRecorder {
+		w := httptest.NewRecorder()
+		s.ServeHTTP(w, httptest.NewRequest("POST", "/v1/cells:batch", strings.NewReader(body)))
+		return w
+	}
+	saturated := s.Registry().Counter("server.requests.saturated")
+	w := batch(`{"cells":[{"app":"Fasta"},{"app":"Hmmer"},{"app":"Blast"}]}`)
+	if w.Code != http.StatusBadRequest {
+		t.Fatalf("3-cell batch against MaxInflight 2: status = %d, want 400 (body %s)", w.Code, w.Body)
+	}
+	if w.Header().Get("Retry-After") != "" {
+		t.Error("a batch that can never be admitted carries Retry-After")
+	}
+	var er errorResponse
+	if err := json.Unmarshal(w.Body.Bytes(), &er); err != nil ||
+		!strings.Contains(er.Error, "3 cells") || !strings.Contains(er.Error, "2 cells in flight") {
+		t.Errorf("error does not name both numbers: %s", w.Body)
+	}
+	if got := saturated.Value(); got != 0 {
+		t.Errorf("server.requests.saturated = %d after a 400, want 0", got)
+	}
+	if w := batch(`{"cells":[{"app":"Fasta"},{"app":"Hmmer"}]}`); w.Code != http.StatusOK {
+		t.Errorf("2-cell batch against MaxInflight 2: status = %d, want 200 (body %s)", w.Code, w.Body)
+	}
+}
+
 func TestHealthzReadyzMetrics(t *testing.T) {
 	s, _ := newTestServer(t, sched.Options{Workers: 1}, Options{})
 	if w := get(s, "/healthz"); w.Code != http.StatusOK || !strings.Contains(w.Body.String(), "ok") {
