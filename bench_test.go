@@ -108,12 +108,12 @@ func BenchmarkKernelSimulation(b *testing.B) {
 					if err != nil {
 						b.Fatal(err)
 					}
-					ctr, err := kernels.Simulate(k, v, run, cpu.POWER5Baseline(), 1<<30)
+					rep, err := kernels.SimulateObserved(k, v, run, cpu.POWER5Baseline(), 1<<30, kernels.Observer{})
 					if err != nil {
 						b.Fatal(err)
 					}
-					instr += ctr.Instructions
-					cycles += ctr.Cycles
+					instr += rep.Counters.Instructions
+					cycles += rep.Counters.Cycles
 				}
 				b.ReportMetric(float64(instr)/float64(cycles), "sim-IPC")
 				b.ReportMetric(float64(instr)/b.Elapsed().Seconds()/1e6, "sim-MIPS")
@@ -325,10 +325,10 @@ func benchSweepTrace(b *testing.B, policy core.TracePolicy) {
 // of the factorial runs the coupled functional+timing path.
 func BenchmarkSweepTraceOff(b *testing.B) { benchSweepTrace(b, core.TraceOff) }
 
-// BenchmarkSweepTraceReplay is the capture-once/replay-many path: one
+// BenchmarkSweepTraceAuto is the capture-once/replay-many path: one
 // functional capture, six decoupled replays.  The CI benchmark gate
 // (scripts/bench_trace.sh) requires this to beat BenchmarkSweepTraceOff.
-func BenchmarkSweepTraceReplay(b *testing.B) { benchSweepTrace(b, core.TraceAuto) }
+func BenchmarkSweepTraceAuto(b *testing.B) { benchSweepTrace(b, core.TraceAuto) }
 
 // BenchmarkAblationIfConvertArmLimit sweeps the if-converter's arm-size
 // budget on the Blast kernel (whose convertible hammocks include the

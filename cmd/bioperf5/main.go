@@ -28,7 +28,6 @@ import (
 	"bioperf5/internal/fsck"
 	"bioperf5/internal/harness"
 	"bioperf5/internal/kernels"
-	"bioperf5/internal/perf"
 	"bioperf5/internal/sched"
 	"bioperf5/internal/server"
 	"bioperf5/internal/telemetry"
@@ -134,7 +133,7 @@ func cmdList() error {
 func parseConfig(fs *flag.FlagSet, args []string) (harness.Config, []string, error) {
 	scale := fs.Int("scale", 1, "workload scale factor")
 	seeds := fs.String("seeds", "1,2,3", "comma-separated input seeds")
-	tracePolicy := fs.String("trace", "", "trace policy: auto (default; capture each functional run once, replay per timing config), capture, replay, or off (coupled execution)")
+	tracePolicy := fs.String("trace", "", "trace policy: auto (default; capture each functional run once, replay per timing config) or off (coupled execution)")
 	if err := fs.Parse(args); err != nil {
 		return harness.Config{}, nil, err
 	}
@@ -368,7 +367,7 @@ func cmdServe(args []string) error {
 	maxInflight := fs.Int("max-inflight", 0, "admission bound on in-flight cells (0 = 4x GOMAXPROCS)")
 	reqTimeout := fs.Duration("request-timeout", 2*time.Minute, "default per-request deadline; clients override with ?timeout= (0 = none)")
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "graceful drain budget after SIGTERM")
-	tracePolicy := fs.String("trace", "", "default trace policy for cells without a \"trace\" field: auto (default), capture, replay, or off")
+	tracePolicy := fs.String("trace", "", "default trace policy for cells without a \"trace\" field: auto (default) or off")
 	enablePprof := fs.Bool("pprof", false, "mount the net/http/pprof diagnostics handlers under /debug/pprof/")
 	spansDir := fs.String("spans", "", "record a span per request and write spans.jsonl + trace.json under DIR at shutdown")
 	if err := fs.Parse(args); err != nil {
@@ -509,7 +508,7 @@ func statsFor(app string, scale int, seed int64) (statsReport, error) {
 	if err != nil {
 		return statsReport{}, err
 	}
-	profileOf(res).PublishTo(reg)
+	res.Profile.PublishTo(reg)
 	return statsReport{App: app, Variant: kernels.Branchy.String(), Snapshot: reg.Snapshot(8)}, nil
 }
 
@@ -562,18 +561,8 @@ func cmdProfile(args []string) error {
 		return err
 	}
 	fmt.Println(res.Summary)
-	fmt.Print(profileOf(res).Format())
+	fmt.Print(res.Profile.Format())
 	return nil
-}
-
-// profileOf folds an application run's function breakdown into a
-// gprof-style profile.
-func profileOf(res *workload.Result) *perf.Profiler {
-	p := perf.New()
-	for _, e := range res.Breakdown {
-		p.Add(e.Name, e.Time, e.Calls)
-	}
-	return p
 }
 
 // spanStat is one stage row of the aggregated spans report.

@@ -18,15 +18,18 @@ import (
 // chaosPlan arms every wire fault kind with a per-key budget of two
 // injections, so the client's default retry budget (and the no-retry-
 // after-stream-start rule, recovered by requeue) always converges.
-func chaosPlan() *fault.Plan {
-	return &fault.Plan{
-		Seed:        42,
-		RefuseRate:  0.2,
-		LatencyRate: 0.2, LatencyDelay: time.Millisecond,
-		HTTP5xxRate: 0.25,
-		CutRate:     0.2, CorruptLineRate: 0.2, DupItemRate: 0.2,
-		Times: 2,
+func chaosPlan(t *testing.T) *fault.Plan {
+	return mustPlan(t, "seed=42,refuse=0.2,latency=0.2,latdelay=1ms,http5xx=0.25,"+
+		"cut=0.2,corruptline=0.2,dupitem=0.2,times=2")
+}
+
+func mustPlan(t *testing.T, spec string) *fault.Plan {
+	t.Helper()
+	p, err := fault.Parse(spec)
+	if err != nil {
+		t.Fatal(err)
 	}
+	return p
 }
 
 func TestClusterSweepUnderNetworkChaosIsByteIdentical(t *testing.T) {
@@ -35,7 +38,7 @@ func TestClusterSweepUnderNetworkChaosIsByteIdentical(t *testing.T) {
 	}
 	ref := singleNode(t)
 	w1, w2 := newWorker(t), newWorker(t)
-	ct := &fault.ChaosTransport{Plan: chaosPlan()}
+	ct := &fault.ChaosTransport{Plan: chaosPlan(t)}
 	m, err := Run(Options{
 		Workers:         []string{w1.URL, w2.URL},
 		Spec:            testSpec(nil),
@@ -74,7 +77,7 @@ func TestClusterSweepChaosSameSeedSameManifest(t *testing.T) {
 	}
 	w1, w2 := newWorker(t), newWorker(t)
 	run := func() (*fault.ChaosTransport, string) {
-		ct := &fault.ChaosTransport{Plan: chaosPlan()}
+		ct := &fault.ChaosTransport{Plan: chaosPlan(t)}
 		m, err := Run(Options{
 			Workers:         []string{w1.URL, w2.URL},
 			Spec:            testSpec(nil),
@@ -113,7 +116,7 @@ func TestClusterBlackoutPartitionTripsBreakerAndRecovers(t *testing.T) {
 	target := strings.TrimPrefix(flaky.URL, "http://")
 	// Request 0 to the flaky host is the version handshake; the window
 	// then swallows its first dispatch and the next few recovery probes.
-	plan := &fault.Plan{Seed: 7, BlackoutTarget: target, BlackoutFrom: 1, BlackoutFor: 4}
+	plan := mustPlan(t, "seed=7,blackout="+target+"@1+4")
 	m, err := Run(Options{
 		Workers:          []string{healthy.URL, flaky.URL},
 		Spec:             testSpec(nil),

@@ -510,7 +510,7 @@ func TestPredicationShrinksBranchCount(t *testing.T) {
 		}
 		n := 0
 		for i := range prog.Code {
-			if prog.Code[i].IsCondBranch() {
+			if prog.Code[i].Op.Info().CondBr {
 				n++
 			}
 		}

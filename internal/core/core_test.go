@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"bioperf5/internal/cpu"
@@ -76,31 +77,75 @@ func TestImprovedSetupBeatsBaseline(t *testing.T) {
 	}
 }
 
-func TestRunIntervals(t *testing.T) {
-	k, err := kernels.ByApp("Clustalw")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ivs, err := RunIntervals(k, Baseline(), 3, 1, 20_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ivs) < 3 {
-		t.Fatalf("only %d intervals", len(ivs))
-	}
-	for i, iv := range ivs {
-		if iv.IPC <= 0 || iv.IPC > 5 {
-			t.Errorf("interval %d: IPC %.2f implausible", i, iv.IPC)
+// window is one interval of a run: the counters accumulated between
+// two snapshots.
+type window struct {
+	end cpu.Counters // cumulative counters at the window's end
+	cpu.Counters
+}
+
+// intervals runs Clustalw on the baseline under policy and returns the
+// windows an interval observer of the given length saw, with the
+// response.  A zero length leaves a sink with no length, which Simulate
+// must refuse.
+func intervals(seed int64, scale int, every uint64, policy TracePolicy) ([]window, *Response, error) {
+	var (
+		out  []window
+		prev cpu.Counters
+	)
+	obs := kernels.Observer{Every: every, Interval: func(cur cpu.Counters) {
+		out = append(out, window{end: cur, Counters: cur.Sub(prev)})
+		prev = cur
+	}}
+	s := Baseline()
+	resp, err := Simulate(Request{App: "Clustalw", Variant: s.Variant, CPU: s.CPU,
+		Seeds: []int64{seed}, Scale: scale, Trace: policy, Observer: obs})
+	return out, resp, err
+}
+
+// TestSimulateIntervals: the interval observer windows a run the same
+// way on both feeds — one window per full interval, none for the
+// partial tail, the windows plus that tail summing to the final
+// counters — and a zero interval length is an error.
+func TestSimulateIntervals(t *testing.T) {
+	const every = 20_000
+	var first []window
+	for _, policy := range []TracePolicy{TraceOff, TraceAuto} {
+		ivs, resp, err := intervals(3, 1, every, policy)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if iv.MispredictRate < 0 || iv.MispredictRate > 1 {
-			t.Errorf("interval %d: mispredict rate %.2f", i, iv.MispredictRate)
+		final := resp.Aggregate.Counters
+		if len(ivs) < 3 || uint64(len(ivs)) != final.Instructions/every {
+			t.Fatalf("%s: %d intervals of %d over %d instructions", policy, len(ivs), every, final.Instructions)
 		}
-		if i > 0 && iv.Instructions <= ivs[i-1].Instructions {
-			t.Error("intervals not monotone in instructions")
+		var sum cpu.Counters
+		for i, iv := range ivs {
+			if ipc := iv.IPC(); ipc <= 0 || ipc > 5 {
+				t.Errorf("%s: interval %d: IPC %.2f implausible", policy, i, ipc)
+			}
+			if r := iv.BranchMispredictRate(); r < 0 || r > 1 {
+				t.Errorf("%s: interval %d: mispredict rate %.2f", policy, i, r)
+			}
+			if iv.Instructions != every || iv.end.Instructions != uint64(i+1)*every {
+				t.Errorf("%s: interval %d holds %d instructions and ends at %d", policy, i, iv.Instructions, iv.end.Instructions)
+			}
+			sum = sum.Add(iv.Counters)
+		}
+		tail := final.Sub(ivs[len(ivs)-1].end)
+		if tail.Instructions >= every || sum.Add(tail) != final {
+			t.Errorf("%s: windows + a tail of %d instructions do not sum to the final counters", policy, tail.Instructions)
+		}
+		if first == nil {
+			first = ivs
+		} else if !reflect.DeepEqual(ivs, first) {
+			t.Errorf("%s: windows differ from the coupled run's", policy)
 		}
 	}
-	if _, err := RunIntervals(k, Baseline(), 3, 1, 0); err == nil {
-		t.Error("zero interval length accepted")
+	for _, policy := range []TracePolicy{TraceOff, TraceAuto} {
+		if _, _, err := intervals(3, 1, 0, policy); err == nil {
+			t.Errorf("%s: zero interval length accepted", policy)
+		}
 	}
 }
 
@@ -108,11 +153,7 @@ func TestRunIntervals(t *testing.T) {
 // our data: interval IPC moves inversely with the interval mispredict
 // rate for the Clustalw kernel.
 func TestFigure2Correlation(t *testing.T) {
-	k, err := kernels.ByApp("Clustalw")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ivs, err := RunIntervals(k, Baseline(), 5, 2, 10_000)
+	ivs, _, err := intervals(5, 2, 10_000, TraceAuto)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,14 +162,14 @@ func TestFigure2Correlation(t *testing.T) {
 	}
 	var mx, my float64
 	for _, iv := range ivs {
-		mx += iv.MispredictRate
-		my += iv.IPC
+		mx += iv.BranchMispredictRate()
+		my += iv.IPC()
 	}
 	mx /= float64(len(ivs))
 	my /= float64(len(ivs))
 	var sxy, sxx, syy float64
 	for _, iv := range ivs {
-		dx, dy := iv.MispredictRate-mx, iv.IPC-my
+		dx, dy := iv.BranchMispredictRate()-mx, iv.IPC()-my
 		sxy += dx * dy
 		sxx += dx * dx
 		syy += dy * dy
@@ -139,52 +180,5 @@ func TestFigure2Correlation(t *testing.T) {
 	r := sxy / math.Sqrt(sxx*syy)
 	if r >= 0 {
 		t.Errorf("IPC vs mispredict-rate correlation = %.2f, want negative", r)
-	}
-}
-
-func TestRunSampledApproximatesFullRun(t *testing.T) {
-	k, err := kernels.ByApp("Fasta")
-	if err != nil {
-		t.Fatal(err)
-	}
-	full, err := coupled(k, Baseline(), []int64{4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sampled, err := RunSampled(k, Baseline(), 4, 1, SampleConfig{Detail: 10_000, Skip: 30_000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sampled.TotalInstr != full.Instructions {
-		t.Errorf("sampled executed %d instructions, full %d", sampled.TotalInstr, full.Instructions)
-	}
-	if sampled.Detailed.Instructions >= sampled.TotalInstr {
-		t.Error("sampling simulated everything in detail")
-	}
-	fullIPC := full.IPC()
-	estIPC := sampled.EstimatedIPC()
-	if relErr := math.Abs(estIPC-fullIPC) / fullIPC; relErr > 0.25 {
-		t.Errorf("sampled IPC %.3f vs full %.3f (err %.0f%%)", estIPC, fullIPC, 100*relErr)
-	}
-	if _, err := RunSampled(k, Baseline(), 4, 1, SampleConfig{}); err == nil {
-		t.Error("zero detail window accepted")
-	}
-}
-
-func TestSampledDetailOnlyEqualsFull(t *testing.T) {
-	k, err := kernels.ByApp("Clustalw")
-	if err != nil {
-		t.Fatal(err)
-	}
-	full, err := coupled(k, Baseline(), []int64{6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sampled, err := RunSampled(k, Baseline(), 6, 1, SampleConfig{Detail: 1 << 40, Skip: 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sampled.Detailed.Cycles != full.Cycles {
-		t.Errorf("detail-only sampling: %d cycles vs full %d", sampled.Detailed.Cycles, full.Cycles)
 	}
 }

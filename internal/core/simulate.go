@@ -24,12 +24,6 @@ const (
 	// the coupled path and sweeps pay for each functional execution
 	// once.
 	TraceAuto TracePolicy = "auto"
-	// TraceCapture forces a fresh capture even when a trace exists,
-	// replacing the stored one.
-	TraceCapture TracePolicy = "capture"
-	// TraceReplay requires a stored trace and fails rather than
-	// capture — for strictly bounded-latency serving.
-	TraceReplay TracePolicy = "replay"
 	// TraceOff runs the coupled functional-plus-timing path, bypassing
 	// the trace subsystem entirely.
 	TraceOff TracePolicy = "off"
@@ -41,10 +35,10 @@ func ParseTracePolicy(s string) (TracePolicy, error) {
 	switch TracePolicy(s) {
 	case "":
 		return TraceAuto, nil
-	case TraceAuto, TraceCapture, TraceReplay, TraceOff:
+	case TraceAuto, TraceOff:
 		return TracePolicy(s), nil
 	}
-	return "", fmt.Errorf("core: unknown trace policy %q (want auto, capture, replay or off)", s)
+	return "", fmt.Errorf("core: unknown trace policy %q (want auto or off)", s)
 }
 
 // Request describes one simulation through the unified Simulate entry
@@ -68,13 +62,10 @@ type Request struct {
 	// Traces is the trace store to capture into / replay from; nil uses
 	// the process-wide default store.  Ignored when Trace is TraceOff.
 	Traces *trace.Store
-	// Limit bounds each seed's dynamic instruction count; 0 means the
-	// standard per-invocation limit.
-	Limit uint64
-	// Observer's hooks (event trace, registry, branch profiler) watch
-	// the timing core for every seed, whichever policy feeds it,
-	// without perturbing it.  The live cache and memory publish into
-	// the registry only under TraceOff: a replay has neither.
+	// Observer's hooks (event trace, registry, branch profiler, interval
+	// snapshots) watch the timing core for every seed, whichever policy
+	// feeds it, without perturbing it.  The live cache and memory publish
+	// into the registry only under TraceOff: a replay has neither.
 	Observer kernels.Observer
 }
 
@@ -97,19 +88,11 @@ type Response struct {
 	Cost telemetry.StageCost `json:"cost,omitempty"`
 }
 
-var (
-	defaultStoreOnce sync.Once
-	defaultStore     *trace.Store
-)
-
-// DefaultTraceStore returns the process-wide in-memory trace store that
-// Simulate uses when the request does not supply one.
-func DefaultTraceStore() *trace.Store {
-	defaultStoreOnce.Do(func() {
-		defaultStore = trace.NewStore(trace.StoreOptions{})
-	})
-	return defaultStore
-}
+// defaultTraceStore is the process-wide in-memory trace store Simulate
+// uses when the request does not supply one.
+var defaultTraceStore = sync.OnceValue(func() *trace.Store {
+	return trace.NewStore(trace.StoreOptions{})
+})
 
 // Simulate is the single entry point for running a cell: it resolves
 // the kernel, applies the trace policy per seed, and aggregates.  With
@@ -124,21 +107,13 @@ func Simulate(req Request) (*Response, error) {
 	if err != nil {
 		return nil, err
 	}
-	policy := req.Trace
-	if policy == "" {
-		policy = TraceAuto
-	}
 	scale := req.Scale
 	if scale < 1 {
 		scale = 1
 	}
-	limit := req.Limit
-	if limit == 0 {
-		limit = stepLimit
-	}
 	store := req.Traces
-	if store == nil && policy != TraceOff {
-		store = DefaultTraceStore()
+	if store == nil && req.Trace != TraceOff {
+		store = defaultTraceStore()
 	}
 
 	ctx := req.Context
@@ -148,11 +123,11 @@ func Simulate(req Request) (*Response, error) {
 
 	resp := &Response{}
 	for _, seed := range req.Seeds {
-		rep, hit, cost, err := simulateSeed(ctx, k, req.Variant, seed, scale, req.CPU, policy, store, limit, req.Observer)
+		rep, hit, cost, err := simulateSeed(ctx, k, req.Variant, seed, scale, req.CPU, req.Trace, store, req.Observer)
 		if err != nil {
 			return nil, err
 		}
-		if policy != TraceOff {
+		if req.Trace != TraceOff {
 			if hit {
 				resp.TraceHits++
 			} else {
@@ -172,7 +147,7 @@ func Simulate(req Request) (*Response, error) {
 // memoized compilation up front, so the capture/replay timings below it
 // measure only their own work.
 func simulateSeed(ctx context.Context, k *kernels.Kernel, v kernels.Variant, seed int64, scale int,
-	cfg cpu.Config, policy TracePolicy, store *trace.Store, limit uint64, obs kernels.Observer) (_ cpu.Report, _ bool, cost telemetry.StageCost, _ error) {
+	cfg cpu.Config, policy TracePolicy, store *trace.Store, obs kernels.Observer) (_ cpu.Report, _ bool, cost telemetry.StageCost, _ error) {
 	seedStart := time.Now()
 	defer func() { cost.TotalNS = time.Since(seedStart).Nanoseconds() }()
 
@@ -200,7 +175,7 @@ func simulateSeed(ctx context.Context, k *kernels.Kernel, v kernels.Variant, see
 		_, sp := telemetry.StartSpan(ctx, telemetry.StageSim)
 		sp.Attr("app", k.App)
 		sp.AttrInt("seed", seed)
-		rep, err := kernels.SimulateObserved(k, v, run, cfg, limit, obs)
+		rep, err := kernels.SimulateObserved(k, v, run, cfg, stepLimit, obs)
 		sp.End()
 		cost.SimNS = time.Since(simStart).Nanoseconds()
 		return rep, false, cost, err
@@ -210,53 +185,26 @@ func simulateSeed(ctx context.Context, k *kernels.Kernel, v kernels.Variant, see
 	if err != nil {
 		return cpu.Report{}, false, cost, err
 	}
-	var t *trace.Trace
-	hit := false
-	switch policy {
-	case TraceCapture:
+	// The store call covers both the singleflight wait (a concurrent
+	// caller is capturing the same trace) and, on a cold key, the
+	// capture itself; the closure isolates the capture portion so the
+	// remainder attributes to the store.
+	getStart := time.Now()
+	var captureNS int64
+	t, hit, err := store.GetOrCapture(ctx, key, func() (*trace.Trace, error) {
 		capStart := time.Now()
 		_, sp := telemetry.StartSpan(ctx, telemetry.StageCapture)
 		sp.Attr("app", k.App)
 		sp.AttrInt("seed", seed)
-		t, err = kernels.CaptureTrace(k, v, seed, scale, limit)
+		tr, cerr := kernels.CaptureTrace(k, v, seed, scale, stepLimit)
 		sp.End()
-		cost.CaptureNS = time.Since(capStart).Nanoseconds()
-		if err != nil {
-			return cpu.Report{}, false, cost, err
-		}
-		store.Put(key, t)
-	case TraceReplay:
-		getStart := time.Now()
-		var ok bool
-		t, ok = store.Get(key)
-		cost.CacheNS += time.Since(getStart).Nanoseconds()
-		if !ok {
-			return cpu.Report{}, false, cost, fmt.Errorf("core: no captured trace for %s/%s seed %d scale %d (policy replay)",
-				k.App, v, seed, scale)
-		}
-		hit = true
-	default: // TraceAuto
-		// The store call covers both the singleflight wait (a
-		// concurrent caller is capturing the same trace) and, on a
-		// cold key, the capture itself; the closure isolates the
-		// capture portion so the remainder attributes to the store.
-		getStart := time.Now()
-		var captureNS int64
-		t, hit, err = store.GetOrCapture(ctx, key, func() (*trace.Trace, error) {
-			capStart := time.Now()
-			_, sp := telemetry.StartSpan(ctx, telemetry.StageCapture)
-			sp.Attr("app", k.App)
-			sp.AttrInt("seed", seed)
-			tr, cerr := kernels.CaptureTrace(k, v, seed, scale, limit)
-			sp.End()
-			captureNS = time.Since(capStart).Nanoseconds()
-			return tr, cerr
-		})
-		cost.CaptureNS += captureNS
-		cost.CacheNS += time.Since(getStart).Nanoseconds() - captureNS
-		if err != nil {
-			return cpu.Report{}, false, cost, err
-		}
+		captureNS = time.Since(capStart).Nanoseconds()
+		return tr, cerr
+	})
+	cost.CaptureNS = captureNS
+	cost.CacheNS = time.Since(getStart).Nanoseconds() - captureNS
+	if err != nil {
+		return cpu.Report{}, false, cost, err
 	}
 	replayStart := time.Now()
 	_, sp := telemetry.StartSpan(ctx, telemetry.StageReplay)

@@ -4,7 +4,6 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"strings"
 	"testing"
 
 	"bioperf5/internal/cpu"
@@ -39,27 +38,14 @@ func TestSimulatePoliciesBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	capture, err := Simulate(simRequest(store, TraceCapture))
-	if err != nil {
-		t.Fatal(err)
-	}
-	replay, err := Simulate(simRequest(store, TraceReplay))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, resp := range map[string]*Response{"auto": auto, "capture": capture, "replay": replay} {
-		if !reflect.DeepEqual(resp.Seeds, off.Seeds) || resp.Aggregate != off.Aggregate {
-			t.Errorf("policy %s diverges from the coupled path", name)
-		}
+	if !reflect.DeepEqual(auto.Seeds, off.Seeds) || auto.Aggregate != off.Aggregate {
+		t.Error("policy auto diverges from the coupled path")
 	}
 	if off.TraceHits != 0 || off.Captures != 0 {
 		t.Errorf("off policy counted trace activity: %+v", off)
 	}
 	if auto.Captures != 2 || auto.TraceHits != 0 {
 		t.Errorf("first auto run = %d captures / %d hits, want 2/0", auto.Captures, auto.TraceHits)
-	}
-	if replay.TraceHits != 2 || replay.Captures != 0 {
-		t.Errorf("replay run = %d captures / %d hits, want 0/2", replay.Captures, replay.TraceHits)
 	}
 	// A warm store serves auto entirely from memory.
 	warm, err := Simulate(simRequest(store, TraceAuto))
@@ -104,14 +90,6 @@ func TestSimulateSharesTraceAcrossTimingConfigs(t *testing.T) {
 	}
 	if st := store.Stats(); st.Captures != 1 {
 		t.Errorf("factorial ran %d captures, want 1", st.Captures)
-	}
-}
-
-func TestSimulateReplayWithoutCaptureFails(t *testing.T) {
-	store := trace.NewStore(trace.StoreOptions{})
-	_, err := Simulate(simRequest(store, TraceReplay))
-	if err == nil || !strings.Contains(err.Error(), "no captured trace") {
-		t.Fatalf("replay against empty store: %v", err)
 	}
 }
 
@@ -178,16 +156,18 @@ func TestSimulateCorruptDiskTraceFallsBack(t *testing.T) {
 
 func TestParseTracePolicy(t *testing.T) {
 	for in, want := range map[string]TracePolicy{
-		"": TraceAuto, "auto": TraceAuto, "capture": TraceCapture,
-		"replay": TraceReplay, "off": TraceOff,
+		"": TraceAuto, "auto": TraceAuto, "off": TraceOff,
 	} {
 		got, err := ParseTracePolicy(in)
 		if err != nil || got != want {
 			t.Errorf("ParseTracePolicy(%q) = (%q, %v), want %q", in, got, err, want)
 		}
 	}
-	if _, err := ParseTracePolicy("always"); err == nil {
-		t.Error("bad policy accepted")
+	// capture and replay were policies once; they are errors now.
+	for _, bad := range []string{"always", "capture", "replay", "Auto"} {
+		if _, err := ParseTracePolicy(bad); err == nil {
+			t.Errorf("bad policy %q accepted", bad)
+		}
 	}
 }
 
@@ -244,7 +224,7 @@ func TestSimulateBranchesRideEveryPolicy(t *testing.T) {
 	for _, c := range []struct {
 		name   string
 		policy TracePolicy
-	}{{"off", TraceOff}, {"auto cold", TraceAuto}, {"auto warm", TraceAuto}, {"replay", TraceReplay}} {
+	}{{"off", TraceOff}, {"auto cold", TraceAuto}, {"auto warm", TraceAuto}} {
 		prof := siteCounts{}
 		req := simRequest(store, c.policy)
 		req.Observer.Branches = prof

@@ -98,6 +98,11 @@ type Hooks struct {
 	Trace    *telemetry.TraceBuffer // gets one lifecycle record per consumed instruction
 	Branches BranchProfiler         // sees every conditional branch and BTAC lookup
 
+	// Interval, with Every > 0, gets Counters() after every Every-th
+	// consumed instruction (Figure 2's window); not after a partial tail.
+	Every    uint64
+	Interval func(Counters)
+
 	// Streaming distributions, wired by Telemetry.
 	histLoad     *telemetry.Histogram
 	histFlush    *telemetry.Histogram
@@ -424,40 +429,9 @@ func (c *Core) Consume(ev *Event) error {
 	c.window[idx] = complC
 
 	if o := c.obs; o != nil {
-		o.retired(ev, c.ctr.Instructions-1, fetchC, dispC, issueC, complC, lat, flush, charged)
+		c.retired(o, ev, fetchC, dispC, issueC, complC, lat, flush, charged)
 	}
 	return nil
-}
-
-// retired feeds the per-instruction observers: the load-to-use
-// histogram and the pipeline trace, whose bucket names are only
-// materialised here.
-func (o *Hooks) retired(ev *Event, seq, fetchC, dispC, issueC, complC, lat uint64, flush, charged bucket) {
-	meta := ev.Meta
-	if meta.Load && o.histLoad != nil {
-		o.histLoad.Observe(lat)
-	}
-	if o.Trace == nil {
-		return
-	}
-	te := telemetry.TraceEvent{
-		Seq:      seq,
-		PC:       ev.PC,
-		Op:       meta.Op.String(),
-		Fetch:    fetchC,
-		Dispatch: dispC,
-		Issue:    issueC,
-		Complete: complC,
-		Flush:    bucketNames[flush],
-		Stall:    bucketNames[charged],
-	}
-	if meta.Load || meta.Store {
-		te.EA = ev.EA
-		if meta.Load {
-			te.MemLat = lat
-		}
-	}
-	o.Trace.Append(te)
 }
 
 // chargeStalls attributes delta newly elapsed cycles (the completion
@@ -616,4 +590,39 @@ func (c *Core) redirect(at uint64, cause bucket) {
 		c.fetchedAt = 0
 		c.fetchCause = cause
 	}
+}
+
+// retired feeds the per-instruction observers the instruction Consume
+// just counted: the load-to-use histogram, the interval sink, and the
+// pipeline trace, whose bucket names are only materialised here.  Cold,
+// so last in the file: growing it moves none of the pipeline's code.
+func (c *Core) retired(o *Hooks, ev *Event, fetchC, dispC, issueC, complC, lat uint64, flush, charged bucket) {
+	meta := ev.Meta
+	if meta.Load && o.histLoad != nil {
+		o.histLoad.Observe(lat)
+	}
+	if o.Every != 0 && c.ctr.Instructions%o.Every == 0 {
+		o.Interval(c.Counters())
+	}
+	if o.Trace == nil {
+		return
+	}
+	te := telemetry.TraceEvent{
+		Seq:      c.ctr.Instructions - 1,
+		PC:       ev.PC,
+		Op:       meta.Op.String(),
+		Fetch:    fetchC,
+		Dispatch: dispC,
+		Issue:    issueC,
+		Complete: complC,
+		Flush:    bucketNames[flush],
+		Stall:    bucketNames[charged],
+	}
+	if meta.Load || meta.Store {
+		te.EA = ev.EA
+		if meta.Load {
+			te.MemLat = lat
+		}
+	}
+	o.Trace.Append(te)
 }

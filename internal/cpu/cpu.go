@@ -268,27 +268,12 @@ func (m *Model) PublishTo(reg *telemetry.Registry) {
 	m.mem.PublishTo(reg)
 }
 
-// Consume advances the timing core by one instruction the machine
-// executed.
-func (m *Model) Consume(d machine.DynInst) error {
-	if uint(d.Index) >= uint(len(m.metas)) {
-		return fmt.Errorf("cpu: instruction index %d outside the %d-instruction program the model was built for",
-			d.Index, len(m.metas))
-	}
-	ev := Event{Meta: &m.metas[d.Index], PC: d.Index, Next: d.Next, Taken: d.Taken}
-	if ev.Meta.Load || ev.Meta.Store {
-		_, level := m.mem.Access(d.EA)
-		ev.MissLevel, ev.EA = uint8(level), d.EA
-	}
-	return m.Core.Consume(&ev)
-}
-
 // Run drives mach — which must execute the program the model was built
 // for — through the timing core until the machine halts or limit
-// instructions execute.
+// instructions execute: each instruction the machine steps becomes a
+// core Event, its miss level looked up in the live hierarchy.
 func (m *Model) Run(mach *machine.Machine, limit uint64) (Counters, error) {
-	var n uint64
-	for !mach.Halted() {
+	for n := uint64(0); !mach.Halted(); n++ {
 		if n >= limit {
 			return m.Counters(), machine.ErrLimit
 		}
@@ -296,10 +281,18 @@ func (m *Model) Run(mach *machine.Machine, limit uint64) (Counters, error) {
 		if err != nil {
 			return m.Counters(), err
 		}
-		if err := m.Consume(d); err != nil {
+		if uint(d.Index) >= uint(len(m.metas)) {
+			return m.Counters(), fmt.Errorf("cpu: instruction index %d outside the %d-instruction program the model was built for",
+				d.Index, len(m.metas))
+		}
+		ev := Event{Meta: &m.metas[d.Index], PC: d.Index, Next: d.Next, Taken: d.Taken}
+		if ev.Meta.Load || ev.Meta.Store {
+			_, level := m.mem.Access(d.EA)
+			ev.MissLevel, ev.EA = uint8(level), d.EA
+		}
+		if err := m.Core.Consume(&ev); err != nil {
 			return m.Counters(), err
 		}
-		n++
 	}
 	return m.Counters(), nil
 }

@@ -89,35 +89,47 @@ const (
 	Blackout
 )
 
-// String names the kind for error messages and specs.
+// kinds is the one table of rate-driven faults: the spec key that sets a
+// kind's probability, the site the kind is injected at, and the kind.
+// Plan keeps one rate per row; Parse, Validate, Decide and the Has*
+// predicates all walk this table, so a new fault is one new row.  Rows
+// of one site are tried in table order against one uniform draw, which
+// makes the order part of what a seed reproduces.
+var kinds = [...]struct {
+	key  string
+	site Site
+	kind Kind
+}{
+	{"panic", SiteExecute, Panic},
+	{"error", SiteExecute, Error},
+	{"hang", SiteExecute, Hang},
+	{"cancel", SiteExecute, Cancel},
+	{"corrupt", SiteStore, Corrupt},
+	{"tracecorrupt", SiteTrace, Corrupt},
+	{"refuse", SiteDial, Refuse},
+	{"latency", SiteDial, Latency},
+	{"http5xx", SiteResponse, HTTP5xx},
+	{"cut", SiteStream, Cut},
+	{"corruptline", SiteStream, CorruptLine},
+	{"dupitem", SiteStream, DupItem},
+}
+
+// siteNames names each Site for error messages.
+var siteNames = [...]string{"execute", "store", "trace", "dial", "response", "stream"}
+
+// String names the kind for error messages: the spec key of its first
+// table row.
 func (k Kind) String() string {
 	switch k {
 	case None:
 		return "none"
-	case Panic:
-		return "panic"
-	case Error:
-		return "error"
-	case Hang:
-		return "hang"
-	case Cancel:
-		return "cancel"
-	case Corrupt:
-		return "corrupt"
-	case Refuse:
-		return "refuse"
-	case Latency:
-		return "latency"
-	case HTTP5xx:
-		return "http5xx"
-	case Cut:
-		return "cut"
-	case CorruptLine:
-		return "corruptline"
-	case DupItem:
-		return "dupitem"
 	case Blackout:
 		return "blackout"
+	}
+	for _, row := range kinds {
+		if row.kind == k {
+			return row.key
+		}
 	}
 	return fmt.Sprintf("Kind(%d)", int(k))
 }
@@ -136,48 +148,28 @@ type Injector interface {
 	Decide(site Site, hash string, attempt int) Decision
 }
 
-// DefaultHangDelay is the hang duration used when a Plan does not set
+// DefaultHangDelay is the hang duration of a spec that does not set
 // one.  It is deliberately long: a hang is meant to out-sleep the
 // engine's cell deadline so the watchdog path is exercised.
 const DefaultHangDelay = 30 * time.Second
 
-// DefaultLatencyDelay is the added request latency used when a Plan
-// does not set one.  It is deliberately short: latency injection is
+// DefaultLatencyDelay is the added request latency of a spec that does
+// not set one.  It is deliberately short: latency injection is
 // meant to reorder completions and exercise stealing, not to trip
 // request deadlines.
 const DefaultLatencyDelay = 25 * time.Millisecond
 
 // Plan is the stock deterministic injector: per-kind probabilities
 // evaluated against a hash of (Seed, site, cell hash, attempt).  The
-// zero value injects nothing.
+// zero value injects nothing.  Plans that do come from Parse, which
+// fills in the defaults (one injection per site and cell, the default
+// delays).
 type Plan struct {
 	Seed int64 // stream selector; same seed, same faults
 
-	// Execute-site rates, each in [0,1] with a sum <= 1.
-	PanicRate  float64
-	ErrorRate  float64
-	HangRate   float64
-	CancelRate float64
-
-	// Store-site rate in [0,1].
-	CorruptRate float64
-
-	// Trace-site rate in [0,1]: probability that a trace-store disk
-	// write is torn after landing.
-	TraceCorruptRate float64
-
-	// Dial-site rates, each in [0,1] with a sum <= 1.
-	RefuseRate  float64
-	LatencyRate float64
-
-	// Response-site rate in [0,1]: probability a worker's answer is
-	// replaced with a synthesized 503.
-	HTTP5xxRate float64
-
-	// Stream-site rates, each in [0,1] with a sum <= 1.
-	CutRate         float64
-	CorruptLineRate float64
-	DupItemRate     float64
+	// rates holds one probability per kinds row, each in [0,1] with a
+	// sum <= 1 over the rows of one site.
+	rates [len(kinds)]float64
 
 	// Blackout describes a per-worker partition window: every request
 	// whose host contains BlackoutTarget and whose per-host request
@@ -187,49 +179,31 @@ type Plan struct {
 	BlackoutFrom   int
 	BlackoutFor    int
 
-	// HangDelay is how long a Hang decision sleeps (<= 0 means
-	// DefaultHangDelay).
-	HangDelay time.Duration
-
-	// LatencyDelay is how long a Latency decision stalls a request
-	// before it is sent (<= 0 means DefaultLatencyDelay).
+	// HangDelay is how long a Hang decision sleeps, LatencyDelay how
+	// long a Latency decision stalls a request before it is sent.
+	HangDelay    time.Duration
 	LatencyDelay time.Duration
 
 	// Times caps injections per (site, cell): attempts >= Times are
-	// left alone (<= 0 means 1).  Keeping Times at or below the
-	// engine's retry budget guarantees every cell eventually gets a
-	// clean attempt, so a chaotic sweep still converges.
+	// left alone.  Keeping Times at or below the engine's retry budget
+	// guarantees every cell eventually gets a clean attempt, so a
+	// chaotic sweep still converges.
 	Times int
 }
 
 // Validate checks the plan's rates and budgets.
 func (p *Plan) Validate() error {
-	for _, r := range []struct {
-		name string
-		rate float64
-	}{
-		{"panic", p.PanicRate}, {"error", p.ErrorRate},
-		{"hang", p.HangRate}, {"cancel", p.CancelRate},
-		{"corrupt", p.CorruptRate}, {"tracecorrupt", p.TraceCorruptRate},
-		{"refuse", p.RefuseRate}, {"latency", p.LatencyRate},
-		{"http5xx", p.HTTP5xxRate},
-		{"cut", p.CutRate}, {"corruptline", p.CorruptLineRate},
-		{"dupitem", p.DupItemRate},
-	} {
-		if r.rate < 0 || r.rate > 1 {
-			return fmt.Errorf("fault: %s rate %g out of range [0,1]", r.name, r.rate)
+	var sums [len(siteNames)]float64
+	for i, row := range kinds {
+		r := p.rates[i]
+		if !(r >= 0 && r <= 1) { // also rejects NaN
+			return fmt.Errorf("fault: %s rate %g out of range [0,1]", row.key, r)
 		}
+		sums[row.site] += r
 	}
-	for _, s := range []struct {
-		name string
-		sum  float64
-	}{
-		{"execute", p.PanicRate + p.ErrorRate + p.HangRate + p.CancelRate},
-		{"dial", p.RefuseRate + p.LatencyRate},
-		{"stream", p.CutRate + p.CorruptLineRate + p.DupItemRate},
-	} {
-		if s.sum > 1 {
-			return fmt.Errorf("fault: %s-site rates sum to %g, must be <= 1", s.name, s.sum)
+	for site, sum := range sums {
+		if sum > 1 {
+			return fmt.Errorf("fault: %s-site rates sum to %g, must be <= 1", siteNames[site], sum)
 		}
 	}
 	if p.BlackoutTarget != "" && (p.BlackoutFrom < 0 || p.BlackoutFor <= 0) {
@@ -239,47 +213,41 @@ func (p *Plan) Validate() error {
 	return nil
 }
 
+// armed reports whether any kind injected at a site in [lo, hi] has a
+// positive rate.
+func (p *Plan) armed(lo, hi Site) bool {
+	if p == nil {
+		return false
+	}
+	for i, row := range kinds {
+		if row.site >= lo && row.site <= hi && p.rates[i] > 0 {
+			return true
+		}
+	}
+	return false
+}
+
 // HasNetworkFaults reports whether the plan injects anything at the
 // transport sites (dial, response, stream) or defines a blackout
 // window; when false a ChaosTransport built from it is a no-op.
 func (p *Plan) HasNetworkFaults() bool {
-	if p == nil {
-		return false
-	}
-	return p.RefuseRate > 0 || p.LatencyRate > 0 || p.HTTP5xxRate > 0 ||
-		p.CutRate > 0 || p.CorruptLineRate > 0 || p.DupItemRate > 0 ||
-		(p.BlackoutTarget != "" && p.BlackoutFor > 0)
+	return p.armed(SiteDial, SiteStream) || (p != nil && p.BlackoutTarget != "" && p.BlackoutFor > 0)
 }
 
 // HasLocalFaults reports whether the plan injects anything at the
 // in-process sites (execute, store, trace).
-func (p *Plan) HasLocalFaults() bool {
-	if p == nil {
-		return false
-	}
-	return p.PanicRate > 0 || p.ErrorRate > 0 || p.HangRate > 0 ||
-		p.CancelRate > 0 || p.CorruptRate > 0 || p.TraceCorruptRate > 0
-}
+func (p *Plan) HasLocalFaults() bool { return p.armed(SiteExecute, SiteTrace) }
 
-func (p *Plan) times() int {
-	if p.Times <= 0 {
-		return 1
+// delay is the Decision.Delay a kind carries: the plan's hang and
+// latency durations, zero for every other kind.
+func (p *Plan) delay(k Kind) time.Duration {
+	switch k {
+	case Hang:
+		return p.HangDelay
+	case Latency:
+		return p.LatencyDelay
 	}
-	return p.Times
-}
-
-func (p *Plan) hangDelay() time.Duration {
-	if p.HangDelay <= 0 {
-		return DefaultHangDelay
-	}
-	return p.HangDelay
-}
-
-func (p *Plan) latencyDelay() time.Duration {
-	if p.LatencyDelay <= 0 {
-		return DefaultLatencyDelay
-	}
-	return p.LatencyDelay
+	return 0
 }
 
 // draw maps (Seed, site, hash, attempt) to a uniform value in [0,1),
@@ -291,77 +259,22 @@ func (p *Plan) draw(site Site, hash string, attempt int) float64 {
 	return float64(binary.BigEndian.Uint64(sum[:8])>>11) / float64(1<<53)
 }
 
-// Decide implements Injector.
+// Decide implements Injector: the site's rows partition [0,1) in table
+// order and the draw picks one, or none past their sum.
 func (p *Plan) Decide(site Site, hash string, attempt int) Decision {
-	if p == nil || attempt >= p.times() {
+	if p == nil || attempt >= p.Times {
 		return Decision{}
 	}
 	u := p.draw(site, hash, attempt)
-	switch site {
-	case SiteStore:
-		if u < p.CorruptRate {
-			return Decision{Kind: Corrupt}
+	cum := 0.0
+	for i, row := range kinds {
+		if row.site != site {
+			continue
 		}
-	case SiteTrace:
-		if u < p.TraceCorruptRate {
-			return Decision{Kind: Corrupt}
-		}
-	case SiteDial:
-		cum := 0.0
-		for _, c := range []struct {
-			rate float64
-			kind Kind
-		}{
-			{p.RefuseRate, Refuse},
-			{p.LatencyRate, Latency},
-		} {
-			cum += c.rate
-			if c.rate > 0 && u < cum {
-				d := Decision{Kind: c.kind}
-				if c.kind == Latency {
-					d.Delay = p.latencyDelay()
-				}
-				return d
-			}
-		}
-	case SiteResponse:
-		if u < p.HTTP5xxRate {
-			return Decision{Kind: HTTP5xx}
-		}
-	case SiteStream:
-		cum := 0.0
-		for _, c := range []struct {
-			rate float64
-			kind Kind
-		}{
-			{p.CutRate, Cut},
-			{p.CorruptLineRate, CorruptLine},
-			{p.DupItemRate, DupItem},
-		} {
-			cum += c.rate
-			if c.rate > 0 && u < cum {
-				return Decision{Kind: c.kind}
-			}
-		}
-	case SiteExecute:
-		cum := 0.0
-		for _, c := range []struct {
-			rate float64
-			kind Kind
-		}{
-			{p.PanicRate, Panic},
-			{p.ErrorRate, Error},
-			{p.HangRate, Hang},
-			{p.CancelRate, Cancel},
-		} {
-			cum += c.rate
-			if c.rate > 0 && u < cum {
-				d := Decision{Kind: c.kind}
-				if c.kind == Hang {
-					d.Delay = p.hangDelay()
-				}
-				return d
-			}
+		r := p.rates[i]
+		cum += r
+		if r > 0 && u < cum {
+			return Decision{Kind: row.kind, Delay: p.delay(row.kind)}
 		}
 	}
 	return Decision{}

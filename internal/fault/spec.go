@@ -46,7 +46,7 @@ func Parse(spec string) (*Plan, error) {
 	if spec == "" {
 		return nil, nil
 	}
-	p := &Plan{Seed: 1}
+	p := &Plan{Seed: 1, Times: 1, HangDelay: DefaultHangDelay, LatencyDelay: DefaultLatencyDelay}
 	for _, pair := range strings.Split(spec, ",") {
 		pair = strings.TrimSpace(pair)
 		if pair == "" {
@@ -64,67 +64,28 @@ func Parse(spec string) (*Plan, error) {
 				return nil, fmt.Errorf("fault: bad seed %q: %w", val, err)
 			}
 			p.Seed = n
-		case "panic", "error", "hang", "cancel", "corrupt", "tracecorrupt",
-			"refuse", "latency", "http5xx", "cut", "corruptline", "dupitem":
-			r, err := strconv.ParseFloat(val, 64)
-			if err != nil {
-				return nil, fmt.Errorf("fault: bad %s rate %q: %w", key, val, err)
-			}
-			switch key {
-			case "panic":
-				p.PanicRate = r
-			case "error":
-				p.ErrorRate = r
-			case "hang":
-				p.HangRate = r
-			case "cancel":
-				p.CancelRate = r
-			case "corrupt":
-				p.CorruptRate = r
-			case "tracecorrupt":
-				p.TraceCorruptRate = r
-			case "refuse":
-				p.RefuseRate = r
-			case "latency":
-				p.LatencyRate = r
-			case "http5xx":
-				p.HTTP5xxRate = r
-			case "cut":
-				p.CutRate = r
-			case "corruptline":
-				p.CorruptLineRate = r
-			case "dupitem":
-				p.DupItemRate = r
-			}
-		case "delay":
+		case "delay", "latdelay":
 			d, err := time.ParseDuration(val)
 			if err != nil || d <= 0 {
-				return nil, fmt.Errorf("fault: bad delay %q: want a positive duration like 250ms", val)
+				return nil, fmt.Errorf("fault: bad %s %q: want a positive duration like 250ms", key, val)
 			}
-			p.HangDelay = d
-		case "latdelay":
-			d, err := time.ParseDuration(val)
-			if err != nil || d <= 0 {
-				return nil, fmt.Errorf("fault: bad latdelay %q: want a positive duration like 25ms", val)
+			if key == "delay" {
+				p.HangDelay = d
+			} else {
+				p.LatencyDelay = d
 			}
-			p.LatencyDelay = d
 		case "blackout":
 			target, window, ok := strings.Cut(val, "@")
 			if !ok || target == "" {
 				return nil, fmt.Errorf("fault: bad blackout %q: want HOST@FROM+FOR", val)
 			}
-			from, dur, ok := strings.Cut(window, "+")
-			if !ok {
-				return nil, fmt.Errorf("fault: bad blackout window %q: want FROM+FOR", window)
-			}
+			from, dur, _ := strings.Cut(window, "+")
 			f, err1 := strconv.Atoi(from)
 			n, err2 := strconv.Atoi(dur)
-			if err1 != nil || err2 != nil || f < 0 || n < 1 {
-				return nil, fmt.Errorf("fault: bad blackout window %q: want FROM >= 0 and FOR >= 1", window)
+			if err1 != nil || err2 != nil {
+				return nil, fmt.Errorf("fault: bad blackout window %q: want FROM+FOR", window)
 			}
-			p.BlackoutTarget = target
-			p.BlackoutFrom = f
-			p.BlackoutFor = n
+			p.BlackoutTarget, p.BlackoutFrom, p.BlackoutFor = target, f, n
 		case "times":
 			n, err := strconv.Atoi(val)
 			if err != nil || n < 1 {
@@ -132,24 +93,28 @@ func Parse(spec string) (*Plan, error) {
 			}
 			p.Times = n
 		default:
-			return nil, fmt.Errorf("fault: unknown spec key %q (valid: seed, panic, error, hang, cancel, corrupt, tracecorrupt, refuse, latency, http5xx, cut, corruptline, dupitem, blackout, delay, latdelay, times)", key)
+			row := -1
+			for i, k := range kinds {
+				if k.key == key {
+					row = i
+				}
+			}
+			if row < 0 {
+				keys := "seed"
+				for _, k := range kinds {
+					keys += ", " + k.key
+				}
+				return nil, fmt.Errorf("fault: unknown spec key %q (valid: %s, blackout, delay, latdelay, times)", key, keys)
+			}
+			r, err := strconv.ParseFloat(val, 64)
+			if err != nil {
+				return nil, fmt.Errorf("fault: bad %s rate %q: %w", key, val, err)
+			}
+			p.rates[row] = r
 		}
 	}
 	if err := p.Validate(); err != nil {
 		return nil, err
-	}
-	return p, nil
-}
-
-// FromEnv parses the BIOPERF5_FAULTS environment variable.  An unset
-// or empty variable returns (nil, nil).
-func FromEnv() (Injector, error) {
-	p, err := PlanFromEnv()
-	if err != nil {
-		return nil, err
-	}
-	if p == nil {
-		return nil, nil
 	}
 	return p, nil
 }

@@ -19,36 +19,32 @@ const maxDupLine = 1 << 20
 // severing the stream, enough to put the consumer mid-line.
 const cutAfter = 100
 
+// maxConsecutive caps failure-injecting decisions in a row per request
+// key before a forced clean pass.
+const maxConsecutive = 3
+
 // corruptSpan is how many leading body bytes a CorruptLine decision
 // XORs.  32 bytes of 0xA5 turns `{"schema":...` into garbage that no
 // JSON or JSONL consumer accepts.
 const corruptSpan = 32
 
 // ChaosTransport is an http.RoundTripper that deterministically
-// injects network faults around an inner transport, driven by a Plan's
-// wire-site rates.  Decisions are pure functions of (plan seed, site,
+// injects network faults around http.DefaultTransport, driven by a
+// Plan's wire-site rates.  Decisions are pure functions of (plan seed, site,
 // request key, per-key request ordinal), so a chaotic run reproduces
 // exactly under the same seed and request order per key.  The request
 // key is "METHOD host path": each worker endpoint gets its own fault
 // stream regardless of global interleaving.
 //
 // Convergence has two guards.  The plan's Times budget stops injecting
-// once a key's ordinal reaches it, and MaxConsecutive forces a clean
-// pass after that many consecutively failed requests on one key, so a
+// once a key's ordinal reaches it, and after maxConsecutive
+// consecutively failed requests on one key the next passes clean, so a
 // bounded client retry budget always suffices.  Blackout windows are
 // exempt from both: a partition does not care how often you knock.
 type ChaosTransport struct {
-	// Inner performs the real round trips (nil means
-	// http.DefaultTransport).
-	Inner http.RoundTripper
 	// Plan supplies the wire-site decisions; nil or a plan with no
 	// network faults makes the transport a pass-through.
 	Plan *Plan
-	// MaxConsecutive caps failure-injecting decisions in a row per
-	// request key before a forced clean pass (<= 0 means 3).
-	MaxConsecutive int
-	// OnFault, when set, observes every injected fault.
-	OnFault func(site Site, kind Kind, key string)
 
 	mu       sync.Mutex
 	keys     map[string]*keyState
@@ -64,32 +60,11 @@ type keyState struct {
 // Injected reports how many faults the transport has injected so far.
 func (t *ChaosTransport) Injected() uint64 { return t.injected.Load() }
 
-func (t *ChaosTransport) maxConsecutive() int {
-	if t.MaxConsecutive <= 0 {
-		return 3
-	}
-	return t.MaxConsecutive
-}
-
-func (t *ChaosTransport) inner() http.RoundTripper {
-	if t.Inner != nil {
-		return t.Inner
-	}
-	return http.DefaultTransport
-}
-
-func (t *ChaosTransport) note(site Site, kind Kind, key string) {
-	t.injected.Add(1)
-	if t.OnFault != nil {
-		t.OnFault(site, kind, key)
-	}
-}
-
 // RoundTrip implements http.RoundTripper.
 func (t *ChaosTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 	p := t.Plan
 	if p == nil || !p.HasNetworkFaults() {
-		return t.inner().RoundTrip(req)
+		return http.DefaultTransport.RoundTrip(req)
 	}
 	host := req.URL.Host
 	key := req.Method + " " + host + req.URL.Path
@@ -108,7 +83,7 @@ func (t *ChaosTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 	}
 	ord := ks.ordinal
 	ks.ordinal++
-	forcedClean := ks.streak >= t.maxConsecutive()
+	forcedClean := ks.streak >= maxConsecutive
 	if forcedClean {
 		ks.streak = 0
 	}
@@ -118,7 +93,7 @@ func (t *ChaosTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 	if p.BlackoutTarget != "" && p.BlackoutFor > 0 &&
 		strings.Contains(host, p.BlackoutTarget) &&
 		hostOrd >= p.BlackoutFrom && hostOrd < p.BlackoutFrom+p.BlackoutFor {
-		t.note(SiteDial, Blackout, key)
+		t.injected.Add(1)
 		return nil, fmt.Errorf("fault: injected blackout of %q (request %d in window %d+%d): connection refused",
 			host, hostOrd, p.BlackoutFrom, p.BlackoutFor)
 	}
@@ -127,10 +102,10 @@ func (t *ChaosTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 		switch d := p.Decide(SiteDial, key, ord); d.Kind {
 		case Refuse:
 			t.bumpStreak(key)
-			t.note(SiteDial, Refuse, key)
+			t.injected.Add(1)
 			return nil, fmt.Errorf("fault: injected dial refusal for %s: connection refused", key)
 		case Latency:
-			t.note(SiteDial, Latency, key)
+			t.injected.Add(1)
 			select {
 			case <-time.After(d.Delay):
 			case <-req.Context().Done():
@@ -139,7 +114,7 @@ func (t *ChaosTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 		}
 	}
 
-	resp, err := t.inner().RoundTrip(req)
+	resp, err := http.DefaultTransport.RoundTrip(req)
 	if err != nil {
 		return nil, err
 	}
@@ -149,7 +124,7 @@ func (t *ChaosTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 
 	if p.Decide(SiteResponse, key, ord).Kind == HTTP5xx {
 		t.bumpStreak(key)
-		t.note(SiteResponse, HTTP5xx, key)
+		t.injected.Add(1)
 		io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<20))
 		resp.Body.Close()
 		body := "fault: injected 503\n"
@@ -169,15 +144,15 @@ func (t *ChaosTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 	switch p.Decide(SiteStream, key, ord).Kind {
 	case Cut:
 		t.bumpStreak(key)
-		t.note(SiteStream, Cut, key)
+		t.injected.Add(1)
 		resp.Body = &cutBody{rc: resp.Body, remaining: cutAfter}
 	case CorruptLine:
 		t.bumpStreak(key)
-		t.note(SiteStream, CorruptLine, key)
+		t.injected.Add(1)
 		resp.Body = &corruptBody{rc: resp.Body, remaining: corruptSpan}
 	case DupItem:
 		t.resetStreak(key)
-		t.note(SiteStream, DupItem, key)
+		t.injected.Add(1)
 		resp.Body = &dupBody{rc: resp.Body}
 	default:
 		t.resetStreak(key)

@@ -30,7 +30,7 @@ func linesHandler(n int) http.Handler {
 }
 
 func TestChaosTransportPassThrough(t *testing.T) {
-	cli, ct, srv := newChaosClient(t, &Plan{Seed: 1}, linesHandler(2))
+	cli, ct, srv := newChaosClient(t, MustParse(t, "seed=1"), linesHandler(2))
 	resp, err := cli.Get(srv.URL + "/x")
 	if err != nil {
 		t.Fatal(err)
@@ -46,7 +46,7 @@ func TestChaosTransportPassThrough(t *testing.T) {
 }
 
 func TestChaosTransportDeterministic(t *testing.T) {
-	plan := &Plan{Seed: 9, RefuseRate: 0.3, HTTP5xxRate: 0.3, CutRate: 0.3, Times: 32}
+	plan := MustParse(t, "seed=9,refuse=0.3,http5xx=0.3,cut=0.3,times=32")
 	// One server for both runs: the request key includes host:port, so
 	// determinism is per endpoint, exactly as in a real cluster where
 	// worker addresses are fixed.
@@ -94,7 +94,7 @@ func TestChaosTransportDeterministic(t *testing.T) {
 }
 
 func TestChaosTransportRefuse(t *testing.T) {
-	cli, ct, srv := newChaosClient(t, &Plan{Seed: 1, RefuseRate: 1, Times: 1}, linesHandler(1))
+	cli, ct, srv := newChaosClient(t, MustParse(t, "seed=1,refuse=1,times=1"), linesHandler(1))
 	if _, err := cli.Get(srv.URL + "/r"); err == nil || !strings.Contains(err.Error(), "connection refused") {
 		t.Fatalf("rate-1 refusal returned err=%v", err)
 	}
@@ -108,7 +108,7 @@ func TestChaosTransportRefuse(t *testing.T) {
 }
 
 func TestChaosTransportLatency(t *testing.T) {
-	plan := &Plan{Seed: 1, LatencyRate: 1, LatencyDelay: 80 * time.Millisecond, Times: 1}
+	plan := MustParse(t, "seed=1,latency=1,latdelay=80ms,times=1")
 	cli, _, srv := newChaosClient(t, plan, linesHandler(1))
 	start := time.Now()
 	resp, err := cli.Get(srv.URL + "/l")
@@ -123,7 +123,7 @@ func TestChaosTransportLatency(t *testing.T) {
 }
 
 func TestChaosTransportLatencyHonorsContext(t *testing.T) {
-	plan := &Plan{Seed: 1, LatencyRate: 1, LatencyDelay: 10 * time.Second, Times: 1}
+	plan := MustParse(t, "seed=1,latency=1,latdelay=10s,times=1")
 	cli, _, srv := newChaosClient(t, plan, linesHandler(1))
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
@@ -138,7 +138,7 @@ func TestChaosTransportLatencyHonorsContext(t *testing.T) {
 }
 
 func TestChaosTransportHTTP5xx(t *testing.T) {
-	cli, _, srv := newChaosClient(t, &Plan{Seed: 1, HTTP5xxRate: 1, Times: 1}, linesHandler(1))
+	cli, _, srv := newChaosClient(t, MustParse(t, "seed=1,http5xx=1,times=1"), linesHandler(1))
 	resp, err := cli.Get(srv.URL + "/e")
 	if err != nil {
 		t.Fatal(err)
@@ -157,7 +157,7 @@ func TestChaosTransportHTTP5xx(t *testing.T) {
 }
 
 func TestChaosTransportCut(t *testing.T) {
-	cli, _, srv := newChaosClient(t, &Plan{Seed: 1, CutRate: 1, Times: 1}, linesHandler(50))
+	cli, _, srv := newChaosClient(t, MustParse(t, "seed=1,cut=1,times=1"), linesHandler(50))
 	resp, err := cli.Get(srv.URL + "/c")
 	if err != nil {
 		t.Fatal(err)
@@ -173,7 +173,7 @@ func TestChaosTransportCut(t *testing.T) {
 }
 
 func TestChaosTransportCorruptLine(t *testing.T) {
-	cli, _, srv := newChaosClient(t, &Plan{Seed: 1, CorruptLineRate: 1, Times: 1}, linesHandler(2))
+	cli, _, srv := newChaosClient(t, MustParse(t, "seed=1,corruptline=1,times=1"), linesHandler(2))
 	resp, err := cli.Get(srv.URL + "/cl")
 	if err != nil {
 		t.Fatal(err)
@@ -191,7 +191,7 @@ func TestChaosTransportCorruptLine(t *testing.T) {
 }
 
 func TestChaosTransportDupItem(t *testing.T) {
-	cli, _, srv := newChaosClient(t, &Plan{Seed: 1, DupItemRate: 1, Times: 1}, linesHandler(3))
+	cli, _, srv := newChaosClient(t, MustParse(t, "seed=1,dupitem=1,times=1"), linesHandler(3))
 	resp, err := cli.Get(srv.URL + "/d")
 	if err != nil {
 		t.Fatal(err)
@@ -216,7 +216,7 @@ func TestChaosTransportDupItem(t *testing.T) {
 func TestChaosTransportBlackoutWindow(t *testing.T) {
 	_, _, srv := newChaosClient(t, nil, linesHandler(1))
 	host := strings.TrimPrefix(srv.URL, "http://")
-	plan := &Plan{Seed: 1, BlackoutTarget: host, BlackoutFrom: 1, BlackoutFor: 2, Times: 1}
+	plan := MustParse(t, "seed=1,blackout="+host+"@1+2,times=1")
 	cli := &http.Client{Transport: &ChaosTransport{Plan: plan}}
 	want := []bool{true, false, false, true, true} // ordinals 1 and 2 blacked out
 	for i, ok := range want {
@@ -236,7 +236,7 @@ func TestChaosTransportBlackoutWindow(t *testing.T) {
 func TestChaosTransportMaxConsecutiveForcesCleanPass(t *testing.T) {
 	// Rate-1 refusals with a huge Times budget would refuse forever
 	// without the streak guard.
-	plan := &Plan{Seed: 1, RefuseRate: 1, Times: 1000}
+	plan := MustParse(t, "seed=1,refuse=1,times=1000")
 	cli, _, srv := newChaosClient(t, plan, linesHandler(1))
 	clean := 0
 	for i := 0; i < 12; i++ {
@@ -249,60 +249,5 @@ func TestChaosTransportMaxConsecutiveForcesCleanPass(t *testing.T) {
 	}
 	if clean != 3 { // every 4th request (streak cap 3) passes clean
 		t.Errorf("%d clean passes in 12 rate-1 requests, want 3", clean)
-	}
-}
-
-func TestParseNetworkKeys(t *testing.T) {
-	p, err := Parse("seed=7,refuse=0.1,latency=0.2,latdelay=5ms,http5xx=0.3,cut=0.1,corruptline=0.1,dupitem=0.1,tracecorrupt=0.4,blackout=host9@2+4,times=8")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.RefuseRate != 0.1 || p.LatencyRate != 0.2 || p.LatencyDelay != 5*time.Millisecond ||
-		p.HTTP5xxRate != 0.3 || p.CutRate != 0.1 || p.CorruptLineRate != 0.1 ||
-		p.DupItemRate != 0.1 || p.TraceCorruptRate != 0.4 ||
-		p.BlackoutTarget != "host9" || p.BlackoutFrom != 2 || p.BlackoutFor != 4 {
-		t.Errorf("parsed plan = %+v", p)
-	}
-	if !p.HasNetworkFaults() || !p.HasLocalFaults() {
-		t.Errorf("HasNetworkFaults=%v HasLocalFaults=%v, want true, true",
-			p.HasNetworkFaults(), p.HasLocalFaults())
-	}
-	bad := []string{
-		"blackout=h",             // no window
-		"blackout=h@2",           // no duration
-		"blackout=h@-1+2",        // negative start
-		"blackout=h@0+0",         // zero duration
-		"blackout=@1+2",          // empty host
-		"latdelay=-5ms",          // negative duration
-		"refuse=1.5",             // out of range
-		"cut=0.5,dupitem=0.6",    // stream rates sum > 1
-		"refuse=0.7,latency=0.7", // dial rates sum > 1
-	}
-	for _, spec := range bad {
-		if _, err := Parse(spec); err == nil {
-			t.Errorf("spec %q accepted", spec)
-		}
-	}
-	local, err := Parse("seed=1,panic=0.5")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if local.HasNetworkFaults() || !local.HasLocalFaults() {
-		t.Errorf("local-only plan: HasNetworkFaults=%v HasLocalFaults=%v",
-			local.HasNetworkFaults(), local.HasLocalFaults())
-	}
-}
-
-func TestPlanTraceSiteIndependent(t *testing.T) {
-	p := &Plan{TraceCorruptRate: 1}
-	if d := p.Decide(SiteTrace, "x", 0); d.Kind != Corrupt {
-		t.Errorf("rate-1 tracecorrupt decided %v", d.Kind)
-	}
-	if d := p.Decide(SiteStore, "x", 0); d.Kind != None {
-		t.Errorf("tracecorrupt leaked into store site: %v", d.Kind)
-	}
-	s := &Plan{CorruptRate: 1}
-	if d := s.Decide(SiteTrace, "x", 0); d.Kind != None {
-		t.Errorf("corrupt leaked into trace site: %v", d.Kind)
 	}
 }

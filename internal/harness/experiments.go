@@ -33,7 +33,7 @@ func Fig1(cfg Config) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		for i, e := range res.Breakdown {
+		for i, e := range res.Profile.Breakdown() {
 			if i >= 4 {
 				break
 			}
@@ -78,28 +78,32 @@ func Table1(cfg Config) (*Table, error) {
 }
 
 // Fig2 reproduces Figure 2: Clustalw's interval IPC against interval
-// branch misprediction rate over the course of a run.  Interval traces
-// are one continuous simulation, so this experiment stays serial.
+// branch misprediction rate over the course of a run.  The windows are
+// an interval observer on one cell's timing core, so the experiment
+// runs under whatever trace policy the configuration carries.
 func Fig2(cfg Config) (*Table, error) {
 	cfg = cfg.normalize()
-	k, err := kernels.ByApp("Clustalw")
-	if err != nil {
-		return nil, err
-	}
-	scale := cfg.Scale * 2 // enough rows for the phase behaviour to show
-	ivs, err := core.RunIntervals(k, core.Baseline(), cfg.Seeds[0], scale, 10_000)
-	if err != nil {
-		return nil, err
-	}
 	t := &Table{
 		ID:      "fig2",
 		Title:   "Clustalw IPC and branch misprediction rate per 10k-instruction interval",
 		Note:    "the series move inversely: mispredictions limit IPC (Section III)",
 		Columns: []string{"instructions", "IPC", "branch mispredict rate"},
 	}
-	for _, iv := range ivs {
-		t.Rows = append(t.Rows, []string{fmt.Sprintf("%d", iv.Instructions),
-			f2(iv.IPC), pct(iv.MispredictRate)})
+	var prev cpu.Counters
+	window := func(cur cpu.Counters) {
+		win := cur.Sub(prev)
+		prev = cur
+		t.Rows = append(t.Rows, []string{fmt.Sprintf("%d", cur.Instructions),
+			f2(win.IPC()), pct(win.BranchMispredictRate())})
+	}
+	base := core.Baseline()
+	_, err := core.Simulate(core.Request{App: "Clustalw", Variant: base.Variant, CPU: base.CPU,
+		Seeds:   cfg.Seeds[:1],
+		Scale:   cfg.Scale * 2, // enough rows for the phase behaviour to show
+		Context: cfg.Context, Trace: cfg.Trace,
+		Observer: kernels.Observer{Every: 10_000, Interval: window}})
+	if err != nil {
+		return nil, err
 	}
 	return t, nil
 }

@@ -414,20 +414,11 @@ func (ins *Instruction) Defs(dst []Reg) []Reg {
 // Encoded in the low bit of Imm for OpB (mirroring the PowerPC LK bit).
 func (ins *Instruction) ImmLK() bool { return ins.Op == OpB && ins.Imm&1 != 0 }
 
-// IsBranch reports whether the instruction redirects control flow.
-func (ins *Instruction) IsBranch() bool { return ins.Op.Info().Branch }
-
-// IsCondBranch reports whether the instruction is a conditional branch.
-func (ins *Instruction) IsCondBranch() bool { return ins.Op.Info().CondBr }
-
 // IsLoad reports whether the instruction reads memory.
 func (ins *Instruction) IsLoad() bool { return ins.Op.Info().Load }
 
 // IsStore reports whether the instruction writes memory.
 func (ins *Instruction) IsStore() bool { return ins.Op.Info().Store }
-
-// Class returns the functional-unit class of the instruction.
-func (ins *Instruction) Class() Class { return ins.Op.Info().Class }
 
 // Validate checks the structural well-formedness of the instruction and
 // returns a descriptive error when a field is out of range for the

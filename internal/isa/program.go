@@ -93,9 +93,6 @@ func (a *Asm) Emit(ins Instruction) {
 	a.code = append(a.code, ins)
 }
 
-// Pos returns the index the next instruction will occupy.
-func (a *Asm) Pos() int { return len(a.code) }
-
 // Branch emits a branch instruction targeting label.
 func (a *Asm) Branch(ins Instruction, label string) {
 	a.fixups = append(a.fixups, fixup{at: len(a.code), label: label})

@@ -237,44 +237,59 @@ func Execute(k *Kernel, v Variant, run *Run, limit uint64) (uint64, error) {
 // Observer bundles the optional observability hooks a simulation can
 // carry, live or replayed: a pipeline event trace, a telemetry registry
 // the timing core (and, on the live path, its cache hierarchy and
-// memory image) publish into after the run, and a per-static-branch
-// profiler fed every resolved branch.
+// memory image) publish into after the run, a per-static-branch
+// profiler fed every resolved branch, and an interval sink handed the
+// core's cumulative counters every Every consumed instructions.
 type Observer struct {
 	Trace    *telemetry.TraceBuffer
 	Registry *telemetry.Registry
 	Branches cpu.BranchProfiler
+	Every    uint64
+	Interval func(cpu.Counters)
 }
 
 // hooks returns the core hooks the observer asks for, nil when it asks
 // for none so the core's hot loop stays on its detached path.
-func (o Observer) hooks() *cpu.Hooks {
-	if o.Trace == nil && o.Registry == nil && o.Branches == nil {
-		return nil
+func (o Observer) hooks() (*cpu.Hooks, error) {
+	if (o.Every == 0) != (o.Interval == nil) {
+		return nil, fmt.Errorf("kernels: an interval observer needs a non-zero length and a sink (length %d)", o.Every)
 	}
-	h := &cpu.Hooks{Trace: o.Trace, Branches: o.Branches}
+	if o.Trace == nil && o.Registry == nil && o.Branches == nil && o.Interval == nil {
+		return nil, nil
+	}
+	h := &cpu.Hooks{Trace: o.Trace, Branches: o.Branches, Every: o.Every, Interval: o.Interval}
 	if o.Registry != nil {
 		h.Telemetry(o.Registry)
 	}
-	return h
+	return h, nil
 }
 
-// Simulate runs a compiled kernel through the timing model and returns
-// the counters; the functional result is verified against run.Want.
-func Simulate(k *Kernel, v Variant, run *Run, cfg cpu.Config, limit uint64) (cpu.Counters, error) {
-	rep, err := SimulateObserved(k, v, run, cfg, limit, Observer{})
-	return rep.Counters, err
-}
-
-// SimulateObserved is Simulate with full observability: it returns the
-// counters together with the CPI stall stack, appends per-instruction
-// lifecycle records to obs.Trace when set, and publishes the final
-// model state into obs.Registry when set.
+// SimulateObserved runs a compiled kernel through the coupled
+// functional machine and timing model and verifies the functional
+// result against run.Want.  It returns the counters together with the
+// CPI stall stack, feeds obs's hooks, and publishes the final model
+// state into obs.Registry when set.
 func SimulateObserved(k *Kernel, v Variant, run *Run, cfg cpu.Config, limit uint64, obs Observer) (cpu.Report, error) {
-	mach, model, err := coupled(k, v, run, cfg)
+	c, err := CompileCached(k, v)
 	if err != nil {
 		return cpu.Report{}, err
 	}
-	model.Observe(obs.hooks())
+	hooks, err := obs.hooks()
+	if err != nil {
+		return cpu.Report{}, err
+	}
+	if v.NeedsExtensions() {
+		cfg.Extensions = true
+	}
+	model, err := cpu.New(cfg, c.Meta)
+	if err != nil {
+		return cpu.Report{}, err
+	}
+	mach, err := load(k, c, run)
+	if err != nil {
+		return cpu.Report{}, err
+	}
+	model.Observe(hooks)
 	_, err = model.Run(mach, limit)
 	rep := model.Report()
 	if obs.Registry != nil {
@@ -303,33 +318,6 @@ func coupled(k *Kernel, v Variant, run *Run, cfg cpu.Config) (*machine.Machine, 
 	}
 	mach, err := load(k, c, run)
 	return mach, model, err
-}
-
-// Step runs one coupled invocation an instruction at a time, for
-// callers that window or sample the run: each is handed every retired
-// instruction and decides whether the timing model consumes it (skipping
-// it fast-forwards: the machine state advances, the model does not).
-// The functional result is verified; the model is returned for its
-// counters.
-func Step(k *Kernel, v Variant, run *Run, cfg cpu.Config, limit uint64,
-	each func(m *cpu.Model, d machine.DynInst) error) (*cpu.Model, error) {
-	mach, model, err := coupled(k, v, run, cfg)
-	if err != nil {
-		return nil, err
-	}
-	for n := uint64(0); !mach.Halted(); n++ {
-		if n >= limit {
-			return model, machine.ErrLimit
-		}
-		d, err := mach.Step()
-		if err != nil {
-			return model, err
-		}
-		if err := each(model, d); err != nil {
-			return model, err
-		}
-	}
-	return model, check(k, v, mach, run)
 }
 
 // All returns the four kernels in the order the paper lists the

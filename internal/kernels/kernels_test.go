@@ -9,7 +9,6 @@ import (
 	"bioperf5/internal/bio/seq"
 	"bioperf5/internal/cpu"
 	"bioperf5/internal/isa"
-	"bioperf5/internal/machine"
 	"bioperf5/internal/mem"
 )
 
@@ -23,6 +22,12 @@ func allVariants() []Variant {
 // test: every kernel, compiled under every predication strategy, must
 // produce the same answer as the production Go implementation it
 // models.
+// counters runs one coupled, unobserved invocation.
+func counters(k *Kernel, v Variant, run *Run, cfg cpu.Config) (cpu.Counters, error) {
+	rep, err := SimulateObserved(k, v, run, cfg, stepLimit, Observer{})
+	return rep.Counters, err
+}
+
 func TestAllKernelsAllVariantsComputeCorrectly(t *testing.T) {
 	for _, k := range All() {
 		for _, v := range allVariants() {
@@ -85,7 +90,7 @@ func countProgOps(t *testing.T, k *Kernel, v Variant) (maxN, iselN, condBr int) 
 			maxN++
 		case prog.Code[i].Op == isa.OpIsel:
 			iselN++
-		case prog.Code[i].IsCondBranch():
+		case prog.Code[i].Op.Info().CondBr:
 			condBr++
 		}
 	}
@@ -173,7 +178,7 @@ func TestHandMaxImprovesCyclesAndBoundsPath(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		base, err := Simulate(k, Branchy, run1, cfg, stepLimit)
+		base, err := counters(k, Branchy, run1, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -181,7 +186,7 @@ func TestHandMaxImprovesCyclesAndBoundsPath(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		maxed, err := Simulate(k, HandMax, run2, cfg, stepLimit)
+		maxed, err := counters(k, HandMax, run2, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -271,7 +276,7 @@ func TestSimulateBaselineCounters(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ctr, err := Simulate(k, Branchy, run, cfg, stepLimit)
+		ctr, err := counters(k, Branchy, run, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -299,7 +304,7 @@ func TestSimulatePredicationImprovesIPCOverBaselineCycles(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		base, err := Simulate(k, Branchy, run1, cfg, stepLimit)
+		base, err := counters(k, Branchy, run1, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -307,7 +312,7 @@ func TestSimulatePredicationImprovesIPCOverBaselineCycles(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		maxed, err := Simulate(k, HandMax, run2, cfg, stepLimit)
+		maxed, err := counters(k, HandMax, run2, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -338,14 +343,9 @@ func TestSimulateRejectsExtensionsOnStockCore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mach := machine.New(c.Prog, run.Mem)
-	mach.Reset()
-	if err := mach.SetPC(k.Name); err != nil {
+	mach, err := load(k, c, run)
+	if err != nil {
 		t.Fatal(err)
-	}
-	mach.SetReg(isa.SP, spInit)
-	for i, a := range run.Args {
-		mach.SetReg(argReg(i), a)
 	}
 	if _, err := model.Run(mach, stepLimit); err == nil {
 		t.Error("stock core executed max instruction")

@@ -137,53 +137,86 @@ func (c *tally) OnBTAC(pc int, predicted, wrong bool) {
 
 // TestReplayObservedMatchesLive: everything the core's hooks report —
 // pipeline trace events with their effective addresses, the streaming
-// telemetry distributions, the branch profiler's view — is the same
-// whether the core is fed live or from a trace.
+// telemetry distributions, the branch profiler's view, the interval
+// snapshots behind Figure 2 — is the same whether the core is fed live
+// or from a trace, for every app x variant.
 func TestReplayObservedMatchesLive(t *testing.T) {
 	cfg := cpu.POWER5Baseline()
 	cfg.UseBTAC = true
-	for _, app := range []string{"Clustalw", "Hmmer"} {
-		k, err := ByApp(app)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tr, err := CaptureTrace(k, Branchy, 1, 1, replayLimit)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var prof [2]tally
-		var regs [2]*telemetry.Registry
-		var bufs [2]*telemetry.TraceBuffer
-		for i := range bufs {
-			regs[i], bufs[i] = telemetry.NewRegistry(), telemetry.NewTraceBuffer(1<<14)
-		}
-		live := liveReport(t, k, Branchy, 1, 1, cfg,
-			Observer{Trace: bufs[0], Registry: regs[0], Branches: &prof[0]})
-		replayed, err := ReplayObserved(k, Branchy, tr, cfg,
-			Observer{Trace: bufs[1], Registry: regs[1], Branches: &prof[1]})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if live != replayed {
-			t.Fatalf("%s: observed reports differ", app)
-		}
-		if prof[0] != prof[1] || prof[0].cond != live.Counters.CondBranches ||
-			prof[0].miss != live.Counters.DirMispredicts || prof[0].btac != live.Counters.BTACLookups {
-			t.Errorf("%s: profiler saw %+v live, %+v replayed, counters %+v", app, prof[0], prof[1], live.Counters)
-		}
-		if bufs[0].Dropped() == 0 || !reflect.DeepEqual(bufs[0].Events(), bufs[1].Events()) {
-			t.Errorf("%s: pipeline trace differs between feeds (dropped %d/%d)",
-				app, bufs[0].Dropped(), bufs[1].Dropped())
-		}
-		snapLive, snapReplayed := regs[0].Snapshot(0), regs[1].Snapshot(0)
-		if !reflect.DeepEqual(snapLive.Histograms, snapReplayed.Histograms) ||
-			!reflect.DeepEqual(snapLive.Labeled, snapReplayed.Labeled) {
-			t.Errorf("%s: streaming telemetry differs between feeds", app)
-		}
-		for name, v := range snapReplayed.Counters {
-			if snapLive.Counters[name] != v {
-				t.Errorf("%s: replay published %s = %d, live %d", app, name, v, snapLive.Counters[name])
+	const every = 10_000
+	for _, k := range All() {
+		for v := Branchy; v < NumVariants; v++ {
+			cell := k.App + "/" + v.String()
+			tr, err := CaptureTrace(k, v, 1, 1, replayLimit)
+			if err != nil {
+				t.Fatal(err)
 			}
+			var prof [2]tally
+			var regs [2]*telemetry.Registry
+			var bufs [2]*telemetry.TraceBuffer
+			var snaps [2][]cpu.Counters
+			var obs [2]Observer
+			for i := range obs {
+				i := i
+				regs[i], bufs[i] = telemetry.NewRegistry(), telemetry.NewTraceBuffer(1<<14)
+				obs[i] = Observer{Trace: bufs[i], Registry: regs[i], Branches: &prof[i],
+					Every: every, Interval: func(c cpu.Counters) { snaps[i] = append(snaps[i], c) }}
+			}
+			live := liveReport(t, k, v, 1, 1, cfg, obs[0])
+			replayed, err := ReplayObserved(k, v, tr, cfg, obs[1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if live != replayed {
+				t.Fatalf("%s: observed reports differ", cell)
+			}
+			if prof[0] != prof[1] || prof[0].cond != live.Counters.CondBranches ||
+				prof[0].miss != live.Counters.DirMispredicts || prof[0].btac != live.Counters.BTACLookups {
+				t.Errorf("%s: profiler saw %+v live, %+v replayed, counters %+v", cell, prof[0], prof[1], live.Counters)
+			}
+			if bufs[0].Dropped() == 0 || !reflect.DeepEqual(bufs[0].Events(), bufs[1].Events()) {
+				t.Errorf("%s: pipeline trace differs between feeds (dropped %d/%d)",
+					cell, bufs[0].Dropped(), bufs[1].Dropped())
+			}
+			// One snapshot per full window, none for the partial tail,
+			// each taken exactly on its boundary.
+			if want := int(live.Counters.Instructions / every); len(snaps[0]) != want || !reflect.DeepEqual(snaps[0], snaps[1]) {
+				t.Errorf("%s: %d live and %d replayed interval snapshots, want %d identical ones",
+					cell, len(snaps[0]), len(snaps[1]), want)
+			}
+			for i, c := range snaps[0] {
+				if c.Instructions != uint64(i+1)*every {
+					t.Errorf("%s: snapshot %d taken at %d instructions", cell, i, c.Instructions)
+				}
+			}
+			snapLive, snapReplayed := regs[0].Snapshot(0), regs[1].Snapshot(0)
+			if !reflect.DeepEqual(snapLive.Histograms, snapReplayed.Histograms) ||
+				!reflect.DeepEqual(snapLive.Labeled, snapReplayed.Labeled) {
+				t.Errorf("%s: streaming telemetry differs between feeds", cell)
+			}
+			for name, v := range snapReplayed.Counters {
+				if snapLive.Counters[name] != v {
+					t.Errorf("%s: replay published %s = %d, live %d", cell, name, v, snapLive.Counters[name])
+				}
+			}
+		}
+	}
+	// A half-specified interval observer is refused by both feeds.
+	k := All()[0]
+	tr, err := CaptureTrace(k, Branchy, 1, 1, replayLimit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range []Observer{{Interval: func(cpu.Counters) {}}, {Every: every}} {
+		run, err := k.NewRun(1, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := SimulateObserved(k, Branchy, run, cfg, replayLimit, bad); err == nil {
+			t.Errorf("live feed accepted interval observer with length %d, sink set: %v", bad.Every, bad.Interval != nil)
+		}
+		if _, err := ReplayObserved(k, Branchy, tr, cfg, bad); err == nil {
+			t.Errorf("replay accepted interval observer with length %d, sink set: %v", bad.Every, bad.Interval != nil)
 		}
 	}
 }

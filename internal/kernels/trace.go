@@ -169,11 +169,15 @@ func ReplayObserved(k *Kernel, v Variant, t *trace.Trace, cfg cpu.Config, obs Ob
 	if v.NeedsExtensions() {
 		cfg.Extensions = true
 	}
+	hooks, err := obs.hooks()
+	if err != nil {
+		return cpu.Report{}, err
+	}
 	core, err := cpu.NewCore(cfg, t.Meta.LoadLat)
 	if err != nil {
 		return cpu.Report{}, err
 	}
-	core.Observe(obs.hooks())
+	core.Observe(hooks)
 	if obs.Registry != nil {
 		defer core.PublishTo(obs.Registry)
 	}

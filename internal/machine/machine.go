@@ -87,9 +87,6 @@ func (m *Machine) Halted() bool { return m.halt }
 // Steps returns the number of instructions executed so far.
 func (m *Machine) Steps() uint64 { return m.steps }
 
-// PC returns the current instruction index.
-func (m *Machine) PC() int { return m.pc }
-
 func (m *Machine) crBit(crf isa.Reg, bit isa.CRBit) bool {
 	return m.regs[crf]&(1<<bit) != 0
 }

@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"bioperf5/internal/cpu"
-	"bioperf5/internal/fault"
 )
 
 func wantReport() cpu.Report {
@@ -180,7 +179,7 @@ func TestDiskCacheKeyMismatchRejected(t *testing.T) {
 // entry rather than trust it.
 func TestDiskCacheInjectedTornWriteHealed(t *testing.T) {
 	dir := t.TempDir()
-	e1 := New(Options{Workers: 1, CacheDir: dir, Injector: &fault.Plan{CorruptRate: 1}})
+	e1 := New(Options{Workers: 1, CacheDir: dir, Injector: faults(t, "corrupt=1")})
 	e1.compute = func(context.Context, Job) (JobResult, error) { return JobResult{Report: wantReport()}, nil }
 	t.Cleanup(e1.Close)
 	if _, err := e1.Run(context.Background(), baseJob()); err != nil {

@@ -68,13 +68,10 @@ func TestChaosSweepMatchesFaultFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan := &fault.Plan{
-		Seed:      42,
-		PanicRate: 0.25, ErrorRate: 0.25, HangRate: 0.15, CancelRate: 0.25,
-		CorruptRate:      0.5,
-		TraceCorruptRate: 0.5,
-		HangDelay:        30 * time.Second,
-		Times:            1,
+	plan, err := fault.Parse("seed=42,panic=0.25,error=0.25,hang=0.15,cancel=0.25," +
+		"corrupt=0.5,tracecorrupt=0.5,delay=30s,times=1")
+	if err != nil {
+		t.Fatal(err)
 	}
 	// The deadline is generous so real cells never trip it, even under
 	// the race detector; only the injected hangs (which sleep, not

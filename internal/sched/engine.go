@@ -79,14 +79,10 @@ type Options struct {
 
 	// Traces, when non-nil, is the trace store jobs capture into and
 	// replay from; tests inject a pre-warmed store through it.  Nil
-	// builds an engine-owned store: in-memory with the TraceBudget
+	// builds an engine-owned store: in-memory with the default
 	// byte budget, backed by CacheDir/traces when CacheDir is set, and
 	// publishing trace.* metrics into the engine's registry.
 	Traces *trace.Store
-	// TraceBudget bounds the engine-owned trace store's in-memory tier
-	// in bytes; values <= 0 mean trace.DefaultBudget.  Ignored when
-	// Traces is supplied.
-	TraceBudget int64
 }
 
 // ErrCellTimeout marks a simulation attempt that exceeded
@@ -154,6 +150,9 @@ type Future struct {
 	done chan struct{}
 	res  JobResult
 	err  error
+	// ctx is the first submitter's, which the computation lives under;
+	// nil on futures nothing coalesces onto (followers, resolved errors).
+	ctx context.Context
 }
 
 // Wait blocks until the job completes and returns its result.  Waiting
@@ -228,7 +227,7 @@ func New(o Options) *Engine {
 	}
 	e.traces = o.Traces
 	if e.traces == nil {
-		topts := trace.StoreOptions{Budget: o.TraceBudget, Registry: reg, Injector: o.Injector}
+		topts := trace.StoreOptions{Registry: reg, Injector: o.Injector}
 		if o.CacheDir != "" {
 			topts.Dir = filepath.Join(o.CacheDir, "traces")
 		}
@@ -329,10 +328,15 @@ func (e *Engine) SubmitTracked(ctx context.Context, j Job) (*Future, bool) {
 		if f, ok := e.inflight[hash]; ok {
 			e.mu.Unlock()
 			e.mMemHits.Add(1)
-			return f, true
+			select {
+			case <-f.done: // memoized
+				return f, true
+			default:
+				return e.follow(ctx, j, f), true
+			}
 		}
 	}
-	f := &Future{done: make(chan struct{})}
+	f := &Future{done: make(chan struct{}), ctx: ctx}
 	if e.inflight != nil {
 		e.inflight[hash] = f
 	}
@@ -360,6 +364,26 @@ func (e *Engine) SubmitTracked(ctx context.Context, j Job) (*Future, bool) {
 		e.gQueuePeak.Set(depth)
 	}
 	return f, false
+}
+
+// follow returns the future of a submission that coalesced onto lead's
+// in-flight computation, which lives and dies by its first submitter's
+// context.  If it fails with that context dead and this one live, the
+// failure was another request's cancellation or deadline, so the cell is
+// submitted again (failures are not memoized, so that computes).  The
+// goroutine ends with lead and the re-submission; workers complete every
+// future they are handed.
+func (e *Engine) follow(ctx context.Context, j Job, lead *Future) *Future {
+	f := &Future{done: make(chan struct{})}
+	go func() {
+		<-lead.done
+		if lead.err != nil && lead.ctx.Err() != nil && ctx.Err() == nil {
+			lead, _ = e.SubmitTracked(ctx, j)
+			<-lead.done
+		}
+		f.complete(lead.res, lead.err)
+	}()
+	return f
 }
 
 // Run is Submit + Wait.

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"bioperf5/internal/cpu"
-	"bioperf5/internal/fault"
 )
 
 // fastRetry makes retry tests quick: a 1ms backoff base.
@@ -184,7 +183,7 @@ func TestEngineInjectedErrorRetried(t *testing.T) {
 	var calls atomic.Int64
 	e := stubEngine(t, Options{
 		Workers: 1, Retries: 1, RetryBackoff: fastRetry,
-		Injector: &fault.Plan{ErrorRate: 1}, // inject once (Times defaults to 1)
+		Injector: faults(t, "error=1"), // inject once (times defaults to 1)
 	}, func(j Job) (cpu.Report, error) {
 		calls.Add(1)
 		return cpu.Report{Counters: cpu.Counters{Cycles: 6}}, nil
@@ -203,15 +202,14 @@ func TestEngineInjectedErrorRetried(t *testing.T) {
 
 func TestEngineInjectedPanicAndCancelRetried(t *testing.T) {
 	for _, tc := range []struct {
-		name string
-		plan *fault.Plan
+		name, spec string
 	}{
-		{"panic", &fault.Plan{PanicRate: 1}},
-		{"cancel", &fault.Plan{CancelRate: 1}},
+		{"panic", "panic=1"},
+		{"cancel", "cancel=1"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			e := stubEngine(t, Options{
-				Workers: 1, Retries: 1, RetryBackoff: fastRetry, Injector: tc.plan,
+				Workers: 1, Retries: 1, RetryBackoff: fastRetry, Injector: faults(t, tc.spec),
 			}, func(j Job) (cpu.Report, error) {
 				return cpu.Report{Counters: cpu.Counters{Cycles: 8}}, nil
 			})
@@ -230,7 +228,7 @@ func TestEngineInjectedHangTripsWatchdog(t *testing.T) {
 	e := stubEngine(t, Options{
 		Workers: 1, Retries: 1, RetryBackoff: fastRetry,
 		CellTimeout: 20 * time.Millisecond,
-		Injector:    &fault.Plan{HangRate: 1, HangDelay: 2 * time.Second},
+		Injector:    faults(t, "hang=1,delay=2s"),
 	}, func(j Job) (cpu.Report, error) {
 		return cpu.Report{Counters: cpu.Counters{Cycles: 2}}, nil
 	})

@@ -7,8 +7,10 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"bioperf5/internal/cpu"
+	"bioperf5/internal/fault"
 	"bioperf5/internal/kernels"
 )
 
@@ -104,6 +106,17 @@ func stubEngine(t *testing.T, o Options, compute func(Job) (cpu.Report, error)) 
 	}
 	t.Cleanup(e.Close)
 	return e
+}
+
+// faults parses a fault spec into the injector a test arms its engine
+// with.
+func faults(t *testing.T, spec string) fault.Injector {
+	t.Helper()
+	p, err := fault.Parse(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
 }
 
 func TestEngineDedupComputesOnce(t *testing.T) {
@@ -203,6 +216,35 @@ func TestEngineCancelledContext(t *testing.T) {
 	}
 	if computes.Load() != 1 {
 		t.Errorf("computed %d times, want 1", computes.Load())
+	}
+}
+
+// TestEngineCoalescedWaiterOutlivesFirstSubmitter: two requests for one
+// cell, the first with a 1 ms deadline, the second patient.  The second
+// coalesces onto the first's attempt, which dies of the first's
+// deadline; the second must still get the report (from one
+// re-submission at most), never the other request's deadline.
+func TestEngineCoalescedWaiterOutlivesFirstSubmitter(t *testing.T) {
+	hurried, cancel := context.WithTimeout(context.Background(), time.Millisecond)
+	defer cancel()
+	var calls atomic.Int64
+	e := stubEngine(t, Options{Workers: 1}, func(j Job) (cpu.Report, error) {
+		if calls.Add(1) == 1 {
+			<-hurried.Done() // the first attempt outlasts its submitter's deadline
+		}
+		return cpu.Report{Counters: cpu.Counters{Cycles: 9}}, nil
+	})
+	first := e.Submit(hurried, baseJob())
+	second, coalesced := e.SubmitTracked(context.Background(), baseJob())
+	if _, err := first.Wait(); !errors.Is(err, context.DeadlineExceeded) {
+		t.Errorf("hurried request: err = %v, want its own deadline", err)
+	}
+	rep, err := second.Wait()
+	if err != nil || rep.Counters.Cycles != 9 {
+		t.Fatalf("patient request (coalesced %v) = %+v, %v; want the report", coalesced, rep, err)
+	}
+	if st := e.Stats(); st.Computed > 2 {
+		t.Errorf("computed %d times, want at most 2", st.Computed)
 	}
 }
 

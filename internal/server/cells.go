@@ -38,8 +38,8 @@ type CellRequest struct {
 	// empty means the POWER5-like tournament default.  Malformed specs
 	// are rejected with a structured 400 naming the field and reason.
 	Predictor string `json:"predictor,omitempty"`
-	// Trace selects the execution strategy ("auto", "capture", "replay",
-	// "off"); empty means the server's default.  It never changes the
+	// Trace selects the execution strategy ("auto" or "off"); empty
+	// means the server's default.  It never changes the
 	// numbers or the cell's key — only how they are computed.
 	Trace core.TracePolicy `json:"trace,omitempty"`
 }

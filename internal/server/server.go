@@ -164,10 +164,6 @@ func New(o Options) *Server {
 	return s
 }
 
-// Tracer returns the server's span tracer, or nil when spans are
-// disabled.
-func (s *Server) Tracer() *telemetry.Tracer { return s.opts.Tracer }
-
 // Registry returns the registry the server (and its engine) publish
 // into — the data behind /metrics.
 func (s *Server) Registry() *telemetry.Registry { return s.reg }
@@ -178,9 +174,6 @@ func (s *Server) Registry() *telemetry.Registry { return s.reg }
 // to completion.  The caller then shuts the http.Server down (which
 // waits for those in-flight handlers) and finally drains the engine.
 func (s *Server) StartDrain() { s.draining.Store(true) }
-
-// Draining reports whether StartDrain has been called.
-func (s *Server) Draining() bool { return s.draining.Load() }
 
 // ServeHTTP counts and times every request, rejects API traffic while
 // draining, and dispatches to the route table.

@@ -42,8 +42,8 @@ func TestCellTraceHitSemantics(t *testing.T) {
 }
 
 // TestCellTracePolicyField: explicit per-request policies are honoured
-// ("off" bypasses the store, "replay" fails without a capture) and an
-// unknown policy is a 400, not a silent default.
+// ("off" bypasses the store) and anything but auto or off — the retired
+// "capture" and "replay" included — is a 400, not a silent default.
 func TestCellTracePolicyField(t *testing.T) {
 	s, eng := newTestServer(t, sched.Options{Workers: 1, DisableCache: true}, Options{})
 	w := postCell(s, `{"app":"Hmmer","seeds":[1],"trace":"off"}`, "")
@@ -61,14 +61,11 @@ func TestCellTracePolicyField(t *testing.T) {
 		t.Errorf("off-policy request captured a trace: %+v", st)
 	}
 
-	w = postCell(s, `{"app":"Hmmer","seeds":[1],"trace":"replay"}`, "")
-	if w.Code == http.StatusOK {
-		t.Error("replay policy succeeded against an empty trace store")
-	}
-
-	w = postCell(s, `{"app":"Hmmer","seeds":[1],"trace":"always"}`, "")
-	if w.Code != http.StatusBadRequest {
-		t.Errorf("unknown policy: status = %d, want 400 (body %s)", w.Code, w.Body)
+	for _, policy := range []string{"always", "capture", "replay"} {
+		w = postCell(s, `{"app":"Hmmer","seeds":[1],"trace":"`+policy+`"}`, "")
+		if w.Code != http.StatusBadRequest {
+			t.Errorf("policy %q: status = %d, want 400 (body %s)", policy, w.Code, w.Body)
+		}
 	}
 }
 

@@ -40,9 +40,6 @@ func (c *Capturer) Observe(d machine.DynInst) {
 	c.b.Add(r)
 }
 
-// Records returns the number of instructions observed so far.
-func (c *Capturer) Records() uint64 { return c.b.Len() }
-
 // Finish seals the capture.  The per-miss-level load latencies are
 // stamped from the live hierarchy so replay charges exactly the
 // latencies capture observed.

@@ -61,7 +61,7 @@ func TestRemoteTierShared(t *testing.T) {
 		t.Errorf("stats = %+v, want a remote hit and no capture", st)
 	}
 
-	// The replay-only Get path reaches the remote tier too.
+	// The capture-free Get path reaches the remote tier too.
 	sC := NewStore(StoreOptions{Upstream: hub.URL})
 	if _, ok := sC.Get(testKey(1)); !ok {
 		t.Error("Get missed a trace the hub holds")

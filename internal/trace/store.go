@@ -194,7 +194,7 @@ func (s *Store) resident(hash string) *Trace {
 }
 
 // Get returns the trace for key if some tier has it, without
-// capturing.  Used by the explicit replay-only policy.
+// capturing.
 func (s *Store) Get(key Key) (*Trace, bool) {
 	hash := key.Hash()
 	s.mu.Lock()
@@ -209,8 +209,8 @@ func (s *Store) Get(key Key) (*Trace, bool) {
 	return s.fetch(context.TODO(), hash, key)
 }
 
-// Put installs a freshly captured trace under key, replacing any
-// existing entry (the forced-capture policy uses it).
+// Put installs a trace under key in memory and on disk, replacing any
+// existing entry.
 func (s *Store) Put(key Key, t *Trace) {
 	s.install(key.Hash(), t)
 	if s.disk != nil {

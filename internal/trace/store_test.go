@@ -426,7 +426,11 @@ func TestStoreSiteTraceInjectionTearsWriteAndHeals(t *testing.T) {
 	dir := t.TempDir()
 	// Rate-1 SiteTrace corruption: every disk write is torn after
 	// landing.
-	s := NewStore(StoreOptions{Dir: dir, Injector: &fault.Plan{TraceCorruptRate: 1}})
+	plan, err := fault.Parse("tracecorrupt=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewStore(StoreOptions{Dir: dir, Injector: plan})
 	tr, hit, err := s.GetOrCapture(context.Background(), testKey(1), func() (*Trace, error) { return testTrace(1, 200), nil })
 	if err != nil || hit || tr == nil {
 		t.Fatalf("capture = (%v, %v, %v)", tr, hit, err)

@@ -18,12 +18,12 @@ import (
 	"bioperf5/internal/perf"
 )
 
-// Result is one application run: the profile and a human summary.
+// Result is one application run: the function profile and a human
+// summary.
 type Result struct {
-	App       string
-	Breakdown []perf.Entry
-	Total     time.Duration
-	Summary   string
+	App     string
+	Profile *perf.Profiler
+	Summary string
 }
 
 // Apps returns the application names in the paper's order.
@@ -80,10 +80,9 @@ func runBlast(scale int, seed int64) (*Result, error) {
 		p.Add("BlastWordFinder", wf, 1)
 	}
 	return &Result{
-		App:       "Blast",
-		Breakdown: p.Breakdown(),
-		Total:     p.Total(),
-		Summary:   fmt.Sprintf("blastp: %d subjects, %d hits", len(db), len(hits)),
+		App:     "Blast",
+		Profile: p,
+		Summary: fmt.Sprintf("blastp: %d subjects, %d hits", len(db), len(hits)),
 	}, nil
 }
 
@@ -111,10 +110,9 @@ func runFasta(scale int, seed int64) (*Result, error) {
 		stopSel()
 	}
 	return &Result{
-		App:       "Fasta",
-		Breakdown: p.Breakdown(),
-		Total:     p.Total(),
-		Summary:   fmt.Sprintf("ssearch: %d subjects, best %s score %d", len(db), bestID, best),
+		App:     "Fasta",
+		Profile: p,
+		Summary: fmt.Sprintf("ssearch: %d subjects, best %s score %d", len(db), bestID, best),
 	}, nil
 }
 
@@ -146,9 +144,8 @@ func runClustalw(scale int, seed int64) (*Result, error) {
 	stop()
 
 	return &Result{
-		App:       "Clustalw",
-		Breakdown: p.Breakdown(),
-		Total:     p.Total(),
+		App:     "Clustalw",
+		Profile: p,
 		Summary: fmt.Sprintf("clustalw: %d sequences, %d columns aligned",
 			msa.NumSeqs(), msa.Columns()),
 	}, nil
@@ -188,9 +185,8 @@ func runHmmer(scale int, seed int64) (*Result, error) {
 		stopPost()
 	}
 	return &Result{
-		App:       "Hmmer",
-		Breakdown: p.Breakdown(),
-		Total:     p.Total(),
+		App:     "Hmmer",
+		Profile: p,
 		Summary: fmt.Sprintf("hmmpfam: %d models, best %s at %.1f bits",
 			len(models), bestName, bestBits),
 	}, nil
@@ -198,8 +194,9 @@ func runHmmer(scale int, seed int64) (*Result, error) {
 
 // DominantFunction returns the hottest function name and its share.
 func (r *Result) DominantFunction() (string, float64) {
-	if len(r.Breakdown) == 0 {
+	bd := r.Profile.Breakdown()
+	if len(bd) == 0 {
 		return "", 0
 	}
-	return r.Breakdown[0].Name, r.Breakdown[0].Share
+	return bd[0].Name, bd[0].Share
 }

@@ -33,7 +33,7 @@ func TestAllAppsRunAndProfile(t *testing.T) {
 		if res.App != app {
 			t.Errorf("result app = %s", res.App)
 		}
-		if len(res.Breakdown) == 0 || res.Total <= 0 {
+		if len(res.Profile.Breakdown()) == 0 || res.Profile.Total() <= 0 {
 			t.Errorf("%s: empty profile", app)
 		}
 		if res.Summary == "" {
@@ -61,7 +61,7 @@ func TestFigure1Shape(t *testing.T) {
 		if name != wantDominant[app] {
 			t.Errorf("%s: dominant function %s (%.0f%%), want %s",
 				app, name, 100*share, wantDominant[app])
-			for _, e := range res.Breakdown {
+			for _, e := range res.Profile.Breakdown() {
 				t.Logf("  %-24s %5.1f%%", e.Name, 100*e.Share)
 			}
 			continue
@@ -106,12 +106,12 @@ func TestScaleIncreasesWork(t *testing.T) {
 		t.Fatal(err)
 	}
 	var smallCalls, bigCalls uint64
-	for _, e := range small.Breakdown {
+	for _, e := range small.Profile.Breakdown() {
 		if e.Name == "P7Viterbi" {
 			smallCalls = e.Calls
 		}
 	}
-	for _, e := range big.Breakdown {
+	for _, e := range big.Profile.Breakdown() {
 		if e.Name == "P7Viterbi" {
 			bigCalls = e.Calls
 		}

@@ -15,7 +15,7 @@ bench_out="$(mktemp)"
 trap 'rm -rf "$bench_out"' EXIT
 
 echo "== benchmarking sweep: -trace=off vs default (capture-once/replay-many)"
-go test -run '^$' -bench 'BenchmarkSweepTrace(Off|Replay)$' -benchtime=5x -count=3 . \
+go test -run '^$' -bench 'BenchmarkSweepTrace(Off|Auto)$' -benchtime=5x -count=3 . \
   | tee "$bench_out"
 
 python3 - "$bench_out" "$out" <<'PY'
@@ -24,12 +24,12 @@ import json, re, sys
 lines = open(sys.argv[1]).read().splitlines()
 samples = {"off": [], "replay": []}
 for line in lines:
-    m = re.match(r"BenchmarkSweepTrace(Off|Replay)\S*\s+\d+\s+([\d.]+) ns/op", line)
+    m = re.match(r"BenchmarkSweepTrace(Off|Auto)\S*\s+\d+\s+([\d.]+) ns/op", line)
     if m:
         samples["off" if m.group(1) == "Off" else "replay"].append(float(m.group(2)))
 
 if not samples["off"] or not samples["replay"]:
-    sys.exit("FAIL: benchmark output missing SweepTraceOff/SweepTraceReplay samples")
+    sys.exit("FAIL: benchmark output missing SweepTraceOff/SweepTraceAuto samples")
 
 # Best-of-N per side: robust against one noisy CI sample on either side.
 off = min(samples["off"])
