@@ -147,8 +147,9 @@ func parseSweepFlags(args []string) (*sweepFlags, error) {
 }
 
 // run evaluates the grid: harness.RunSweep on the local engine, or
-// cluster.Run across the remote workers (whose -resume journal, unlike
-// the engine's, carries full results — the coordinator has no cache).
+// cluster.Run — the same RunSweep over a fleet — across the remote
+// workers (whose -resume journal, unlike the engine's, carries full
+// results — the coordinator has no cache).
 func (f *sweepFlags) run(env *execEnv) (*harness.SweepManifest, error) {
 	if len(f.hosts) == 0 {
 		return harness.RunSweep(f.spec)
@@ -239,15 +240,15 @@ func printSchedulerSummary(st sched.Stats) {
 func printClusterSummary(cs *harness.ClusterStats) {
 	fmt.Printf("cluster: %d cells on %d workers — %d completed, %d failed, %d resumed from journal\n",
 		cs.Cells, cs.Workers, cs.Completed, cs.FailedCells, cs.Resumed)
-	fmt.Printf("cluster: %d dispatches in %d batches (%d stolen, %d re-dispatched, %d duplicate results dropped, %d HTTP retries)\n",
-		cs.Dispatched, cs.Batches, cs.Stolen, cs.Redispatched, cs.Duplicates, cs.Retries)
+	fmt.Printf("cluster: %d dispatches in %d batches (%d re-dispatched, %d duplicate results dropped, %d HTTP retries)\n",
+		cs.Dispatched, cs.Batches, cs.Redispatched, cs.Duplicates, cs.Retries)
 	if cs.Cells > 0 {
 		fmt.Printf("cluster: cache hit rate %.0f%% (%d trace/cache-served + %d journal-resumed of %d cells)\n",
 			100*float64(cs.CacheHits+cs.Resumed)/float64(cs.Cells),
 			cs.CacheHits, cs.Resumed, cs.Cells)
 	}
 	if cs.WorkersLost > 0 {
-		fmt.Printf("cluster: %d worker(s) lost mid-sweep; their shards were redistributed\n", cs.WorkersLost)
+		fmt.Printf("cluster: %d worker(s) lost mid-sweep; the survivors took their cells\n", cs.WorkersLost)
 	}
 }
 

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"bioperf5/internal/fault"
+	"bioperf5/internal/telemetry"
 )
 
 // chaosPlan arms every wire fault kind with a per-key budget of two
@@ -42,10 +43,10 @@ func TestClusterSweepUnderNetworkChaosIsByteIdentical(t *testing.T) {
 	m, err := Run(Options{
 		Workers:         []string{w1.URL, w2.URL},
 		Spec:            testSpec(nil),
-		BatchSize:       2,
-		RetryBackoff:    time.Millisecond,
-		MaxRetryAfter:   5 * time.Millisecond,
-		BreakerCooldown: time.Millisecond,
+		batchSize:       2,
+		retryBackoff:    time.Millisecond,
+		maxRetryAfter:   5 * time.Millisecond,
+		breakerCooldown: time.Millisecond,
 		HTTP:            &http.Client{Transport: ct},
 	})
 	if err != nil {
@@ -81,10 +82,10 @@ func TestClusterSweepChaosSameSeedSameManifest(t *testing.T) {
 		m, err := Run(Options{
 			Workers:         []string{w1.URL, w2.URL},
 			Spec:            testSpec(nil),
-			BatchSize:       2,
-			RetryBackoff:    time.Millisecond,
-			MaxRetryAfter:   5 * time.Millisecond,
-			BreakerCooldown: time.Millisecond,
+			batchSize:       2,
+			retryBackoff:    time.Millisecond,
+			maxRetryAfter:   5 * time.Millisecond,
+			breakerCooldown: time.Millisecond,
 			HTTP:            &http.Client{Transport: ct},
 		})
 		if err != nil {
@@ -104,7 +105,7 @@ func TestClusterSweepChaosSameSeedSameManifest(t *testing.T) {
 
 // TestClusterBlackoutPartitionTripsBreakerAndRecovers partitions one
 // worker for a window of requests: its breaker must open and the
-// shard redistribute, but a partition — unlike a flapping worker —
+// healthy worker take its cells, but a partition — unlike a flapping worker —
 // must not quarantine; once the window passes, the /readyz probe
 // recloses the breaker.
 func TestClusterBlackoutPartitionTripsBreakerAndRecovers(t *testing.T) {
@@ -117,15 +118,17 @@ func TestClusterBlackoutPartitionTripsBreakerAndRecovers(t *testing.T) {
 	// Request 0 to the flaky host is the version handshake; the window
 	// then swallows its first dispatch and the next few recovery probes.
 	plan := mustPlan(t, "seed=7,blackout="+target+"@1+4")
+	reg := telemetry.NewRegistry()
 	m, err := Run(Options{
 		Workers:          []string{healthy.URL, flaky.URL},
 		Spec:             testSpec(nil),
-		BatchSize:        2,
+		batchSize:        2,
 		Retries:          -1, // fail the partitioned dispatch fast
-		BreakerThreshold: 1,
-		BreakerCooldown:  time.Millisecond,
-		QuarantineTrips:  10,
+		breakerThreshold: 1,
+		breakerCooldown:  time.Millisecond,
+		quarantineTrips:  10,
 		HTTP:             &http.Client{Transport: &fault.ChaosTransport{Plan: plan}},
+		Registry:         reg,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -143,4 +146,5 @@ func TestClusterBlackoutPartitionTripsBreakerAndRecovers(t *testing.T) {
 	if cs.WorkersLost != 0 || cs.Quarantined != 0 {
 		t.Errorf("a transient partition must not quarantine: %+v", cs)
 	}
+	registrySaysWhatTheManifestSays(t, reg, cs)
 }

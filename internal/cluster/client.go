@@ -81,27 +81,38 @@ func (c *Client) Ready(ctx context.Context) error {
 	return nil
 }
 
+// handshakeTimeout bounds one attempt of the version handshake.
+const handshakeTimeout = 10 * time.Second
+
 // Version fetches GET /v1/version — the schema handshake the
-// coordinator requires before dispatching any work.
+// coordinator requires before dispatching any work.  The exchange is
+// small and idempotent, so every failure is retried: a transient
+// refusal (a chaotic link, a worker still binding its socket) must not
+// abort the whole sweep.
 func (c *Client) Version(ctx context.Context) (server.VersionInfo, error) {
 	var v server.VersionInfo
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.Base+"/v1/version", nil)
-	if err != nil {
-		return v, err
-	}
-	resp, err := c.http().Do(req)
-	if err != nil {
-		return v, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, resp.Body)
-		return v, fmt.Errorf("worker %s: GET /v1/version: %s", c.Base, resp.Status)
-	}
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<16)).Decode(&v); err != nil {
-		return v, fmt.Errorf("worker %s: bad version response: %w", c.Base, err)
-	}
-	return v, nil
+	err := c.retry(ctx, func(int) error {
+		actx, cancel := context.WithTimeout(ctx, handshakeTimeout)
+		defer cancel()
+		req, err := http.NewRequestWithContext(actx, http.MethodGet, c.Base+"/v1/version", nil)
+		if err != nil {
+			return err
+		}
+		resp, err := c.http().Do(req)
+		if err != nil {
+			return retryable{err, nil}
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			io.Copy(io.Discard, resp.Body)
+			return retryable{fmt.Errorf("worker %s: GET /v1/version: %s", c.Base, resp.Status), resp}
+		}
+		if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<16)).Decode(&v); err != nil {
+			return retryable{fmt.Errorf("worker %s: bad version response: %w", c.Base, err), nil}
+		}
+		return nil
+	})
+	return v, err
 }
 
 // Batch POSTs cells to /v1/cells:batch and streams the JSONL response,
@@ -115,61 +126,68 @@ func (c *Client) Batch(ctx context.Context, cells []server.CellRequest, onItem f
 	if err != nil {
 		return err
 	}
-	url := c.Base + "/v1/cells:batch"
-	for attempt := 0; ; attempt++ {
+	return c.retry(ctx, func(attempt int) error {
 		// Propagate the coordinator's deadline so a partitioned worker
-		// cannot hold the shard past the sweep deadline: the server
+		// cannot hold the cells past the sweep deadline: the server
 		// parses ?timeout= into its own request context.
-		u := url
+		u := c.Base + "/v1/cells:batch"
 		if dl, ok := ctx.Deadline(); ok {
 			if rem := time.Until(dl); rem > 0 {
 				u += "?timeout=" + rem.Round(time.Millisecond).String()
 			}
 		}
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-			u, bytes.NewReader(body))
+		req, err := http.NewRequestWithContext(ctx, http.MethodPost, u, bytes.NewReader(body))
 		if err != nil {
 			return err
 		}
 		req.Header.Set("Content-Type", "application/json")
 		resp, err := c.http().Do(req)
 		if err != nil {
-			if attempt >= c.retries() || ctx.Err() != nil {
-				return fmt.Errorf("worker %s: %w", c.Base, err)
-			}
-			if err := c.sleep(ctx, c.retryDelay(attempt, nil)); err != nil {
-				return err
-			}
-			continue
+			return retryable{fmt.Errorf("worker %s: %w", c.Base, err), nil}
 		}
-		if resp.StatusCode == http.StatusTooManyRequests || resp.StatusCode == http.StatusServiceUnavailable {
-			delay := c.retryDelay(attempt, resp)
+		defer resp.Body.Close()
+		switch resp.StatusCode {
+		case http.StatusOK:
+		case http.StatusTooManyRequests, http.StatusServiceUnavailable:
 			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			if attempt >= c.retries() {
-				return fmt.Errorf("worker %s: %s after %d attempts", c.Base, resp.Status, attempt+1)
-			}
-			if err := c.sleep(ctx, delay); err != nil {
-				return err
-			}
-			continue
-		}
-		if resp.StatusCode != http.StatusOK {
-			msg := readError(resp.Body)
-			resp.Body.Close()
-			return fmt.Errorf("worker %s: POST /v1/cells:batch: %s: %s", c.Base, resp.Status, msg)
+			return retryable{fmt.Errorf("worker %s: %s after %d attempts", c.Base, resp.Status, attempt+1), resp}
+		default:
+			return fmt.Errorf("worker %s: POST /v1/cells:batch: %s: %s", c.Base, resp.Status, readError(resp.Body))
 		}
 		dec := json.NewDecoder(resp.Body)
 		for {
 			var item server.BatchItem
 			if err := dec.Decode(&item); err == io.EOF {
-				resp.Body.Close()
 				return nil
 			} else if err != nil {
-				resp.Body.Close()
 				return fmt.Errorf("worker %s: batch stream: %w", c.Base, err)
 			}
 			onItem(item)
+		}
+	})
+}
+
+// retryable marks a failed attempt the retry loop may repeat: a
+// transport error, or the worker's admission control saying "not now".
+type retryable struct {
+	error
+	hint *http.Response // carries Retry-After when the worker sent one
+}
+
+// retry runs attempt until it succeeds, fails for good, or has failed
+// retryably more often than the budget allows.
+func (c *Client) retry(ctx context.Context, attempt func(n int) error) error {
+	for n := 0; ; n++ {
+		err := attempt(n)
+		r, again := err.(retryable)
+		if !again {
+			return err
+		}
+		if n >= c.retries() || ctx.Err() != nil {
+			return r.error
+		}
+		if err := c.sleep(ctx, c.retryDelay(n, r.hint)); err != nil {
+			return err
 		}
 	}
 }

@@ -1,8 +1,10 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -15,6 +17,7 @@ import (
 	"bioperf5/internal/harness"
 	"bioperf5/internal/sched"
 	"bioperf5/internal/server"
+	"bioperf5/internal/telemetry"
 )
 
 // testSpec is a small but non-trivial sweep: 8 grid points plus one
@@ -72,15 +75,41 @@ func newWorker(t *testing.T) *httptest.Server {
 	return ts
 }
 
+// registrySaysWhatTheManifestSays checks publish(): every cluster.*
+// counter equals the manifest field it mirrors.
+func registrySaysWhatTheManifestSays(t *testing.T, reg *telemetry.Registry, cs *harness.ClusterStats) {
+	t.Helper()
+	for name, want := range map[string]uint64{
+		"cluster.workers_lost":        cs.WorkersLost,
+		"cluster.dispatched":          cs.Dispatched,
+		"cluster.completed":           cs.Completed,
+		"cluster.failed":              cs.FailedCells,
+		"cluster.redispatched":        cs.Redispatched,
+		"cluster.duplicates":          cs.Duplicates,
+		"cluster.resumed":             cs.Resumed,
+		"cluster.cache_hits":          cs.CacheHits,
+		"cluster.batches":             cs.Batches,
+		"cluster.http_retries":        cs.Retries,
+		"cluster.breaker.opened":      cs.BreakerTrips,
+		"cluster.breaker.quarantined": cs.Quarantined,
+	} {
+		if got := reg.Counter(name).Value(); got != want {
+			t.Errorf("registry %s = %d, manifest says %d", name, got, want)
+		}
+	}
+}
+
 func TestDistributedMatchesSingleNode(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
 	ref := singleNode(t)
 	w1, w2 := newWorker(t), newWorker(t)
+	reg := telemetry.NewRegistry()
 	m, err := Run(Options{
-		Workers: []string{w1.URL, w2.URL},
-		Spec:    testSpec(nil),
+		Workers:  []string{w1.URL, w2.URL},
+		Spec:     testSpec(nil),
+		Registry: reg,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -97,6 +126,104 @@ func TestDistributedMatchesSingleNode(t *testing.T) {
 	}
 	if cs.Cells >= uint64(len(m.Points)+1) {
 		t.Errorf("expected the coincident baseline to dedup: %d cells for %d points", cs.Cells, len(m.Points))
+	}
+	registrySaysWhatTheManifestSays(t, reg, cs)
+}
+
+// recordingHandler proxies to a real worker and notes the (application,
+// variant) stream of every cell it is sent, in dispatch order.
+type recordingHandler struct {
+	h       http.Handler
+	mu      sync.Mutex
+	streams []string
+}
+
+func (rh *recordingHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if r.Method == http.MethodPost && strings.HasSuffix(r.URL.Path, "cells:batch") {
+		body, _ := io.ReadAll(r.Body)
+		var req server.BatchRequest
+		json.Unmarshal(body, &req)
+		rh.mu.Lock()
+		for _, c := range req.Cells {
+			rh.streams = append(rh.streams, c.App+"/"+c.Variant)
+		}
+		rh.mu.Unlock()
+		r.Body = io.NopCloser(bytes.NewReader(body))
+	}
+	rh.h.ServeHTTP(w, r)
+}
+
+// TestFleetSeesCapturesFirst: a fleet runs RunSweep's submission order,
+// so the cell that captures each (application, variant) trace is
+// dispatched before any stream's second cell — in plan order the whole
+// original-variant grid would precede the first combination cell.
+func TestFleetSeesCapturesFirst(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	eng := sched.New(sched.Options{Workers: 2})
+	t.Cleanup(eng.Close)
+	rh := &recordingHandler{h: server.New(server.Options{Engine: eng})}
+	w := httptest.NewServer(rh)
+	t.Cleanup(w.Close)
+	if _, err := Run(Options{Workers: []string{w.URL}, Spec: testSpec(nil), batchSize: 1}); err != nil {
+		t.Fatal(err)
+	}
+	distinct := make(map[string]bool)
+	for _, s := range rh.streams {
+		distinct[s] = true
+	}
+	if len(distinct) != 2 {
+		t.Fatalf("test spec should have two streams, dispatched %v", rh.streams)
+	}
+	seen := make(map[string]bool)
+	for i, s := range rh.streams {
+		if seen[s] && len(seen) < len(distinct) {
+			t.Fatalf("dispatch %d is a second %s cell before every stream's first: %v", i, s, rh.streams)
+		}
+		seen[s] = true
+	}
+}
+
+// TestPickTakesQueueOrder pins the batch selection: undispatched cells
+// first, else in-flight cells dispatched once — both in queue order, so
+// which stragglers get hedged does not differ from run to run.
+func TestPickTakesQueueOrder(t *testing.T) {
+	done := &unit{key: "done", done: true, dispatches: 1}
+	fresh1, fresh2 := &unit{key: "fresh1"}, &unit{key: "fresh2"}
+	requeued := &unit{key: "requeued", dispatches: 2} // both dispatches failed: first in line again
+	flying1 := &unit{key: "flying1", inflight: 1, dispatches: 1}
+	flying2 := &unit{key: "flying2", inflight: 1, dispatches: 1}
+	hedged := &unit{key: "hedged", inflight: 2, dispatches: 2}
+	halfBack := &unit{key: "halfBack", inflight: 1, dispatches: 2} // hedged, one dispatch failed
+	for _, tc := range []struct {
+		name  string
+		queue []*unit
+		n     int
+		want  []*unit
+		hedge bool
+	}{
+		{"empty queue", nil, 4, nil, false},
+		{"undispatched in queue order, n smaller than eligible",
+			[]*unit{done, flying1, fresh1, requeued, fresh2}, 2, []*unit{fresh1, requeued}, false},
+		{"n larger than eligible takes them all and does not top up with hedges",
+			[]*unit{fresh1, flying1, done, fresh2}, 4, []*unit{fresh1, fresh2}, false},
+		{"nothing undispatched: hedge in queue order, n smaller than eligible",
+			[]*unit{done, hedged, flying2, halfBack, flying1}, 1, []*unit{flying2}, true},
+		{"hedge skips done and hedged-out cells, n larger than eligible",
+			[]*unit{flying1, done, hedged, halfBack, flying2}, 4, []*unit{flying1, flying2}, true},
+		{"everything done or hedged out", []*unit{done, hedged, halfBack}, 4, nil, false},
+	} {
+		got, hedge := pick(tc.queue, tc.n)
+		if len(got) != len(tc.want) || hedge != tc.hedge {
+			t.Errorf("%s: picked %d cells (hedge=%v), want %d (hedge=%v)", tc.name, len(got), hedge, len(tc.want), tc.hedge)
+			continue
+		}
+		for i := range got {
+			if got[i] != tc.want[i] {
+				t.Errorf("%s: cell %d is %s, want %s", tc.name, i, got[i].key, tc.want[i].key)
+			}
+		}
 	}
 }
 
@@ -138,15 +265,15 @@ func TestWorkerDeathMidSweepIsByteIdentical(t *testing.T) {
 	m, err := Run(Options{
 		Workers:   []string{healthy.URL, dying.URL},
 		Spec:      testSpec(nil),
-		BatchSize: 2,
+		batchSize: 2,
 		Retries:   -1, // fail a dead worker fast instead of backing off
 		// Quarantine the dying worker on its first failed dispatch.  A
 		// second-trip quarantine would race the survivor: with warm
 		// trace caches the survivor drains the requeued cells before the
 		// dying worker's breaker half-opens for another attempt.
-		BreakerThreshold: 1,
-		BreakerCooldown:  time.Millisecond,
-		QuarantineTrips:  1,
+		breakerThreshold: 1,
+		breakerCooldown:  time.Millisecond,
+		quarantineTrips:  1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -176,7 +303,7 @@ func TestAllWorkersDeadDegradesPerCell(t *testing.T) {
 		Retries: -1,
 		// Flap straight into quarantine: every batch aborts, so the
 		// breaker trips until the fleet is gone.
-		BreakerCooldown: time.Millisecond,
+		breakerCooldown: time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err) // degraded, not fatal: the manifest must still ship
@@ -243,6 +370,47 @@ func TestCoordinatorResume(t *testing.T) {
 	cs := second.Cluster
 	if cs.Resumed != cs.Cells || cs.Batches != 0 || cs.Dispatched != 0 {
 		t.Errorf("resume should serve every cell from the journal: %+v", cs)
+	}
+}
+
+// TestCoordinatorResumesParentJournal: testdata/parent_journal.jsonl is
+// the journal the coordinator of the commit before the one-queue rewrite
+// (ff80506) wrote for testSpec, and parent_manifest.json that run's
+// canonManifest.  The format is the disk contract of -resume: every cell
+// must come back from the file, none may be dispatched, and the manifest
+// must match the recording run's byte for byte.  (A model change moves
+// the cell keys; re-record both files with the coordinator at hand.)
+func TestCoordinatorResumesParentJournal(t *testing.T) {
+	recorded, err := os.ReadFile("testdata/parent_journal.jsonl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile("testdata/parent_manifest.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	jpath := filepath.Join(t.TempDir(), "journal.jsonl") // a copy: opening a journal may repair it
+	if err := os.WriteFile(jpath, recorded, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	j, err := OpenJournal(jpath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	eng := sched.New(sched.Options{Workers: 1})
+	t.Cleanup(eng.Close)
+	broken := httptest.NewServer(&killingHandler{h: server.New(server.Options{Engine: eng})})
+	t.Cleanup(broken.Close)
+	m, err := Run(Options{Workers: []string{broken.URL}, Spec: testSpec(nil), Journal: j, Retries: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cs := m.Cluster; cs.Resumed != cs.Cells || cs.Batches != 0 {
+		t.Errorf("a parent-written journal should answer every cell: %+v", cs)
+	}
+	if got := canonManifest(t, m); got != string(want) {
+		t.Errorf("manifest resumed from the parent's journal differs from the recording run's:\n%s", got)
 	}
 }
 

@@ -70,6 +70,14 @@ func (c Config) submitCell(app string, s core.Setup) *pending {
 	return cl
 }
 
+// submitLocal is what a nil Config.Submit means: the cell runs on the
+// configuration's engine.
+func (c Config) submitLocal(ctx context.Context, pc PlanCell) func() CellResult {
+	c.Context = ctx
+	cell := c.submitCell(pc.App, pc.Setup)
+	return func() CellResult { return cell.collect().CellResult }
+}
+
 // collect waits for the cell.  Coalesced seeds contribute no cost:
 // their computation belongs to the submission that enqueued it, so
 // each unit of work is attributed exactly once and a fully memoized

@@ -39,6 +39,13 @@ type Config struct {
 	// excluded from JSON: manifests do not change when tracing is
 	// toggled.
 	Trace core.TracePolicy `json:"-"`
+
+	// Submit, when set, is where RunSweep runs a planned cell instead of
+	// the local Engine: it starts the cell under ctx (the sweep's span
+	// context) and returns the wait for its outcome.  RunSweep submits
+	// every cell, captures first, before it waits for any.
+	// internal/cluster sets it to run the sweep on a fleet.
+	Submit func(ctx context.Context, pc PlanCell) (wait func() CellResult) `json:"-"`
 }
 
 // DefaultConfig is the configuration the CLI uses.

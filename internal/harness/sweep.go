@@ -185,10 +185,10 @@ type ClusterStats struct {
 	Workers      int    `json:"workers"`             // fleet size at start
 	WorkersLost  uint64 `json:"workers_lost"`        // workers declared dead mid-run
 	Cells        uint64 `json:"cells"`               // distinct content-addressed cells
-	Dispatched   uint64 `json:"dispatched"`          // dispatch attempts (incl. steals and re-dispatches)
+	Dispatched   uint64 `json:"dispatched"`          // dispatch attempts (incl. re-dispatches)
 	Completed    uint64 `json:"completed"`           // cells that returned ok
 	FailedCells  uint64 `json:"failed_cells"`        // cells that exhausted the fleet
-	Stolen       uint64 `json:"stolen"`              // cells stolen from another shard's queue
+	Stolen       uint64 `json:"stolen"`              // always 0: the fleet shares one queue; kept for the schema
 	Redispatched uint64 `json:"redispatched"`        // straggler cells re-sent to a second worker
 	Duplicates   uint64 `json:"duplicates"`          // late results dropped by first-result-wins
 	Resumed      uint64 `json:"resumed"`             // cells served by the coordinator journal
@@ -252,7 +252,7 @@ func (m *SweepManifest) WriteJSONFile(path string) error {
 // PlanCell is one planned unit of a sweep: an application baseline or
 // a grid point — its canonical coordinates (scale, seeds and trace
 // policy are the sweep's), setup and content key.  The plan fixes
-// identity and order; execution — local engine or remote worker — only
+// identity and order; execution — local engine or Config.Submit — only
 // fills in results.
 type PlanCell struct {
 	Cell
@@ -263,9 +263,9 @@ type PlanCell struct {
 
 // SweepPlan is the deterministic expansion of a SweepSpec: the
 // normalized spec, one baseline cell per application, and the full
-// grid in manifest order.  It is what a distributed coordinator shards
-// and what Manifest assembles, so a remote sweep and a local one agree
-// on every key and every byte.
+// grid in manifest order.  RunSweep submits it and Manifest assembles
+// it wherever the cells ran, so a remote sweep and a local one agree on
+// every key and every byte.
 type SweepPlan struct {
 	Spec      SweepSpec
 	Baselines []PlanCell // one per application, spec order
@@ -324,10 +324,7 @@ type CellResult struct {
 // order: baselines[i] answers plan.Baselines[i] and points[i] answers
 // plan.Points[i].  Status mapping, skipped-app propagation, IPC
 // normalization, best-per-app selection and the stage profile all live
-// here — the single assembly path behind both the local RunSweep and
-// the cluster coordinator, which is what makes a distributed manifest
-// byte-identical to a single-node one.  Scheduler, Cluster and
-// ElapsedMS are left for the caller.
+// here.  Scheduler, Cluster and ElapsedMS are left for the caller.
 func (plan *SweepPlan) Manifest(baselines, points []CellResult) *SweepManifest {
 	sp := plan.Spec
 	m := &SweepManifest{Schema: SchemaVersion, Config: sp.Config}
@@ -415,13 +412,14 @@ func (plan *SweepPlan) Manifest(baselines, points []CellResult) *SweepManifest {
 	return m
 }
 
-// RunSweep evaluates the full grid locally.  Every cell — plus each
+// RunSweep evaluates the full grid.  Every cell — plus each
 // application's POWER5 baseline, used to normalize IPC — is submitted
-// to the scheduler up front, so the whole sweep is bounded by the
-// worker pool, and grid points that coincide with the baseline (or
-// with each other across re-runs) are served from the cache.  Results
-// are collected in plan order whatever order the cells ran in, so the
-// manifest does not depend on submission order or worker count.
+// up front, to the local scheduler or to Config.Submit (a fleet), so
+// the whole sweep is bounded by the worker pool, and grid points that
+// coincide with the baseline (or with each other across re-runs) are
+// served from the cache.  Results are collected in plan order whatever
+// order the cells ran in, so the manifest does not depend on
+// submission order, worker count or where the cells ran.
 func RunSweep(sp SweepSpec) (*SweepManifest, error) {
 	plan, err := PlanSweep(sp)
 	if err != nil {
@@ -432,44 +430,46 @@ func RunSweep(sp SweepSpec) (*SweepManifest, error) {
 	// The whole-sweep root span: with a tracer in the context every
 	// cell's spans nest under it, so the exported trace renders the
 	// sweep as one tree.
-	sweepCtx, sweepSpan := telemetry.StartSpan(cfg.Context, telemetry.StageSweep)
-	if sweepSpan != nil {
-		cfg.Context = sweepCtx
-		defer sweepSpan.End()
+	ctx, sweepSpan := telemetry.StartSpan(cfg.Context, telemetry.StageSweep)
+	defer sweepSpan.End()
+	run := cfg.Submit
+	if run == nil {
+		run = cfg.submitLocal
 	}
 
 	// Submit phase.  Cells are numbered in plan order — baselines (they
 	// normalize every point), then the grid — but the first cell of each
-	// (application, variant) goes to the scheduler ahead of the rest:
-	// those are the cells that capture a trace, and a worker handed a
-	// second cell of a trace still being captured would park behind the
-	// capture while replayable cells sit in the queue.
+	// (application, variant) is submitted ahead of the rest: those are
+	// the cells that capture a trace, and a worker handed a second cell
+	// of a trace still being captured would park behind the capture
+	// while replayable cells sit in the queue.
 	cells := append(append([]PlanCell(nil), plan.Baselines...), plan.Points...)
-	pends := make([]*pending, len(cells))
-	submit := func(i int) { pends[i] = cfg.submitCell(cells[i].App, cells[i].Setup) }
+	waits := make([]func() CellResult, len(cells))
 	type stream struct{ app, variant string }
 	captured := make(map[stream]bool)
 	var rest []int
 	for i, pc := range cells {
 		if s := (stream{pc.App, pc.Variant}); !captured[s] {
 			captured[s] = true
-			submit(i)
+			waits[i] = run(ctx, pc)
 		} else {
 			rest = append(rest, i)
 		}
 	}
 	for _, i := range rest {
-		submit(i)
+		waits[i] = run(ctx, cells[i])
 	}
 
 	// Collect phase, in plan order.
-	results := make([]CellResult, len(pends))
-	for i, cell := range pends {
-		results[i] = cell.collect().CellResult
+	results := make([]CellResult, len(waits))
+	for i, wait := range waits {
+		results[i] = wait()
 	}
 	nb := len(plan.Baselines)
 	m := plan.Manifest(results[:nb], results[nb:])
-	m.Scheduler = cfg.engine().Stats()
+	if cfg.Submit == nil {
+		m.Scheduler = cfg.engine().Stats()
+	}
 	m.ElapsedMS = time.Since(start).Milliseconds()
 	return m, nil
 }

@@ -302,24 +302,6 @@ func SimulateObserved(k *Kernel, v Variant, run *Run, cfg cpu.Config, limit uint
 	return rep, check(k, v, mach, run)
 }
 
-// coupled loads run on the functional machine and builds the timing
-// model for cfg beside it.
-func coupled(k *Kernel, v Variant, run *Run, cfg cpu.Config) (*machine.Machine, *cpu.Model, error) {
-	c, err := CompileCached(k, v)
-	if err != nil {
-		return nil, nil, err
-	}
-	if v.NeedsExtensions() {
-		cfg.Extensions = true
-	}
-	model, err := cpu.New(cfg, c.Meta)
-	if err != nil {
-		return nil, nil, err
-	}
-	mach, err := load(k, c, run)
-	return mach, model, err
-}
-
 // All returns the four kernels in the order the paper lists the
 // applications (Blast, Clustalw, Fasta, Hmmer).
 func All() []*Kernel {

@@ -48,8 +48,6 @@ const (
 	StageManifest  = "manifest.write"   // sweep manifest atomic write
 	StageSweep     = "sweep"            // whole-sweep root span
 	StageDispatch  = "cluster.dispatch" // one batch of cells sent to a remote worker
-	StageSteal     = "cluster.steal"    // an idle runner stealing cells from another shard
-	StageMerge     = "cluster.merge"    // per-shard results folded into the manifest
 	StageBreaker   = "cluster.breaker"  // a circuit-breaker transition (open/reclose/quarantine)
 )
 

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # cluster_smoke.sh — stand up a real distributed sweep on the loopback:
 # a cache hub, two `bioperf5 serve` workers pointed at it, and a
-# coordinator sharding the factorial across them.  Mid-run — the moment
+# coordinator running the factorial on them.  Mid-run — the moment
 # it has admitted its first cells, observed on its /metrics, not after a
 # sleep — one worker takes SIGKILL.  The gates: the merged manifest is
 # byte-identical to a single-node run despite the death and every cell
@@ -133,7 +133,7 @@ assert c["completed"] == c["cells"], c
 assert c["workers_lost"] == 1 or c["dispatched"] > c["cells"], \
     f"the kill left no mark: neither a lost worker nor a cell dispatched twice: {c}"
 print(f"   survived the kill: {c['cells']} cells in {c['dispatched']} dispatches, "
-      f"{c['workers_lost']} worker declared lost, {c['stolen']} stolen, "
+      f"{c['workers_lost']} worker declared lost, "
       f"{c['redispatched']} stragglers shadowed, {c['duplicates']} duplicate results dropped")
 PY
 echo "   merged manifest byte-identical to single-node despite the kill"
