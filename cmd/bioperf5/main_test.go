@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"os"
@@ -8,7 +9,9 @@ import (
 	"strings"
 	"testing"
 
+	"bioperf5/internal/cas"
 	"bioperf5/internal/fault"
+	"bioperf5/internal/fsck"
 	"bioperf5/internal/harness"
 	"bioperf5/internal/kernels"
 	"bioperf5/internal/sched"
@@ -216,8 +219,8 @@ func TestCmdSweepRejectsBadFaultSpec(t *testing.T) {
 }
 
 // TestCmdSweepResumeRoundTrip runs the same sweep twice against one
-// -resume directory: the second run must leave the journal and
-// manifest in place and do no simulation work.
+// -resume directory: the second run must leave the manifest in place and
+// do no simulation work, every cell a hit in the directory's cache.
 func TestCmdSweepResumeRoundTrip(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
@@ -230,34 +233,105 @@ func TestCmdSweepResumeRoundTrip(t *testing.T) {
 			t.Fatalf("run %d: %v", run, err)
 		}
 	}
-	for _, name := range []string{"journal.jsonl", "manifest.json"} {
-		if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
-			t.Errorf("%s missing after resume: %v", name, err)
-		}
-	}
-	j, err := sched.OpenJournal(filepath.Join(dir, "journal.jsonl"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j.Close()
-	if j.Len() == 0 {
-		t.Error("journal recorded no completed cells")
-	}
-	var m harness.SweepManifest
-	b, err := os.ReadFile(filepath.Join(dir, "manifest.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(b, &m); err != nil {
-		t.Fatalf("manifest does not parse: %v", err)
+	if _, err := os.Stat(filepath.Join(dir, "journal.jsonl")); !os.IsNotExist(err) {
+		t.Errorf("a local sweep wrote a journal: %v", err)
 	}
 	// The second run's manifest is the one on disk: all cells resumed.
-	if m.Scheduler.Computed != 0 || m.Scheduler.Resumed == 0 {
+	m := readManifest(t, dir)
+	if m.Scheduler.Computed != 0 || m.Scheduler.DiskHits == 0 {
 		t.Errorf("resumed run scheduler stats = %+v", m.Scheduler)
 	}
 	if m.Degraded != 0 {
 		t.Errorf("degraded = %d", m.Degraded)
 	}
+}
+
+// TestCmdSweepResumesParentStateDir: a -resume directory the previous
+// binary left behind also holds its journal.jsonl, here with a torn last
+// line.  Resuming from it must simulate nothing, reproduce the manifest
+// and leave the journal alone for fsck, which still reports the tear.
+func TestCmdSweepResumesParentStateDir(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	dir := t.TempDir()
+	args := []string{"-fxus", "2,3", "-btac", "off", "-variants", "original",
+		"-apps", "Fasta", "-resume", dir}
+	if err := cmdSweep(args); err != nil {
+		t.Fatal(err)
+	}
+	want := canonManifest(t, readManifest(t, dir))
+
+	entries, err := filepath.Glob(filepath.Join(dir, "*.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var journal []byte
+	for _, e := range entries {
+		if hash := strings.TrimSuffix(filepath.Base(e), ".json"); cas.ValidKey(hash) {
+			journal = append(journal, `{"hash":"`+hash+`","status":"ok"}`+"\n"...)
+		}
+	}
+	if len(journal) == 0 {
+		t.Fatal("the first run left no result entries")
+	}
+	journal = append(journal, `{"hash":"torn-mid-wri`...)
+	jpath := filepath.Join(dir, "journal.jsonl")
+	if err := os.WriteFile(jpath, journal, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	if err := cmdSweep(args); err != nil {
+		t.Fatal(err)
+	}
+	m := readManifest(t, dir)
+	if m.Scheduler.Computed != 0 {
+		t.Errorf("resume over a parent state directory computed %d cells", m.Scheduler.Computed)
+	}
+	if got := canonManifest(t, m); got != want {
+		t.Errorf("resumed manifest differs:\n--- first ---\n%s\n--- resumed ---\n%s", want, got)
+	}
+	if b, err := os.ReadFile(jpath); err != nil || !bytes.Equal(b, journal) {
+		t.Errorf("the journal was touched (err %v)", err)
+	}
+	rep, err := fsck.Run(fsck.Options{Dirs: []string{dir}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	torn := false
+	for _, f := range rep.Findings {
+		torn = torn || f.Kind == fsck.KindJournalTornTail
+	}
+	if !torn {
+		t.Errorf("fsck missed the torn journal tail: %+v", rep.Findings)
+	}
+}
+
+// readManifest parses the manifest.json a -resume run wrote under dir.
+func readManifest(t *testing.T, dir string) *harness.SweepManifest {
+	t.Helper()
+	b, err := os.ReadFile(filepath.Join(dir, "manifest.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m harness.SweepManifest
+	if err := json.Unmarshal(b, &m); err != nil {
+		t.Fatalf("manifest does not parse: %v", err)
+	}
+	return &m
+}
+
+// canonManifest renders a manifest without the fields that vary run to
+// run: wall time, scheduler counters and the stage profile.
+func canonManifest(t *testing.T, m *harness.SweepManifest) string {
+	t.Helper()
+	clone := *m
+	clone.ElapsedMS, clone.Scheduler, clone.Profile = 0, sched.Stats{}, nil
+	b, err := json.MarshalIndent(&clone, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
 }
 
 // TestCmdSweepSpansAndProfiles drives the observability flags end to

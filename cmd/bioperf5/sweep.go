@@ -34,8 +34,8 @@ type sweepFlags struct {
 
 // cmdSweep runs a full-factorial design-space sweep in four steps:
 // parse the flags into a spec, open the execution environment (the
-// local parallel scheduler with its cache and resume journal, or just a
-// registry when remote workers run the cells), run, report.
+// local parallel scheduler with its cache, or just a registry when
+// remote workers run the cells), run, report.
 func cmdSweep(args []string) error {
 	f, err := parseSweepFlags(args)
 	if err != nil {
@@ -43,22 +43,18 @@ func cmdSweep(args []string) error {
 	}
 	remote := len(f.hosts) > 0
 	if f.resume != "" && !remote {
-		f.engine.CacheDir = f.resume
-		if f.engine.Journal, err = sched.OpenJournal(filepath.Join(f.resume, "journal.jsonl")); err != nil {
-			return fmt.Errorf("-resume: %w", err)
-		}
-		defer f.engine.Journal.Close()
+		f.engine.CacheDir = f.resume // a local state directory is a warm cache
 	}
 	env, err := openEnv(f.engine, remote, "coordinator", f.spansDir)
 	if err != nil {
 		return err
 	}
 	if env.eng != nil {
-		defer env.eng.Drain(context.Background()) // before the journal closes
+		defer env.eng.Drain(context.Background())
 	}
 	// SIGINT/SIGTERM cancel pending cells instead of killing the
-	// process: the sweep degrades, the journal and cache keep what
-	// finished, and -resume picks up the rest.
+	// process: the sweep degrades, the cache keeps what finished, and
+	// -resume picks up the rest.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	if env.tracer != nil {
@@ -97,7 +93,7 @@ func parseSweepFlags(args []string) (*sweepFlags, error) {
 	fs.StringVar(&f.engine.CacheDir, "cache-dir", "", "content-addressed on-disk result cache directory")
 	fs.IntVar(&f.engine.Retries, "retries", 2, "per-cell retry budget for transient failures (with remote workers: the per-dispatch HTTP retry budget)")
 	fs.DurationVar(&f.engine.CellTimeout, "cell-timeout", 0, "per-cell simulation deadline, e.g. 30s (0 = none)")
-	fs.StringVar(&f.resume, "resume", "", "sweep state directory (disk cache + completion journal + manifest); re-running against it resumes only unfinished cells")
+	fs.StringVar(&f.resume, "resume", "", "sweep state directory (disk cache + manifest; with remote -workers, the coordinator's journal + manifest); re-running against it resumes only unfinished cells")
 	fs.BoolVar(&f.grid, "grid", false, "print every grid point, not just the best per application")
 	fs.BoolVar(&f.jsonOut, "json", false, "emit the JSON manifest instead of the summary table")
 	fs.StringVar(&f.spansDir, "spans", "", "record a span per lifecycle stage and write spans.jsonl + trace.json (Perfetto-loadable) under DIR")
@@ -120,7 +116,7 @@ func parseSweepFlags(args []string) (*sweepFlags, error) {
 		return nil, fmt.Errorf("sweep: -cache-dir is local-engine state; with remote -workers run `serve -cache-dir` on a hub and point the workers at it with -cache-upstream")
 	}
 	if f.resume != "" && f.engine.CacheDir != "" {
-		return nil, fmt.Errorf("-resume and -cache-dir are mutually exclusive: -resume DIR already keeps the result cache (plus journal.jsonl and manifest.json) under DIR")
+		return nil, fmt.Errorf("-resume and -cache-dir are mutually exclusive: -resume DIR already keeps the result cache (plus manifest.json) under DIR")
 	}
 	if f.spec.FXUs, err = parseIntList("fxus", *fxusFlag, false); err != nil {
 		return nil, err
@@ -148,8 +144,8 @@ func parseSweepFlags(args []string) (*sweepFlags, error) {
 
 // run evaluates the grid: harness.RunSweep on the local engine, or
 // cluster.Run — the same RunSweep over a fleet — across the remote
-// workers (whose -resume journal, unlike the engine's, carries full
-// results — the coordinator has no cache).
+// workers (the coordinator has no cache, so its -resume journal carries
+// full results).
 func (f *sweepFlags) run(env *execEnv) (*harness.SweepManifest, error) {
 	if len(f.hosts) == 0 {
 		return harness.RunSweep(f.spec)
@@ -227,9 +223,6 @@ func printSchedulerSummary(st sched.Stats) {
 	if st.Retries > 0 || st.Timeouts > 0 || st.Injected > 0 {
 		fmt.Printf("scheduler: %d retries, %d cell timeouts, %d injected faults\n",
 			st.Retries, st.Timeouts, st.Injected)
-	}
-	if st.Resumed > 0 {
-		fmt.Printf("scheduler: resumed — %d completed cells skipped via the journal and cache\n", st.Resumed)
 	}
 }
 

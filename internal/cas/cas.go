@@ -12,18 +12,20 @@
 // and Client.Get hand the bytes to a decode function and treat its
 // refusal as the one policy each tier has — a corrupt local blob is
 // counted, removed and recomputed; a corrupt upstream blob is counted
-// as an error and is a miss.  The typed codecs and the in-memory tiers
-// (an unbounded memo of futures in sched, a byte-budget LRU in trace)
-// stay with their owners.  DESIGN "Storage: verified blobs and
-// journals" has the layout and the wire protocol.
+// as an error and is a miss.  In front of both tiers each owner keeps a
+// Memo (single flight, then a byte-budget LRU); the typed codecs stay
+// with their owners.  DESIGN "Storage: verified blobs and journals" has
+// the layout and the wire protocol.
 package cas
 
 import (
+	"container/list"
 	"errors"
 	"io"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"time"
 
 	"bioperf5/internal/telemetry"
@@ -198,4 +200,111 @@ func (d *Dir) Sync() {
 	if d != nil {
 		syncDir(d.path)
 	}
+}
+
+// Memo is the in-memory tier in front of an owner's Dir and Client: a
+// single-flight join, so concurrent callers for one key share one fill,
+// then an LRU of filled values under a byte budget.  Only successes are
+// kept; a failed fill is forgotten, so the next Join fills again.
+type Memo[V any] struct {
+	budget    int64
+	size      func(V) int64 // run once per value, outside the lock: it may decode
+	evictions *telemetry.Counter
+
+	mu      sync.Mutex
+	entries map[string]*list.Element // Value is a resident *Flight[V]
+	lru     *list.List               // front = most recently used
+	bytes   int64
+	flights map[string]*Flight[V] // fills in progress
+}
+
+// Flight is one fill of a key, ended by its lead with Memo.Finish and
+// awaited by every caller that joined it.
+type Flight[V any] struct {
+	done chan struct{}
+	key  string
+	v    V
+	err  error
+	size int64
+}
+
+// Wait blocks until the flight is finished and returns its outcome.
+func (f *Flight[V]) Wait() (V, error) {
+	<-f.done
+	return f.v, f.err
+}
+
+// NewMemo returns a memo evicting least recently used values past budget
+// bytes (counted in evictions), never the newest: that would livelock a fill.
+func NewMemo[V any](budget int64, size func(V) int64, evictions *telemetry.Counter) *Memo[V] {
+	return &Memo[V]{budget: budget, size: size, evictions: evictions,
+		entries: make(map[string]*list.Element), lru: list.New(), flights: make(map[string]*Flight[V])}
+}
+
+// Join returns the value resident at key (fl nil), or the key's fill:
+// a new one this caller leads and must Finish, or one already running.
+func (m *Memo[V]) Join(key string) (v V, fl *Flight[V], lead bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if el, ok := m.entries[key]; ok {
+		m.lru.MoveToFront(el)
+		return el.Value.(*Flight[V]).v, nil, false
+	}
+	if fl = m.flights[key]; fl == nil {
+		fl = &Flight[V]{done: make(chan struct{}), key: key}
+		m.flights[key] = fl
+		lead = true
+	}
+	return v, fl, lead
+}
+
+// Get returns the value resident at key without joining a fill.
+func (m *Memo[V]) Get(key string) (v V, ok bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	el, ok := m.entries[key]
+	if ok {
+		m.lru.MoveToFront(el)
+		v = el.Value.(*Flight[V]).v
+	}
+	return v, ok
+}
+
+// Finish ends a flight its caller leads: joiners' Waits return (v, err),
+// and a nil err makes v resident under the flight's key.
+func (m *Memo[V]) Finish(fl *Flight[V], v V, err error) {
+	fl.v, fl.err = v, err
+	if err == nil {
+		m.Put(fl.key, v)
+	}
+	m.mu.Lock()
+	delete(m.flights, fl.key)
+	m.mu.Unlock()
+	close(fl.done)
+}
+
+// Put makes v resident under key, replacing any value there.
+func (m *Memo[V]) Put(key string, v V) {
+	e := &Flight[V]{key: key, v: v, size: m.size(v)}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if el, ok := m.entries[key]; ok {
+		m.bytes -= el.Value.(*Flight[V]).size
+		m.lru.Remove(el)
+	}
+	m.entries[key] = m.lru.PushFront(e)
+	m.bytes += e.size
+	for m.bytes > m.budget && m.lru.Len() > 1 {
+		old := m.lru.Remove(m.lru.Back()).(*Flight[V])
+		delete(m.entries, old.key)
+		m.bytes -= old.size
+		m.evictions.Add(1)
+	}
+}
+
+// Usage returns how many values are resident and their total size.
+func (m *Memo[V]) Usage() (n int, bytes int64) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.lru.Len(), m.bytes
 }

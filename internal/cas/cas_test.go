@@ -463,3 +463,43 @@ func TestWriteFileAtomicCleansUpAFailedWrite(t *testing.T) {
 		t.Errorf("%d files after two writes, want the one", len(ents))
 	}
 }
+
+// TestMemo pins the memo's rules: joiners share the lead's fill, a
+// failed fill is forgotten, the least recently used value goes first
+// (a Get counts as a use), and the newest stays even alone over budget.
+func TestMemo(t *testing.T) {
+	ev := telemetry.NewRegistry().Counter("evictions")
+	m := cas.NewMemo(3, func(n int) int64 { return int64(n) }, ev)
+	fill := func(key string, v int, err error) {
+		t.Helper()
+		_, fl, lead := m.Join(key)
+		if !lead {
+			t.Fatalf("%s: a fresh key did not lead", key)
+		}
+		_, joined, again := m.Join(key)
+		if joined != fl || again {
+			t.Fatalf("%s: a second caller did not join the running fill", key)
+		}
+		m.Finish(fl, v, err)
+		if got, gerr := joined.Wait(); got != v || gerr != err {
+			t.Fatalf("%s: joiner got %d, %v", key, got, gerr)
+		}
+	}
+	fill("bad", 1, errors.New("transient"))
+	if _, _, lead := m.Join("bad"); !lead {
+		t.Error("a failed fill was remembered")
+	}
+	fill("a", 1, nil)
+	fill("b", 1, nil)
+	if v, fl, lead := m.Join("a"); v != 1 || fl != nil || lead {
+		t.Errorf("resident a: Join = %d, %v, %v", v, fl, lead)
+	}
+	fill("c", 2, nil) // 4 bytes: b, least recently used, goes
+	if _, ok := m.Get("b"); ok {
+		t.Error("b survived; the LRU order ignored the join of a")
+	}
+	m.Put("d", 9) // alone over budget: kept, everything else goes
+	if n, b := m.Usage(); n != 1 || b != 9 || ev.Value() != 3 {
+		t.Errorf("usage %d values, %d bytes, %d evictions; want 1, 9, 3", n, b, ev.Value())
+	}
+}

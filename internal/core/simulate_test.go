@@ -187,7 +187,7 @@ func TestSimulateCostTotalCoversStages(t *testing.T) {
 		}
 		cost := resp.Cost
 		stages := cost.QueueNS + cost.CompileNS + cost.CaptureNS + cost.ReplayNS +
-			cost.SimNS + cost.CacheNS + cost.JournalNS
+			cost.SimNS + cost.CacheNS
 		if cost.TotalNS <= 0 || cost.TotalNS < stages {
 			t.Errorf("%s: TotalNS = %d, stages sum to %d: %+v", c.name, cost.TotalNS, stages, cost)
 		}

@@ -17,6 +17,7 @@ import (
 	"bioperf5/internal/cas"
 	"bioperf5/internal/cpu"
 	"bioperf5/internal/fsck"
+	"bioperf5/internal/journal"
 	"bioperf5/internal/kernels"
 	"bioperf5/internal/sched"
 	"bioperf5/internal/telemetry"
@@ -24,16 +25,13 @@ import (
 )
 
 // seedState runs n real cells through an engine backed by dir (cache +
-// traces) and a journal, then closes everything so the tree is at rest.
+// traces), then journals each cell the way earlier binaries did beside a
+// local sweep's cache — such directories still exist, and fsck scrubs
+// their journals like a coordinator's — so the tree at rest holds every
+// kind of file fsck scans.
 func seedState(t *testing.T, dir string, n int) {
 	t.Helper()
-	journal, err := sched.OpenJournal(filepath.Join(dir, "journal.jsonl"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer journal.Close()
-	eng := sched.New(sched.Options{Workers: 2, CacheDir: dir, Journal: journal})
-	defer eng.Close()
+	eng := sched.New(sched.Options{Workers: 2, CacheDir: dir})
 	for i := 0; i < n; i++ {
 		_, err := eng.Run(context.Background(), sched.Job{
 			App: "Fasta", Variant: kernels.Branchy, CPU: cpu.POWER5Baseline(),
@@ -43,6 +41,31 @@ func seedState(t *testing.T, dir string, n int) {
 			t.Fatalf("seed cell %d: %v", i, err)
 		}
 	}
+	eng.Close()
+	j := openJournal(t, filepath.Join(dir, "journal.jsonl"))
+	for _, e := range cacheEntries(t, dir) {
+		if err := j.Append(hashRecord{Hash: strings.TrimSuffix(filepath.Base(e), ".json"), Status: "ok"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	j.Close()
+}
+
+// hashRecord is one line of a local sweep's completion journal.
+type hashRecord struct {
+	Hash   string `json:"hash"`
+	Status string `json:"status"`
+}
+
+// openJournal opens the journal at path, closing it when the test ends.
+func openJournal(t *testing.T, path string) *journal.Log[hashRecord] {
+	t.Helper()
+	j, err := journal.Open(path, func(r hashRecord) string { return r.Hash })
+	if err != nil {
+		t.Fatalf("journal does not open: %v", err)
+	}
+	t.Cleanup(func() { j.Close() })
+	return j
 }
 
 // cacheEntries globs the content-addressed result files under dir.
@@ -239,11 +262,7 @@ func TestFsckRepairsTornJournalTail(t *testing.T) {
 	if _, err := os.Stat(f.QuarantinedTo); err != nil {
 		t.Errorf("original journal bytes not preserved: %v", err)
 	}
-	j, err := sched.OpenJournal(path)
-	if err != nil {
-		t.Fatalf("repaired journal does not open: %v", err)
-	}
-	defer j.Close()
+	j := openJournal(t, path)
 	_, a := j.Lookup("aaa")
 	_, b2 := j.Lookup("bbb")
 	if j.Len() != 2 || !a || !b2 {
@@ -269,12 +288,7 @@ func TestFsckDropsCorruptInteriorJournalLine(t *testing.T) {
 	if f == nil || !f.Repaired || f.QuarantinedTo == "" {
 		t.Fatalf("corrupt interior line not handled: %+v", rep)
 	}
-	j, err := sched.OpenJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j.Close()
-	if j.Len() != 2 {
+	if j := openJournal(t, path); j.Len() != 2 {
 		t.Errorf("repaired journal has %d records, want 2", j.Len())
 	}
 }
@@ -390,7 +404,7 @@ func TestFsckErrors(t *testing.T) {
 // TestFsckThenResumeRecomputesOnlyQuarantined is the scrubber's
 // acceptance test: damage some cells of a finished sweep, fsck, then
 // resume against the same directory — the engine must recompute
-// exactly the quarantined cells and serve the rest from cache+journal.
+// exactly the quarantined cells and serve the rest from its cache.
 func TestFsckThenResumeRecomputesOnlyQuarantined(t *testing.T) {
 	dir := t.TempDir()
 	const cells = 4
@@ -408,15 +422,10 @@ func TestFsckThenResumeRecomputesOnlyQuarantined(t *testing.T) {
 			rep.Quarantined, rep.Damaged, rep)
 	}
 
-	journal, err := sched.OpenJournal(filepath.Join(dir, "journal.jsonl"))
-	if err != nil {
-		t.Fatal(err)
+	if j := openJournal(t, filepath.Join(dir, "journal.jsonl")); j.Len() != cells {
+		t.Fatalf("journal survived fsck with %d records, want %d", j.Len(), cells)
 	}
-	defer journal.Close()
-	if journal.Len() != cells {
-		t.Fatalf("journal survived fsck with %d records, want %d", journal.Len(), cells)
-	}
-	eng := sched.New(sched.Options{Workers: 2, CacheDir: dir, Journal: journal})
+	eng := sched.New(sched.Options{Workers: 2, CacheDir: dir})
 	defer eng.Close()
 	for i := 0; i < cells; i++ {
 		if _, err := eng.Run(context.Background(), sched.Job{

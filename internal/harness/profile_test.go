@@ -77,7 +77,7 @@ func TestColdSweepProfile(t *testing.T) {
 			t.Errorf("point %d (%s/%s): no capture or replay cost on a cold engine: %+v",
 				i, m.Points[i].App, m.Points[i].Variant, c)
 		}
-		sum := c.QueueNS + c.CompileNS + c.CaptureNS + c.ReplayNS + c.SimNS + c.CacheNS + c.JournalNS
+		sum := c.QueueNS + c.CompileNS + c.CaptureNS + c.ReplayNS + c.SimNS + c.CacheNS
 		if sum > c.TotalNS {
 			t.Errorf("point %d (%s/%s): stage sum %d exceeds total %d",
 				i, m.Points[i].App, m.Points[i].Variant, sum, c.TotalNS)

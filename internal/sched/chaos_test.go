@@ -1,6 +1,6 @@
 // Chaos suite: a real sweep under randomized (but seeded) injected
 // faults must converge to the exact manifest a fault-free run
-// produces, and a follow-up run over the same cache + journal must
+// produces, and a follow-up run over the same cache directory must
 // resume rather than recompute.  It lives in package sched_test so it
 // can drive the harness on top of the engine.
 package sched_test
@@ -8,7 +8,6 @@ package sched_test
 import (
 	"bytes"
 	"encoding/json"
-	"path/filepath"
 	"testing"
 	"time"
 
@@ -64,10 +63,6 @@ func TestChaosSweepMatchesFaultFree(t *testing.T) {
 	// attempt.  The injected hang outlasts the cell deadline, so it is
 	// the watchdog that recovers it.
 	dir := t.TempDir()
-	journal, err := sched.OpenJournal(filepath.Join(dir, "journal.jsonl"))
-	if err != nil {
-		t.Fatal(err)
-	}
 	plan, err := fault.Parse("seed=42,panic=0.25,error=0.25,hang=0.15,cancel=0.25," +
 		"corrupt=0.5,tracecorrupt=0.5,delay=30s,times=1")
 	if err != nil {
@@ -77,7 +72,7 @@ func TestChaosSweepMatchesFaultFree(t *testing.T) {
 	// the race detector; only the injected hangs (which sleep, not
 	// spin) do.
 	chaotic := sched.New(sched.Options{
-		Workers: 2, CacheDir: dir, Journal: journal,
+		Workers: 2, CacheDir: dir,
 		Retries: 3, RetryBackoff: time.Millisecond,
 		CellTimeout: 5 * time.Second,
 		Injector:    plan,
@@ -104,17 +99,11 @@ func TestChaosSweepMatchesFaultFree(t *testing.T) {
 	if w, g := canonical(t, want), canonical(t, got); !bytes.Equal(w, g) {
 		t.Errorf("chaotic manifest diverges from fault-free run:\n--- clean ---\n%s\n--- chaos ---\n%s", w, g)
 	}
-	journal.Close()
 
-	// Resume: a fresh engine over the same cache + journal re-simulates
-	// only what the chaos run corrupted on disk; everything else is a
-	// resumed journal hit.
-	journal2, err := sched.OpenJournal(filepath.Join(dir, "journal.jsonl"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer journal2.Close()
-	resumed := sched.New(sched.Options{Workers: 2, CacheDir: dir, Journal: journal2})
+	// Resume: a fresh engine over the same cache re-simulates only what
+	// the chaos run corrupted on disk; every other cell it wrote is a
+	// disk hit.
+	resumed := sched.New(sched.Options{Workers: 2, CacheDir: dir})
 	again, err := harness.RunSweep(chaosSpec(resumed))
 	rst := resumed.Stats()
 	resumed.Close()
@@ -127,7 +116,7 @@ func TestChaosSweepMatchesFaultFree(t *testing.T) {
 	if rst.Computed != rst.DiskCorrupt {
 		t.Errorf("resume recomputed %d cells but only %d were corrupt", rst.Computed, rst.DiskCorrupt)
 	}
-	if total := rst.Resumed + rst.DiskCorrupt; total != uint64(journal2.Len()) {
-		t.Errorf("resumed %d + corrupt %d != %d journaled cells", rst.Resumed, rst.DiskCorrupt, journal2.Len())
+	if total := rst.DiskHits + rst.DiskCorrupt; total != st.DiskWrites {
+		t.Errorf("disk hits %d + corrupt %d != %d cells the chaos run wrote", rst.DiskHits, rst.DiskCorrupt, st.DiskWrites)
 	}
 }

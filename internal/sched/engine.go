@@ -71,11 +71,6 @@ type Options struct {
 	// disk-store points and the decided faults are injected — the
 	// chaos-testing hook behind the BIOPERF5_FAULTS CLI spec.
 	Injector fault.Injector
-	// Journal, when non-nil, records each completed cell hash to an
-	// fsync'd append-only WAL, enabling crash-safe sweep resume: cells
-	// already journaled and cached are skipped (and counted under
-	// sched.journal.resumed) when the sweep re-runs after a kill.
-	Journal *Journal
 
 	// Traces, when non-nil, is the trace store jobs capture into and
 	// replay from; tests inject a pre-warmed store through it.  Nil
@@ -83,7 +78,19 @@ type Options struct {
 	// byte budget, backed by CacheDir/traces when CacheDir is set, and
 	// publishing trace.* metrics into the engine's registry.
 	Traces *trace.Store
+
+	budget int64 // bytes of the result memo; <= 0 means resultBudget (tests lower it)
 }
+
+// resultBudget bounds the engine's memo of completed results, each
+// counted as resultBytes: 16 MiB holds 16 384 of them.  `run all -seeds
+// 1,…,30` leaves 1 560 distinct cells resident and the default sweep 48,
+// so neither evicts; a long-lived `serve` forgets its least recently
+// used cells, which its disk tier, if any, still holds.
+const (
+	resultBudget = 16 << 20
+	resultBytes  = 1 << 10 // a Future with its report, key and LRU links, rounded up
+)
 
 // ErrCellTimeout marks a simulation attempt that exceeded
 // Options.CellTimeout.  It is retryable: a transient hang clears on
@@ -118,41 +125,42 @@ type Engine struct {
 	// breakdown; tests substitute a stub.
 	compute func(context.Context, Job) (JobResult, error)
 
+	memo  *cas.Memo[*Future] // completed results by content hash; nil when DisableCache
 	queue chan *task
 	wg    sync.WaitGroup
 
-	mu       sync.Mutex
-	inflight map[string]*Future // content hash -> single flight (nil when DisableCache)
-	closed   bool
+	mu     sync.Mutex
+	closed bool
 
 	// telemetry handles, resolved once
 	mSubmitted, mComputed, mFailed, mPanics    *telemetry.Counter
 	mMemHits, mDiskHits, mDiskWrites, mCorrupt *telemetry.Counter
 	mRetries, mTimeouts, mInjected             *telemetry.Counter
-	mJournal, mResumed                         *telemetry.Counter
 	gWorkers, gQueuePeak                       *telemetry.Gauge
 	hQueueWait                                 *telemetry.Histogram
 }
 
-// task is one queued unit: the job, its future, and the submission
-// context (cancellation and deadline are honoured up to the moment the
-// simulation starts).
+// task is one queued unit: the job, its future, the memo fill it leads
+// (nil when DisableCache), and the submission context (cancellation and
+// deadline are honoured up to the moment the simulation starts).
 type task struct {
 	job      Job
 	hash     string
 	fut      *Future
+	flight   *cas.Flight[*Future]
 	ctx      context.Context
 	enqueued time.Time
 }
 
-// Future is the pending result of a submitted job.
+// Future is the pending result of a submitted job.  It holds no
+// context, so a memoized one pins no request.
 type Future struct {
 	done chan struct{}
 	res  JobResult
 	err  error
-	// ctx is the first submitter's, which the computation lives under;
-	// nil on futures nothing coalesces onto (followers, resolved errors).
-	ctx context.Context
+	// orphaned records that the submission the computation ran under
+	// had given up by the time it completed (see follow).
+	orphaned bool
 }
 
 // Wait blocks until the job completes and returns its result.  Waiting
@@ -172,9 +180,8 @@ func (f *Future) TraceHit() bool {
 }
 
 // Cost blocks until the job completes and returns its per-stage time
-// breakdown (queue wait, compile, capture, replay, cache I/O,
-// journal).  A coalesced submission reports the cost of the
-// computation it joined.
+// breakdown (queue wait, compile, capture, replay, cache I/O).  A
+// coalesced submission reports the cost of the computation it joined.
 func (f *Future) Cost() telemetry.StageCost {
 	<-f.done
 	return f.res.Cost
@@ -183,12 +190,6 @@ func (f *Future) Cost() telemetry.StageCost {
 func (f *Future) complete(res JobResult, err error) {
 	f.res, f.err = res, err
 	close(f.done)
-}
-
-func resolved(err error) *Future {
-	f := &Future{done: make(chan struct{})}
-	f.complete(JobResult{}, err)
-	return f
 }
 
 // New starts an engine.  Close releases its workers.
@@ -219,28 +220,27 @@ func New(o Options) *Engine {
 		mRetries:    reg.Counter("sched.jobs.retries"),
 		mTimeouts:   reg.Counter("sched.jobs.timeouts"),
 		mInjected:   reg.Counter("sched.faults.injected"),
-		mJournal:    reg.Counter("sched.journal.appends"),
-		mResumed:    reg.Counter("sched.journal.resumed"),
 		gWorkers:    reg.Gauge("sched.workers"),
 		gQueuePeak:  reg.Gauge("sched.queue.peak"),
 		hQueueWait:  reg.Histogram("sched.queue.wait_us", nil),
 	}
 	e.traces = o.Traces
 	if e.traces == nil {
-		topts := trace.StoreOptions{Registry: reg, Injector: o.Injector}
+		topts := trace.StoreOptions{Registry: reg, Injector: o.Injector,
+			Upstream: o.CacheUpstream, Transport: o.CacheTransport}
 		if o.CacheDir != "" {
 			topts.Dir = filepath.Join(o.CacheDir, "traces")
-		}
-		if o.CacheUpstream != "" {
-			topts.Upstream = o.CacheUpstream
-			topts.Transport = o.CacheTransport
 		}
 		e.traces = trace.NewStore(topts)
 	}
 	e.remote = cas.NewClient(EntryKind, o.CacheUpstream, o.CacheTransport, reg, "sched.cache.remote")
 	e.compute = func(ctx context.Context, j Job) (JobResult, error) { return j.run(ctx, e.traces) }
 	if !o.DisableCache {
-		e.inflight = make(map[string]*Future)
+		if o.budget <= 0 {
+			o.budget = resultBudget
+		}
+		e.memo = cas.NewMemo(o.budget, func(*Future) int64 { return resultBytes },
+			reg.Counter("sched.cache.memory.evictions"))
 	}
 	e.disk = cas.NewDir(EntryKind, o.CacheDir, e.mDiskWrites, e.mCorrupt)
 	e.gWorkers.Set(float64(o.Workers))
@@ -320,64 +320,56 @@ func (e *Engine) SubmitTracked(ctx context.Context, j Job) (*Future, bool) {
 	hash := j.Hash()
 
 	e.mu.Lock()
-	if e.closed {
-		e.mu.Unlock()
-		return resolved(fmt.Errorf("sched: engine closed")), false
-	}
-	if e.inflight != nil {
-		if f, ok := e.inflight[hash]; ok {
-			e.mu.Unlock()
-			e.mMemHits.Add(1)
-			select {
-			case <-f.done: // memoized
-				return f, true
-			default:
-				return e.follow(ctx, j, f), true
-			}
-		}
-	}
-	f := &Future{done: make(chan struct{}), ctx: ctx}
-	if e.inflight != nil {
-		e.inflight[hash] = f
-	}
+	closed := e.closed
 	e.mu.Unlock()
-
-	t := &task{job: j, hash: hash, fut: f, ctx: ctx, enqueued: time.Now()}
+	if closed {
+		f := &Future{done: make(chan struct{})}
+		f.complete(JobResult{}, fmt.Errorf("sched: engine closed"))
+		return f, false
+	}
+	var fl *cas.Flight[*Future]
+	if e.memo != nil {
+		f, joined, lead := e.memo.Join(hash)
+		if !lead {
+			e.mMemHits.Add(1)
+			if joined == nil { // memoized
+				return f, true
+			}
+			return e.follow(ctx, j, joined), true
+		}
+		fl = joined
+	}
+	t := &task{job: j, hash: hash, fut: &Future{done: make(chan struct{})},
+		flight: fl, ctx: ctx, enqueued: time.Now()}
 	select {
 	case e.queue <- t:
 	case <-ctx.Done():
-		// Blocked on a full queue and the caller gave up: withdraw the
-		// single-flight registration (the cell was never enqueued, so a
-		// later submission must be free to compute it) and fail the
-		// future with the context's error.
-		e.mu.Lock()
-		if e.inflight != nil && e.inflight[hash] == f {
-			delete(e.inflight, hash)
-		}
-		e.mu.Unlock()
+		// Blocked on a full queue and the caller gave up: fail the cell
+		// with the context's error, which also withdraws its fill (it
+		// was never enqueued, so a later submission must compute it).
 		e.mFailed.Add(1)
-		f.complete(JobResult{}, fmt.Errorf("sched: job %s/%s seed %d: %w",
-			j.App, j.Variant, j.Seed, ctx.Err()))
-		return f, false
+		e.finish(t, JobResult{}, fmt.Errorf("sched: job %s: %w", t.describe(), ctx.Err()))
+		return t.fut, false
 	}
 	if depth := float64(len(e.queue)); depth > e.gQueuePeak.Value() {
 		e.gQueuePeak.Set(depth)
 	}
-	return f, false
+	return t.fut, false
 }
 
-// follow returns the future of a submission that coalesced onto lead's
+// follow returns the future of a submission that coalesced onto an
 // in-flight computation, which lives and dies by its first submitter's
-// context.  If it fails with that context dead and this one live, the
-// failure was another request's cancellation or deadline, so the cell is
+// context.  If it fails orphaned and this context is live, the failure
+// was another request's cancellation or deadline, so the cell is
 // submitted again (failures are not memoized, so that computes).  The
-// goroutine ends with lead and the re-submission; workers complete every
-// future they are handed.
-func (e *Engine) follow(ctx context.Context, j Job, lead *Future) *Future {
+// goroutine ends with the flight and the re-submission; workers complete
+// every future they are handed.
+func (e *Engine) follow(ctx context.Context, j Job, fl *cas.Flight[*Future]) *Future {
 	f := &Future{done: make(chan struct{})}
 	go func() {
+		lead, _ := fl.Wait()
 		<-lead.done
-		if lead.err != nil && lead.ctx.Err() != nil && ctx.Err() == nil {
+		if lead.err != nil && lead.orphaned && ctx.Err() == nil {
 			lead, _ = e.SubmitTracked(ctx, j)
 			<-lead.done
 		}
@@ -411,16 +403,21 @@ func (e *Engine) worker() {
 		res.Cost.TotalNS = time.Since(t.enqueued).Nanoseconds()
 		if err != nil {
 			e.mFailed.Add(1)
-			// Don't memoize failures (a cancelled context would
-			// otherwise poison the cell for later submissions).
-			e.mu.Lock()
-			if e.inflight != nil && e.inflight[t.hash] == t.fut {
-				delete(e.inflight, t.hash)
-			}
-			e.mu.Unlock()
 		}
-		t.fut.complete(res, err)
+		e.finish(t, res, err)
 	}
+}
+
+// finish ends a task: its memo fill first — a success stays resident, a
+// failure is forgotten before anyone can see it (a cancelled context
+// would otherwise poison the cell for later submissions) — then its
+// future.
+func (e *Engine) finish(t *task, res JobResult, err error) {
+	t.fut.orphaned = t.ctx.Err() != nil
+	if t.flight != nil {
+		e.memo.Finish(t.flight, t.fut, err)
+	}
+	t.fut.complete(res, err)
 }
 
 // describe names the task's cell for error messages.
@@ -430,9 +427,9 @@ func (t *task) describe() string {
 
 // execute resolves one task: context check, disk cache probe, then up
 // to 1+Retries simulation attempts — each under panic recovery and the
-// cell-deadline watchdog — then disk write-back and journaling.  The
-// context carries the worker's execute span; the returned cost has its
-// cache/journal stages filled in (queue and total are the worker's).
+// cell-deadline watchdog — then disk write-back.  The context carries
+// the worker's execute span; the returned cost has its cache stage
+// filled in (queue and total are the worker's).
 func (e *Engine) execute(ctx context.Context, t *task) (JobResult, error) {
 	if cerr := t.ctx.Err(); cerr != nil {
 		return JobResult{}, fmt.Errorf("sched: job %s: %w", t.describe(), cerr)
@@ -465,7 +462,6 @@ func (e *Engine) execute(ctx context.Context, t *task) (JobResult, error) {
 				// process on this node does not repeat the round trip.
 				e.disk.Write(t.hash, raw)
 			}
-			cost.JournalNS += e.journalFinish(ctx, t.hash, true)
 			// A cache-served result needed no fresh capture either.
 			return JobResult{Report: cached, TraceHit: true, Cost: cost}, nil
 		}
@@ -477,7 +473,6 @@ func (e *Engine) execute(ctx context.Context, t *task) (JobResult, error) {
 		if err == nil {
 			res.Cost.Add(cost)
 			res.Cost.CacheNS += e.persist(ctx, t, res.Report, attempt)
-			res.Cost.JournalNS += e.journalFinish(ctx, t.hash, false)
 			return res, nil
 		}
 		if attempt >= e.opts.Retries || !retryable(err) || t.ctx.Err() != nil {
@@ -610,29 +605,6 @@ func (e *Engine) persist(ctx context.Context, t *task, rep cpu.Report, attempt i
 	return time.Since(start).Nanoseconds()
 }
 
-// journalFinish records a completed cell in the WAL, returning the
-// nanoseconds the fsync'd append took.  A disk hit whose hash was
-// journaled by an earlier process counts as a resumed cell.
-func (e *Engine) journalFinish(ctx context.Context, hash string, fromDisk bool) int64 {
-	j := e.opts.Journal
-	if j == nil {
-		return 0
-	}
-	start := time.Now()
-	_, sp := telemetry.StartSpan(ctx, telemetry.StageJournal)
-	defer sp.End()
-	if _, done := j.Lookup(hash); done {
-		if fromDisk {
-			e.mResumed.Add(1)
-		}
-		return time.Since(start).Nanoseconds()
-	}
-	if err := j.Append(journalRecord{Hash: hash, Status: "ok"}); err == nil {
-		e.mJournal.Add(1)
-	}
-	return time.Since(start).Nanoseconds()
-}
-
 // Stats is a point-in-time view of the engine's counters.
 type Stats struct {
 	Submitted   uint64 `json:"submitted"`       // jobs submitted
@@ -646,8 +618,8 @@ type Stats struct {
 	Retries     uint64 `json:"retries"`         // attempts repeated after a retryable failure
 	Timeouts    uint64 `json:"timeouts"`        // attempts killed by the cell-deadline watchdog
 	Injected    uint64 `json:"injected_faults"` // faults injected by Options.Injector
-	Journaled   uint64 `json:"journal_appends"` // completed cells appended to the WAL
-	Resumed     uint64 `json:"journal_resumed"` // journaled cells skipped via the disk cache
+	Journaled   uint64 `json:"journal_appends"` // always 0: the engine keeps no journal; the field keeps manifest bytes
+	Resumed     uint64 `json:"journal_resumed"` // always 0: a resumed cell is a disk hit, counted in DiskHits
 	RemoteHits  uint64 `json:"remote_hits"`     // jobs resolved by the shared remote cache tier
 	RemotePuts  uint64 `json:"remote_puts"`     // results pushed to the remote tier
 	RemoteErrs  uint64 `json:"remote_errors"`   // remote-tier round trips that failed (degraded to miss)
@@ -672,8 +644,6 @@ func (e *Engine) Stats() Stats {
 		Retries:     e.mRetries.Value(),
 		Timeouts:    e.mTimeouts.Value(),
 		Injected:    e.mInjected.Value(),
-		Journaled:   e.mJournal.Value(),
-		Resumed:     e.mResumed.Value(),
 		Workers:     e.opts.Workers,
 	}
 }

@@ -3,6 +3,7 @@ package sched
 import (
 	"context"
 	"errors"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -262,6 +263,72 @@ func TestEngineFailureNotMemoized(t *testing.T) {
 	rep, err := e.Run(context.Background(), baseJob())
 	if err != nil || rep.Counters.Cycles != 2 {
 		t.Fatalf("retry = %+v, %v", rep, err)
+	}
+}
+
+// TestEngineResultMemoIsBounded submits more distinct cells than a
+// lowered budget holds, each under a context of its own.  Resident results must stay within the budget with the overflow counted
+// as evictions, no completed future may pin its submitter's context, and
+// an evicted cell must compute again, to the same result.
+func TestEngineResultMemoIsBounded(t *testing.T) {
+	const budget, cells = 4 * resultBytes, 16
+	var computes atomic.Int64
+	e := stubEngine(t, Options{Workers: 2, budget: budget}, func(j Job) (cpu.Report, error) {
+		computes.Add(1)
+		return cpu.Report{Counters: cpu.Counters{Cycles: 7 * uint64(j.Seed)}}, nil
+	})
+	job := func(i int) Job {
+		j := baseJob()
+		j.Seed = int64(i + 1)
+		return j
+	}
+	futs := make([]*Future, cells)
+	for i := range futs {
+		ctx, cancel := context.WithCancel(context.Background())
+		futs[i] = e.Submit(ctx, job(i))
+		defer cancel()
+	}
+	for i, f := range futs {
+		if _, err := f.Wait(); err != nil {
+			t.Fatalf("cell %d: %v", i, err)
+		}
+		if _, bytes := e.memo.Usage(); bytes > budget {
+			t.Fatalf("resident results hold %d bytes, budget %d", bytes, budget)
+		}
+	}
+	if n, _ := e.memo.Usage(); n != budget/resultBytes {
+		t.Errorf("%d results resident, want %d", n, budget/resultBytes)
+	}
+	if ev := e.Registry().Counter("sched.cache.memory.evictions").Value(); ev != cells-budget/resultBytes {
+		t.Errorf("sched.cache.memory.evictions = %d, want %d", ev, cells-budget/resultBytes)
+	}
+	ctxType := reflect.TypeOf((*context.Context)(nil)).Elem()
+	for i, f := range futs {
+		v := reflect.ValueOf(f).Elem()
+		for k := 0; k < v.NumField(); k++ {
+			if fv := v.Field(k); fv.Type() == ctxType && !fv.IsNil() {
+				t.Errorf("completed future %d holds a context in field %s", i, v.Type().Field(k).Name)
+			}
+		}
+	}
+	evicted := -1
+	for i := range futs {
+		if _, ok := e.memo.Get(job(i).Hash()); !ok {
+			evicted = i
+			break
+		}
+	}
+	if evicted < 0 {
+		t.Fatal("no cell was evicted")
+	}
+	before := computes.Load()
+	got, err := e.Run(context.Background(), job(evicted))
+	want, _ := futs[evicted].Wait()
+	if err != nil || got != want {
+		t.Errorf("evicted cell recomputed to %+v, %v; first result %+v", got, err, want)
+	}
+	if computes.Load() != before+1 {
+		t.Errorf("resubmitting an evicted cell computed %d times, want 1", computes.Load()-before)
 	}
 }
 

@@ -19,7 +19,6 @@ type StageCost struct {
 	ReplayNS  int64 `json:"replay_ns,omitempty"`
 	SimNS     int64 `json:"sim_ns,omitempty"`
 	CacheNS   int64 `json:"cache_ns,omitempty"`
-	JournalNS int64 `json:"journal_ns,omitempty"`
 	TotalNS   int64 `json:"total_ns,omitempty"`
 }
 
@@ -31,7 +30,6 @@ func (c *StageCost) Add(o StageCost) {
 	c.ReplayNS += o.ReplayNS
 	c.SimNS += o.SimNS
 	c.CacheNS += o.CacheNS
-	c.JournalNS += o.JournalNS
 	c.TotalNS += o.TotalNS
 }
 
@@ -51,7 +49,6 @@ func (c StageCost) Stages() []StageNS {
 		{StageReplay, c.ReplayNS},
 		{StageSim, c.SimNS},
 		{StageCacheRead, c.CacheNS},
-		{StageJournal, c.JournalNS},
 	}
 	sort.SliceStable(out, func(i, j int) bool { return out[i].NS > out[j].NS })
 	return out

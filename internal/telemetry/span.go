@@ -44,7 +44,6 @@ const (
 	StageSim       = "sim.coupled"      // coupled functional+timing run (trace off)
 	StageCacheRead = "cache.read"       // disk result-cache probe + trace-store read
 	StageCacheWr   = "cache.write"      // disk result-cache write-back
-	StageJournal   = "journal.append"   // completion-journal fsync'd append
 	StageManifest  = "manifest.write"   // sweep manifest atomic write
 	StageSweep     = "sweep"            // whole-sweep root span
 	StageDispatch  = "cluster.dispatch" // one batch of cells sent to a remote worker

@@ -1,11 +1,9 @@
 package trace
 
 import (
-	"container/list"
 	"context"
 	"fmt"
 	"net/http"
-	"sync"
 	"time"
 
 	"bioperf5/internal/cas"
@@ -45,21 +43,16 @@ func decodeFor(hash string, b []byte) (*Trace, error) {
 	return t, nil
 }
 
-// DefaultBudget is the in-memory byte budget of a Store when none is
-// configured.  A resident trace costs about 9.5 bytes per instruction
-// (2 of payload, 4 of heads, 8 per memory op); the scale-1 kernel
-// traces measure 1.2-6.8 MB each and 29.6 MB for the paper grid's
-// eight, so the default holds about 70 of them — the grid at 8 seeds.
+// DefaultBudget is the byte budget of a Store's memory tier.  A
+// resident trace costs about 9.5 bytes per instruction (2 of payload,
+// 4 of heads, 8 per memory op); the scale-1 kernel traces measure
+// 1.2-6.8 MB each and 29.6 MB for the paper grid's eight, so the
+// default holds about 70 of them — the grid at 8 seeds.
 const DefaultBudget = int64(256 << 20)
 
 // StoreOptions configures a Store.  The zero value is usable: default
 // byte budget, no disk tier, a private telemetry registry.
 type StoreOptions struct {
-	// Budget bounds the in-memory tier in bytes; values <= 0 mean
-	// DefaultBudget.  Least-recently-used traces are evicted past it
-	// (the newest trace is always kept, even when it alone exceeds the
-	// budget — evicting it would livelock a capture loop).
-	Budget int64
 	// Dir, when non-empty, adds a checksummed on-disk tier under that
 	// directory so captures survive across processes.  Corrupt files
 	// are detected, removed and recaptured, never trusted.
@@ -80,23 +73,19 @@ type StoreOptions struct {
 	// every disk write: a Corrupt decision tears the freshly written
 	// file, modelling bit rot the next process must detect and heal.
 	Injector fault.Injector
+
+	budget int64 // bytes of the memory tier; <= 0 means DefaultBudget (tests lower it)
 }
 
-// Store is the content-addressed trace cache: an in-memory LRU with a
-// byte budget in front of an optional on-disk tier, with single-flight
-// capture so concurrent requests for the same trace run one functional
-// execution.  All methods are safe for concurrent use.
+// Store is the content-addressed trace cache: a cas.Memo (single-flight
+// capture, so concurrent requests for one trace run one functional
+// execution, then an LRU under a byte budget) in front of an optional
+// on-disk tier.  All methods are safe for concurrent use.
 type Store struct {
-	budget int64
+	mem    *cas.Memo[*Trace]
 	disk   *cas.Dir    // nil without a Dir
 	remote *cas.Client // nil without an Upstream
 	inj    fault.Injector
-
-	mu       sync.Mutex
-	entries  map[string]*list.Element // key hash -> lru element
-	lru      *list.List               // front = most recently used
-	bytes    int64
-	inflight map[string]*flight
 
 	mCaptures, mMemHits, mDiskHits  *telemetry.Counter
 	mDiskWrites, mCorrupt, mEvicted *telemetry.Counter
@@ -104,32 +93,17 @@ type Store struct {
 	gBytes, gEntries                *telemetry.Gauge
 }
 
-type storeEntry struct {
-	hash string
-	t    *Trace
-}
-
-type flight struct {
-	done chan struct{}
-	t    *Trace
-	err  error
-}
-
 // NewStore builds a store.
 func NewStore(o StoreOptions) *Store {
-	if o.Budget <= 0 {
-		o.Budget = DefaultBudget
+	if o.budget <= 0 {
+		o.budget = DefaultBudget
 	}
 	reg := o.Registry
 	if reg == nil {
 		reg = telemetry.NewRegistry()
 	}
 	s := &Store{
-		budget:   o.Budget,
-		inj:      o.Injector,
-		entries:  make(map[string]*list.Element),
-		lru:      list.New(),
-		inflight: make(map[string]*flight),
+		inj: o.Injector,
 
 		mFaults:     reg.Counter("trace.faults.injected"),
 		mCaptures:   reg.Counter("trace.captures"),
@@ -141,6 +115,8 @@ func NewStore(o StoreOptions) *Store {
 		gBytes:      reg.Gauge("trace.bytes"),
 		gEntries:    reg.Gauge("trace.entries"),
 	}
+	// A resident trace is sized with its decoded columns (9.5 B/insn).
+	s.mem = cas.NewMemo(o.budget, (*Trace).SizeBytes, s.mEvicted)
 	s.disk = cas.NewDir(FileKind, o.Dir, s.mDiskWrites, s.mCorrupt)
 	s.remote = cas.NewClient(FileKind, o.Upstream, o.Transport, reg, "trace.remote")
 	return s
@@ -155,58 +131,36 @@ func NewStore(o StoreOptions) *Store {
 // trips, not the capture.
 func (s *Store) GetOrCapture(ctx context.Context, key Key, capture func() (*Trace, error)) (*Trace, bool, error) {
 	hash := key.Hash()
-	s.mu.Lock()
-	if t := s.resident(hash); t != nil {
-		s.mu.Unlock()
+	t, fl, lead := s.mem.Join(hash)
+	switch {
+	case fl == nil:
 		s.mMemHits.Add(1)
 		return t, true, nil
+	case !lead:
+		t, err := fl.Wait()
+		return t, err == nil, err
 	}
-	if fl, ok := s.inflight[hash]; ok {
-		s.mu.Unlock()
-		<-fl.done
-		if fl.err != nil {
-			return nil, false, fl.err
-		}
-		return fl.t, true, nil
-	}
-	fl := &flight{done: make(chan struct{})}
-	s.inflight[hash] = fl
-	s.mu.Unlock()
-
 	t, hit, err := s.fill(ctx, hash, key, capture)
-	fl.t, fl.err = t, err
-	s.mu.Lock()
-	delete(s.inflight, hash)
-	s.mu.Unlock()
-	close(fl.done)
+	s.mem.Finish(fl, t, err)
+	s.gauge()
 	return t, hit, err
-}
-
-// resident returns the in-memory trace at hash, marking it most
-// recently used, or nil.  The caller holds s.mu.
-func (s *Store) resident(hash string) *Trace {
-	el, ok := s.entries[hash]
-	if !ok {
-		return nil
-	}
-	s.lru.MoveToFront(el)
-	return el.Value.(*storeEntry).t
 }
 
 // Get returns the trace for key if some tier has it, without
 // capturing.
 func (s *Store) Get(key Key) (*Trace, bool) {
 	hash := key.Hash()
-	s.mu.Lock()
-	t := s.resident(hash)
-	s.mu.Unlock()
-	if t != nil {
+	if t, ok := s.mem.Get(hash); ok {
 		s.mMemHits.Add(1)
 		return t, true
 	}
 	// The signature predates the upstream tier and supplies no context;
 	// the kind's timeout still bounds the round trip.
-	return s.fetch(context.TODO(), hash, key)
+	t, ok := s.fetch(context.TODO(), hash, key)
+	if ok {
+		s.install(hash, t)
+	}
+	return t, ok
 }
 
 // Put installs a trace under key in memory and on disk, replacing any
@@ -243,13 +197,12 @@ func (s *Store) fetch(ctx context.Context, hash string, key Key) (*Trace, bool) 
 	} else {
 		return nil, false
 	}
-	s.install(hash, t)
 	return t, true
 }
 
-// fill resolves a registered single-flight: the lower tiers, then
-// capture (pushing the fresh capture upstream so the rest of the fleet
-// replays it).
+// fill is the memo's fill for one key: the lower tiers, then capture
+// (pushing the fresh capture upstream so the rest of the fleet replays
+// it).
 func (s *Store) fill(ctx context.Context, hash string, key Key, capture func() (*Trace, error)) (*Trace, bool, error) {
 	if t, ok := s.fetch(ctx, hash, key); ok {
 		return t, true, nil
@@ -259,7 +212,6 @@ func (s *Store) fill(ctx context.Context, hash string, key Key, capture func() (
 		return nil, false, err
 	}
 	s.mCaptures.Add(1)
-	s.install(hash, t)
 	if s.disk != nil || s.remote != nil {
 		if b, err := t.EncodeFile(); err == nil {
 			s.diskWrite(hash, b)
@@ -269,49 +221,29 @@ func (s *Store) fill(ctx context.Context, hash string, key Key, capture func() (
 	return t, false, nil
 }
 
-// install puts a trace into the in-memory tier and evicts past the
-// byte budget.
+// install puts a trace into the memory tier.
 func (s *Store) install(hash string, t *Trace) {
-	size := t.SizeBytes() // before the lock: sizing a trace no one has replayed decodes it
-	s.mu.Lock()
-	if el, ok := s.entries[hash]; ok {
-		old := el.Value.(*storeEntry)
-		s.bytes -= old.t.SizeBytes()
-		old.t = t
-		s.lru.MoveToFront(el)
-	} else {
-		s.entries[hash] = s.lru.PushFront(&storeEntry{hash: hash, t: t})
-	}
-	s.bytes += size
-	var evicted int64
-	for s.bytes > s.budget && s.lru.Len() > 1 {
-		el := s.lru.Back()
-		e := el.Value.(*storeEntry)
-		s.lru.Remove(el)
-		delete(s.entries, e.hash)
-		s.bytes -= e.t.SizeBytes()
-		evicted++
-	}
-	s.gBytes.Set(float64(s.bytes))
-	s.gEntries.Set(float64(s.lru.Len()))
-	s.mu.Unlock()
-	if evicted > 0 {
-		s.mEvicted.Add(uint64(evicted))
-	}
+	s.mem.Put(hash, t)
+	s.gauge()
+}
+
+// gauge publishes the memory tier's occupancy.
+func (s *Store) gauge() {
+	n, b := s.mem.Usage()
+	s.gBytes.Set(float64(b))
+	s.gEntries.Set(float64(n))
 }
 
 // Len returns the number of in-memory traces.
 func (s *Store) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.lru.Len()
+	n, _ := s.mem.Usage()
+	return n
 }
 
 // Bytes returns the in-memory tier's current size.
 func (s *Store) Bytes() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.bytes
+	_, b := s.mem.Usage()
+	return b
 }
 
 // Stats is a point-in-time view of the store's counters.
@@ -351,10 +283,7 @@ func (s *Store) Stats() Stats {
 // from the in-memory tier or (verified) from disk — the body
 // GET /v1/traces/{key} serves.
 func (s *Store) Entry(hash string) ([]byte, bool) {
-	s.mu.Lock()
-	t := s.resident(hash)
-	s.mu.Unlock()
-	if t != nil {
+	if t, ok := s.mem.Get(hash); ok {
 		b, err := t.EncodeFile()
 		if err != nil {
 			return nil, false

@@ -119,7 +119,7 @@ func TestStoreSingleFlight(t *testing.T) {
 func TestStoreLRUEviction(t *testing.T) {
 	one := testTrace(1, 1000)
 	budget := 3 * one.SizeBytes()
-	s := NewStore(StoreOptions{Budget: budget})
+	s := NewStore(StoreOptions{budget: budget})
 	for i := 1; i <= 5; i++ {
 		i := i
 		if _, _, err := s.GetOrCapture(context.Background(), testKey(i), func() (*Trace, error) {
@@ -145,7 +145,7 @@ func TestStoreLRUEviction(t *testing.T) {
 }
 
 func TestStoreKeepsNewestOverBudget(t *testing.T) {
-	s := NewStore(StoreOptions{Budget: 1}) // every trace exceeds this
+	s := NewStore(StoreOptions{budget: 1}) // every trace exceeds this
 	if _, _, err := s.GetOrCapture(context.Background(), testKey(1), func() (*Trace, error) {
 		return testTrace(1, 1000), nil
 	}); err != nil {
@@ -378,7 +378,7 @@ func TestStoreBytesCountPayloadAndColumns(t *testing.T) {
 	agree("after replayed disk loads", reader, captured)
 
 	// Room for the two largest: installing them in turn evicts the rest.
-	small := NewStore(StoreOptions{Dir: dir, Budget: captured - 1})
+	small := NewStore(StoreOptions{Dir: dir, budget: captured - 1})
 	for i := 1; i <= 3; i++ {
 		if _, ok := small.Get(testKey(i)); !ok {
 			t.Fatalf("trace %d not loaded from disk", i)

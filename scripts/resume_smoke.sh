@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # resume_smoke.sh — kill a sweep mid-run with SIGKILL, resume it with
 # -resume, and assert the resumed manifest is identical to an
-# uninterrupted run's.  This is the crash-safety gate the journal and
-# the atomic cache/manifest writes exist for: no amount of violence at
-# the wrong moment may change the science.
+# uninterrupted run's.  This is the crash-safety gate the atomic
+# cache/manifest writes exist for: a -resume directory is a warm cache,
+# and no amount of violence at the wrong moment may change the science.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -32,24 +32,28 @@ PY
 echo "== baseline: uninterrupted run"
 "$work/bioperf5" "${sweep_args[@]}" -resume "$work/base" -json > /dev/null
 
-# The kill is triggered by the journal's first entry, not by a clock:
-# at that point some cells are done and most are not, however fast the
+# entries counts the result entries (<64-hex>.json) in a state
+# directory.  An entry appears at its final name only once it is
+# complete (written to a temp file, then renamed).
+entries() {
+  find "$1" -maxdepth 1 -regextype posix-extended -regex '.*/[0-9a-f]{64}\.json' 2>/dev/null | wc -l
+}
+
+# The kill is triggered by the first result entry, not by a clock: at
+# that point some cells are done and most are not, however fast the
 # host or the simulator is.
-echo "== interrupted run: SIGKILL once the journal has an entry"
+echo "== interrupted run: SIGKILL once the cache has a result entry"
 "$work/bioperf5" "${sweep_args[@]}" -resume "$work/int" -json > /dev/null &
 pid=$!
 for _ in $(seq 1 1200); do
-  if [ -s "$work/int/journal.jsonl" ] || ! kill -0 "$pid" 2>/dev/null; then break; fi
+  if [ "$(entries "$work/int")" -gt 0 ] || ! kill -0 "$pid" 2>/dev/null; then break; fi
   sleep 0.05
 done
 kill -9 "$pid" 2>/dev/null || true
 wait "$pid" 2>/dev/null || true
 
-journaled=0
-if [ -f "$work/int/journal.jsonl" ]; then
-  journaled=$(wc -l < "$work/int/journal.jsonl")
-fi
-echo "   journal holds $journaled completed cells at the point of death"
+cached=$(entries "$work/int")
+echo "   cache holds $cached completed cells at the point of death"
 if [ -f "$work/int/manifest.json" ]; then
   echo "FAIL: killed run left a manifest behind" >&2
   exit 1
@@ -69,15 +73,15 @@ fi
 # have simulated strictly fewer cells than the baseline run did.
 base_computed=$(python3 -c 'import json,sys; print(json.load(open(sys.argv[1]))["scheduler"]["computed"])' "$work/base/manifest.json")
 res_computed=$(python3 -c 'import json,sys; print(json.load(open(sys.argv[1]))["scheduler"]["computed"])' "$work/int/manifest.json")
-res_resumed=$(python3 -c 'import json,sys; print(json.load(open(sys.argv[1]))["scheduler"]["journal_resumed"])' "$work/int/manifest.json")
-echo "   baseline simulated $base_computed cells; resume simulated $res_computed, skipped $res_resumed via the journal"
-if [ "$journaled" -gt 0 ]; then
+res_skipped=$(python3 -c 'import json,sys; print(json.load(open(sys.argv[1]))["scheduler"]["disk_hits"])' "$work/int/manifest.json")
+echo "   baseline simulated $base_computed cells; resume simulated $res_computed, skipped $res_skipped via the cache"
+if [ "$cached" -gt 0 ]; then
   if [ "$res_computed" -ge "$base_computed" ]; then
-    echo "FAIL: resume re-simulated already-journaled cells" >&2
+    echo "FAIL: resume re-simulated already-cached cells" >&2
     exit 1
   fi
-  if [ "$res_resumed" -eq 0 ]; then
-    echo "FAIL: resume skipped nothing despite a non-empty journal" >&2
+  if [ "$res_skipped" -eq 0 ]; then
+    echo "FAIL: resume skipped nothing despite a non-empty cache" >&2
     exit 1
   fi
 fi
