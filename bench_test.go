@@ -32,18 +32,24 @@ func benchCfg() harness.Config { return harness.Quick() }
 
 func runExperiment(b *testing.B, id string) {
 	b.Helper()
+	for i := 0; i < b.N; i++ {
+		runTable(b, id, benchCfg())
+	}
+}
+
+// runTable regenerates one experiment on a plan of its own.
+func runTable(b *testing.B, id string, cfg harness.Config) {
+	b.Helper()
 	e, err := harness.ByID(id)
 	if err != nil {
 		b.Fatal(err)
 	}
-	for i := 0; i < b.N; i++ {
-		tab, err := e.Run(benchCfg())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(tab.Rows) == 0 {
-			b.Fatal("empty table")
-		}
+	reps, err := harness.RunPaper(cfg, e)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if len(reps[0].Rows) == 0 {
+		b.Fatal("empty table")
 	}
 }
 
@@ -70,14 +76,8 @@ func benchFig4(b *testing.B, workers int) {
 		eng := sched.New(sched.Options{Workers: workers, DisableCache: true})
 		cfg := benchCfg()
 		cfg.Engine = eng
-		tab, err := harness.Fig4(cfg)
+		runTable(b, "fig4", cfg)
 		eng.Close()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(tab.Rows) == 0 {
-			b.Fatal("empty table")
-		}
 	}
 }
 

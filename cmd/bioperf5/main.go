@@ -165,28 +165,20 @@ func cmdRun(args []string) error {
 		}
 		exps = []*harness.Experiment{e}
 	}
+	reps, err := harness.RunPaper(cfg, exps...)
 	if *jsonOut {
-		var reps []*harness.Report
-		for _, e := range exps {
-			rep, err := harness.RunReport(e, cfg)
-			if err != nil {
-				return fmt.Errorf("%s: %w", e.ID, err)
-			}
-			reps = append(reps, rep)
-		}
-		if len(reps) == 1 {
+		switch {
+		case err != nil:
+			return err
+		case len(reps) == 1:
 			return reps[0].WriteJSON(os.Stdout)
 		}
 		return writeJSON(reps)
 	}
-	for _, e := range exps {
-		tab, err := e.Run(cfg)
-		if err != nil {
-			return fmt.Errorf("%s: %w", e.ID, err)
-		}
-		fmt.Println(tab.Render())
+	for _, rep := range reps {
+		fmt.Println(rep.Table().Render())
 	}
-	return nil
+	return err
 }
 
 // cmdPredictors lists every registered direction-predictor kind as its

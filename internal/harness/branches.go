@@ -46,7 +46,8 @@ type BranchReport struct {
 // attached to the timing core, merges the per-seed profiles, and
 // cross-checks the attribution invariant — the
 // per-site counts must sum exactly to the model's aggregate branch
-// counters.  Profiling observes without perturbing, so the counters in
+// counters.  The simulation runs under the configuration's trace
+// policy and records its spans under the current span of its context.  Profiling observes without perturbing, so the counters in
 // the report equal what the cached/sweep paths produce for the same
 // cell.
 func RunBranches(cfg Config, app string, setup core.Setup) (*BranchReport, error) {
@@ -57,7 +58,8 @@ func RunBranches(cfg Config, app string, setup core.Setup) (*BranchReport, error
 	}
 	prof := bprof.New()
 	resp, err := core.Simulate(core.Request{App: k.App, Variant: setup.Variant, Seeds: cfg.Seeds,
-		Scale: cfg.Scale, CPU: setup.CPU, Observer: kernels.Observer{Branches: prof}})
+		Scale: cfg.Scale, CPU: setup.CPU, Context: cfg.Context, Trace: cfg.Trace,
+		Observer: kernels.Observer{Branches: prof}})
 	if err != nil {
 		return nil, err
 	}

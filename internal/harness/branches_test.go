@@ -1,9 +1,11 @@
 package harness
 
 import (
+	"context"
 	"testing"
 
 	"bioperf5/internal/core"
+	"bioperf5/internal/telemetry"
 )
 
 // TestRunBranchesAttribution pins the report's core invariant: the
@@ -79,5 +81,40 @@ func TestRunBranchesWithZooPredictor(t *testing.T) {
 	if repBase.CondBranches != repTage.CondBranches {
 		t.Errorf("predictor changed the branch stream: %d vs %d",
 			repBase.CondBranches, repTage.CondBranches)
+	}
+}
+
+// TestRunBranchesKeepsCallerContext: with a tracer in the configuration's
+// context, the profiled simulation records its spans under the caller's
+// span, so a served or CLI-traced experiment keeps one span tree.
+func TestRunBranchesKeepsCallerContext(t *testing.T) {
+	tr := telemetry.NewTracer(0, nil)
+	ctx, root := telemetry.StartSpan(telemetry.WithTracer(context.Background(), tr), "caller")
+	cfg := Quick()
+	cfg.Context = ctx
+	if _, err := RunBranches(cfg, "Fasta", core.Baseline()); err != nil {
+		t.Fatal(err)
+	}
+	root.End()
+	spans := tr.Spans()
+	parents := map[uint64]uint64{}
+	var rootID uint64
+	for _, s := range spans {
+		parents[s.ID] = s.Parent
+		if s.Name == "caller" {
+			rootID = s.ID
+		}
+	}
+	if len(spans) < 2 {
+		t.Fatalf("recorded %d spans, want the caller's and the simulation's", len(spans))
+	}
+	for _, s := range spans {
+		id := s.ID
+		for id != rootID && id != 0 {
+			id = parents[id]
+		}
+		if id != rootID {
+			t.Errorf("span %q (id %d) is not under the caller's span", s.Name, s.ID)
+		}
 	}
 }

@@ -6,15 +6,14 @@ import (
 	"sync"
 
 	"bioperf5/internal/core"
-	"bioperf5/internal/cpu"
 	"bioperf5/internal/kernels"
 	"bioperf5/internal/sched"
 )
 
 // sharedEngine is the process-wide default scheduler used when a
 // Config carries no engine of its own: GOMAXPROCS workers and an
-// in-memory cache, so `run all` computes the baseline column once
-// across Table I and Figures 4-6.
+// in-memory cache, so repeated runs in one process (tests, a server
+// without an engine of its own) hit the memo.
 var (
 	sharedOnce sync.Once
 	shared     *sched.Engine
@@ -34,10 +33,9 @@ func (c Config) engine() *sched.Engine {
 }
 
 // pending is one outstanding (kernel, setup) cell: a future per seed.
-// Every client — experiments, RunSweep, CellStats and through it the
-// server — submits with submitCell and collects with collect, so the
-// rendered rows do not depend on worker count and a cell's outcome is
-// classified in one place.
+// Every local cell — a planned one (submitLocal) or a served one
+// (CellStats) — is submitted with submitCell and collected with collect,
+// so a cell's outcome is classified in one place.
 type pending struct {
 	seeds []int64
 	futs  []*sched.Future
@@ -109,15 +107,6 @@ func (cl *pending) collect() CellOutcome {
 	return out
 }
 
-// counters collects the cell's summed counters.
-func (cl *pending) counters() (cpu.Counters, error) {
-	c := cl.collect()
-	if c.err != nil {
-		return cpu.Counters{}, c.err
-	}
-	return c.Detail.Aggregate.Counters, nil
-}
-
 // CellOutcome is the outcome of one cell run through the scheduler.
 // The embedded CellResult holds the per-seed + aggregate detail (summed
 // in seed order, the shape core.Simulate returns for a serial run), the
@@ -138,7 +127,6 @@ type CellOutcome struct {
 	// filled in by CellStats.
 	Stats KernelStats
 	Key   string
-	err   error
 }
 
 // CellStats runs one (application, setup) cell through the

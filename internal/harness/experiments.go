@@ -11,17 +11,48 @@ import (
 	"bioperf5/internal/workload"
 )
 
-// The counter-driven experiments (Table I/II, Figures 3-6) all follow
-// the same two-phase shape: submit every (kernel, setup) cell to the
-// scheduler first, then collect the futures in table order.  All cells
-// of an experiment simulate concurrently (bounded by the engine's
-// worker pool), and cells shared between experiments — the baseline
-// column of Table I and Figures 4-6 — are computed once per engine.
+// The paper's Section VI is one design space seen six ways: Table I/II
+// and Figures 3-6 declare the setups they read for every application
+// (Experiment.Setups) and render from those cells' results, which
+// RunPaper computes once for all requested experiments.  Figure 1
+// (host-timed), Figure 2 (an interval observer) and Figure 4's
+// hot-branch sub-rows (a branch profile) are measured by their renders.
 
-// Fig1 reproduces Figure 1: the gprof-style function-wise breakout of
+// Results are the outcomes of a paper plan's cells.  An experiment is
+// rendered only once every cell it declares has succeeded.
+type Results struct {
+	cfg   Config
+	cells map[string]CellResult // by PlanCell.Key
+}
+
+// detail is the per-seed detail of one declared cell.
+func (r Results) detail(app string, s core.Setup) *core.Detail {
+	return r.cells[r.cfg.cellKey(app, s)].Detail
+}
+
+// counters is the seed-summed counters of one declared cell.
+func (r Results) counters(app string, s core.Setup) cpu.Counters {
+	return r.detail(app, s).Aggregate.Counters
+}
+
+// The setups Table I/II and Figures 3-6 are built from.
+var (
+	baseline    = core.Baseline()
+	combination = core.Baseline().WithVariant(kernels.Combination)
+)
+
+// variants is the baseline core under each predication variant.
+func variants(vs ...kernels.Variant) []core.Setup {
+	out := make([]core.Setup, len(vs))
+	for i, v := range vs {
+		out[i] = baseline.WithVariant(v)
+	}
+	return out
+}
+
+// fig1 reproduces Figure 1: the gprof-style function-wise breakout of
 // the four applications running end-to-end in pure Go.
-func Fig1(cfg Config) (*Table, error) {
-	cfg = cfg.normalize()
+func fig1(cfg Config, _ Results) (*Table, error) {
 	t := &Table{
 		ID:      "fig1",
 		Title:   "Function-wise breakout of Blast, Clustalw, Fasta, and Hmmer",
@@ -48,28 +79,18 @@ func Fig1(cfg Config) (*Table, error) {
 	return t, nil
 }
 
-// Table1 reproduces Table I: baseline hardware counters per
+// table1 reproduces Table I: baseline hardware counters per
 // application — IPC, L1D miss rate, the share of mispredictions due to
 // incorrect direction, and FXU completion stalls.
-func Table1(cfg Config) (*Table, error) {
-	cfg = cfg.normalize()
+func table1(_ Config, r Results) (*Table, error) {
 	t := &Table{
 		ID:    "table1",
 		Title: "Hardware counter data (POWER5 baseline, original binaries)",
 		Columns: []string{"application", "IPC", "L1D miss rate",
 			"% mispred. due to direction", "stalls due FXU"},
 	}
-	ks := kernels.All()
-	cells := make([]*pending, len(ks))
-	for i, k := range ks {
-		cells[i] = cfg.submitCell(k.App, core.Baseline())
-	}
-	ctrs, err := countersOf(cells)
-	if err != nil {
-		return nil, err
-	}
-	for i, k := range ks {
-		ctr := ctrs[i]
+	for _, k := range kernels.All() {
+		ctr := r.counters(k.App, baseline)
 		t.Rows = append(t.Rows, []string{k.App, f2(ctr.IPC()),
 			pct(ctr.L1DMissRate()), pct(ctr.DirectionShare()),
 			pct(ctr.StallFXUShare())})
@@ -77,12 +98,21 @@ func Table1(cfg Config) (*Table, error) {
 	return t, nil
 }
 
-// Fig2 reproduces Figure 2: Clustalw's interval IPC against interval
+// table1Kernels is the per-seed detail behind Table I's rows, the
+// kernels array of its JSON report.
+func table1Kernels(r Results) []KernelStats {
+	var out []KernelStats
+	for _, k := range kernels.All() {
+		out = append(out, packKernelStats(k, baseline, r.detail(k.App, baseline)))
+	}
+	return out
+}
+
+// fig2 reproduces Figure 2: Clustalw's interval IPC against interval
 // branch misprediction rate over the course of a run.  The windows are
 // an interval observer on one cell's timing core, so the experiment
 // runs under whatever trace policy the configuration carries.
-func Fig2(cfg Config) (*Table, error) {
-	cfg = cfg.normalize()
+func fig2(cfg Config, _ Results) (*Table, error) {
 	t := &Table{
 		ID:      "fig2",
 		Title:   "Clustalw IPC and branch misprediction rate per 10k-instruction interval",
@@ -96,8 +126,7 @@ func Fig2(cfg Config) (*Table, error) {
 		t.Rows = append(t.Rows, []string{fmt.Sprintf("%d", cur.Instructions),
 			f2(win.IPC()), pct(win.BranchMispredictRate())})
 	}
-	base := core.Baseline()
-	_, err := core.Simulate(core.Request{App: "Clustalw", Variant: base.Variant, CPU: base.CPU,
+	_, err := core.Simulate(core.Request{App: "Clustalw", Variant: baseline.Variant, CPU: baseline.CPU,
 		Seeds:   cfg.Seeds[:1],
 		Scale:   cfg.Scale * 2, // enough rows for the phase behaviour to show
 		Context: cfg.Context, Trace: cfg.Trace,
@@ -106,30 +135,6 @@ func Fig2(cfg Config) (*Table, error) {
 		return nil, err
 	}
 	return t, nil
-}
-
-// submitVariants schedules every kernel under every listed predication
-// variant on the baseline core: cells[kernel][variant].
-func submitVariants(ks []*kernels.Kernel, vs []kernels.Variant, cfg Config) [][]*pending {
-	cells := make([][]*pending, len(ks))
-	for i, k := range ks {
-		for _, v := range vs {
-			cells[i] = append(cells[i], cfg.submitCell(k.App, core.Baseline().WithVariant(v)))
-		}
-	}
-	return cells
-}
-
-// countersOf collects cells in order, stopping at the first failure.
-func countersOf(cells []*pending) ([]cpu.Counters, error) {
-	out := make([]cpu.Counters, len(cells))
-	for i, cl := range cells {
-		var err error
-		if out[i], err = cl.counters(); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
 }
 
 // normIPC is the performance metric of Figures 3-6: instructions of the
@@ -145,63 +150,53 @@ func normIPC(baseWork cpu.Counters, ctr cpu.Counters) float64 {
 	return float64(baseWork.Instructions) / float64(ctr.Cycles)
 }
 
-// Fig3 reproduces Figure 3: IPC under hand- and compiler-inserted max
+// fig3Setups: the original binary, then the predication strategies of
+// Figure 3.
+var fig3Setups = variants(kernels.Branchy, kernels.HandISel, kernels.CompISel,
+	kernels.HandMax, kernels.CompMax, kernels.Combination)
+
+// fig3 reproduces Figure 3: IPC under hand- and compiler-inserted max
 // and isel, plus the hand-max + compiler-isel combination.
-func Fig3(cfg Config) (*Table, error) {
-	cfg = cfg.normalize()
+func fig3(_ Config, r Results) (*Table, error) {
 	t := &Table{
 		ID:      "fig3",
 		Title:   "IPC with max and isel instructions",
 		Note:    "IPC normalized to the original binary's instruction count (a speedup measure)",
 		Columns: []string{"application", "variant", "IPC", "improvement"},
 	}
-	ks := kernels.All()
-	vs := append([]kernels.Variant{kernels.Branchy}, figure3Variants()...)
-	cells := submitVariants(ks, vs, cfg)
-	for i, k := range ks {
-		ctrs, err := countersOf(cells[i])
-		if err != nil {
-			return nil, err
-		}
-		base := ctrs[0]
+	for _, k := range kernels.All() {
+		base := r.counters(k.App, baseline)
 		t.Rows = append(t.Rows, []string{k.App, kernels.Branchy.String(), f2(base.IPC()), "-"})
-		for j, ctr := range ctrs[1:] {
-			ipc := normIPC(base, ctr)
-			t.Rows = append(t.Rows, []string{"", vs[j+1].String(), f2(ipc),
+		for _, s := range fig3Setups[1:] {
+			ipc := normIPC(base, r.counters(k.App, s))
+			t.Rows = append(t.Rows, []string{"", s.Variant.String(), f2(ipc),
 				pctDelta(ipc, base.IPC())})
 		}
 	}
 	return t, nil
 }
 
-// Table2 reproduces Table II: branch statistics per application and
+// table2Setups are Table II's rows per application, in table order.
+var table2Setups = variants(kernels.HandISel, kernels.CompISel,
+	kernels.HandMax, kernels.CompMax, kernels.Branchy)
+
+// table2 reproduces Table II: branch statistics per application and
 // predication variant.
-func Table2(cfg Config) (*Table, error) {
-	cfg = cfg.normalize()
+func table2(_ Config, r Results) (*Table, error) {
 	t := &Table{
 		ID:    "table2",
 		Title: "Branch performance with predicated instructions added",
 		Columns: []string{"application", "variant", "% branches/instrs",
 			"branch mispredict rate", "% taken brs/branches"},
 	}
-	order := []kernels.Variant{
-		kernels.HandISel, kernels.CompISel,
-		kernels.HandMax, kernels.CompMax,
-		kernels.Branchy,
-	}
-	ks := kernels.All()
-	cells := submitVariants(ks, order, cfg)
-	for i, k := range ks {
-		ctrs, err := countersOf(cells[i])
-		if err != nil {
-			return nil, err
-		}
-		for j, ctr := range ctrs {
+	for _, k := range kernels.All() {
+		for j, s := range table2Setups {
+			ctr := r.counters(k.App, s)
 			app := k.App
 			if j > 0 {
 				app = ""
 			}
-			t.Rows = append(t.Rows, []string{app, order[j].String(),
+			t.Rows = append(t.Rows, []string{app, s.Variant.String(),
 				pct(ctr.BranchFraction()), pct(ctr.BranchMispredictRate()),
 				pct(ctr.TakenFraction())})
 		}
@@ -209,48 +204,41 @@ func Table2(cfg Config) (*Table, error) {
 	return t, nil
 }
 
-// Fig4 reproduces Figure 4: the 8-entry BTAC added to the original
+// named is a row label and the core setup behind it.
+type named struct {
+	name string
+	s    core.Setup
+}
+
+// fig4Cores are Figure 4's two cores, each read plain and with the BTAC.
+var fig4Cores = []named{{"original POWER5", baseline}, {"with predication", combination}}
+
+// fig4Setups: the baseline (the work unit), then plain and +BTAC of
+// each core.
+var fig4Setups = []core.Setup{baseline, baseline.WithBTAC(), combination, combination.WithBTAC()}
+
+// fig4 reproduces Figure 4: the 8-entry BTAC added to the original
 // POWER5 and to the predication-enhanced core, with the BTAC's own
 // misprediction rate.
-func Fig4(cfg Config) (*Table, error) {
-	cfg = cfg.normalize()
+func fig4(cfg Config, r Results) (*Table, error) {
 	t := &Table{
 		ID:    "fig4",
 		Title: "Effect of adding an eight-entry BTAC",
 		Columns: []string{"application", "core", "IPC", "IPC +BTAC",
 			"gain", "BTAC mispredict rate"},
+		Note: "per-app sub-rows attribute the BTAC mispredict rate to the " +
+			"hottest static branches (first seed)",
 	}
-	setups := []struct {
-		name string
-		base core.Setup
-	}{
-		{"original POWER5", core.Baseline()},
-		{"with predication", core.Baseline().WithVariant(kernels.Combination)},
-	}
-	ks := kernels.All()
-	// Per kernel: the baseline (the work unit), then plain and +BTAC of
-	// each setup.
-	cells := make([][]*pending, len(ks))
-	for i, k := range ks {
-		cells[i] = append(cells[i], cfg.submitCell(k.App, core.Baseline()))
-		for _, s := range setups {
-			cells[i] = append(cells[i], cfg.submitCell(k.App, s.base), cfg.submitCell(k.App, s.base.WithBTAC()))
-		}
-	}
-	for i, k := range ks {
-		ctrs, err := countersOf(cells[i])
-		if err != nil {
-			return nil, err
-		}
-		baseWork := ctrs[0]
-		for j, s := range setups {
-			plain, btac := ctrs[1+2*j], ctrs[2+2*j]
+	for _, k := range kernels.All() {
+		baseWork := r.counters(k.App, baseline)
+		for j, c := range fig4Cores {
+			plain, btac := r.counters(k.App, c.s), r.counters(k.App, c.s.WithBTAC())
 			app := k.App
 			if j > 0 {
 				app = ""
 			}
 			p, q := normIPC(baseWork, plain), normIPC(baseWork, btac)
-			t.Rows = append(t.Rows, []string{app, s.name, f2(p), f2(q),
+			t.Rows = append(t.Rows, []string{app, c.name, f2(p), f2(q),
 				pctDelta(q, p), pct(btac.BTACMispredictRate())})
 		}
 		// Per-static-branch attribution of the aggregate BTAC mispredict
@@ -262,8 +250,6 @@ func Fig4(cfg Config) (*Table, error) {
 		}
 		t.Rows = append(t.Rows, hot...)
 	}
-	t.Note = "per-app sub-rows attribute the BTAC mispredict rate to the " +
-		"hottest static branches (first seed)"
 	return t, nil
 }
 
@@ -271,12 +257,8 @@ func Fig4(cfg Config) (*Table, error) {
 // eight-entry BTAC and returns table rows for its wrongest-target
 // static branches.
 func fig4HotBranches(cfg Config, k *kernels.Kernel) ([][]string, error) {
-	seeds := cfg.Seeds
-	if len(seeds) > 1 {
-		seeds = seeds[:1]
-	}
-	rep, err := RunBranches(Config{Scale: cfg.Scale, Seeds: seeds},
-		k.App, core.Baseline().WithBTAC())
+	cfg.Seeds = cfg.Seeds[:1]
+	rep, err := RunBranches(cfg, k.App, baseline.WithBTAC())
 	if err != nil {
 		return nil, err
 	}
@@ -308,49 +290,43 @@ func fig4HotBranches(cfg Config, k *kernels.Kernel) ([][]string, error) {
 	return rows, nil
 }
 
-// Fig5 reproduces Figure 5: IPC as the number of fixed-point units
+// fig5Cores and fig5FXUs span Figure 5: each core at every FXU count.
+var (
+	fig5Cores = []named{{"original", baseline}, {"combination", combination}}
+	fig5FXUs  = []int{2, 3, 4}
+)
+
+// fig5Setups: the baseline (the work unit), then every FXU count of
+// each core.
+var fig5Setups = func() []core.Setup {
+	out := []core.Setup{baseline}
+	for _, c := range fig5Cores {
+		for _, n := range fig5FXUs {
+			out = append(out, c.s.WithFXUs(n))
+		}
+	}
+	return out
+}()
+
+// fig5 reproduces Figure 5: IPC as the number of fixed-point units
 // grows from 2 to 4, for the original binaries and the combination
 // predication build.
-func Fig5(cfg Config) (*Table, error) {
-	cfg = cfg.normalize()
+func fig5(_ Config, r Results) (*Table, error) {
 	t := &Table{
 		ID:      "fig5",
 		Title:   "Effect of additional fixed-point units",
 		Columns: []string{"application", "core", "2 FXU", "3 FXU", "4 FXU"},
 	}
-	bases := []struct {
-		name string
-		s    core.Setup
-	}{
-		{"original", core.Baseline()},
-		{"combination", core.Baseline().WithVariant(kernels.Combination)},
-	}
-	fxus := []int{2, 3, 4}
-	ks := kernels.All()
-	// Per kernel: the baseline (the work unit), then every FXU count of
-	// each base.
-	cells := make([][]*pending, len(ks))
-	for i, k := range ks {
-		cells[i] = append(cells[i], cfg.submitCell(k.App, core.Baseline()))
-		for _, b := range bases {
-			for _, n := range fxus {
-				cells[i] = append(cells[i], cfg.submitCell(k.App, b.s.WithFXUs(n)))
-			}
-		}
-	}
-	for i, k := range ks {
-		ctrs, err := countersOf(cells[i])
-		if err != nil {
-			return nil, err
-		}
-		for j, b := range bases {
+	for _, k := range kernels.All() {
+		baseWork := r.counters(k.App, baseline)
+		for j, c := range fig5Cores {
 			app := k.App
 			if j > 0 {
 				app = ""
 			}
-			row := []string{app, b.name}
-			for _, ctr := range ctrs[1+j*len(fxus):][:len(fxus)] {
-				row = append(row, f2(normIPC(ctrs[0], ctr)))
+			row := []string{app, c.name}
+			for _, n := range fig5FXUs {
+				row = append(row, f2(normIPC(baseWork, r.counters(k.App, c.s.WithFXUs(n)))))
 			}
 			t.Rows = append(t.Rows, row)
 		}
@@ -358,11 +334,19 @@ func Fig5(cfg Config) (*Table, error) {
 	return t, nil
 }
 
-// Fig6 reproduces Figure 6: stacking predication, the BTAC and four
+// fig6Setups: the baseline, each improvement alone, then all three.
+var fig6Setups = []core.Setup{
+	baseline,
+	combination,
+	baseline.WithBTAC(),
+	baseline.WithFXUs(4),
+	combination.WithBTAC().WithFXUs(4),
+}
+
+// fig6 reproduces Figure 6: stacking predication, the BTAC and four
 // FXUs, with the residual — the extra gain of the combination over the
 // sum of the individual deltas.
-func Fig6(cfg Config) (*Table, error) {
-	cfg = cfg.normalize()
+func fig6(_ Config, r Results) (*Table, error) {
 	t := &Table{
 		ID:    "fig6",
 		Title: "Combined predication + BTAC + 4 FXUs",
@@ -370,25 +354,9 @@ func Fig6(cfg Config) (*Table, error) {
 		Columns: []string{"application", "base IPC", "+pred", "+BTAC", "+4 FXU",
 			"all", "residual", "total gain"},
 	}
-	ks := kernels.All()
-	cells := make([][]*pending, len(ks))
-	for i, k := range ks {
-		for _, s := range []core.Setup{
-			core.Baseline(),
-			core.Baseline().WithVariant(kernels.Combination),
-			core.Baseline().WithBTAC(),
-			core.Baseline().WithFXUs(4),
-			core.Baseline().WithVariant(kernels.Combination).WithBTAC().WithFXUs(4),
-		} {
-			cells[i] = append(cells[i], cfg.submitCell(k.App, s))
-		}
-	}
-	for i, k := range ks {
-		ctrs, err := countersOf(cells[i])
-		if err != nil {
-			return nil, err
-		}
-		base, pred, btac, fxu, all := ctrs[0], ctrs[1], ctrs[2], ctrs[3], ctrs[4]
+	for _, k := range kernels.All() {
+		ctr := func(i int) cpu.Counters { return r.counters(k.App, fig6Setups[i]) }
+		base, pred, btac, fxu, all := ctr(0), ctr(1), ctr(2), ctr(3), ctr(4)
 		b := base.IPC()
 		dPred := normIPC(base, pred) - b
 		dBTAC := normIPC(base, btac) - b

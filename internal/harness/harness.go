@@ -10,7 +10,6 @@ import (
 	"strings"
 
 	"bioperf5/internal/core"
-	"bioperf5/internal/kernels"
 	"bioperf5/internal/sched"
 )
 
@@ -40,11 +39,11 @@ type Config struct {
 	// toggled.
 	Trace core.TracePolicy `json:"-"`
 
-	// Submit, when set, is where RunSweep runs a planned cell instead of
-	// the local Engine: it starts the cell under ctx (the sweep's span
-	// context) and returns the wait for its outcome.  RunSweep submits
-	// every cell, captures first, before it waits for any.
-	// internal/cluster sets it to run the sweep on a fleet.
+	// Submit, when set, is where RunSweep and RunPaper run a planned
+	// cell instead of the local Engine: it starts the cell under ctx and
+	// returns the wait for its outcome.  Both submit every cell,
+	// captures first, before they wait for any (runPlan).
+	// internal/cluster sets it to run a sweep on a fleet.
 	Submit func(ctx context.Context, pc PlanCell) (wait func() CellResult) `json:"-"`
 }
 
@@ -118,27 +117,34 @@ func (t *Table) Render() string {
 	return b.String()
 }
 
-// Experiment regenerates one table or figure.  Run produces the
-// rendered table; Detail, when set, produces the machine-readable
-// per-seed statistics behind it for the JSON report.
+// Experiment regenerates one table or figure.  It is data plus a
+// render: Setups are the cells it reads, each for every application of
+// kernels.All(), and Render builds the table from their results (Fig1,
+// Fig2 and Fig4's hot-branch rows also measure something of their own).
+// Kernels, when set, is the per-seed detail behind the table that the
+// JSON report carries.
 type Experiment struct {
-	ID     string
-	Title  string
-	Run    func(Config) (*Table, error)
-	Detail func(Config) ([]KernelStats, error)
+	ID      string
+	Title   string
+	Setups  []core.Setup
+	Render  func(Config, Results) (*Table, error)
+	Kernels func(Results) []KernelStats
 }
 
 // Registry returns all experiments in paper order.
 func Registry() []*Experiment {
 	return []*Experiment{
-		{ID: "fig1", Title: "Function-wise breakout of Blast, Clustalw, Fasta, and Hmmer", Run: Fig1},
-		{ID: "table1", Title: "Hardware counter data for Blast, Clustalw, Fasta, and Hmmer", Run: Table1, Detail: BaselineStats},
-		{ID: "fig2", Title: "Clustalw IPC and branch misprediction rate over time", Run: Fig2},
-		{ID: "fig3", Title: "IPC with max and isel instructions", Run: Fig3},
-		{ID: "table2", Title: "Branch performance of applications with predicated instructions added", Run: Table2},
-		{ID: "fig4", Title: "Effect of adding an eight-entry BTAC", Run: Fig4},
-		{ID: "fig5", Title: "Effect of additional fixed-point units", Run: Fig5},
-		{ID: "fig6", Title: "Effect on IPC of combining predication, BTAC, and four FXUs", Run: Fig6},
+		{ID: "fig1", Title: "Function-wise breakout of Blast, Clustalw, Fasta, and Hmmer", Render: fig1},
+		{ID: "table1", Title: "Hardware counter data for Blast, Clustalw, Fasta, and Hmmer",
+			Setups: []core.Setup{baseline}, Render: table1, Kernels: table1Kernels},
+		{ID: "fig2", Title: "Clustalw IPC and branch misprediction rate over time", Render: fig2},
+		{ID: "fig3", Title: "IPC with max and isel instructions", Setups: fig3Setups, Render: fig3},
+		{ID: "table2", Title: "Branch performance of applications with predicated instructions added",
+			Setups: table2Setups, Render: table2},
+		{ID: "fig4", Title: "Effect of adding an eight-entry BTAC", Setups: fig4Setups, Render: fig4},
+		{ID: "fig5", Title: "Effect of additional fixed-point units", Setups: fig5Setups, Render: fig5},
+		{ID: "fig6", Title: "Effect on IPC of combining predication, BTAC, and four FXUs",
+			Setups: fig6Setups, Render: fig6},
 	}
 }
 
@@ -173,13 +179,4 @@ func pctDelta(to, from float64) string {
 		return "n/a"
 	}
 	return fmt.Sprintf("%+.1f%%", 100*(to-from)/from)
-}
-
-// figure3Variants are the predication strategies of Figure 3/Table II.
-func figure3Variants() []kernels.Variant {
-	return []kernels.Variant{
-		kernels.HandISel, kernels.CompISel,
-		kernels.HandMax, kernels.CompMax,
-		kernels.Combination,
-	}
 }

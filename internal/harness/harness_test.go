@@ -16,7 +16,7 @@ func TestRegistryCoversEveryTableAndFigure(t *testing.T) {
 		if reg[i].ID != id {
 			t.Errorf("registry[%d] = %s, want %s", i, reg[i].ID, id)
 		}
-		if reg[i].Title == "" || reg[i].Run == nil {
+		if reg[i].Title == "" || reg[i].Render == nil {
 			t.Errorf("%s: incomplete experiment", id)
 		}
 	}
@@ -59,6 +59,26 @@ func TestConfigNormalize(t *testing.T) {
 	}
 }
 
+// runReport runs one experiment on a plan of its own.
+func runReport(t *testing.T, id string, cfg Config) *Report {
+	t.Helper()
+	e, err := ByID(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reps, err := RunPaper(cfg, e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return reps[0]
+}
+
+// runTable renders one experiment on a plan of its own.
+func runTable(t *testing.T, id string, cfg Config) *Table {
+	t.Helper()
+	return runReport(t, id, cfg).Table()
+}
+
 func cell(t *testing.T, tab *Table, row, col int) string {
 	t.Helper()
 	if row >= len(tab.Rows) || col >= len(tab.Rows[row]) {
@@ -87,10 +107,7 @@ func parseF(t *testing.T, s string) float64 {
 }
 
 func TestTable1Shape(t *testing.T) {
-	tab, err := Table1(Quick())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := runTable(t, "table1", Quick())
 	if len(tab.Rows) != 4 {
 		t.Fatalf("%d rows", len(tab.Rows))
 	}
@@ -112,10 +129,7 @@ func TestFig3Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	tab, err := Fig3(Quick())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := runTable(t, "fig3", Quick())
 	// 4 apps x 6 rows.
 	if len(tab.Rows) != 24 {
 		t.Fatalf("%d rows", len(tab.Rows))
@@ -168,10 +182,7 @@ func TestTable2Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	tab, err := Table2(Quick())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := runTable(t, "table2", Quick())
 	if len(tab.Rows) != 20 {
 		t.Fatalf("%d rows", len(tab.Rows))
 	}
@@ -205,10 +216,7 @@ func TestFig4Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	tab, err := Fig4(Quick())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := runTable(t, "fig4", Quick())
 	// 8 setup rows (4 apps x 2 cores) plus per-app sub-rows attributing
 	// the BTAC mispredict rate to hot static branches (column 2 empty).
 	var setupRows, branchRows int
@@ -245,10 +253,7 @@ func TestFig5Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	tab, err := Fig5(Quick())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := runTable(t, "fig5", Quick())
 	if len(tab.Rows) != 8 {
 		t.Fatalf("%d rows", len(tab.Rows))
 	}
@@ -265,10 +270,7 @@ func TestFig6Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	tab, err := Fig6(Quick())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := runTable(t, "fig6", Quick())
 	if len(tab.Rows) != 4 {
 		t.Fatalf("%d rows", len(tab.Rows))
 	}
@@ -290,17 +292,11 @@ func TestFig6Shape(t *testing.T) {
 }
 
 func TestFig1AndFig2Run(t *testing.T) {
-	tab, err := Fig1(Quick())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := runTable(t, "fig1", Quick())
 	if len(tab.Rows) < 8 {
 		t.Errorf("fig1 rows = %d", len(tab.Rows))
 	}
-	tab2, err := Fig2(Quick())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab2 := runTable(t, "fig2", Quick())
 	if len(tab2.Rows) < 3 {
 		t.Errorf("fig2 rows = %d", len(tab2.Rows))
 	}

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 
 	"bioperf5/internal/core"
@@ -104,27 +105,6 @@ func (ks KernelStats) Detail() *core.Detail {
 	return det
 }
 
-// BaselineStats runs every application kernel on the POWER5 baseline
-// and returns the detailed stats — the data behind Table I's rows and
-// the `bioperf5 stats` subcommand.
-func BaselineStats(cfg Config) ([]KernelStats, error) {
-	cfg = cfg.normalize()
-	ks := kernels.All()
-	cells := make([]*pending, len(ks))
-	for i, k := range ks {
-		cells[i] = cfg.submitCell(k.App, core.Baseline())
-	}
-	var out []KernelStats
-	for i, k := range ks {
-		c := cells[i].collect()
-		if c.err != nil {
-			return nil, c.err
-		}
-		out = append(out, packKernelStats(k, core.Baseline(), c.Detail))
-	}
-	return out, nil
-}
-
 // SchemaVersion tags every machine-readable artifact the harness emits
 // (experiment reports, sweep manifests, server responses) so API
 // clients can detect drift instead of misparsing a newer encoding.
@@ -133,7 +113,7 @@ func BaselineStats(cfg Config) ([]KernelStats, error) {
 const SchemaVersion = "bioperf5/v1"
 
 // Report is the machine-readable encoding of one experiment run: the
-// rendered table plus, when the experiment carries a Detail hook, the
+// rendered table plus, when the experiment carries a Kernels hook, the
 // per-seed counters, derived rates and CPI stall stacks behind it.
 type Report struct {
 	Schema  string        `json:"schema"`
@@ -146,10 +126,53 @@ type Report struct {
 	Kernels []KernelStats `json:"kernels,omitempty"`
 }
 
-// RunReport runs the experiment and packages its machine-readable form.
-func RunReport(e *Experiment, cfg Config) (*Report, error) {
+// RunPaper runs experiments as one plan and returns their reports in
+// the order given.  The cells the experiments declare are unioned,
+// deduplicated by key, and run once through runPlan — the sweep's
+// driver, so Config.Submit and capture-first ordering apply — and each
+// experiment is then rendered from the results.  An experiment fails
+// when a cell it declares failed or its render does: RunPaper returns
+// the reports before it and an error naming it.  The CLI's `run` and
+// the server's GET /v1/experiments/{id} both go through here.
+func RunPaper(cfg Config, exps ...*Experiment) ([]*Report, error) {
 	cfg = cfg.normalize()
-	tab, err := e.Run(cfg)
+	res := Results{cfg: cfg, cells: map[string]CellResult{}}
+	planned := map[string]bool{}
+	var cells []PlanCell
+	for _, e := range exps {
+		for _, k := range kernels.All() {
+			for _, s := range e.Setups {
+				if pc := cfg.planCell(k.App, s); !planned[pc.Key] {
+					planned[pc.Key] = true
+					cells = append(cells, pc)
+				}
+			}
+		}
+	}
+	for i, r := range cfg.runPlan(cfg.Context, cells) {
+		res.cells[cells[i].Key] = r
+	}
+	var reps []*Report
+	for _, e := range exps {
+		rep, err := e.report(cfg, res)
+		if err != nil {
+			return reps, fmt.Errorf("%s: %w", e.ID, err)
+		}
+		reps = append(reps, rep)
+	}
+	return reps, nil
+}
+
+// report renders one experiment from the plan's results.
+func (e *Experiment) report(cfg Config, res Results) (*Report, error) {
+	for _, k := range kernels.All() {
+		for _, s := range e.Setups {
+			if err := res.cells[cfg.cellKey(k.App, s)].failure(); err != nil {
+				return nil, err
+			}
+		}
+	}
+	tab, err := e.Render(cfg, res)
 	if err != nil {
 		return nil, err
 	}
@@ -162,14 +185,15 @@ func RunReport(e *Experiment, cfg Config) (*Report, error) {
 		Columns: tab.Columns,
 		Rows:    tab.Rows,
 	}
-	if e.Detail != nil {
-		ks, err := e.Detail(cfg)
-		if err != nil {
-			return nil, err
-		}
-		rep.Kernels = ks
+	if e.Kernels != nil {
+		rep.Kernels = e.Kernels(res)
 	}
 	return rep, nil
+}
+
+// Table is the report's rendered table.
+func (r *Report) Table() *Table {
+	return &Table{ID: r.ID, Title: r.Title, Note: r.Note, Columns: r.Columns, Rows: r.Rows}
 }
 
 // WriteJSON writes the report to w as indented JSON.

@@ -72,18 +72,11 @@ func TestByIDAliases(t *testing.T) {
 }
 
 // TestReportJSONRoundTrip runs the smallest detailed experiment
-// (table1, single seed) through RunReport, encodes it, decodes it, and
+// (table1, single seed) through RunPaper, encodes it, decodes it, and
 // checks the decoded report is field-for-field identical — including
 // the per-kernel stall stacks the acceptance criteria require.
 func TestReportJSONRoundTrip(t *testing.T) {
-	e, err := ByID("t1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := RunReport(e, Quick())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := runReport(t, "t1", Quick())
 	if rep.ID != "table1" || len(rep.Columns) == 0 || len(rep.Rows) == 0 {
 		t.Fatalf("report incomplete: %+v", rep)
 	}
@@ -127,17 +120,10 @@ func TestReportJSONRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRunReportWithoutDetail checks experiments without a Detail hook
+// TestRunReportWithoutDetail checks experiments without a Kernels hook
 // still report (table only, no kernels array).
 func TestRunReportWithoutDetail(t *testing.T) {
-	e, err := ByID("fig5")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := RunReport(e, Quick())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := runReport(t, "fig5", Quick())
 	if rep.Kernels != nil {
 		t.Errorf("fig5 report has kernel stats: %+v", rep.Kernels)
 	}

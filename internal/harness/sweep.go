@@ -1,7 +1,9 @@
 package harness
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"strconv"
@@ -256,9 +258,8 @@ func (m *SweepManifest) WriteJSONFile(path string) error {
 // fills in results.
 type PlanCell struct {
 	Cell
-	Baseline bool // an IPC-normalizing baseline, not a grid point
-	Setup    core.Setup
-	Key      string // content hash over the cell's per-seed job hashes
+	Setup core.Setup
+	Key   string // content hash over the cell's per-seed job hashes
 }
 
 // SweepPlan is the deterministic expansion of a SweepSpec: the
@@ -272,6 +273,20 @@ type SweepPlan struct {
 	Points    []PlanCell // the grid, manifest order
 }
 
+// planCell is the plan entry of (app, s) under this configuration.
+func (c Config) planCell(app string, s core.Setup) PlanCell {
+	return PlanCell{
+		Cell: Cell{
+			App: app, Variant: s.Variant.String(),
+			FXUs: s.CPU.NumFXU, BTACEntries: btacEntries(s.CPU),
+			Predictor: branch.CanonicalOrRaw(s.CPU.Predictor),
+			Scale:     c.Scale, Seeds: c.Seeds, Trace: c.Trace,
+		},
+		Setup: s,
+		Key:   c.cellKey(app, s),
+	}
+}
+
 // PlanSweep validates and expands a sweep specification.
 func PlanSweep(sp SweepSpec) (*SweepPlan, error) {
 	sp, err := sp.normalize()
@@ -279,20 +294,9 @@ func PlanSweep(sp SweepSpec) (*SweepPlan, error) {
 		return nil, err
 	}
 	plan := &SweepPlan{Spec: sp}
-	cell := func(app string, s core.Setup, baseline bool) PlanCell {
-		return PlanCell{
-			Cell: Cell{
-				App: app, Variant: s.Variant.String(),
-				FXUs: s.CPU.NumFXU, BTACEntries: btacEntries(s.CPU),
-				Predictor: branch.CanonicalOrRaw(s.CPU.Predictor),
-				Scale:     sp.Config.Scale, Seeds: sp.Config.Seeds, Trace: sp.Config.Trace,
-			},
-			Baseline: baseline, Setup: s,
-			Key: sp.Config.cellKey(app, s),
-		}
-	}
+	cfg := sp.Config
 	for _, app := range sp.Apps {
-		plan.Baselines = append(plan.Baselines, cell(app, core.Baseline(), true))
+		plan.Baselines = append(plan.Baselines, cfg.planCell(app, core.Baseline()))
 	}
 	for _, app := range sp.Apps {
 		for _, v := range sp.Variants {
@@ -300,7 +304,7 @@ func PlanSweep(sp SweepSpec) (*SweepPlan, error) {
 				for _, entries := range sp.BTACEntries {
 					for _, pred := range sp.Predictors {
 						plan.Points = append(plan.Points,
-							cell(app, SetupFor(v, fxus, entries, pred), false))
+							cfg.planCell(app, SetupFor(v, fxus, entries, pred)))
 					}
 				}
 			}
@@ -318,6 +322,15 @@ type CellResult struct {
 	Cost   telemetry.StageCost
 	Status string // StatusOK, StatusFailed or StatusTimeout
 	Err    string // failure detail when Status != StatusOK
+	err    error  // the local engine's error behind Err
+}
+
+// failure is the cell's error, nil when it succeeded.
+func (r CellResult) failure() error {
+	if r.Status == StatusOK || r.err != nil {
+		return r.err
+	}
+	return errors.New(r.Err)
 }
 
 // Manifest assembles the sweep manifest from per-cell outcomes in plan
@@ -412,14 +425,10 @@ func (plan *SweepPlan) Manifest(baselines, points []CellResult) *SweepManifest {
 	return m
 }
 
-// RunSweep evaluates the full grid.  Every cell — plus each
-// application's POWER5 baseline, used to normalize IPC — is submitted
-// up front, to the local scheduler or to Config.Submit (a fleet), so
-// the whole sweep is bounded by the worker pool, and grid points that
-// coincide with the baseline (or with each other across re-runs) are
-// served from the cache.  Results are collected in plan order whatever
-// order the cells ran in, so the manifest does not depend on
-// submission order, worker count or where the cells ran.
+// RunSweep evaluates the full grid plus each application's POWER5
+// baseline, used to normalize IPC, through runPlan: on the local
+// scheduler or on Config.Submit (a fleet).  The manifest does not depend
+// on submission order, worker count or where the cells ran.
 func RunSweep(sp SweepSpec) (*SweepManifest, error) {
 	plan, err := PlanSweep(sp)
 	if err != nil {
@@ -432,18 +441,29 @@ func RunSweep(sp SweepSpec) (*SweepManifest, error) {
 	// sweep as one tree.
 	ctx, sweepSpan := telemetry.StartSpan(cfg.Context, telemetry.StageSweep)
 	defer sweepSpan.End()
-	run := cfg.Submit
-	if run == nil {
-		run = cfg.submitLocal
+	results := cfg.runPlan(ctx, append(append([]PlanCell(nil), plan.Baselines...), plan.Points...))
+	nb := len(plan.Baselines)
+	m := plan.Manifest(results[:nb], results[nb:])
+	if cfg.Submit == nil {
+		m.Scheduler = cfg.engine().Stats()
 	}
+	m.ElapsedMS = time.Since(start).Milliseconds()
+	return m, nil
+}
 
-	// Submit phase.  Cells are numbered in plan order — baselines (they
-	// normalize every point), then the grid — but the first cell of each
-	// (application, variant) is submitted ahead of the rest: those are
-	// the cells that capture a trace, and a worker handed a second cell
-	// of a trace still being captured would park behind the capture
-	// while replayable cells sit in the queue.
-	cells := append(append([]PlanCell(nil), plan.Baselines...), plan.Points...)
+// runPlan runs planned cells — a sweep's or the paper's — under ctx, on
+// Config.Submit or the local engine, and returns their results in plan
+// order whatever order they ran in.  Every cell is submitted before any
+// is waited for, and the first cell of each (application, variant) is
+// submitted ahead of the rest: those are the cells that capture a
+// trace, and a worker handed a second cell of a trace still being
+// captured would park behind the capture while replayable cells sit in
+// the queue.
+func (c Config) runPlan(ctx context.Context, cells []PlanCell) []CellResult {
+	run := c.Submit
+	if run == nil {
+		run = c.submitLocal
+	}
 	waits := make([]func() CellResult, len(cells))
 	type stream struct{ app, variant string }
 	captured := make(map[stream]bool)
@@ -459,19 +479,11 @@ func RunSweep(sp SweepSpec) (*SweepManifest, error) {
 	for _, i := range rest {
 		waits[i] = run(ctx, cells[i])
 	}
-
-	// Collect phase, in plan order.
 	results := make([]CellResult, len(waits))
 	for i, wait := range waits {
 		results[i] = wait()
 	}
-	nb := len(plan.Baselines)
-	m := plan.Manifest(results[:nb], results[nb:])
-	if cfg.Submit == nil {
-		m.Scheduler = cfg.engine().Stats()
-	}
-	m.ElapsedMS = time.Since(start).Milliseconds()
-	return m, nil
+	return results
 }
 
 // ProfileTable renders the aggregate stage attribution: where the

@@ -2,8 +2,10 @@ package harness
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -290,34 +292,133 @@ func TestDefaultSweepSpecCoversPaperGrid(t *testing.T) {
 	}
 }
 
+// paperExperiments is the registry without the host-timed fig1: the
+// part of the paper that is deterministic.
+func paperExperiments() []*Experiment {
+	var out []*Experiment
+	for _, e := range Registry() {
+		if e.ID != "fig1" {
+			out = append(out, e)
+		}
+	}
+	return out
+}
+
 // TestExperimentsParallelMatchesSerial is the acceptance gate for the
-// harness retrofit: Figures 4-6 rendered through a 1-worker engine and
-// through a many-worker engine must be byte-identical.
+// paper as one plan: every report rendered through a 1-worker engine and
+// through an 8-worker engine must be byte-identical.
 func TestExperimentsParallelMatchesSerial(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	experiments := []func(Config) (*Table, error){Fig4, Fig5, Fig6}
-	names := []string{"fig4", "fig5", "fig6"}
-	for i, run := range experiments {
-		run := run
-		t.Run(names[i], func(t *testing.T) {
-			t.Parallel()
-			var outs []string
-			for _, workers := range []int{1, 8} {
-				eng := sched.New(sched.Options{Workers: workers})
-				tab, err := run(Config{Scale: 1, Seeds: []int64{1}, Engine: eng})
-				eng.Close()
-				if err != nil {
-					t.Fatalf("%d workers: %v", workers, err)
-				}
-				outs = append(outs, tab.Render())
+	var outs [2][]*Report
+	for i, workers := range []int{1, 8} {
+		eng := sched.New(sched.Options{Workers: workers})
+		reps, err := RunPaper(Config{Scale: 1, Seeds: []int64{1}, Engine: eng}, paperExperiments()...)
+		eng.Close()
+		if err != nil {
+			t.Fatalf("%d workers: %v", workers, err)
+		}
+		outs[i] = reps
+	}
+	for i, serial := range outs[0] {
+		parallel := outs[1][i]
+		t.Run(serial.ID, func(t *testing.T) {
+			a, b := serial.Table().Render(), parallel.Table().Render()
+			if a != b {
+				t.Errorf("parallel output diverges from serial:\n--- serial ---\n%s\n--- parallel ---\n%s", a, b)
 			}
-			if outs[0] != outs[1] {
-				t.Errorf("parallel output diverges from serial:\n--- serial ---\n%s\n--- parallel ---\n%s",
-					outs[0], outs[1])
+			ja, _ := json.Marshal(serial)
+			jb, _ := json.Marshal(parallel)
+			if !bytes.Equal(ja, jb) {
+				t.Error("parallel report diverges from serial")
 			}
 		})
+	}
+}
+
+// TestPaperRunsEachCellOnce: the paper is one plan, so a Config.Submit
+// sees each distinct (application, setup) cell the experiments declare
+// exactly once — 13 per application — and the tables rendered from its
+// results equal a local run's.
+func TestPaperRunsEachCellOnce(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	eng := sched.New(sched.Options{Workers: 4})
+	defer eng.Close()
+	local := Config{Scale: 1, Seeds: []int64{1}, Engine: eng}
+	want, err := RunPaper(local, paperExperiments()...)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	fresh := sched.New(sched.Options{Workers: 4})
+	defer fresh.Close()
+	counted := Config{Scale: 1, Seeds: []int64{1}, Engine: fresh}
+	var mu sync.Mutex
+	seen := map[string]int{}
+	counted.Submit = func(ctx context.Context, pc PlanCell) func() CellResult {
+		mu.Lock()
+		seen[pc.Key]++
+		mu.Unlock()
+		return counted.submitLocal(ctx, pc)
+	}
+	got, err := RunPaper(counted, paperExperiments()...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := 13 * len(kernels.All()); len(seen) != want {
+		t.Errorf("Submit saw %d distinct cells, want %d", len(seen), want)
+	}
+	for key, n := range seen {
+		if n != 1 {
+			t.Errorf("cell %s submitted %d times", key[:12], n)
+		}
+	}
+	for i := range want {
+		if a, b := want[i].Table().Render(), got[i].Table().Render(); a != b {
+			t.Errorf("%s through Submit differs from the local run:\n%s\nvs\n%s", want[i].ID, b, a)
+		}
+	}
+}
+
+// TestPaperFailsAtTheExperimentWhoseCellFailed pins the failure
+// semantics of one plan: a cell only Figure 5 reads (the original binary
+// on 3 FXUs) fails permanently, the experiments before fig5 still
+// render, and the run fails naming fig5.
+func TestPaperFailsAtTheExperimentWhoseCellFailed(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	cfg := Config{Scale: 1, Seeds: []int64{1}}
+	doomed := cfg.job("Hmmer", core.Baseline().WithFXUs(3), 1).Hash()
+	allow := map[string]bool{}
+	for _, e := range Registry() {
+		for _, k := range kernels.All() {
+			for _, s := range e.Setups {
+				if h := cfg.job(k.App, s, 1).Hash(); h != doomed {
+					allow[h] = true
+				}
+			}
+		}
+	}
+	eng := sched.New(sched.Options{
+		Workers: 2, Retries: 1, RetryBackoff: time.Millisecond,
+		Injector: &hashInjector{kind: fault.Error, allow: allow},
+	})
+	defer eng.Close()
+	cfg.Engine = eng
+	reps, err := RunPaper(cfg, paperExperiments()...)
+	if err == nil || !strings.HasPrefix(err.Error(), "fig5: ") {
+		t.Fatalf("err = %v, want one naming fig5", err)
+	}
+	var ids []string
+	for _, rep := range reps {
+		ids = append(ids, rep.ID)
+	}
+	if got := strings.Join(ids, ","); got != "table1,fig2,fig3,table2,fig4" {
+		t.Errorf("rendered %s before the failure, want table1,fig2,fig3,table2,fig4", got)
 	}
 }
 

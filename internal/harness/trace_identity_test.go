@@ -71,13 +71,13 @@ func TestExperimentByteIdenticalAcrossTracePolicies(t *testing.T) {
 	var outs [][]byte
 	for _, policy := range []core.TracePolicy{core.TraceOff, core.TraceAuto, core.TraceAuto} {
 		eng := sched.New(sched.Options{Workers: 4})
-		rep, err := RunReport(e, Config{Scale: 1, Seeds: []int64{1}, Engine: eng, Trace: policy})
+		reps, err := RunPaper(Config{Scale: 1, Seeds: []int64{1}, Engine: eng, Trace: policy}, e)
 		eng.Close()
 		if err != nil {
 			t.Fatalf("%s: %v", policy, err)
 		}
 		var buf bytes.Buffer
-		if err := rep.WriteJSON(&buf); err != nil {
+		if err := reps[0].WriteJSON(&buf); err != nil {
 			t.Fatal(err)
 		}
 		outs = append(outs, buf.Bytes())

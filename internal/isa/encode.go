@@ -226,8 +226,22 @@ func signExt(v uint32, bits uint) int64 {
 }
 
 // Decode converts a 32-bit instruction word at program index idx back
-// into an Instruction.  It is the exact inverse of Encode.
+// into an Instruction.  It is the exact inverse of Encode: a word Encode
+// never writes (a stray bit, an unused BO, a shift Encode rejects) is an
+// error.
 func Decode(word uint32, idx int) (Instruction, error) {
+	ins, err := decode(word, idx)
+	if err != nil {
+		return Instruction{}, err
+	}
+	if back, err := Encode(&ins, idx); err != nil || back != word {
+		return Instruction{}, fmt.Errorf("isa: decode: %#08x is not the encoding of any instruction", word)
+	}
+	return ins, nil
+}
+
+// decode reads a word's fields without checking that it is canonical.
+func decode(word uint32, idx int) (Instruction, error) {
 	opcd := word >> 26
 	switch opcd {
 	case opcdXForm:

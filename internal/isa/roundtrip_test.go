@@ -106,3 +106,51 @@ func TestEncodeAllProgramsAreDecodable(t *testing.T) {
 		}
 	}
 }
+
+// TestDecodeRejectsNonCanonicalWords pins words whose fields decode to
+// a valid instruction that encodes to a different word (or not at all):
+// Decode must refuse them rather than hand back an instruction Encode
+// cannot reproduce.
+func TestDecodeRejectsNonCanonicalWords(t *testing.T) {
+	const idx = 100
+	for _, tc := range []struct {
+		name string
+		word uint32
+	}{
+		{"bc with BO=0", 0x40010010},                  // re-encodes to 0x40810010
+		{"isel with stray XO bits", 0x78642ffe},       // re-encodes to 0x78642fde
+		{"sldi by 100", 21<<26 | 3<<21 | 4<<16 | 100}, // Encode takes shifts 0..63
+		{"srdi by 100", 22<<26 | 3<<21 | 4<<16 | 100},
+		{"sradi by 100", 23<<26 | 3<<21 | 4<<16 | 100},
+	} {
+		if ins, err := Decode(tc.word, idx); err == nil {
+			t.Errorf("%s: Decode(%#08x) = %+v, want an error", tc.name, tc.word, ins)
+		}
+	}
+}
+
+// FuzzDecode feeds Decode arbitrary words: it never panics, and every
+// word it accepts is exactly what Encode writes for the result.
+func FuzzDecode(f *testing.F) {
+	const idx = 4000
+	for _, ins := range encodableSamples() {
+		word, err := Encode(&ins, idx)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(word)
+	}
+	f.Fuzz(func(t *testing.T, word uint32) {
+		ins, err := Decode(word, idx)
+		if err != nil {
+			return
+		}
+		back, err := Encode(&ins, idx)
+		if err != nil {
+			t.Fatalf("Decode(%#08x) = %+v, which does not encode: %v", word, ins, err)
+		}
+		if back != word {
+			t.Fatalf("Decode(%#08x) re-encodes to %#08x", word, back)
+		}
+	})
+}

@@ -229,9 +229,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 // handleExperiment serves one paper experiment.  The response bytes
 // are exactly what `bioperf5 run <id> -json` prints for the same
-// configuration: both paths render through harness.RunReport and
-// Report.WriteJSON, and the experiments themselves collect cells in
-// deterministic table order.
+// configuration: both paths run the experiment's plan through
+// harness.RunPaper, which renders from results collected in plan
+// order, and encode it with Report.WriteJSON.
 func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 	e, err := harness.ByID(r.PathValue("id"))
 	if err != nil {
@@ -259,13 +259,13 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 	defer s.release(1)
 	cfg.Engine = s.eng
 	cfg.Context = ctx
-	rep, err := harness.RunReport(e, cfg)
+	reps, err := harness.RunPaper(cfg, e)
 	if err != nil {
-		s.errorJSON(w, statusForRunError(err), "%s: %v", e.ID, err)
+		s.errorJSON(w, statusForRunError(err), "%v", err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
-	rep.WriteJSON(w)
+	reps[0].WriteJSON(w)
 }
 
 // admit wraps acquire in a serve.admission span so saturation shows up
