@@ -49,7 +49,8 @@ func main() {
 	fmt.Println("\nbest alignment:")
 	fmt.Print(res.Format(60))
 
-	// Round-trip the database through FASTA to show the I/O layer.
+	// The query as a FASTA file would carry it.
+	fmt.Println("\nquery as FASTA:")
 	if err := seq.WriteFASTA(os.Stdout, []*seq.Seq{query}); err != nil {
 		log.Fatal(err)
 	}

@@ -1,9 +1,8 @@
 // Package align implements pairwise sequence alignment with affine gap
-// penalties: Needleman-Wunsch global alignment, Smith-Waterman local
-// alignment in Gotoh's formulation (the Fasta ssearch `dropgsw` kernel
-// the paper profiles), linear-memory score-only variants (the form the
-// DP kernels take on the simulator), semi-global scoring, banded
-// alignment and BLAST-style X-drop gapped extension.
+// penalties: Smith-Waterman local alignment in Gotoh's formulation (the
+// Fasta ssearch `dropgsw` kernel the paper profiles) with traceback, its
+// linear-memory score-only form (the form the DP kernels take on the
+// simulator), and BLAST-style X-drop ungapped and gapped extension.
 package align
 
 import (
@@ -52,7 +51,7 @@ func validate(a, b *seq.Seq, m *score.Matrix, gap score.Gap) error {
 	return gap.Validate()
 }
 
-// dpTables holds the Gotoh matrices for traceback variants.
+// dpTables holds the Gotoh matrices for Local's traceback.
 type dpTables struct {
 	n, m    int
 	h, e, f []int
@@ -65,105 +64,6 @@ func newTables(n, m int) *dpTables {
 }
 
 func (t *dpTables) idx(i, j int) int { return i*(t.m+1) + j }
-
-// Global computes the optimal Needleman-Wunsch global alignment with
-// affine gaps and full traceback.
-func Global(a, b *seq.Seq, mat *score.Matrix, gap score.Gap) (*Result, error) {
-	if err := validate(a, b, mat, gap); err != nil {
-		return nil, err
-	}
-	n, m := a.Len(), b.Len()
-	t := newTables(n, m)
-	open := gap.Open + gap.Extend
-	ext := gap.Extend
-
-	t.h[t.idx(0, 0)] = 0
-	for i := 1; i <= n; i++ {
-		t.h[t.idx(i, 0)] = -(gap.Open + i*ext)
-		t.e[t.idx(i, 0)] = negInf
-		t.f[t.idx(i, 0)] = t.h[t.idx(i, 0)]
-	}
-	for j := 1; j <= m; j++ {
-		t.h[t.idx(0, j)] = -(gap.Open + j*ext)
-		t.e[t.idx(0, j)] = t.h[t.idx(0, j)]
-		t.f[t.idx(0, j)] = negInf
-	}
-	for i := 1; i <= n; i++ {
-		for j := 1; j <= m; j++ {
-			ij := t.idx(i, j)
-			up, left, diag := t.idx(i-1, j), t.idx(i, j-1), t.idx(i-1, j-1)
-			// E: gap in A (consume B).
-			e := t.e[left] - ext
-			if v := t.h[left] - open; v > e {
-				e = v
-			}
-			// F: gap in B (consume A).
-			f := t.f[up] - ext
-			if v := t.h[up] - open; v > f {
-				f = v
-			}
-			g := t.h[diag] + mat.Score(a.Code[i-1], b.Code[j-1])
-			h := g
-			if e > h {
-				h = e
-			}
-			if f > h {
-				h = f
-			}
-			t.e[ij], t.f[ij], t.h[ij] = e, f, h
-		}
-	}
-	ops := tracebackGlobal(t, a, b, mat, gap)
-	return &Result{A: a, B: b, Score: t.h[t.idx(n, m)],
-		StartA: 0, StartB: 0, EndA: n, EndB: m, Ops: ops}, nil
-}
-
-func tracebackGlobal(t *dpTables, a, b *seq.Seq, mat *score.Matrix, gap score.Gap) []EditOp {
-	open := gap.Open + gap.Extend
-	var rev []OpKind
-	i, j := t.n, t.m
-	// state 0 = H, 1 = E (gap in A), 2 = F (gap in B)
-	state := 0
-	for i > 0 || j > 0 {
-		switch state {
-		case 0:
-			ij := t.idx(i, j)
-			switch {
-			case i > 0 && j > 0 && t.h[ij] == t.h[t.idx(i-1, j-1)]+mat.Score(a.Code[i-1], b.Code[j-1]):
-				rev = append(rev, OpMatch)
-				i--
-				j--
-			case j > 0 && t.h[ij] == t.e[ij]:
-				state = 1
-			case i > 0 && t.h[ij] == t.f[ij]:
-				state = 2
-			case j > 0: // boundary rows
-				rev = append(rev, OpInsert)
-				j--
-			default:
-				rev = append(rev, OpDelete)
-				i--
-			}
-		case 1:
-			ij := t.idx(i, j)
-			left := t.idx(i, j-1)
-			rev = append(rev, OpInsert)
-			if t.e[ij] == t.h[left]-open {
-				state = 0
-			}
-			j--
-		case 2:
-			ij := t.idx(i, j)
-			up := t.idx(i-1, j)
-			rev = append(rev, OpDelete)
-			if t.f[ij] == t.h[up]-open {
-				state = 0
-			}
-			i--
-		}
-	}
-	return runLength(reverseOps(rev))
-}
 
 // Local computes the optimal Smith-Waterman local alignment (Gotoh
 // affine gaps) with traceback — the dropgsw computation.

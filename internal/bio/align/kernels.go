@@ -5,11 +5,11 @@ import (
 	"bioperf5/internal/bio/seq"
 )
 
-// This file holds the linear-memory, score-only forms of the DP
-// recurrences — the exact loops the paper's applications spend their
-// time in (dropgsw for ssearch, forward_pass for clustalw), and the
-// reference semantics the simulated kernels (package kernels) are
-// validated against.
+// This file holds the linear-memory, score-only form of the local
+// alignment recurrence — the exact loop the paper's applications spend
+// their time in (dropgsw for ssearch; clustalw's forward_pass computes
+// the same score), and the reference semantics the simulated kernels
+// (package kernels) are validated against.
 
 // LocalScore computes the Smith-Waterman Gotoh local alignment score
 // using two rolling rows — the dropgsw kernel.
@@ -59,182 +59,4 @@ func LocalScore(a, b *seq.Seq, mat *score.Matrix, gap score.Gap) (int, error) {
 		}
 	}
 	return best, nil
-}
-
-// GlobalScore computes the Needleman-Wunsch Gotoh global score with two
-// rolling rows — ClustalW's forward_pass recurrence.
-func GlobalScore(a, b *seq.Seq, mat *score.Matrix, gap score.Gap) (int, error) {
-	if err := validate(a, b, mat, gap); err != nil {
-		return 0, err
-	}
-	n, m := a.Len(), b.Len()
-	open := gap.Open + gap.Extend
-	ext := gap.Extend
-	h := make([]int, m+1)
-	e := make([]int, m+1)
-	for j := 1; j <= m; j++ {
-		h[j] = -(gap.Open + j*ext)
-		e[j] = h[j]
-	}
-	for i := 1; i <= n; i++ {
-		diag := h[0]
-		h[0] = -(gap.Open + i*ext)
-		f := h[0]
-		row := mat.Row(a.Code[i-1])
-		for j := 1; j <= m; j++ {
-			ev := e[j] - ext
-			if v := h[j] - open; v > ev {
-				ev = v
-			}
-			fv := f - ext
-			if v := h[j-1] - open; v > fv {
-				fv = v
-			}
-			hv := diag + int(row[b.Code[j-1]])
-			if ev > hv {
-				hv = ev
-			}
-			if fv > hv {
-				hv = fv
-			}
-			diag = h[j]
-			h[j], e[j], f = hv, ev, fv
-		}
-	}
-	return h[m], nil
-}
-
-// SemiGlobalScore scores an alignment global in a but free at b's ends
-// (used by hmm-like scans and by tests as an invariant cross-check).
-func SemiGlobalScore(a, b *seq.Seq, mat *score.Matrix, gap score.Gap) (int, error) {
-	if err := validate(a, b, mat, gap); err != nil {
-		return 0, err
-	}
-	n, m := a.Len(), b.Len()
-	open := gap.Open + gap.Extend
-	ext := gap.Extend
-	h := make([]int, m+1)
-	e := make([]int, m+1)
-	for j := range e {
-		e[j] = negInf
-	}
-	for i := 1; i <= n; i++ {
-		diag := h[0]
-		h[0] = -(gap.Open + i*ext)
-		f := negInf
-		row := mat.Row(a.Code[i-1])
-		for j := 1; j <= m; j++ {
-			ev := e[j] - ext
-			if v := h[j] - open; v > ev {
-				ev = v
-			}
-			fv := f - ext
-			if v := h[j-1] - open; v > fv {
-				fv = v
-			}
-			hv := diag + int(row[b.Code[j-1]])
-			if ev > hv {
-				hv = ev
-			}
-			if fv > hv {
-				hv = fv
-			}
-			diag = h[j]
-			h[j], e[j], f = hv, ev, fv
-		}
-	}
-	best := negInf
-	for j := 0; j <= m; j++ {
-		if h[j] > best {
-			best = h[j]
-		}
-	}
-	return best, nil
-}
-
-// BandedGlobalScore is GlobalScore restricted to |i-j| <= band; BLAST's
-// gapped phase uses banded DP around the seed diagonal.
-func BandedGlobalScore(a, b *seq.Seq, mat *score.Matrix, gap score.Gap, band int) (int, error) {
-	if err := validate(a, b, mat, gap); err != nil {
-		return 0, err
-	}
-	if band < 1 {
-		band = 1
-	}
-	n, m := a.Len(), b.Len()
-	if d := n - m; d < 0 {
-		if -d > band {
-			band = -d
-		}
-	} else if d > band {
-		band = d
-	}
-	open := gap.Open + gap.Extend
-	ext := gap.Extend
-	h := make([]int, m+1)
-	e := make([]int, m+1)
-	prevH := make([]int, m+1)
-	for j := 0; j <= m; j++ {
-		e[j] = negInf
-		if j <= band {
-			h[j] = -(gap.Open + j*ext)
-			if j == 0 {
-				h[0] = 0
-			}
-		} else {
-			h[j] = negInf
-		}
-	}
-	for i := 1; i <= n; i++ {
-		copy(prevH, h)
-		lo := i - band
-		if lo < 1 {
-			lo = 1
-		}
-		hi := i + band
-		if hi > m {
-			hi = m
-		}
-		if lo > 1 {
-			h[lo-1] = negInf
-		}
-		if i <= band {
-			h[0] = -(gap.Open + i*ext)
-		} else {
-			h[0] = negInf
-		}
-		f := negInf
-		row := mat.Row(a.Code[i-1])
-		for j := lo; j <= hi; j++ {
-			ev := negInf
-			if prevH[j] != negInf || e[j] != negInf {
-				ev = e[j] - ext
-				if v := prevH[j] - open; v > ev {
-					ev = v
-				}
-			}
-			fv := negInf
-			if f != negInf || h[j-1] != negInf {
-				fv = f - ext
-				if v := h[j-1] - open; v > fv {
-					fv = v
-				}
-			}
-			hv := negInf
-			if prevH[j-1] != negInf {
-				hv = prevH[j-1] + int(row[b.Code[j-1]])
-			}
-			if ev > hv {
-				hv = ev
-			}
-			if fv > hv {
-				hv = fv
-			}
-			h[j], e[j], f = hv, ev, fv
-		}
-		if hi < m {
-			h[hi+1] = negInf
-		}
-	}
-	return h[m], nil
 }

@@ -1,9 +1,6 @@
 package clustal
 
-import (
-	"fmt"
-	"strings"
-)
+import "fmt"
 
 // Node is a rooted guide-tree node.  Leaves carry the sequence index;
 // internal nodes have exactly two children.
@@ -23,30 +20,6 @@ func (n *Node) Leaves(dst []int) []int {
 	}
 	dst = n.Left.Leaves(dst)
 	return n.Right.Leaves(dst)
-}
-
-// Newick renders the tree in Newick notation with the given leaf names.
-func (n *Node) Newick(names []string) string {
-	var b strings.Builder
-	n.newick(&b, names)
-	b.WriteByte(';')
-	return b.String()
-}
-
-func (n *Node) newick(b *strings.Builder, names []string) {
-	if n.IsLeaf() {
-		if n.Leaf < len(names) {
-			b.WriteString(names[n.Leaf])
-		} else {
-			fmt.Fprintf(b, "seq%d", n.Leaf)
-		}
-		return
-	}
-	b.WriteByte('(')
-	n.Left.newick(b, names)
-	b.WriteByte(',')
-	n.Right.newick(b, names)
-	b.WriteByte(')')
 }
 
 // TreeMethod selects the guide-tree construction algorithm.

@@ -1,8 +1,7 @@
 // Package score provides amino-acid substitution matrices (BLOSUM62,
-// BLOSUM50, PAM250), a DNA match/mismatch matrix, affine gap parameter
-// sets, and the Karlin-Altschul statistical parameters BLAST's E-value
-// computation needs.  Residue order everywhere follows seq.Protein:
-// A R N D C Q E G H I L K M F P S T W Y V.
+// BLOSUM50, PAM250), affine gap parameter sets, and the Karlin-Altschul
+// statistical parameters BLAST's E-value computation needs.  Residue
+// order everywhere is seq.Protein's: A R N D C Q E G H I L K M F P S T W Y V.
 package score
 
 import (
@@ -188,20 +187,3 @@ var PAM250 = mustNew("PAM250", seq.Protein, [][]int8{
 	{-3, -4, -2, -4, 0, -4, -4, -5, 0, -1, -1, -4, -2, 7, -5, -3, -3, 0, 10, -2},
 	{0, -2, -2, -2, -2, -2, -2, -1, -2, 4, 2, -2, 2, -1, -1, -1, 0, -6, -2, 4},
 })
-
-// DNAMatrix builds a match/mismatch matrix over the DNA alphabet.
-func DNAMatrix(match, mismatch int8) *Matrix {
-	n := seq.DNA.Size()
-	rows := make([][]int8, n)
-	for i := range rows {
-		rows[i] = make([]int8, n)
-		for j := range rows[i] {
-			if i == j {
-				rows[i][j] = match
-			} else {
-				rows[i][j] = mismatch
-			}
-		}
-	}
-	return mustNew(fmt.Sprintf("DNA(%d/%d)", match, mismatch), seq.DNA, rows)
-}

@@ -83,24 +83,6 @@ func TestMaxScore(t *testing.T) {
 	}
 }
 
-func TestDNAMatrix(t *testing.T) {
-	m := DNAMatrix(5, -4)
-	for i := 0; i < 4; i++ {
-		for j := 0; j < 4; j++ {
-			want := -4
-			if i == j {
-				want = 5
-			}
-			if got := m.Score(byte(i), byte(j)); got != want {
-				t.Errorf("dna[%d][%d] = %d, want %d", i, j, got, want)
-			}
-		}
-	}
-	if !m.Symmetric() {
-		t.Error("dna matrix asymmetric")
-	}
-}
-
 func TestNewRejectsBadShapes(t *testing.T) {
 	if _, err := New("bad", seq.DNA, [][]int8{{1}}); err == nil {
 		t.Error("short matrix accepted")

@@ -1,66 +1,9 @@
 package seq
 
 import (
-	"bufio"
 	"fmt"
 	"io"
-	"strings"
 )
-
-// ReadFASTA parses FASTA-format records from r using alphabet a.
-func ReadFASTA(r io.Reader, a *Alphabet) ([]*Seq, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<24)
-	var out []*Seq
-	var id, desc string
-	var body strings.Builder
-	flush := func() error {
-		if id == "" {
-			return nil
-		}
-		s, err := NewSeq(id, body.String(), a)
-		if err != nil {
-			return err
-		}
-		s.Desc = desc
-		out = append(out, s)
-		body.Reset()
-		return nil
-	}
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		switch {
-		case line == "":
-		case strings.HasPrefix(line, ">"):
-			if err := flush(); err != nil {
-				return nil, err
-			}
-			header := strings.TrimPrefix(line, ">")
-			fields := strings.SplitN(header, " ", 2)
-			id = fields[0]
-			if id == "" {
-				return nil, fmt.Errorf("fasta: line %d: empty sequence id", lineNo)
-			}
-			desc = ""
-			if len(fields) == 2 {
-				desc = fields[1]
-			}
-		case id == "":
-			return nil, fmt.Errorf("fasta: line %d: sequence data before any header", lineNo)
-		default:
-			body.WriteString(line)
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	if err := flush(); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
 
 // WriteFASTA renders sequences in FASTA format with 60-column wrapping.
 func WriteFASTA(w io.Writer, seqs []*Seq) error {

@@ -1,4 +1,4 @@
-// Package seq provides biological sequences: alphabets, FASTA I/O and
+// Package seq provides biological sequences: alphabets, FASTA output and
 // the synthetic sequence generators that stand in for the BioPerf
 // class-C input datasets (GenBank/Swiss-Prot extracts) which are not
 // redistributable here.  Branch behaviour of the DP kernels depends on

@@ -76,23 +76,6 @@ func (r *runStat) note(length uint64) {
 	r.runs++
 }
 
-func (r *runStat) merge(o runStat) {
-	if o.runs == 0 {
-		return
-	}
-	if r.runs == 0 {
-		*r = o
-		return
-	}
-	if o.min < r.min {
-		r.min = o.min
-	}
-	if o.max > r.max {
-		r.max = o.max
-	}
-	r.runs += o.runs
-}
-
 // site is the per-static-branch accumulator.
 type site struct {
 	executed    uint64
@@ -250,7 +233,7 @@ func (s *site) classify() Class {
 
 // Profile accumulates per-static-branch statistics for one or more
 // runs.  It implements cpu.BranchProfiler.  Not safe for concurrent
-// use; profile one run per Profile and Merge.
+// use.
 type Profile struct {
 	sites map[int]*site
 }
@@ -283,25 +266,6 @@ func (p *Profile) OnBTAC(pc int, predicted, wrong bool) {
 	}
 	if wrong {
 		s.btacWrong++
-	}
-}
-
-// Merge folds another profile's counts into p, site by site.  Run
-// structure merges conservatively (min of mins, max of maxes), so a
-// branch that is loop-regular in every merged run stays loop-regular.
-func (p *Profile) Merge(o *Profile) {
-	for pc, os := range o.sites {
-		s := p.site(pc)
-		s.executed += os.executed
-		s.taken += os.taken
-		s.mispredicts += os.mispredicts
-		s.btacLookups += os.btacLookups
-		s.btacPredicts += os.btacPredicts
-		s.btacWrong += os.btacWrong
-		s.transitions += os.transitions
-		s.refMisses += os.refMisses
-		s.runT.merge(os.runT)
-		s.runN.merge(os.runN)
 	}
 }
 

@@ -69,23 +69,6 @@ func TestTotalsMatchFeed(t *testing.T) {
 	}
 }
 
-// TestMergeAddsCounts: merging per-seed profiles preserves totals and
-// classification.
-func TestMergeAddsCounts(t *testing.T) {
-	a, b := New(), New()
-	feed(a, "tournament", branch.Loop(8), 2000)
-	feed(b, "tournament", branch.Loop(8), 3000)
-	a.Merge(b)
-	exec, _, _ := a.Totals()
-	if exec != 5000 {
-		t.Fatalf("merged executed %d, want 5000", exec)
-	}
-	bs := a.Branches()
-	if len(bs) != 1 || bs[0].Class != ClassLoopExit {
-		t.Fatalf("merged profile = %+v, want one loop-exit site", bs)
-	}
-}
-
 // TestBTACAttribution: BTAC lookups attribute wrong targets per site.
 func TestBTACAttribution(t *testing.T) {
 	p := New()

@@ -156,38 +156,5 @@ func (l *Layout) Alloc(n uint64, align uint64) uint64 {
 	return addr
 }
 
-// Int64Slice writes vals as consecutive big-endian 64-bit integers at
-// addr (a convenience for kernel argument marshaling).
-func (m *Memory) WriteInt64Slice(addr uint64, vals []int64) {
-	for i, v := range vals {
-		m.WriteInt(addr+uint64(8*i), 8, v)
-	}
-}
-
-// ReadInt64Slice reads n consecutive big-endian 64-bit integers.
-func (m *Memory) ReadInt64Slice(addr uint64, n int) []int64 {
-	out := make([]int64, n)
-	for i := range out {
-		out[i] = m.ReadInt(addr+uint64(8*i), 8)
-	}
-	return out
-}
-
-// WriteInt32Slice writes vals as consecutive big-endian 32-bit integers.
-func (m *Memory) WriteInt32Slice(addr uint64, vals []int32) {
-	for i, v := range vals {
-		m.WriteInt(addr+uint64(4*i), 4, int64(v))
-	}
-}
-
-// ReadInt32Slice reads n consecutive big-endian 32-bit integers.
-func (m *Memory) ReadInt32Slice(addr uint64, n int) []int32 {
-	out := make([]int32, n)
-	for i := range out {
-		out[i] = int32(m.ReadInt(addr+uint64(4*i), 4))
-	}
-	return out
-}
-
 // StoreBytes writes a byte slice (e.g. an encoded sequence) at addr.
 func (m *Memory) StoreBytes(addr uint64, b []byte) { m.Write(addr, b) }

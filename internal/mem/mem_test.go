@@ -131,26 +131,6 @@ func TestQuickIntRoundTrip(t *testing.T) {
 	}
 }
 
-func TestSliceHelpers(t *testing.T) {
-	m := New()
-	vals64 := []int64{1, -2, 1 << 40, -(1 << 40)}
-	m.WriteInt64Slice(0x1000, vals64)
-	got64 := m.ReadInt64Slice(0x1000, len(vals64))
-	for i := range vals64 {
-		if got64[i] != vals64[i] {
-			t.Errorf("int64[%d] = %d, want %d", i, got64[i], vals64[i])
-		}
-	}
-	vals32 := []int32{0, -1, 1 << 30, -(1 << 30)}
-	m.WriteInt32Slice(0x2000, vals32)
-	got32 := m.ReadInt32Slice(0x2000, len(vals32))
-	for i := range vals32 {
-		if got32[i] != vals32[i] {
-			t.Errorf("int32[%d] = %d, want %d", i, got32[i], vals32[i])
-		}
-	}
-}
-
 func TestWriteRead(t *testing.T) {
 	m := New()
 	data := []byte("ACDEFGHIKLMNPQRSTVWY")
