@@ -46,7 +46,7 @@ commands (flags: bioperf5 <command> [arguments] -h):
                            BTAC sizing x direction predictor x predication
                            variant x application, run on the parallel
                            cache-aware fault-tolerant scheduler or, with
-                           -workers host1,host2, sharded across 'bioperf5
+                           -workers host1,host2, dispatched to 'bioperf5
                            serve' workers into a byte-identical manifest;
                            -resume DIR resumes a killed sweep, -spans DIR and
                            -cpuprofile/-memprofile FILE say where the time

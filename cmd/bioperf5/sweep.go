@@ -93,7 +93,7 @@ func parseSweepFlags(args []string) (*sweepFlags, error) {
 	fs.StringVar(&f.engine.CacheDir, "cache-dir", "", "content-addressed on-disk result cache directory")
 	fs.IntVar(&f.engine.Retries, "retries", 2, "per-cell retry budget for transient failures (with remote workers: the per-dispatch HTTP retry budget)")
 	fs.DurationVar(&f.engine.CellTimeout, "cell-timeout", 0, "per-cell simulation deadline, e.g. 30s (0 = none)")
-	fs.StringVar(&f.resume, "resume", "", "sweep state directory (disk cache + manifest; with remote -workers, the coordinator's journal + manifest); re-running against it resumes only unfinished cells")
+	fs.StringVar(&f.resume, "resume", "", "sweep state directory: a result cache plus manifest.json, the same for a local and a -workers sweep; re-running against it resumes only unfinished cells")
 	fs.BoolVar(&f.grid, "grid", false, "print every grid point, not just the best per application")
 	fs.BoolVar(&f.jsonOut, "json", false, "emit the JSON manifest instead of the summary table")
 	fs.StringVar(&f.spansDir, "spans", "", "record a span per lifecycle stage and write spans.jsonl + trace.json (Perfetto-loadable) under DIR")
@@ -144,23 +144,17 @@ func parseSweepFlags(args []string) (*sweepFlags, error) {
 
 // run evaluates the grid: harness.RunSweep on the local engine, or
 // cluster.Run — the same RunSweep over a fleet — across the remote
-// workers (the coordinator has no cache, so its -resume journal carries
-// full results).
+// workers.  Either way -resume DIR is a result cache: the local engine
+// reads and writes it as its -cache-dir, the coordinator as its
+// StateDir.
 func (f *sweepFlags) run(env *execEnv) (*harness.SweepManifest, error) {
 	if len(f.hosts) == 0 {
 		return harness.RunSweep(f.spec)
 	}
-	opts := cluster.Options{Workers: f.hosts, Spec: f.spec, Retries: f.engine.Retries, Registry: env.reg}
+	opts := cluster.Options{Workers: f.hosts, Spec: f.spec, Retries: f.engine.Retries,
+		StateDir: f.resume, Registry: env.reg}
 	if env.chaos != nil {
 		opts.HTTP = &http.Client{Transport: env.chaos}
-	}
-	if f.resume != "" {
-		j, err := cluster.OpenJournal(filepath.Join(f.resume, "journal.jsonl"))
-		if err != nil {
-			return nil, fmt.Errorf("-resume: %w", err)
-		}
-		defer j.Close()
-		opts.Journal = j
 	}
 	return cluster.Run(opts)
 }
@@ -228,15 +222,15 @@ func printSchedulerSummary(st sched.Stats) {
 
 // printClusterSummary renders the distributed fabric's closing lines:
 // how the fleet behaved, and what fraction of cells were served
-// without fresh simulation (worker trace/cache hits plus cells
-// replayed from the coordinator journal).
+// without fresh simulation (worker trace/cache hits plus cells answered
+// from the -resume state directory).
 func printClusterSummary(cs *harness.ClusterStats) {
-	fmt.Printf("cluster: %d cells on %d workers — %d completed, %d failed, %d resumed from journal\n",
+	fmt.Printf("cluster: %d cells on %d workers — %d completed, %d failed, %d resumed from the state directory\n",
 		cs.Cells, cs.Workers, cs.Completed, cs.FailedCells, cs.Resumed)
 	fmt.Printf("cluster: %d dispatches in %d batches (%d re-dispatched, %d duplicate results dropped, %d HTTP retries)\n",
 		cs.Dispatched, cs.Batches, cs.Redispatched, cs.Duplicates, cs.Retries)
 	if cs.Cells > 0 {
-		fmt.Printf("cluster: cache hit rate %.0f%% (%d trace/cache-served + %d journal-resumed of %d cells)\n",
+		fmt.Printf("cluster: cache hit rate %.0f%% (%d trace/cache-served + %d resumed of %d cells)\n",
 			100*float64(cs.CacheHits+cs.Resumed)/float64(cs.Cells),
 			cs.CacheHits, cs.Resumed, cs.Cells)
 	}

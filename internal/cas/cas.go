@@ -14,8 +14,8 @@
 // counted, removed and recomputed; a corrupt upstream blob is counted
 // as an error and is a miss.  In front of both tiers each owner keeps a
 // Memo (single flight, then a byte-budget LRU); the typed codecs stay
-// with their owners.  DESIGN "Storage: verified blobs and journals" has
-// the layout and the wire protocol.
+// with their owners.  DESIGN §16 "Storage" has the layout and the wire
+// protocol.
 package cas
 
 import (

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"bioperf5/internal/cas"
 	"bioperf5/internal/harness"
 	"bioperf5/internal/sched"
 	"bioperf5/internal/server"
@@ -334,33 +335,21 @@ func TestCoordinatorResume(t *testing.T) {
 		t.Skip("short mode")
 	}
 	dir := t.TempDir()
-	jpath := filepath.Join(dir, "journal.jsonl")
-	j, err := OpenJournal(jpath)
-	if err != nil {
-		t.Fatal(err)
-	}
 	w := newWorker(t)
-	first, err := Run(Options{Workers: []string{w.URL}, Spec: testSpec(nil), Journal: j})
+	first, err := Run(Options{Workers: []string{w.URL}, Spec: testSpec(nil), StateDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	j.Close()
 	if first.Cluster.Completed == 0 {
 		t.Fatal("first run completed nothing")
 	}
-
-	// Second run: same journal, but a worker that can only handshake —
-	// every batch would abort.  If resume works, none is sent.
-	j2, err := OpenJournal(jpath)
-	if err != nil {
-		t.Fatal(err)
+	if _, err := os.Stat(filepath.Join(dir, "journal.jsonl")); !os.IsNotExist(err) {
+		t.Errorf("a coordinator wrote a journal into its state directory (stat: %v)", err)
 	}
-	defer j2.Close()
-	eng := sched.New(sched.Options{Workers: 1})
-	t.Cleanup(eng.Close)
-	broken := httptest.NewServer(&killingHandler{h: server.New(server.Options{Engine: eng})})
-	t.Cleanup(broken.Close)
-	second, err := Run(Options{Workers: []string{broken.URL}, Spec: testSpec(nil), Journal: j2, Retries: -1})
+
+	// Second run: same state directory, but a worker that can only
+	// handshake — every batch would abort.  If resume works, none is sent.
+	second, err := Run(Options{Workers: []string{brokenWorker(t).URL}, Spec: testSpec(nil), StateDir: dir, Retries: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -369,8 +358,36 @@ func TestCoordinatorResume(t *testing.T) {
 	}
 	cs := second.Cluster
 	if cs.Resumed != cs.Cells || cs.Batches != 0 || cs.Dispatched != 0 {
-		t.Errorf("resume should serve every cell from the journal: %+v", cs)
+		t.Errorf("resume should serve every cell from the state directory: %+v", cs)
 	}
+}
+
+// brokenWorker is a worker that passes the handshake and aborts every
+// batch: a run against it dispatches nothing that can succeed.
+func brokenWorker(t *testing.T) *httptest.Server {
+	t.Helper()
+	eng := sched.New(sched.Options{Workers: 1})
+	t.Cleanup(eng.Close)
+	ts := httptest.NewServer(&killingHandler{h: server.New(server.Options{Engine: eng})})
+	t.Cleanup(ts.Close)
+	return ts
+}
+
+// stateDirWith copies the recorded parent journal, as transform leaves
+// it, into a fresh state directory and returns the directory and the
+// bytes it wrote.
+func stateDirWith(t *testing.T, transform func([]byte) []byte) (string, []byte) {
+	t.Helper()
+	recorded, err := os.ReadFile("testdata/parent_journal.jsonl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	b := transform(recorded)
+	if err := os.WriteFile(filepath.Join(dir, "journal.jsonl"), b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return dir, b
 }
 
 // TestCoordinatorResumesParentJournal: testdata/parent_journal.jsonl is
@@ -379,30 +396,14 @@ func TestCoordinatorResume(t *testing.T) {
 // canonManifest.  The format is the disk contract of -resume: every cell
 // must come back from the file, none may be dispatched, and the manifest
 // must match the recording run's byte for byte.  (A model change moves
-// the cell keys; re-record both files with the coordinator at hand.)
+// the cell keys; re-record both files with a parent coordinator.)
 func TestCoordinatorResumesParentJournal(t *testing.T) {
-	recorded, err := os.ReadFile("testdata/parent_journal.jsonl")
-	if err != nil {
-		t.Fatal(err)
-	}
 	want, err := os.ReadFile("testdata/parent_manifest.json")
 	if err != nil {
 		t.Fatal(err)
 	}
-	jpath := filepath.Join(t.TempDir(), "journal.jsonl") // a copy: opening a journal may repair it
-	if err := os.WriteFile(jpath, recorded, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	j, err := OpenJournal(jpath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j.Close()
-	eng := sched.New(sched.Options{Workers: 1})
-	t.Cleanup(eng.Close)
-	broken := httptest.NewServer(&killingHandler{h: server.New(server.Options{Engine: eng})})
-	t.Cleanup(broken.Close)
-	m, err := Run(Options{Workers: []string{broken.URL}, Spec: testSpec(nil), Journal: j, Retries: -1})
+	dir, _ := stateDirWith(t, func(b []byte) []byte { return b })
+	m, err := Run(Options{Workers: []string{brokenWorker(t).URL}, Spec: testSpec(nil), StateDir: dir, Retries: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -411,6 +412,121 @@ func TestCoordinatorResumesParentJournal(t *testing.T) {
 	}
 	if got := canonManifest(t, m); got != string(want) {
 		t.Errorf("manifest resumed from the parent's journal differs from the recording run's:\n%s", got)
+	}
+}
+
+// TestCoordinatorDispatchesWhatAParentJournalCannotAnswer: a failed
+// record and a torn last line answer nothing, so exactly those two
+// cells are dispatched, the other six resume, the manifest is the
+// recording run's, and the parent's file is left byte for byte as it
+// was.
+func TestCoordinatorDispatchesWhatAParentJournalCannotAnswer(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	want, err := os.ReadFile("testdata/parent_manifest.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir, wrote := stateDirWith(t, func(b []byte) []byte {
+		lines := strings.SplitAfter(string(b), "\n")
+		lines[2] = strings.Replace(lines[2], `"status":"ok"`, `"status":"failed"`, 1)
+		last := len(lines) - 2 // the final element is the empty string after the last '\n'
+		lines[last] = lines[last][:len(lines[last])/2]
+		return []byte(strings.Join(lines[:last+1], ""))
+	})
+	m, err := Run(Options{Workers: []string{newWorker(t).URL}, Spec: testSpec(nil), StateDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cs := m.Cluster; cs.Resumed != cs.Cells-2 || cs.Completed != 2 || cs.Dispatched != 2 {
+		t.Errorf("want the failed and the torn cell dispatched, the rest resumed: %+v", cs)
+	}
+	if got := canonManifest(t, m); got != string(want) {
+		t.Errorf("manifest differs from the recording run's:\n%s", got)
+	}
+	if got, err := os.ReadFile(filepath.Join(dir, "journal.jsonl")); err != nil || !bytes.Equal(got, wrote) {
+		t.Errorf("the parent's journal changed (err %v)", err)
+	}
+}
+
+// TestFleetAndLocalStateDirsAreOneFormat: a local sweep's cache
+// directory resumes a fleet, and a fleet's state directory resumes a
+// local sweep, each without computing anything.
+func TestFleetAndLocalStateDirsAreOneFormat(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	local := t.TempDir()
+	eng := sched.New(sched.Options{Workers: 2, CacheDir: local})
+	ref, err := harness.RunSweep(testSpec(eng))
+	eng.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := Run(Options{Workers: []string{brokenWorker(t).URL}, Spec: testSpec(nil), StateDir: local, Retries: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cs := m.Cluster; cs.Resumed != cs.Cells || cs.Batches != 0 {
+		t.Errorf("a local cache directory should answer every fleet cell: %+v", cs)
+	}
+	if got, want := canonManifest(t, m), canonManifest(t, ref); got != want {
+		t.Errorf("fleet resumed from a local directory differs:\n%s", got)
+	}
+
+	fleet := t.TempDir()
+	if _, err := Run(Options{Workers: []string{newWorker(t).URL}, Spec: testSpec(nil), StateDir: fleet}); err != nil {
+		t.Fatal(err)
+	}
+	eng = sched.New(sched.Options{Workers: 2, CacheDir: fleet})
+	defer eng.Close()
+	lm, err := harness.RunSweep(testSpec(eng))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lm.Scheduler.Computed != 0 {
+		t.Errorf("a local sweep on a fleet's state directory computed %d jobs, want 0 (%+v)",
+			lm.Scheduler.Computed, lm.Scheduler)
+	}
+	if got, want := canonManifest(t, lm), canonManifest(t, ref); got != want {
+		t.Errorf("local sweep resumed from a fleet directory differs:\n%s", got)
+	}
+}
+
+// TestCoordinatorRedispatchesATornEntry: one seed entry cut in half
+// makes its whole cell a miss — the wire unit is a cell — so exactly
+// that cell is dispatched, and afterwards its entry verifies again.
+func TestCoordinatorRedispatchesATornEntry(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	dir := t.TempDir()
+	first, err := Run(Options{Workers: []string{newWorker(t).URL}, Spec: testSpec(nil), StateDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := harness.PlanSweep(testSpec(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	j := plan.Points[3].Jobs()[1]
+	entries := cas.NewDir(sched.EntryKind, dir, new(telemetry.Counter), new(telemetry.Counter))
+	if err := entries.Tear(j.Hash()); err != nil {
+		t.Fatal(err)
+	}
+	m, err := Run(Options{Workers: []string{newWorker(t).URL}, Spec: testSpec(nil), StateDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cs := m.Cluster; cs.Resumed != cs.Cells-1 || cs.Dispatched != 1 || cs.Completed != 1 {
+		t.Errorf("want exactly the torn cell dispatched: %+v", cs)
+	}
+	if got, want := canonManifest(t, m), canonManifest(t, first); got != want {
+		t.Errorf("manifest after re-dispatch differs:\n%s", got)
+	}
+	if _, ok := sched.LoadResult(entries, j.Hash(), j.Key()); !ok {
+		t.Error("the re-dispatched cell's entry does not verify")
 	}
 }
 
@@ -503,48 +619,5 @@ func TestClientHonorsRetryAfterOn429(t *testing.T) {
 	}
 	if len(items) != 1 || items[0].Error != "stub" {
 		t.Errorf("items = %+v", items)
-	}
-}
-
-func TestJournalTornTail(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "journal.jsonl")
-	j, err := OpenJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := Record{Key: "k1", Status: harness.StatusOK}
-	if err := j.Append(rec); err != nil {
-		t.Fatal(err)
-	}
-	j.Close()
-	// Tear the tail: a half-written record from a crash.
-	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.WriteString(`{"key":"k2","sta`)
-	f.Close()
-	j2, err := OpenJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j2.Close()
-	if _, ok := j2.Lookup("k1"); !ok {
-		t.Error("intact record lost")
-	}
-	if _, ok := j2.Lookup("k2"); ok {
-		t.Error("torn record trusted")
-	}
-	if err := j2.Append(Record{Key: "k3", Status: harness.StatusOK}); err != nil {
-		t.Fatal(err)
-	}
-	j3, err := OpenJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j3.Close()
-	if j3.Len() != 2 {
-		t.Errorf("Len = %d, want k1 + k3", j3.Len())
 	}
 }

@@ -24,19 +24,29 @@
 //     are simply not in flight any more, and when no workers remain the
 //     still-undone cells degrade to per-cell failed status instead of
 //     aborting the sweep;
-//   - a journal that carries full results, so -resume dispatches only
-//     what is missing.
+//   - a state directory that is a result cache like a local one: the
+//     coordinator files each completed cell as per-seed result entries
+//     and answers a cell whose entries are all there, so -resume
+//     dispatches only what is missing.
 package cluster
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"net/http"
+	"os"
+	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"time"
 
+	"bioperf5/internal/cas"
+	"bioperf5/internal/core"
+	"bioperf5/internal/cpu"
 	"bioperf5/internal/harness"
+	"bioperf5/internal/journal"
 	"bioperf5/internal/sched"
 	"bioperf5/internal/server"
 	"bioperf5/internal/telemetry"
@@ -52,9 +62,12 @@ type Options struct {
 	Spec harness.SweepSpec
 	// Retries is the per-dispatch HTTP retry budget; see Client.
 	Retries int
-	// Journal, when non-nil, records completed cells for -resume and
-	// answers already-completed ones without dispatching them.
-	Journal *Journal
+	// StateDir, when set, is the sweep's state directory: a result
+	// cache in the local engine's format.  Completed cells are filed
+	// there per seed, and a cell whose entries are all there is
+	// answered without dispatching it.  A parent's journal.jsonl in it
+	// answers cells too; it is read, never written.
+	StateDir string
 	// Registry, when non-nil, receives the cluster.* counters.
 	Registry *telemetry.Registry
 	// HTTP overrides the transport shared by every worker client.
@@ -97,6 +110,7 @@ type unit struct {
 	dispatches int                // total dispatch attempts, bounds hedging
 	res        harness.CellResult // final once ready is closed
 	ready      chan struct{}
+	jobs       []sched.Job // the cell's per-seed jobs; only with a state directory
 }
 
 // workerState is the coordinator's view of one worker.
@@ -135,6 +149,9 @@ type coordinator struct {
 	live    int
 	stats   harness.ClusterStats
 
+	dir    *cas.Dir                       // result entries under StateDir; nil without one
+	parent map[string]harness.KernelStats // a parent coordinator's journal, by cell key
+
 	// breaker telemetry without a manifest field, published at the end
 	brReclosed, brProbes, brProbeFails uint64
 }
@@ -157,7 +174,9 @@ func Run(o Options) (*harness.SweepManifest, error) {
 	runCtx, cancelRun := context.WithCancel(ctx)
 	defer cancelRun()
 
-	c := &coordinator{o: o, ctx: ctx, units: make(map[string]*unit)}
+	c := &coordinator{o: o, ctx: ctx, units: make(map[string]*unit),
+		dir:    cas.NewDir(sched.EntryKind, o.StateDir, new(telemetry.Counter), new(telemetry.Counter)),
+		parent: parentJournal(o.StateDir)}
 	c.cond = sync.NewCond(&c.mu)
 
 	c.buildWorkers(runCtx)
@@ -257,7 +276,7 @@ func (c *coordinator) handshake(ctx context.Context) error {
 // submit is the fleet behind harness.Config.Submit.  Cells are
 // deduplicated by content key — the first bearer of a shared key keeps
 // the cell's cost and later ones report zero, matching local
-// coalescing's exactly-once attribution — a cell the resume journal
+// coalescing's exactly-once attribution — a cell the state directory
 // holds is answered from it, and the rest join the queue.
 func (c *coordinator) submit(ctx context.Context, pc harness.PlanCell) func() harness.CellResult {
 	c.mu.Lock()
@@ -273,20 +292,81 @@ func (c *coordinator) submit(ctx context.Context, pc harness.PlanCell) func() ha
 	u := &unit{key: pc.Key, req: server.CellRequest(pc.Cell), ready: make(chan struct{})}
 	c.units[pc.Key] = u
 	c.stats.Cells++
-	rec, resumed := Record{}, false
-	if c.o.Journal != nil {
-		rec, resumed = c.o.Journal.Lookup(pc.Key)
+	var det *core.Detail
+	if c.dir != nil {
+		u.jobs = pc.Jobs()
+		det = c.resumed(u)
 	}
 	switch {
-	case resumed:
+	case det != nil:
 		c.stats.Resumed++
-		c.resolve(u, harness.CellResult{Detail: rec.Stats.Detail(), Status: harness.StatusOK})
+		c.resolve(u, harness.CellResult{Detail: det, Status: harness.StatusOK})
 	case c.lost != "":
 		c.fail(u, harness.StatusFailed, c.lost)
 	default:
 		c.queue = append(c.queue, u)
 	}
 	return func() harness.CellResult { return c.wait(u) }
+}
+
+// resumed answers u from the state directory, or returns nil.  Its
+// result entries answer it when every seed has a verified one: the
+// detail is summed in seed order, as a local cell's is.  A partial hit
+// is a miss, because the wire unit is the whole cell; then a parent
+// journal's record of the cell answers it, if there is one.
+func (c *coordinator) resumed(u *unit) *core.Detail {
+	det := &core.Detail{}
+	for _, j := range u.jobs {
+		rep, ok := sched.LoadResult(c.dir, j.Hash(), j.Key())
+		if !ok {
+			if ks, ok := c.parent[u.key]; ok {
+				return ks.Detail()
+			}
+			return nil
+		}
+		det.Seeds = append(det.Seeds, core.SeedReport{Seed: j.Seed, Counters: rep.Counters, Stalls: rep.Stalls})
+		det.Aggregate = det.Aggregate.Add(rep)
+	}
+	return det
+}
+
+// file writes a completed cell to the state directory as one result
+// entry per seed.  A result whose seeds are not the cell's, in order,
+// is not filed.  A failed write is not a cell failure: the result is
+// sound, and the next resume only dispatches the cell again.
+func (c *coordinator) file(u *unit, ks harness.KernelStats) {
+	if !slices.EqualFunc(ks.Seeds, u.jobs, func(s harness.SeedStats, j sched.Job) bool { return s.Seed == j.Seed }) {
+		return
+	}
+	for i, j := range u.jobs {
+		sched.StoreResult(c.dir, j.Hash(), j.Key(),
+			cpu.Report{Counters: ks.Seeds[i].Counters, Stalls: ks.Seeds[i].Stalls})
+	}
+}
+
+// parentJournal reads the journal.jsonl a parent coordinator left in
+// dir, without writing it: each ok record that carries stats answers
+// its cell key.  Damaged lines and records without stats (a parent
+// local engine's {"hash",…} lines) answer nothing, and a missing or
+// unreadable file is an empty journal.
+func parentJournal(dir string) map[string]harness.KernelStats {
+	if dir == "" {
+		return nil
+	}
+	b, _ := os.ReadFile(filepath.Join(dir, "journal.jsonl"))
+	done := make(map[string]harness.KernelStats)
+	for _, line := range journal.Scan(b).Good {
+		var rec struct {
+			Key    string               `json:"key"`
+			Status string               `json:"status"`
+			Stats  *harness.KernelStats `json:"stats"`
+		}
+		if json.Unmarshal(line, &rec) == nil && rec.Key != "" &&
+			rec.Status == harness.StatusOK && rec.Stats != nil {
+			done[rec.Key] = *rec.Stats
+		}
+	}
+	return done
 }
 
 // wait blocks for u's answer.  The first wait opens the queue: RunSweep
@@ -496,21 +576,29 @@ func (c *coordinator) dispatch(w *workerState, batch []*unit) error {
 	})
 }
 
-// record folds one streamed result in, first-result-wins.  The batch
-// slot is cleared so a subsequent requeue (the stream died later) only
-// releases cells whose answer never arrived.
+// record folds one streamed result in, first-result-wins, and files a
+// completed cell in the state directory outside the lock.
 func (c *coordinator) record(batch []*unit, item server.BatchItem) {
+	if u := c.fold(batch, item); u != nil && c.dir != nil {
+		c.file(u, item.Result.Stats)
+	}
+}
+
+// fold resolves the unit item answers and returns it when it completed.
+// The batch slot is cleared so a subsequent requeue (the stream died
+// later) only releases cells whose answer never arrived.
+func (c *coordinator) fold(batch []*unit, item server.BatchItem) *unit {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if item.Index < 0 || item.Index >= len(batch) || batch[item.Index] == nil {
-		return
+		return nil
 	}
 	u := batch[item.Index]
 	batch[item.Index] = nil
 	u.inflight--
 	if u.done {
 		c.stats.Duplicates++
-		return
+		return nil
 	}
 	switch {
 	case item.Status == "ok" && item.Result != nil && item.Result.Key != u.key:
@@ -523,17 +611,12 @@ func (c *coordinator) record(batch []*unit, item server.BatchItem) {
 			c.stats.CacheHits++
 		}
 		c.stats.Completed++
-		if c.o.Journal != nil {
-			c.o.Journal.Append(Record{
-				Key: u.key, Status: harness.StatusOK,
-				TraceHit: item.Result.TraceHit, Stats: item.Result.Stats,
-			})
-		}
 		c.resolve(u, harness.CellResult{
 			Detail: item.Result.Stats.Detail(),
 			Cost:   item.Result.Cost,
 			Status: harness.StatusOK,
 		})
+		return u
 	default:
 		st := harness.StatusFailed
 		if strings.Contains(item.Error, sched.ErrCellTimeout.Error()) {
@@ -541,6 +624,7 @@ func (c *coordinator) record(batch []*unit, item server.BatchItem) {
 		}
 		c.fail(u, st, item.Error)
 	}
+	return nil
 }
 
 // requeue takes a failed dispatch's unanswered cells out of flight;

@@ -1,6 +1,7 @@
 // Package fsck scrubs bioperf5's durable state — result caches, trace
-// stores, and completion journals — for the damage the fault injector
-// (or a real crash, torn write, or bit flip) can leave behind.
+// stores, and the completion journals earlier binaries left — for the
+// damage the fault injector (or a real crash, torn write, or bit flip)
+// can leave behind.
 //
 // The scrubber never deletes anything.  A file that fails verification
 // is moved into a `quarantine/` sidecar directory under the scanned
@@ -200,12 +201,12 @@ func (s *scrubber) condemn(path, kind, detail string) error {
 	return nil
 }
 
-// scrubJournal validates an append-only JSONL log with the scanner the
-// journal itself replays with.  Valid lines are kept; a torn tail and
-// complete-but-corrupt lines are dropped.  When anything is dropped,
-// the original bytes are preserved in quarantine and the cleaned log is
-// written back atomically, so a concurrent crash can never make things
-// worse.
+// scrubJournal validates an append-only JSONL log with the scanner a
+// coordinator reads a parent's journal with.  Valid lines are kept; a
+// torn tail and complete-but-corrupt lines are dropped.  When anything
+// is dropped, the original bytes are preserved in quarantine and the
+// cleaned log is written back atomically, so a concurrent crash can
+// never make things worse.
 func (s *scrubber) scrubJournal(path string) error {
 	b, err := os.ReadFile(path)
 	if err != nil {

@@ -145,23 +145,27 @@ func (c Cell) Key() string {
 	return Config{Scale: c.Scale, Seeds: c.Seeds}.cellKey(c.App, c.Setup())
 }
 
-// job composes the scheduler job of one seed of a cell: the only place
-// a sched.Job is built, so what PlanSweep keys is what submitCell
-// submits.  Trace policy is execution strategy, not identity; Job.Hash
-// leaves it out.
-func (c Config) job(app string, s core.Setup, seed int64) sched.Job {
-	return sched.Job{
-		App: app, Variant: s.Variant, CPU: s.CPU,
-		Seed: seed, Scale: c.Scale, Trace: c.Trace,
+// jobs composes the scheduler jobs of a cell, one per seed in seed
+// order: the only place a sched.Job is built, so what PlanSweep keys is
+// what submitCell submits and what a state directory files.  Trace
+// policy is execution strategy, not identity; Job.Hash leaves it out.
+func (c Config) jobs(app string, s core.Setup) []sched.Job {
+	js := make([]sched.Job, len(c.Seeds))
+	for i, seed := range c.Seeds {
+		js[i] = sched.Job{
+			App: app, Variant: s.Variant, CPU: s.CPU,
+			Seed: seed, Scale: c.Scale, Trace: c.Trace,
+		}
 	}
+	return js
 }
 
 // cellKey derives the content hash of a whole cell from its per-seed
 // job hashes.
 func (c Config) cellKey(app string, s core.Setup) string {
 	h := sha256.New()
-	for _, seed := range c.Seeds {
-		io.WriteString(h, c.job(app, s, seed).Hash())
+	for _, j := range c.jobs(app, s) {
+		io.WriteString(h, j.Hash())
 		io.WriteString(h, "\n")
 	}
 	return hex.EncodeToString(h.Sum(nil))

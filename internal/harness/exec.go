@@ -57,8 +57,8 @@ func (c Config) submitCell(app string, s core.Setup) *pending {
 		ctx = context.Background()
 	}
 	cl := &pending{seeds: c.Seeds}
-	for _, seed := range c.Seeds {
-		f, hit := eng.SubmitTracked(ctx, c.job(app, s, seed))
+	for _, j := range c.jobs(app, s) {
+		f, hit := eng.SubmitTracked(ctx, j)
 		cl.futs = append(cl.futs, f)
 		cl.shared = append(cl.shared, hit)
 		if hit {

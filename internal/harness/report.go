@@ -90,9 +90,9 @@ func packKernelStats(k *kernels.Kernel, s core.Setup, det *core.Detail) KernelSt
 
 // Detail is the inverse of packKernelStats: the engine-side per-seed
 // detail behind wire stats — how the coordinator folds a worker's
-// answer (or a journal record) back into the plan.  Rates are derived
-// and recomputed by the manifest assembly, so only counters and stall
-// stacks need to survive the round trip.
+// answer (or a parent journal's record) back into the plan.  Rates are
+// derived and recomputed by the manifest assembly, so only counters and
+// stall stacks need to survive the round trip.
 func (ks KernelStats) Detail() *core.Detail {
 	det := &core.Detail{
 		Aggregate: cpu.Report{Counters: ks.Aggregate.Counters, Stalls: ks.Aggregate.Stalls},

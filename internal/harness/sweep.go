@@ -193,7 +193,7 @@ type ClusterStats struct {
 	Stolen       uint64 `json:"stolen"`              // always 0: the fleet shares one queue; kept for the schema
 	Redispatched uint64 `json:"redispatched"`        // straggler cells re-sent to a second worker
 	Duplicates   uint64 `json:"duplicates"`          // late results dropped by first-result-wins
-	Resumed      uint64 `json:"resumed"`             // cells served by the coordinator journal
+	Resumed      uint64 `json:"resumed"`             // cells answered from the -resume state directory
 	CacheHits    uint64 `json:"cache_hits"`          // cells served without a fresh functional capture
 	Batches      uint64 `json:"batches"`             // batch requests issued
 	Retries      uint64 `json:"http_retries"`        // HTTP dispatches repeated after 429/503/transport errors
@@ -260,6 +260,13 @@ type PlanCell struct {
 	Cell
 	Setup core.Setup
 	Key   string // content hash over the cell's per-seed job hashes
+}
+
+// Jobs returns the cell's per-seed scheduler jobs in seed order: the
+// jobs Key hashes, a local engine runs and a state directory files
+// result entries under.
+func (pc PlanCell) Jobs() []sched.Job {
+	return Config{Scale: pc.Scale, Seeds: pc.Seeds, Trace: pc.Trace}.jobs(pc.App, pc.Setup)
 }
 
 // SweepPlan is the deterministic expansion of a SweepSpec: the

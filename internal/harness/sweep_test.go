@@ -392,12 +392,12 @@ func TestPaperFailsAtTheExperimentWhoseCellFailed(t *testing.T) {
 		t.Skip("short mode")
 	}
 	cfg := Config{Scale: 1, Seeds: []int64{1}}
-	doomed := cfg.job("Hmmer", core.Baseline().WithFXUs(3), 1).Hash()
+	doomed := cfg.jobs("Hmmer", core.Baseline().WithFXUs(3))[0].Hash()
 	allow := map[string]bool{}
 	for _, e := range Registry() {
 		for _, k := range kernels.All() {
 			for _, s := range e.Setups {
-				if h := cfg.job(k.App, s, 1).Hash(); h != doomed {
+				if h := cfg.jobs(k.App, s)[0].Hash(); h != doomed {
 					allow[h] = true
 				}
 			}

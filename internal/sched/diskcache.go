@@ -96,3 +96,23 @@ func decodeInto(rep *cpu.Report, hash string, want Key) func([]byte) error {
 		return nil
 	}
 }
+
+// LoadResult returns the result d files for the job with content hash
+// hash and canonical key, when d holds a verified entry for it.  A
+// corrupt entry is counted, removed and a miss, as cas.Dir.Load says.
+func LoadResult(d *cas.Dir, hash string, key Key) (cpu.Report, bool) {
+	var rep cpu.Report
+	ok := d.Load(hash, decodeInto(&rep, hash, key))
+	return rep, ok
+}
+
+// StoreResult files rep in d as the result entry of (hash, key) and
+// returns the entry's bytes, which are also what an upstream hub is
+// sent.  Without a directory the bytes come back with cas.ErrNoDir.
+func StoreResult(d *cas.Dir, hash string, key Key, rep cpu.Report) ([]byte, error) {
+	b, err := encodeEntry(key, rep)
+	if err != nil {
+		return nil, err
+	}
+	return b, d.Write(hash, b)
+}

@@ -438,12 +438,9 @@ func (e *Engine) execute(ctx context.Context, t *task) (JobResult, error) {
 	if e.disk != nil || e.remote != nil {
 		probeStart := time.Now()
 		_, sp := telemetry.StartSpan(ctx, telemetry.StageCacheRead)
-		var (
-			cached cpu.Report
-			raw    []byte
-		)
-		decode := decodeInto(&cached, t.hash, t.job.Key())
-		ok := e.disk.Load(t.hash, decode)
+		var raw []byte
+		key := t.job.Key()
+		cached, ok := LoadResult(e.disk, t.hash, key)
 		if ok {
 			e.mDiskHits.Add(1)
 		} else {
@@ -451,6 +448,7 @@ func (e *Engine) execute(ctx context.Context, t *task) (JobResult, error) {
 			// ask the shared remote tier before simulating.  The
 			// submission context bounds the round trip so a cancelled
 			// sweep never hangs on an upstream.
+			decode := decodeInto(&cached, t.hash, key)
 			ok = e.remote.Get(t.ctx, t.hash, func(b []byte) error { raw = b; return decode(b) })
 		}
 		sp.AttrBool("hit", ok)
@@ -585,16 +583,15 @@ func (e *Engine) persist(ctx context.Context, t *task, rep cpu.Report, attempt i
 	start := time.Now()
 	_, sp := telemetry.StartSpan(ctx, telemetry.StageCacheWr)
 	defer sp.End()
-	b, err := encodeEntry(t.job.Key(), rep)
-	if err != nil {
-		return time.Since(start).Nanoseconds()
+	// A failed write is not a job failure: the result is sound, only
+	// the cross-process cache misses next time.
+	b, err := StoreResult(e.disk, t.hash, t.job.Key(), rep)
+	if b != nil {
+		// Share the fresh result with the fleet, best-effort: a failed
+		// push only costs the peers a recompute.
+		e.remote.Put(t.ctx, t.hash, b)
 	}
-	// Share the fresh result with the fleet, best-effort: a failed
-	// push only costs the peers a recompute.
-	e.remote.Put(t.ctx, t.hash, b)
-	// A failed write is not a job failure either: the result is sound,
-	// only the cross-process cache misses next time.
-	if e.disk.Write(t.hash, b) == nil {
+	if err == nil {
 		if inj := e.opts.Injector; inj != nil {
 			if d := inj.Decide(fault.SiteStore, t.hash, attempt); d.Kind == fault.Corrupt {
 				e.mInjected.Add(1)

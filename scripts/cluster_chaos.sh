@@ -118,8 +118,8 @@ import os, sys
 for path in sys.argv[1:3]:  # tear both files in half, as a torn write would
     os.truncate(path, os.path.getsize(path) // 2)
 PY
-# A local sweep keeps no journal; this torn one stands for a journal.jsonl
-# that a parent binary or the coordinator left in a state directory.
+# Neither a local sweep nor a coordinator keeps a journal; this torn one
+# stands for a journal.jsonl that a parent binary left in a state directory.
 printf '{"hash":"torn-mid-wri' >> "$state/journal.jsonl"
 : > "$state/$(printf 'a%.0s' $(seq 1 64) | tr a f).tmp42"  # stale temp file
 

@@ -7,8 +7,11 @@
 # byte-identical to a single-node run despite the death and every cell
 # completed, whatever the timing; a second distributed run against
 # two FRESH workers (empty local caches, same hub) is served almost
-# entirely by the shared cache tier; and the hub's /metrics shows the
-# server.cache.* traffic that service implies.
+# entirely by the shared cache tier; the hub's /metrics shows the
+# server.cache.* traffic that service implies; and a coordinator
+# SIGKILLed once its -resume directory holds its first result entries
+# resumes from them to the same manifest, leaving a directory fsck
+# reports clean and no journal.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -28,6 +31,8 @@ w1_port=18091
 w2_port=18092
 w3_port=18093
 w4_port=18094
+w5_port=18095
+w6_port=18096
 hub="http://127.0.0.1:$hub_port"
 
 sweep_args=(sweep -apps Clustalw,Fasta -fxus 2,3,4 -btac off,8
@@ -176,4 +181,61 @@ assert hits > 0, f"hub served no cache entries: {vals}"
 print(f"   hub: {puts:.0f} entries uploaded, {hits:.0f} served back")
 PY
 
-echo "PASS: distributed sweep byte-identical under worker death; warm fleet served by the shared cache"
+# entries counts the result entries (<64-hex>.json) in a state
+# directory; one appears at its final name only once it is complete.
+entries() {
+  find "$1" -maxdepth 1 -regextype posix-extended -regex '.*/[0-9a-f]{64}\.json' 2>/dev/null | wc -l
+}
+
+echo "== fleet resume: SIGKILL the coordinator on its first result entries"
+# Fresh workers with no upstream simulate every cell, so the first
+# entries land while most cells are still out.
+start_worker "$w5_port" "$work/w5-cache"
+start_worker "$w6_port" "$work/w6-cache"
+wait_ready "$w5_port" "$w6_port"
+fleet=(-workers "http://127.0.0.1:$w5_port,http://127.0.0.1:$w6_port")
+state="$work/fleet-state"
+"$work/bioperf5" "${sweep_args[@]}" "${fleet[@]}" -resume "$state" -json \
+  > /dev/null 2> "$work/r1.stderr" &
+coord=$!
+for _ in $(seq 1 3000); do
+  if [ "$(entries "$state")" -gt 0 ] || ! kill -0 "$coord" 2>/dev/null; then break; fi
+  sleep 0.01
+done
+kill -9 "$coord" 2>/dev/null || true
+wait "$coord" 2>/dev/null || true
+echo "   state directory holds $(entries "$state") result entries at the point of death"
+if [ "$(entries "$state")" -eq 0 ]; then
+  echo "FAIL: the coordinator filed no result entry before it died" >&2
+  cat "$work/r1.stderr" >&2
+  exit 1
+fi
+"$work/bioperf5" "${sweep_args[@]}" "${fleet[@]}" -resume "$state" -json > "$work/r2.json"
+canon "$work/r2.json" > "$work/r2.canon"
+if ! diff -u "$work/ref.canon" "$work/r2.canon"; then
+  echo "FAIL: resumed fleet manifest differs from single-node reference" >&2
+  exit 1
+fi
+python3 - "$work/r2.json" <<'PY'
+import json, sys
+c = json.load(open(sys.argv[1]))["cluster"]
+assert c["resumed"] >= 1, f"the resume answered no cell from the state directory: {c}"
+assert c["failed_cells"] == 0 and c["resumed"] + c["completed"] == c["cells"], c
+print(f"   resumed {c['resumed']} of {c['cells']} cells, dispatched the other {c['completed']}")
+PY
+if [ -e "$state/journal.jsonl" ]; then
+  echo "FAIL: the coordinator wrote a journal into its state directory" >&2
+  exit 1
+fi
+
+echo "== fsck: an uninterrupted fleet state directory is clean"
+"$work/bioperf5" "${sweep_args[@]}" "${fleet[@]}" -resume "$work/fleet-clean" -json > /dev/null
+"$work/bioperf5" fsck "$work/fleet-clean" > "$work/fsck.json"
+python3 - "$work/fsck.json" <<'PY'
+import json, sys
+rep = json.load(open(sys.argv[1]))
+assert rep["damaged"] == 0 and rep["scanned"] > 0, rep
+print(f"   fsck: {rep['scanned']} files, none damaged")
+PY
+
+echo "PASS: distributed sweep byte-identical under worker death; warm fleet served by the shared cache; a killed coordinator resumes from its state directory"
