@@ -6,9 +6,12 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
 	"math/rand"
+	"os"
 
+	"bioperf5/internal/cache"
 	"bioperf5/internal/cpu"
 	"bioperf5/internal/isa"
 	"bioperf5/internal/machine"
@@ -46,7 +49,7 @@ func buildProgram(useMax bool) *isa.Program {
 	return p
 }
 
-func run(name string, prog *isa.Program, cfg cpu.Config) {
+func run(w io.Writer, name string, prog *isa.Program, cfg cpu.Config) {
 	const n = 20000
 	m := mem.New()
 	rng := rand.New(rand.NewSource(5))
@@ -64,16 +67,38 @@ func run(name string, prog *isa.Program, cfg cpu.Config) {
 	mach.SetReg(isa.R4, 0x50000)
 	mach.SetReg(isa.R5, n)
 
-	model, err := cpu.New(cfg, cpu.ProgMeta(prog))
+	hier := cache.NewPOWER5Hierarchy()
+	core, err := cpu.NewCore(cfg, hier.LevelLatencies())
 	if err != nil {
 		log.Fatal(err)
 	}
-	ctr, err := model.Run(mach, 10_000_000)
-	if err != nil {
+	if err := cpu.Walk(mach, cpu.ProgMeta(prog), hier, 10_000_000, core, nil); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("%-26s %9d cycles  IPC %.2f  branches %6d  mispredicts %5d  taken-bubbles %6d\n",
+	ctr := core.Counters()
+	fmt.Fprintf(w, "%-26s %9d cycles  IPC %.2f  branches %6d  mispredicts %5d  taken-bubbles %6d\n",
 		name, ctr.Cycles, ctr.IPC(), ctr.Branches, ctr.DirMispredicts, ctr.TakenBubbles)
+}
+
+// compare prints one counter line per configuration: the branchy loop
+// on a stock POWER5 and with the BTAC, the max loop with the ISA
+// extensions and with everything the paper adds.
+func compare(w io.Writer, branchy, maxed *isa.Program) {
+	base := cpu.POWER5Baseline()
+	run(w, "branchy, stock POWER5", branchy, base)
+
+	withBTAC := base
+	withBTAC.UseBTAC = true
+	run(w, "branchy + BTAC", branchy, withBTAC)
+
+	ext := base
+	ext.Extensions = true
+	run(w, "max instruction", maxed, ext)
+
+	all := withBTAC
+	all.Extensions = true
+	all.NumFXU = 4
+	run(w, "max + BTAC + 4 FXUs", maxed, all)
 }
 
 func main() {
@@ -81,23 +106,7 @@ func main() {
 	fmt.Println()
 
 	branchy := buildProgram(false)
-	maxed := buildProgram(true)
-
-	base := cpu.POWER5Baseline()
-	run("branchy, stock POWER5", branchy, base)
-
-	withBTAC := base
-	withBTAC.UseBTAC = true
-	run("branchy + BTAC", branchy, withBTAC)
-
-	ext := base
-	ext.Extensions = true
-	run("max instruction", maxed, ext)
-
-	all := withBTAC
-	all.Extensions = true
-	all.NumFXU = 4
-	run("max + BTAC + 4 FXUs", maxed, all)
+	compare(os.Stdout, branchy, buildProgram(true))
 
 	fmt.Println("\n(disassembly of the branchy loop)")
 	fmt.Print(branchy.Disasm())

@@ -1,5 +1,5 @@
 // Package score provides amino-acid substitution matrices (BLOSUM62,
-// BLOSUM50, PAM250), affine gap parameter sets, and the Karlin-Altschul
+// BLOSUM50), affine gap parameter sets, and the Karlin-Altschul
 // statistical parameters BLAST's E-value computation needs.  Residue
 // order everywhere is seq.Protein's: A R N D C Q E G H I L K M F P S T W Y V.
 package score
@@ -112,9 +112,6 @@ type KarlinAltschul struct {
 // set for BLOSUM62 with gap penalties 11/1.
 var Blosum62Gapped11_1 = KarlinAltschul{Lambda: 0.267, K: 0.041}
 
-// Blosum62Ungapped is the ungapped parameter set for BLOSUM62.
-var Blosum62Ungapped = KarlinAltschul{Lambda: 0.318, K: 0.13}
-
 // BLOSUM62 is the standard matrix BLAST defaults to.
 var BLOSUM62 = mustNew("BLOSUM62", seq.Protein, [][]int8{
 	{4, -1, -2, -2, 0, -1, -1, 0, -2, -1, -1, -1, -1, -2, -1, 1, 0, -3, -2, 0},
@@ -161,29 +158,4 @@ var BLOSUM50 = mustNew("BLOSUM50", seq.Protein, [][]int8{
 	{-3, -3, -4, -5, -5, -1, -3, -3, -3, -3, -2, -3, -1, 1, -4, -4, -3, 15, 2, -3},
 	{-2, -1, -2, -3, -3, -1, -2, -3, 2, -1, -1, -2, 0, 4, -3, -2, -2, 2, 8, -1},
 	{0, -3, -3, -4, -1, -3, -3, -4, -4, 4, 1, -3, 1, -1, -3, -2, 0, -3, -1, 5},
-})
-
-// PAM250 is the classic Dayhoff matrix (ClustalW's slow-pairwise
-// option supports it).
-var PAM250 = mustNew("PAM250", seq.Protein, [][]int8{
-	{2, -2, 0, 0, -2, 0, 0, 1, -1, -1, -2, -1, -1, -3, 1, 1, 1, -6, -3, 0},
-	{-2, 6, 0, -1, -4, 1, -1, -3, 2, -2, -3, 3, 0, -4, 0, 0, -1, 2, -4, -2},
-	{0, 0, 2, 2, -4, 1, 1, 0, 2, -2, -3, 1, -2, -3, 0, 1, 0, -4, -2, -2},
-	{0, -1, 2, 4, -5, 2, 3, 1, 1, -2, -4, 0, -3, -6, -1, 0, 0, -7, -4, -2},
-	{-2, -4, -4, -5, 12, -5, -5, -3, -3, -2, -6, -5, -5, -4, -3, 0, -2, -8, 0, -2},
-	{0, 1, 1, 2, -5, 4, 2, -1, 3, -2, -2, 1, -1, -5, 0, -1, -1, -5, -4, -2},
-	{0, -1, 1, 3, -5, 2, 4, 0, 1, -2, -3, 0, -2, -5, -1, 0, 0, -7, -4, -2},
-	{1, -3, 0, 1, -3, -1, 0, 5, -2, -3, -4, -2, -3, -5, 0, 1, 0, -7, -5, -1},
-	{-1, 2, 2, 1, -3, 3, 1, -2, 6, -2, -2, 0, -2, -2, 0, -1, -1, -3, 0, -2},
-	{-1, -2, -2, -2, -2, -2, -2, -3, -2, 5, 2, -2, 2, 1, -2, -1, 0, -5, -1, 4},
-	{-2, -3, -3, -4, -6, -2, -3, -4, -2, 2, 6, -3, 4, 2, -3, -3, -2, -2, -1, 2},
-	{-1, 3, 1, 0, -5, 1, 0, -2, 0, -2, -3, 5, 0, -5, -1, 0, 0, -3, -4, -2},
-	{-1, 0, -2, -3, -5, -1, -2, -3, -2, 2, 4, 0, 6, 0, -2, -2, -1, -4, -2, 2},
-	{-3, -4, -3, -6, -4, -5, -5, -5, -2, 1, 2, -5, 0, 9, -5, -3, -3, 0, 7, -1},
-	{1, 0, 0, -1, -3, 0, -1, 0, 0, -2, -3, -1, -2, -5, 6, 1, 0, -6, -5, -1},
-	{1, 0, 1, 0, 0, -1, 0, 1, -1, -1, -3, 0, -2, -3, 1, 2, 1, -2, -3, -1},
-	{1, -1, 0, 0, -2, -1, 0, 0, -1, 0, -2, 0, -1, -3, 0, 1, 3, -5, -3, 0},
-	{-6, 2, -4, -7, -8, -5, -7, -7, -3, -5, -2, -3, -4, 0, -6, -2, -5, 17, 0, -6},
-	{-3, -4, -2, -4, 0, -4, -4, -5, 0, -1, -1, -4, -2, 7, -5, -3, -3, 0, 10, -2},
-	{0, -2, -2, -2, -2, -2, -2, -1, -2, 4, 2, -2, 2, -1, -1, -1, 0, -6, -2, 4},
 })

@@ -12,8 +12,8 @@ import (
 
 // This file is the one timing core: the static (InsMeta, ProgMeta) and
 // dynamic (Event) halves of what it consumes, the optional Hooks, and
-// Core itself.  Its two feeds are Model in cpu.go and
-// kernels.ReplayTrace.
+// Core itself.  Its two feeds are Walk in cpu.go, live, and
+// kernels.ReplayObserved, from a captured trace.
 
 // InsMeta is the static per-instruction metadata the core needs, laid
 // out for a flat lookup by PC.

@@ -3,10 +3,11 @@
 // charges cycles for one dynamic instruction the way the POWER5 would,
 // given the instruction's predecoded static metadata (ProgMeta), its
 // resolved branch outcome and the cache level its memory access
-// resolved at.  Model feeds the core live — package machine executes
+// resolved at.  Walk feeds the core live — package machine executes
 // the program functionally, a cache.Hierarchy supplies the miss level —
-// and kernels.ReplayTrace feeds it the same events from a captured
-// trace; the hot loop allocates nothing on either path.
+// and the same walk appends those events to a trace being captured;
+// kernels.ReplayTrace feeds the core from such a trace.  The hot loop
+// allocates nothing on either feed.
 //
 // The model covers exactly the behaviours the paper measures and varies:
 //
@@ -33,7 +34,7 @@ import (
 	"bioperf5/internal/branch"
 	"bioperf5/internal/cache"
 	"bioperf5/internal/machine"
-	"bioperf5/internal/telemetry"
+	"bioperf5/internal/trace"
 )
 
 // Config selects the microarchitectural parameters.  The zero value is
@@ -239,60 +240,42 @@ type BranchProfiler interface {
 	OnBTAC(pc int, predicted, wrong bool)
 }
 
-// Model is the coupled feed of the timing core: it turns each
-// instruction the functional machine steps into a core Event, looking
-// the static half up in the program's predecoded metadata and the miss
-// level up in a live cache hierarchy.  Counters, the stall stack and
-// the observability hooks are the embedded Core's.
-type Model struct {
-	*Core
-	mem   *cache.Hierarchy
-	metas []InsMeta
-}
-
-// New builds a model for the program whose ProgMeta is metas; cfg must
-// Validate.
-func New(cfg Config, metas []InsMeta) (*Model, error) {
-	mem := cache.NewPOWER5Hierarchy()
-	core, err := NewCore(cfg, mem.LevelLatencies())
-	if err != nil {
-		return nil, err
-	}
-	return &Model{Core: core, mem: mem, metas: metas}, nil
-}
-
-// PublishTo mirrors the core's state and the cache hierarchy's own
-// statistics into reg.
-func (m *Model) PublishTo(reg *telemetry.Registry) {
-	m.Core.PublishTo(reg)
-	m.mem.PublishTo(reg)
-}
-
-// Run drives mach — which must execute the program the model was built
-// for — through the timing core until the machine halts or limit
-// instructions execute: each instruction the machine steps becomes a
-// core Event, its miss level looked up in the live hierarchy.
-func (m *Model) Run(mach *machine.Machine, limit uint64) (Counters, error) {
+// Walk is the one instruction walk: it steps mach — which must execute
+// the program whose ProgMeta is metas — until the machine halts or
+// limit instructions execute, and annotates each instruction once.  A
+// memory op, as the predecoded metadata marks it, resolves its miss
+// level in mem.  The annotated instruction goes to two optional sinks:
+// core, when non-nil, consumes it as an Event (the coupled `-trace off`
+// path), and keep, when non-nil, appends it as a trace Record (capture).
+// Both sinks see the same miss levels because there is one hierarchy
+// and one rule for consulting it.
+func Walk(mach *machine.Machine, metas []InsMeta, mem *cache.Hierarchy, limit uint64, core *Core, keep *trace.Builder) error {
 	for n := uint64(0); !mach.Halted(); n++ {
 		if n >= limit {
-			return m.Counters(), machine.ErrLimit
+			return machine.ErrLimit
 		}
 		d, err := mach.Step()
 		if err != nil {
-			return m.Counters(), err
+			return err
 		}
-		if uint(d.Index) >= uint(len(m.metas)) {
-			return m.Counters(), fmt.Errorf("cpu: instruction index %d outside the %d-instruction program the model was built for",
-				d.Index, len(m.metas))
+		if uint(d.Index) >= uint(len(metas)) {
+			return fmt.Errorf("cpu: instruction index %d outside the %d-instruction program being walked",
+				d.Index, len(metas))
 		}
-		ev := Event{Meta: &m.metas[d.Index], PC: d.Index, Next: d.Next, Taken: d.Taken}
-		if ev.Meta.Load || ev.Meta.Store {
-			_, level := m.mem.Access(d.EA)
+		ev := Event{Meta: &metas[d.Index], PC: d.Index, Next: d.Next, Taken: d.Taken}
+		memOp := ev.Meta.Load || ev.Meta.Store
+		if memOp {
+			_, level := mem.Access(d.EA)
 			ev.MissLevel, ev.EA = uint8(level), d.EA
 		}
-		if err := m.Core.Consume(&ev); err != nil {
-			return m.Counters(), err
+		if keep != nil {
+			keep.Add(trace.Record{PC: ev.PC, Taken: ev.Taken, HasEA: memOp, EA: ev.EA, MissLevel: ev.MissLevel})
+		}
+		if core != nil {
+			if err := core.Consume(&ev); err != nil {
+				return err
+			}
 		}
 	}
-	return m.Counters(), nil
+	return nil
 }

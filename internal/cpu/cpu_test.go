@@ -4,19 +4,29 @@ import (
 	"math/rand"
 	"testing"
 
+	"bioperf5/internal/cache"
 	"bioperf5/internal/isa"
 	"bioperf5/internal/machine"
 	"bioperf5/internal/mem"
 )
 
-// newModel builds the coupled model for p.
-func newModel(t *testing.T, cfg Config, p *isa.Program) *Model {
+// newCore builds a core under cfg charging the POWER5 hierarchy's
+// load-to-use latencies, the hierarchy walkLive resolves against.
+func newCore(t *testing.T, cfg Config) *Core {
 	t.Helper()
-	m, err := New(cfg, ProgMeta(p))
+	core, err := NewCore(cfg, cache.NewPOWER5Hierarchy().LevelLatencies())
 	if err != nil {
 		t.Fatal(err)
 	}
-	return m
+	return core
+}
+
+// walkLive walks mach, which executes p, through core against a fresh
+// POWER5 hierarchy — the coupled path, nothing kept — and returns the
+// hierarchy.
+func walkLive(mach *machine.Machine, p *isa.Program, core *Core, limit uint64) (*cache.Hierarchy, error) {
+	hier := cache.NewPOWER5Hierarchy()
+	return hier, Walk(mach, ProgMeta(p), hier, limit, core, nil)
 }
 
 // buildAndRun assembles a program, executes it functionally through the
@@ -38,12 +48,11 @@ func buildAndRun(t *testing.T, cfg Config, build func(a *isa.Asm), args ...uint6
 	for i, v := range args {
 		mach.SetReg(isa.R3+isa.Reg(i), v)
 	}
-	model := newModel(t, cfg, p)
-	ctr, err := model.Run(mach, 50_000_000)
-	if err != nil {
+	core := newCore(t, cfg)
+	if _, err := walkLive(mach, p, core, 50_000_000); err != nil {
 		t.Fatal(err)
 	}
-	return ctr
+	return core.Counters()
 }
 
 // independentAdds emits a loop whose body is n independent add chains,
@@ -77,8 +86,8 @@ func TestValidate(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Error("zero window validated")
 	}
-	if _, err := New(Config{}, nil); err == nil {
-		t.Error("New accepted zero config")
+	if _, err := NewCore(Config{}, [3]int{}); err == nil {
+		t.Error("NewCore accepted zero config")
 	}
 }
 
@@ -193,12 +202,11 @@ func runWithMemory(t *testing.T, cfg Config, build func(a *isa.Asm), memory *mem
 		t.Fatal(err)
 	}
 	mach.SetReg(isa.SP, 0x7FFF0000)
-	model := newModel(t, cfg, p)
-	ctr, err := model.Run(mach, 50_000_000)
-	if err != nil {
+	core := newCore(t, cfg)
+	if _, err := walkLive(mach, p, core, 50_000_000); err != nil {
 		t.Fatal(err)
 	}
-	return ctr
+	return core.Counters()
 }
 
 func TestValueDependentBranchesCrushIPC(t *testing.T) {
@@ -293,8 +301,7 @@ func TestExtensionsGate(t *testing.T) {
 	if err := mach.SetPC("main"); err != nil {
 		t.Fatal(err)
 	}
-	model := newModel(t, POWER5Baseline(), p) // Extensions false
-	if _, err := model.Run(mach, 1000); err == nil {
+	if _, err := walkLive(mach, p, newCore(t, POWER5Baseline()), 1000); err == nil { // Extensions false
 		t.Error("max executed on a core without ISA extensions")
 	}
 
@@ -305,7 +312,7 @@ func TestExtensionsGate(t *testing.T) {
 	if err := mach2.SetPC("main"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := newModel(t, cfg, p).Run(mach2, 1000); err != nil {
+	if _, err := walkLive(mach2, p, newCore(t, cfg), 1000); err != nil {
 		t.Errorf("max rejected with extensions enabled: %v", err)
 	}
 }

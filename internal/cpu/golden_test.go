@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"bioperf5/internal/cache"
 	"bioperf5/internal/isa"
 	"bioperf5/internal/machine"
 	"bioperf5/internal/mem"
@@ -25,11 +26,11 @@ import (
 // to it because it resolves before the work in front of it completes.
 const pipelineFill = 8
 
-// bothFeeds runs the assembled program live (machine + cache hierarchy
-// through Model) and then captured-and-replayed (trace records through
-// a bare Core), requires the two reports to be identical, and returns
-// the report.  regs preloads argument registers, which are ready at
-// cycle 0.
+// bothFeeds walks the assembled program once with both sinks — a live
+// core, and a trace.Builder keeping every record — then replays the
+// kept records through a second, bare core, requires the two reports
+// to be identical, and returns the report.  regs preloads argument
+// registers, which are ready at cycle 0.
 func bothFeeds(t *testing.T, cfg Config, memory *mem.Memory, regs map[isa.Reg]uint64, build func(a *isa.Asm)) Report {
 	t.Helper()
 	a := isa.NewAsm()
@@ -41,36 +42,24 @@ func bothFeeds(t *testing.T, cfg Config, memory *mem.Memory, regs map[isa.Reg]ui
 		t.Fatal(err)
 	}
 	metas := ProgMeta(p)
-	newMachine := func() *machine.Machine {
-		mach := machine.New(p, memory)
-		mach.Reset()
-		if err := mach.SetPC("main"); err != nil {
-			t.Fatal(err)
-		}
-		for r, v := range regs {
-			mach.SetReg(r, v)
-		}
-		return mach
-	}
-
-	model, err := New(cfg, metas)
-	if err != nil {
+	mach := machine.New(p, memory)
+	mach.Reset()
+	if err := mach.SetPC("main"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := model.Run(newMachine(), 1_000_000); err != nil {
+	for r, v := range regs {
+		mach.SetReg(r, v)
+	}
+
+	hier := cache.NewPOWER5Hierarchy()
+	liveCore := newCore(t, cfg)
+	var b trace.Builder
+	if err := Walk(mach, metas, hier, 1_000_000, liveCore, &b); err != nil {
 		t.Fatal(err)
 	}
-	live := model.Report()
+	live := liveCore.Report()
 
-	capt := trace.NewCapturer()
-	for mach := newMachine(); !mach.Halted(); {
-		d, err := mach.Step()
-		if err != nil {
-			t.Fatal(err)
-		}
-		capt.Observe(d)
-	}
-	tr := capt.Finish(trace.Meta{})
+	tr := b.Finish(trace.Meta{LoadLat: hier.LevelLatencies()})
 	core, err := NewCore(cfg, tr.Meta.LoadLat)
 	if err != nil {
 		t.Fatal(err)

@@ -9,9 +9,9 @@ import (
 	"bioperf5/internal/telemetry"
 )
 
-// runModel assembles and runs a program through a fresh model and
-// returns the model for stall/trace inspection.
-func runModel(t *testing.T, cfg Config, build func(a *isa.Asm), memory *mem.Memory) *Model {
+// runModel assembles and walks a program through a fresh core and
+// returns the core for stall/trace inspection.
+func runModel(t *testing.T, cfg Config, build func(a *isa.Asm), memory *mem.Memory) *Core {
 	t.Helper()
 	a := isa.NewAsm()
 	build(a)
@@ -28,14 +28,14 @@ func runModel(t *testing.T, cfg Config, build func(a *isa.Asm), memory *mem.Memo
 		t.Fatal(err)
 	}
 	mach.SetReg(isa.SP, 0x7FFF0000)
-	model := newModel(t, cfg, p)
-	if _, err := model.Run(mach, 50_000_000); err != nil {
+	core := newCore(t, cfg)
+	if _, err := walkLive(mach, p, core, 50_000_000); err != nil {
 		t.Fatal(err)
 	}
-	return model
+	return core
 }
 
-func checkInvariant(t *testing.T, name string, m *Model) {
+func checkInvariant(t *testing.T, name string, m *Core) {
 	t.Helper()
 	ctr, st := m.Counters(), m.Stalls()
 	if got, want := st.Total(), ctr.Cycles; got != want {
@@ -154,13 +154,13 @@ func TestPipelineTraceEvents(t *testing.T) {
 	if err := mach.SetPC("main"); err != nil {
 		t.Fatal(err)
 	}
-	model := newModel(t, POWER5Baseline(), p)
+	core := newCore(t, POWER5Baseline())
 	buf := telemetry.NewTraceBuffer(1 << 16)
-	model.Observe(&Hooks{Trace: buf})
-	ctr, err := model.Run(mach, 1_000_000)
-	if err != nil {
+	core.Observe(&Hooks{Trace: buf})
+	if _, err := walkLive(mach, p, core, 1_000_000); err != nil {
 		t.Fatal(err)
 	}
+	ctr := core.Counters()
 	events := buf.Events()
 	if uint64(len(events)) != ctr.Instructions {
 		t.Fatalf("trace has %d events for %d retired instructions", len(events), ctr.Instructions)
@@ -205,15 +205,16 @@ func TestAttachTelemetryAndPublish(t *testing.T) {
 	if err := mach.SetPC("main"); err != nil {
 		t.Fatal(err)
 	}
-	model := newModel(t, POWER5Baseline(), p)
+	core := newCore(t, POWER5Baseline())
 	reg := telemetry.NewRegistry()
 	hooks := &Hooks{}
 	hooks.Telemetry(reg)
-	model.Observe(hooks)
-	ctr, err := model.Run(mach, 1_000_000)
+	core.Observe(hooks)
+	hier, err := walkLive(mach, p, core, 1_000_000)
 	if err != nil {
 		t.Fatal(err)
 	}
+	ctr := core.Counters()
 
 	if got := reg.Histogram("cpu.load_to_use.cycles", nil).Count(); got != ctr.L1DAccesses-0 {
 		// every access in this loop is a load
@@ -230,7 +231,8 @@ func TestAttachTelemetryAndPublish(t *testing.T) {
 		}
 	}
 
-	model.PublishTo(reg)
+	core.PublishTo(reg)
+	hier.PublishTo(reg)
 	snap := reg.Snapshot(5)
 	if snap.Counters["cpu.Cycles"] != ctr.Cycles {
 		t.Errorf("published cycles %d, counters %d", snap.Counters["cpu.Cycles"], ctr.Cycles)
@@ -239,7 +241,7 @@ func TestAttachTelemetryAndPublish(t *testing.T) {
 		t.Errorf("published instructions mismatch")
 	}
 	var stallSum uint64
-	for _, b := range model.Stalls().Buckets() {
+	for _, b := range core.Stalls().Buckets() {
 		stallSum += snap.Counters["cpu.stall."+b.Name]
 	}
 	if stallSum != ctr.Cycles {

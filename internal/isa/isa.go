@@ -414,12 +414,6 @@ func (ins *Instruction) Defs(dst []Reg) []Reg {
 // Encoded in the low bit of Imm for OpB (mirroring the PowerPC LK bit).
 func (ins *Instruction) ImmLK() bool { return ins.Op == OpB && ins.Imm&1 != 0 }
 
-// IsLoad reports whether the instruction reads memory.
-func (ins *Instruction) IsLoad() bool { return ins.Op.Info().Load }
-
-// IsStore reports whether the instruction writes memory.
-func (ins *Instruction) IsStore() bool { return ins.Op.Info().Store }
-
 // Validate checks the structural well-formedness of the instruction and
 // returns a descriptive error when a field is out of range for the
 // operation.

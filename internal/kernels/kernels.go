@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"strings"
 
+	"bioperf5/internal/cache"
 	"bioperf5/internal/compiler"
 	"bioperf5/internal/cpu"
 	"bioperf5/internal/ir"
@@ -264,24 +265,49 @@ func (o Observer) hooks() (*cpu.Hooks, error) {
 	return h, nil
 }
 
+// newCore builds the timing core of one cell, fed live or from a
+// trace: cfg with the variant's ISA extensions enabled, load-to-use
+// latencies loadLat, and the observer's hooks attached.
+func (o Observer) newCore(v Variant, cfg cpu.Config, loadLat [3]int) (*cpu.Core, error) {
+	hooks, err := o.hooks()
+	if err != nil {
+		return nil, err
+	}
+	if v.NeedsExtensions() {
+		cfg.Extensions = true
+	}
+	core, err := cpu.NewCore(cfg, loadLat)
+	if err != nil {
+		return nil, err
+	}
+	core.Observe(hooks)
+	return core, nil
+}
+
+// publish mirrors each source's final state into the observer's
+// registry, when it has one.
+func (o Observer) publish(sources ...interface{ PublishTo(*telemetry.Registry) }) {
+	if o.Registry == nil {
+		return
+	}
+	for _, s := range sources {
+		s.PublishTo(o.Registry)
+	}
+}
+
 // SimulateObserved runs a compiled kernel through the coupled
-// functional machine and timing model and verifies the functional
-// result against run.Want.  It returns the counters together with the
-// CPI stall stack, feeds obs's hooks, and publishes the final model
+// functional machine and timing core — cpu.Walk with a live core and
+// nothing kept — and verifies the functional result against run.Want.
+// It returns the counters together with the CPI stall stack, feeds
+// obs's hooks, and publishes the final core, cache and memory-image
 // state into obs.Registry when set.
 func SimulateObserved(k *Kernel, v Variant, run *Run, cfg cpu.Config, limit uint64, obs Observer) (cpu.Report, error) {
 	c, err := CompileCached(k, v)
 	if err != nil {
 		return cpu.Report{}, err
 	}
-	hooks, err := obs.hooks()
-	if err != nil {
-		return cpu.Report{}, err
-	}
-	if v.NeedsExtensions() {
-		cfg.Extensions = true
-	}
-	model, err := cpu.New(cfg, c.Meta)
+	hier := cache.NewPOWER5Hierarchy()
+	core, err := obs.newCore(v, cfg, hier.LevelLatencies())
 	if err != nil {
 		return cpu.Report{}, err
 	}
@@ -289,17 +315,11 @@ func SimulateObserved(k *Kernel, v Variant, run *Run, cfg cpu.Config, limit uint
 	if err != nil {
 		return cpu.Report{}, err
 	}
-	model.Observe(hooks)
-	_, err = model.Run(mach, limit)
-	rep := model.Report()
-	if obs.Registry != nil {
-		model.PublishTo(obs.Registry)
-		run.Mem.PublishTo(obs.Registry)
+	defer obs.publish(core, hier, run.Mem)
+	if err := cpu.Walk(mach, c.Meta, hier, limit, core, nil); err != nil {
+		return core.Report(), fmt.Errorf("kernels: %s/%s: %w", k.Name, v, err)
 	}
-	if err != nil {
-		return rep, fmt.Errorf("kernels: %s/%s: %w", k.Name, v, err)
-	}
-	return rep, check(k, v, mach, run)
+	return core.Report(), check(k, v, mach, run)
 }
 
 // All returns the four kernels in the order the paper lists the

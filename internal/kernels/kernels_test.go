@@ -7,6 +7,7 @@ import (
 	"bioperf5/internal/bio/clustal"
 	"bioperf5/internal/bio/score"
 	"bioperf5/internal/bio/seq"
+	"bioperf5/internal/cache"
 	"bioperf5/internal/cpu"
 	"bioperf5/internal/isa"
 	"bioperf5/internal/mem"
@@ -334,12 +335,13 @@ func TestSimulateRejectsExtensionsOnStockCore(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Simulate force-enables extensions for non-branchy variants, so
-	// exercise the guard through the cpu model directly.
+	// exercise the guard through the instruction walk directly.
 	c, err := CompileCached(k, HandMax)
 	if err != nil {
 		t.Fatal(err)
 	}
-	model, err := cpu.New(cpu.POWER5Baseline(), c.Meta) // Extensions false
+	hier := cache.NewPOWER5Hierarchy()
+	core, err := cpu.NewCore(cpu.POWER5Baseline(), hier.LevelLatencies()) // Extensions false
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,7 +349,7 @@ func TestSimulateRejectsExtensionsOnStockCore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := model.Run(mach, stepLimit); err == nil {
+	if err := cpu.Walk(mach, c.Meta, hier, stepLimit, core, nil); err == nil {
 		t.Error("stock core executed max instruction")
 	}
 }

@@ -1,6 +1,8 @@
 package kernels
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"math"
 	"reflect"
@@ -60,23 +62,38 @@ func timingVariations() map[string]cpu.Config {
 	}
 }
 
+// goldenTraceDigest is the SHA-256 of the EncodeFile bytes of the 24
+// seed-1, scale-1 traces TestReplayEquivalenceGolden captures,
+// concatenated in All() × variant order.  It pins what capture writes:
+// a change to the instruction walk, the trace encoding or a kernel
+// that moves one byte of any trace file fails here, and a deliberate
+// one re-records this value (with a FormatVersion bump when old files
+// no longer mean what they say).
+const goldenTraceDigest = "7c37670a99ea7bb450435da1f8818428823f4d4119ad409d08a118af5612c873"
+
 // TestReplayEquivalenceGolden is the trace subsystem's core invariant:
 // for every tier-1 cell, the core fed from a captured trace produces
 // counters and a CPI stall stack byte-identical to the core fed live.
-// The pipeline is the same code on both sides, so what this holds
-// together is the feeds: capture's miss-level annotation, the trace's
-// PC/next/taken encoding and its recorded load latencies against the
-// live machine and hierarchy.  One trace per (app, variant) is captured
-// once and replayed under every timing variation — the
-// capture-once/replay-many contract itself.
+// The pipeline is the same code on both sides, and so is the walk that
+// annotates the instructions, so what this holds together is the
+// trace: its PC/next/taken encoding, its miss levels, its effective
+// addresses and its recorded load latencies, decoded and replayed.
+// One trace per (app, variant) is captured once and replayed under
+// every timing variation — the capture-once/replay-many contract
+// itself — and the traces' bytes are pinned by goldenTraceDigest.
 func TestReplayEquivalenceGolden(t *testing.T) {
-	variants := []Variant{Branchy, HandISel, CompISel, HandMax, CompMax, Combination}
+	files := sha256.New()
 	for _, k := range All() {
-		for _, v := range variants {
+		for v := Branchy; v < NumVariants; v++ {
 			tr, err := CaptureTrace(k, v, 1, 1, replayLimit)
 			if err != nil {
 				t.Fatalf("%s/%s: capture: %v", k.App, v, err)
 			}
+			b, err := tr.EncodeFile()
+			if err != nil {
+				t.Fatalf("%s/%s: encode: %v", k.App, v, err)
+			}
+			files.Write(b)
 			for name, cfg := range timingVariations() {
 				got, err := ReplayTrace(k, v, tr, cfg)
 				if err != nil {
@@ -88,6 +105,9 @@ func TestReplayEquivalenceGolden(t *testing.T) {
 				}
 			}
 		}
+	}
+	if got := hex.EncodeToString(files.Sum(nil)); got != goldenTraceDigest {
+		t.Errorf("trace files digest to %s, want %s", got, goldenTraceDigest)
 	}
 }
 

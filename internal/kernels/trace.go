@@ -7,10 +7,10 @@ import (
 	"fmt"
 	"sync"
 
+	"bioperf5/internal/cache"
 	"bioperf5/internal/compiler"
 	"bioperf5/internal/cpu"
 	"bioperf5/internal/isa"
-	"bioperf5/internal/machine"
 	"bioperf5/internal/trace"
 )
 
@@ -96,11 +96,11 @@ func TraceKey(k *Kernel, v Variant, seed int64, scale int) (trace.Key, error) {
 	}, nil
 }
 
-// CaptureTrace runs the kernel once on the functional machine — the
-// same entry conventions as SimulateObserved — and records the
-// annotated dynamic trace.  The functional result is verified before
-// the trace is sealed, so a stored trace is always a trace of a
-// correct execution.
+// CaptureTrace walks the kernel once on the functional machine — the
+// walk and entry conventions of SimulateObserved, with the annotated
+// instructions kept in a trace.Builder instead of timed — and returns
+// the trace.  The functional result is verified before the trace is
+// sealed, so a stored trace is always a trace of a correct execution.
 func CaptureTrace(k *Kernel, v Variant, seed int64, scale int, limit uint64) (*trace.Trace, error) {
 	c, err := CompileCached(k, v)
 	if err != nil {
@@ -110,27 +110,20 @@ func CaptureTrace(k *Kernel, v Variant, seed int64, scale int, limit uint64) (*t
 	if err != nil {
 		return nil, fmt.Errorf("kernels: %s/%s: %w", k.Name, v, err)
 	}
-	cap := trace.NewCapturer()
 	mach, err := load(k, c, run)
 	if err != nil {
 		return nil, err
 	}
-	var n uint64
-	for !mach.Halted() {
-		if n >= limit {
-			return nil, fmt.Errorf("kernels: %s/%s: capture: %w", k.Name, v, machine.ErrLimit)
-		}
-		d, err := mach.Step()
-		if err != nil {
-			return nil, fmt.Errorf("kernels: %s/%s: capture: %w", k.Name, v, err)
-		}
-		cap.Observe(d)
-		n++
+	hier := cache.NewPOWER5Hierarchy()
+	var b trace.Builder
+	if err := cpu.Walk(mach, c.Meta, hier, limit, nil, &b); err != nil {
+		return nil, fmt.Errorf("kernels: %s/%s: capture: %w", k.Name, v, err)
 	}
 	if err := check(k, v, mach, run); err != nil {
 		return nil, err
 	}
-	return cap.Finish(trace.Meta{
+	// Replay charges exactly the load latencies capture resolved against.
+	return b.Finish(trace.Meta{
 		App:      k.App,
 		Kernel:   k.Name,
 		Variant:  v.String(),
@@ -138,25 +131,28 @@ func CaptureTrace(k *Kernel, v Variant, seed int64, scale int, limit uint64) (*t
 		Scale:    scale,
 		ProgHash: c.Hash,
 		Result:   run.Want,
+		LoadLat:  hier.LevelLatencies(),
 	}), nil
 }
 
 // ReplayTrace feeds a stored trace through the timing core under cfg
 // and returns the report.  The counters and stall stack are
-// bit-identical to what SimulateObserved produces for the same cell —
-// the same core consumes the same events, and the replay-equivalence
-// tests hold capture's annotations equal to the live hierarchy.  A
-// trace whose program hash does not match the current compilation, or
-// whose payload decodes inconsistently, is rejected as corrupt.
+// bit-identical to what SimulateObserved produces for the same cell:
+// capture and the live path are one cpu.Walk, so the trace holds the
+// events the live core consumes, and the same core consumes them here.
+// The replay-equivalence tests hold the encoding, the decoding and
+// this loop to that.  A trace whose program hash does not match the
+// current compilation, or whose payload decodes inconsistently, is
+// rejected as corrupt.
 func ReplayTrace(k *Kernel, v Variant, t *trace.Trace, cfg cpu.Config) (cpu.Report, error) {
 	return ReplayObserved(k, v, t, cfg, Observer{})
 }
 
 // ReplayObserved is ReplayTrace with the observability SimulateObserved
-// offers: the trace records everything the hooks report, so a replayed
-// cell explains itself exactly as a live one does.  Only the registry's
-// cache and memory-image statistics are absent — replay simulates
-// neither.
+// offers, through the same core setup: the trace records everything
+// the hooks report, so a replayed cell explains itself exactly as a
+// live one does.  Only the registry's cache and memory-image
+// statistics are absent — replay simulates neither.
 func ReplayObserved(k *Kernel, v Variant, t *trace.Trace, cfg cpu.Config, obs Observer) (cpu.Report, error) {
 	c, err := CompileCached(k, v)
 	if err != nil {
@@ -166,21 +162,11 @@ func ReplayObserved(k *Kernel, v Variant, t *trace.Trace, cfg cpu.Config, obs Ob
 		return cpu.Report{}, fmt.Errorf("%w: trace for program %.12s, compiled %.12s",
 			trace.ErrCorrupt, t.Meta.ProgHash, c.Hash)
 	}
-	if v.NeedsExtensions() {
-		cfg.Extensions = true
-	}
-	hooks, err := obs.hooks()
+	core, err := obs.newCore(v, cfg, t.Meta.LoadLat)
 	if err != nil {
 		return cpu.Report{}, err
 	}
-	core, err := cpu.NewCore(cfg, t.Meta.LoadLat)
-	if err != nil {
-		return cpu.Report{}, err
-	}
-	core.Observe(hooks)
-	if obs.Registry != nil {
-		defer core.PublishTo(obs.Registry)
-	}
+	defer obs.publish(core)
 	heads, eas, err := t.Columns()
 	if err != nil {
 		return core.Report(), err

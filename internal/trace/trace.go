@@ -23,6 +23,11 @@
 // defs, latencies and branch targets are static per PC and come from
 // the compiled program, which the trace pins by content hash.
 //
+// This package encodes and stores traces; cpu.Walk builds them,
+// appending to a Builder from the same instruction walk that feeds the
+// coupled timing core, so a recorded miss level is the one the live
+// core would have been charged.
+//
 // Traces are versioned, checksummed (SHA-256 over the whole file) and
 // content-addressed by Key; Store adds an in-memory LRU with a byte
 // budget plus an on-disk tier with corruption detection.

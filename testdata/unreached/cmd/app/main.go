@@ -7,4 +7,4 @@ import (
 	"fixture/internal/lib"
 )
 
-func main() { fmt.Println(lib.Used(), lib.T{}) }
+func main() { fmt.Println(lib.Used(), lib.T{}, lib.Small) }

@@ -12,3 +12,15 @@ type T struct{}
 
 // String is an interface method: reached with no identifier naming it.
 func (T) String() string { return "t" }
+
+// Sizes: cmd/app reads Small; only the test reads Large.
+const (
+	Small = iota
+	Large
+)
+
+// Spare is exported and only the test reads it.
+var Spare = 4
+
+// Shape is exported and only the test names it.
+type Shape struct{}

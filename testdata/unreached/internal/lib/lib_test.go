@@ -3,7 +3,7 @@ package lib
 import "testing"
 
 func TestUnused(t *testing.T) {
-	if Unused() != 1 {
+	if Unused() != 1 || Large != 1 || Spare != 4 || (Shape{}) != (Shape{}) {
 		t.Fatal("Unused")
 	}
 }

@@ -11,8 +11,8 @@ import (
 	"testing"
 )
 
-// testOnlyAllowed are the exported functions and methods under internal/
-// that only tests reach and that stay on purpose, each with the reason.
+// testOnlyAllowed are the exported names under internal/ that only
+// tests reach and that stay on purpose, each with the reason.
 var testOnlyAllowed = map[string]string{
 	"internal/ir.Interp":                           "reference interpreter the compiler's property tests compare against",
 	"internal/ir.(*Builder).Div":                   "IR op the compiler lowers; random IR programs need it",
@@ -37,6 +37,13 @@ var testOnlyAllowed = map[string]string{
 	"internal/bio/clustal.(*MSA).Ungapped":         "lets the MSA test check that rows ungap to their inputs",
 	"internal/bio/score.(*Matrix).Symmetric":       "checks the substitution tables are symmetric",
 	"internal/workload.(*Result).DominantFunction": "Figure 1's headline quantity in the root benchmarks",
+	"internal/isa.CR1":                             "member of the register-file enum; deleting it renumbers LR, CTR and NumRegs",
+	"internal/isa.CR2":                             "member of the register-file enum; deleting it renumbers LR, CTR and NumRegs",
+	"internal/isa.CR3":                             "member of the register-file enum; deleting it renumbers LR, CTR and NumRegs",
+	"internal/isa.CR4":                             "member of the register-file enum; deleting it renumbers LR, CTR and NumRegs",
+	"internal/isa.CR5":                             "member of the register-file enum; deleting it renumbers LR, CTR and NumRegs",
+	"internal/isa.CR6":                             "member of the register-file enum; deleting it renumbers LR, CTR and NumRegs",
+	"internal/bio/seq.DNA":                         "the second alphabet the alphabet-mismatch tests reject",
 }
 
 // interfaceMethods are the methods a type gets called through a standard
@@ -54,12 +61,12 @@ var interfaceMethods = map[string]bool{
 	"Len": true, "Less": true, "Swap": true, "Push": true, "Pop": true,
 }
 
-// unreachedExports lists the exported top-level functions and methods
-// declared in the internal directory below root whose name no
-// identifier in a non-test .go file below root references, skipping
-// testdata directories below root and the names in interfaceMethods.
-// Functions are reported as "internal/dir.Name", methods as
-// "internal/dir.(*T).Name" or "internal/dir.T.Name".
+// unreachedExports lists the exported top-level functions, methods,
+// types, consts and vars declared in the internal directory below root
+// whose name no identifier in a non-test .go file below root
+// references, skipping testdata directories below root and the names
+// in interfaceMethods.  Methods are reported as "internal/dir.(*T).Name"
+// or "internal/dir.T.Name", everything else as "internal/dir.Name".
 //
 // It matches identifiers by name alone, never comments: a use of
 // another function with the same name hides an unreached one (a false
@@ -95,20 +102,33 @@ func unreachedExports(root string) ([]string, error) {
 		}
 		rel = filepath.ToSlash(rel)
 		declared := map[*ast.Ident]bool{}
+		internal := strings.HasPrefix(rel+"/", "internal/")
+		declare := func(id *ast.Ident, key string) {
+			declared[id] = true
+			if internal && id.IsExported() {
+				decls = append(decls, decl{key, id.Name})
+			}
+		}
 		for _, d := range f.Decls {
-			fn, ok := d.(*ast.FuncDecl)
-			if !ok {
-				continue
+			switch d := d.(type) {
+			case *ast.FuncDecl:
+				key := rel + "." + d.Name.Name
+				if d.Recv != nil {
+					key = rel + "." + receiver(d.Recv.List[0].Type) + "." + d.Name.Name
+				}
+				declare(d.Name, key)
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					switch spec := spec.(type) {
+					case *ast.TypeSpec:
+						declare(spec.Name, rel+"."+spec.Name.Name)
+					case *ast.ValueSpec:
+						for _, id := range spec.Names {
+							declare(id, rel+"."+id.Name)
+						}
+					}
+				}
 			}
-			declared[fn.Name] = true
-			if !strings.HasPrefix(rel+"/", "internal/") || !fn.Name.IsExported() {
-				continue
-			}
-			key := rel + "." + fn.Name.Name
-			if fn.Recv != nil {
-				key = rel + "." + receiver(fn.Recv.List[0].Type) + "." + fn.Name.Name
-			}
-			decls = append(decls, decl{key, fn.Name.Name})
 		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			if id, ok := n.(*ast.Ident); ok && !declared[id] {
@@ -178,7 +198,7 @@ func TestUnreachedExportsFixture(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []string{"internal/lib.Unused"}
+	want := []string{"internal/lib.Large", "internal/lib.Shape", "internal/lib.Spare", "internal/lib.Unused"}
 	if strings.Join(got, " ") != strings.Join(want, " ") {
 		t.Errorf("unreachedExports = %q, want %q", got, want)
 	}
