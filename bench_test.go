@@ -67,13 +67,13 @@ func BenchmarkFig1FunctionBreakout(b *testing.B) {
 	}
 }
 
-// benchFig4 runs the Fig 4 experiment through a scheduler engine of the
-// given pool size with caching off, so the benchmark measures raw
+// benchFig4 runs the Fig 4 experiment through a fresh scheduler engine
+// of the given pool size per iteration, so the benchmark measures raw
 // simulation throughput rather than cache hits.
 func benchFig4(b *testing.B, workers int) {
 	b.Helper()
 	for i := 0; i < b.N; i++ {
-		eng := sched.New(sched.Options{Workers: workers, DisableCache: true})
+		eng := sched.New(sched.Options{Workers: workers})
 		cfg := benchCfg()
 		cfg.Engine = eng
 		runTable(b, "fig4", cfg)
@@ -237,22 +237,25 @@ func BenchmarkAblationTakenPenalty(b *testing.B) {
 }
 
 // benchServeCell measures the HTTP serving layer end to end — decode,
-// canonicalize, admission, engine round trip, encode — by POSTing the
-// same cell repeatedly at an httptest server.
-func benchServeCell(b *testing.B, opts sched.Options) {
+// canonicalize, admission, engine round trip, encode — by POSTing one
+// Clustalw cell repeatedly at an httptest server.  With vary set, each
+// request asks for another BTAC size (9..4096, repeating after 4088
+// requests), so it misses the result memo and replays the trace the
+// priming request captured.
+func benchServeCell(b *testing.B, vary bool) {
 	b.Helper()
-	eng := sched.New(opts)
+	eng := sched.New(sched.Options{})
 	defer eng.Close()
 	srv := httptest.NewServer(server.New(server.Options{Engine: eng}))
 	defer srv.Close()
-	body, err := json.Marshal(map[string]any{
-		"app": "Clustalw", "variant": "combination", "fxus": 3, "btac_entries": 8,
-		"scale": 1, "seeds": []int64{1},
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	post := func() {
+	post := func(btac int) {
+		body, err := json.Marshal(map[string]any{
+			"app": "Clustalw", "variant": "combination", "fxus": 3, "btac_entries": btac,
+			"scale": 1, "seeds": []int64{1},
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
 		resp, err := http.Post(srv.URL+"/v1/cells", "application/json", bytes.NewReader(body))
 		if err != nil {
 			b.Fatal(err)
@@ -269,26 +272,26 @@ func benchServeCell(b *testing.B, opts sched.Options) {
 			b.Fatal("empty cell result")
 		}
 	}
-	post() // prime: first request pays compile + (when enabled) cache fill
+	post(8) // prime: the first request pays compile, capture and the memo fill
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		post()
+		btac := 8
+		if vary {
+			btac = 9 + i%4088
+		}
+		post(btac)
 	}
 }
 
 // BenchmarkServeCellCached is the steady-state serving cost: every
 // request after the first is a memoization hit, so this measures the
 // HTTP + canonicalization + cache-lookup overhead per request.
-func BenchmarkServeCellCached(b *testing.B) {
-	benchServeCell(b, sched.Options{})
-}
+func BenchmarkServeCellCached(b *testing.B) { benchServeCell(b, false) }
 
-// BenchmarkServeCellCold disables the cache so every request simulates;
-// the gap to BenchmarkServeCellCached is the win coalescing/memoization
-// buys the serving path.
-func BenchmarkServeCellCold(b *testing.B) {
-	benchServeCell(b, sched.Options{DisableCache: true})
-}
+// BenchmarkServeCellCold gives every request its own BTAC size, so each
+// one replays a trace instead of hitting the memo; the gap to
+// BenchmarkServeCellCached is the win memoization buys the serving path.
+func BenchmarkServeCellCold(b *testing.B) { benchServeCell(b, true) }
 
 // benchSweepTrace runs the FXU x BTAC timing factorial — six
 // configurations of one (kernel, variant, seed, scale) cell — under a

@@ -329,7 +329,7 @@ func cmdFsck(args []string) error {
 	if fs.NArg() == 0 {
 		return fmt.Errorf("fsck: need at least one state directory (a -cache-dir or -resume dir)")
 	}
-	rep, err := fsck.Run(fsck.Options{Dirs: fs.Args()})
+	rep, err := fsck.Run(fs.Args())
 	if err != nil {
 		return err
 	}

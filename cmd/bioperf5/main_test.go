@@ -294,7 +294,7 @@ func TestCmdSweepResumesParentStateDir(t *testing.T) {
 	if b, err := os.ReadFile(jpath); err != nil || !bytes.Equal(b, journal) {
 		t.Errorf("the journal was touched (err %v)", err)
 	}
-	rep, err := fsck.Run(fsck.Options{Dirs: []string{dir}})
+	rep, err := fsck.Run([]string{dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -466,23 +466,5 @@ func TestAggregateSpans(t *testing.T) {
 	a := got[1]
 	if a.Count != 2 || a.TotalNS != 400 || a.MeanNS != 200 || a.MaxNS != 300 {
 		t.Errorf("a stats: %+v", a)
-	}
-}
-
-// TestSweepElapsedLine checks both renderings of the closing summary.
-func TestSweepElapsedLine(t *testing.T) {
-	m := &harness.SweepManifest{ElapsedMS: 1500}
-	if got := sweepElapsedLine(m); got != "elapsed: 1.5s wall" {
-		t.Errorf("bare line = %q", got)
-	}
-	m.Profile = &harness.SweepProfile{
-		Aggregate: telemetry.StageCost{CaptureNS: 3_000_000_000, ReplayNS: 1_000_000_000},
-	}
-	m.Profile.Stages = m.Profile.Aggregate.Stages()
-	got := sweepElapsedLine(m)
-	for _, want := range []string{"1.5s wall", "4s attributed", "trace.capture", "75%"} {
-		if !strings.Contains(got, want) {
-			t.Errorf("summary %q missing %q", got, want)
-		}
 	}
 }

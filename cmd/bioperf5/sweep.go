@@ -13,7 +13,6 @@ import (
 	"strconv"
 	"strings"
 	"syscall"
-	"time"
 
 	"bioperf5/internal/cas"
 	"bioperf5/internal/cluster"
@@ -185,7 +184,7 @@ func (f *sweepFlags) report(env *execEnv, m *harness.SweepManifest) error {
 		if err := m.WriteJSON(os.Stdout); err != nil {
 			return err
 		}
-		return sweepDegradedSummary(m)
+		return m.ReportDegraded(os.Stderr)
 	}
 	if f.grid {
 		fmt.Println(m.Grid().Render())
@@ -194,49 +193,8 @@ func (f *sweepFlags) report(env *execEnv, m *harness.SweepManifest) error {
 	if tbl := m.ProfileTable(); tbl != nil {
 		fmt.Println(tbl.Render())
 	}
-	if cs := m.Cluster; cs != nil {
-		printClusterSummary(cs)
-	} else {
-		printSchedulerSummary(m.Scheduler)
-	}
-	fmt.Println(sweepElapsedLine(m))
-	return sweepDegradedSummary(m)
-}
-
-// printSchedulerSummary renders the local engine's closing lines.
-func printSchedulerSummary(st sched.Stats) {
-	poolDesc := fmt.Sprintf("%d workers", st.Workers)
-	if st.Workers == 1 {
-		poolDesc = "1 worker"
-	}
-	fmt.Printf("scheduler: %d jobs on %s, %d simulated, cache hit rate %.0f%% (%d in-memory, %d disk)\n",
-		st.Submitted, poolDesc, st.Computed, 100*st.HitRate(), st.MemoryHits, st.DiskHits)
-	if st.DiskCorrupt > 0 {
-		fmt.Printf("scheduler: %d corrupted disk cache entries detected and recomputed\n", st.DiskCorrupt)
-	}
-	if st.Retries > 0 || st.Timeouts > 0 || st.Injected > 0 {
-		fmt.Printf("scheduler: %d retries, %d cell timeouts, %d injected faults\n",
-			st.Retries, st.Timeouts, st.Injected)
-	}
-}
-
-// printClusterSummary renders the distributed fabric's closing lines:
-// how the fleet behaved, and what fraction of cells were served
-// without fresh simulation (worker trace/cache hits plus cells answered
-// from the -resume state directory).
-func printClusterSummary(cs *harness.ClusterStats) {
-	fmt.Printf("cluster: %d cells on %d workers — %d completed, %d failed, %d resumed from the state directory\n",
-		cs.Cells, cs.Workers, cs.Completed, cs.FailedCells, cs.Resumed)
-	fmt.Printf("cluster: %d dispatches in %d batches (%d re-dispatched, %d duplicate results dropped, %d HTTP retries)\n",
-		cs.Dispatched, cs.Batches, cs.Redispatched, cs.Duplicates, cs.Retries)
-	if cs.Cells > 0 {
-		fmt.Printf("cluster: cache hit rate %.0f%% (%d trace/cache-served + %d resumed of %d cells)\n",
-			100*float64(cs.CacheHits+cs.Resumed)/float64(cs.Cells),
-			cs.CacheHits, cs.Resumed, cs.Cells)
-	}
-	if cs.WorkersLost > 0 {
-		fmt.Printf("cluster: %d worker(s) lost mid-sweep; the survivors took their cells\n", cs.WorkersLost)
-	}
+	m.WriteClosing(os.Stdout)
+	return m.ReportDegraded(os.Stderr)
 }
 
 // parseWorkersFlag reads -workers as either a local pool size ("8") or
@@ -261,47 +219,6 @@ func parseWorkersFlag(s string) (pool int, hosts []string, err error) {
 		return 0, nil, fmt.Errorf("-workers: want a pool size or a comma-separated worker list, got %q", s)
 	}
 	return 0, hosts, nil
-}
-
-// sweepElapsedLine renders the closing wall-clock summary.  When the
-// manifest carries a stage profile it also says where that time went:
-// total attributed across workers (which exceeds wall time whenever
-// the sweep ran in parallel) and the dominant stage with its share.
-func sweepElapsedLine(m *harness.SweepManifest) string {
-	wall := time.Duration(m.ElapsedMS) * time.Millisecond
-	p := m.Profile
-	if p == nil || p.Aggregate.IsZero() || len(p.Stages) == 0 || p.Stages[0].NS == 0 {
-		return fmt.Sprintf("elapsed: %s wall", wall)
-	}
-	var attributed int64
-	for _, s := range p.Stages {
-		attributed += s.NS
-	}
-	dom := p.Stages[0]
-	return fmt.Sprintf("elapsed: %s wall; %s attributed across workers; dominant stage: %s (%s, %.0f%%)",
-		wall, time.Duration(attributed).Round(time.Millisecond),
-		dom.Name, time.Duration(dom.NS).Round(time.Millisecond),
-		100*float64(dom.NS)/float64(attributed))
-}
-
-// sweepDegradedSummary reports degraded cells on stderr and returns a
-// nonzero-exit error when the manifest is partial, so scripted sweeps
-// cannot mistake a degraded run for a complete one.
-func sweepDegradedSummary(m *harness.SweepManifest) error {
-	if m.Degraded == 0 {
-		return nil
-	}
-	fmt.Fprintf(os.Stderr, "bioperf5: %d of %d cells degraded:\n", m.Degraded, len(m.Points))
-	for _, p := range m.DegradedPoints() {
-		btac := strconv.Itoa(p.BTACEntries)
-		if p.BTACEntries == 0 {
-			btac = "off"
-		}
-		fmt.Fprintf(os.Stderr, "  %s/%s FXUs=%d BTAC=%s: %s (%s)\n",
-			p.App, p.Variant, p.FXUs, btac, p.Status, p.Error)
-	}
-	return fmt.Errorf("sweep: %d of %d cells degraded (re-run with -resume to retry them)",
-		m.Degraded, len(m.Points))
 }
 
 // parseIntList parses a comma-separated list of ints, mapping the

@@ -232,7 +232,7 @@ func staleTemps(t *testing.T, f *fixture) {
 		t.Error("miss beside a stale temp")
 	}
 	// fsck knows the temp by the one naming rule and takes it away.
-	rep, err := fsck.Run(fsck.Options{Dirs: []string{f.path}})
+	rep, err := fsck.Run([]string{f.path})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,7 +39,6 @@ import (
 	"bioperf5/internal/cas"
 	"bioperf5/internal/journal"
 	"bioperf5/internal/sched"
-	"bioperf5/internal/telemetry"
 	"bioperf5/internal/trace"
 )
 
@@ -92,35 +91,21 @@ type Report struct {
 	Findings    []Finding `json:"findings,omitempty"`
 }
 
-// Options configures a scrub.
-type Options struct {
-	// Dirs are the roots to scan (result-cache, trace-store, and
-	// resume directories all work; they share the same file formats).
-	// At least one is required.
-	Dirs []string
-	// Registry, when non-nil, receives the fsck.* counters.
-	Registry *telemetry.Registry
-}
-
-// Run scans every directory in o.Dirs, quarantines what fails
-// verification, repairs torn journals, and returns the report.  The
-// error covers operational failures (unreadable roots, failed moves) —
+// Run scans every directory in dirs (result-cache, trace-store, and
+// resume directories all work; they share the same file formats),
+// quarantines what fails verification, repairs torn journals, and
+// returns the report.  At least one directory is required.  The error
+// covers operational failures (unreadable roots, failed moves) —
 // finding damage is not an error; callers check Report.Damaged.
-func Run(o Options) (*Report, error) {
-	if len(o.Dirs) == 0 {
+func Run(dirs []string) (*Report, error) {
+	if len(dirs) == 0 {
 		return nil, fmt.Errorf("fsck: no directories to scan")
 	}
-	s := &scrubber{rep: &Report{Schema: Schema, Dirs: o.Dirs}}
-	for _, dir := range o.Dirs {
+	s := &scrubber{rep: &Report{Schema: Schema, Dirs: dirs}}
+	for _, dir := range dirs {
 		if err := s.scanDir(dir); err != nil {
 			return nil, err
 		}
-	}
-	if reg := o.Registry; reg != nil {
-		reg.Counter("fsck.scanned").Add(uint64(s.rep.Scanned))
-		reg.Counter("fsck.corrupt").Add(uint64(s.rep.Damaged))
-		reg.Counter("fsck.quarantined").Add(uint64(s.rep.Quarantined))
-		reg.Counter("fsck.repaired").Add(uint64(s.rep.Repaired))
 	}
 	return s.rep, nil
 }

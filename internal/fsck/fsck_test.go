@@ -21,7 +21,6 @@ import (
 	"bioperf5/internal/journal"
 	"bioperf5/internal/kernels"
 	"bioperf5/internal/sched"
-	"bioperf5/internal/telemetry"
 	"bioperf5/internal/trace"
 )
 
@@ -129,7 +128,7 @@ func writeTrace(t *testing.T, dir string, seed int64) string {
 
 func runFsck(t *testing.T, dirs ...string) *fsck.Report {
 	t.Helper()
-	rep, err := fsck.Run(fsck.Options{Dirs: dirs})
+	rep, err := fsck.Run(dirs)
 	if err != nil {
 		t.Fatalf("fsck: %v", err)
 	}
@@ -382,30 +381,11 @@ func TestFsckIsIdempotent(t *testing.T) {
 	}
 }
 
-func TestFsckPublishesCounters(t *testing.T) {
-	dir := t.TempDir()
-	seedState(t, dir, 2)
-	truncateHalf(t, cacheEntries(t, dir)[0])
-	reg := telemetry.NewRegistry()
-	if _, err := fsck.Run(fsck.Options{Dirs: []string{dir}, Registry: reg}); err != nil {
-		t.Fatal(err)
-	}
-	if v := reg.Counter("fsck.scanned").Value(); v == 0 {
-		t.Error("fsck.scanned not published")
-	}
-	if v := reg.Counter("fsck.corrupt").Value(); v != 1 {
-		t.Errorf("fsck.corrupt = %d, want 1", v)
-	}
-	if v := reg.Counter("fsck.quarantined").Value(); v != 1 {
-		t.Errorf("fsck.quarantined = %d, want 1", v)
-	}
-}
-
 func TestFsckErrors(t *testing.T) {
-	if _, err := fsck.Run(fsck.Options{}); err == nil {
+	if _, err := fsck.Run(nil); err == nil {
 		t.Error("no dirs accepted")
 	}
-	if _, err := fsck.Run(fsck.Options{Dirs: []string{"/no/such/dir/bioperf5"}}); err == nil {
+	if _, err := fsck.Run([]string{"/no/such/dir/bioperf5"}); err == nil {
 		t.Error("missing dir accepted")
 	}
 }

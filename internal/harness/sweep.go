@@ -541,6 +541,90 @@ func (m *SweepManifest) Summary() *Table {
 	return t
 }
 
+// WriteClosing writes the lines a sweep prints after its tables: the
+// local engine's or the fleet's counters, then the wall-clock line.
+func (m *SweepManifest) WriteClosing(w io.Writer) {
+	if cs := m.Cluster; cs != nil {
+		cs.writeSummary(w)
+	} else {
+		writeSchedulerSummary(w, m.Scheduler)
+	}
+	fmt.Fprintln(w, m.elapsedLine())
+}
+
+// writeSchedulerSummary renders the local engine's closing lines.
+func writeSchedulerSummary(w io.Writer, st sched.Stats) {
+	poolDesc := fmt.Sprintf("%d workers", st.Workers)
+	if st.Workers == 1 {
+		poolDesc = "1 worker"
+	}
+	fmt.Fprintf(w, "scheduler: %d jobs on %s, %d simulated, cache hit rate %.0f%% (%d in-memory, %d disk)\n",
+		st.Submitted, poolDesc, st.Computed, 100*st.HitRate(), st.MemoryHits, st.DiskHits)
+	if st.DiskCorrupt > 0 {
+		fmt.Fprintf(w, "scheduler: %d corrupted disk cache entries detected and recomputed\n", st.DiskCorrupt)
+	}
+	if st.Retries > 0 || st.Timeouts > 0 || st.Injected > 0 {
+		fmt.Fprintf(w, "scheduler: %d retries, %d cell timeouts, %d injected faults\n",
+			st.Retries, st.Timeouts, st.Injected)
+	}
+}
+
+// writeSummary renders the distributed fabric's closing lines: how the
+// fleet behaved, and what fraction of cells were served without fresh
+// simulation (worker trace/cache hits plus cells answered from the
+// -resume state directory).
+func (cs *ClusterStats) writeSummary(w io.Writer) {
+	fmt.Fprintf(w, "cluster: %d cells on %d workers — %d completed, %d failed, %d resumed from the state directory\n",
+		cs.Cells, cs.Workers, cs.Completed, cs.FailedCells, cs.Resumed)
+	fmt.Fprintf(w, "cluster: %d dispatches in %d batches (%d re-dispatched, %d duplicate results dropped, %d HTTP retries)\n",
+		cs.Dispatched, cs.Batches, cs.Redispatched, cs.Duplicates, cs.Retries)
+	if cs.Cells > 0 {
+		fmt.Fprintf(w, "cluster: cache hit rate %.0f%% (%d trace/cache-served + %d resumed of %d cells)\n",
+			100*float64(cs.CacheHits+cs.Resumed)/float64(cs.Cells),
+			cs.CacheHits, cs.Resumed, cs.Cells)
+	}
+	if cs.WorkersLost > 0 {
+		fmt.Fprintf(w, "cluster: %d worker(s) lost mid-sweep; the survivors took their cells\n", cs.WorkersLost)
+	}
+}
+
+// elapsedLine renders the closing wall-clock summary.  When the
+// manifest carries a stage profile it also says where that time went:
+// total attributed across workers (which exceeds wall time whenever
+// the sweep ran in parallel) and the dominant stage with its share.
+func (m *SweepManifest) elapsedLine() string {
+	wall := time.Duration(m.ElapsedMS) * time.Millisecond
+	p := m.Profile
+	if p == nil || p.Aggregate.IsZero() || len(p.Stages) == 0 || p.Stages[0].NS == 0 {
+		return fmt.Sprintf("elapsed: %s wall", wall)
+	}
+	var attributed int64
+	for _, s := range p.Stages {
+		attributed += s.NS
+	}
+	dom := p.Stages[0]
+	return fmt.Sprintf("elapsed: %s wall; %s attributed across workers; dominant stage: %s (%s, %.0f%%)",
+		wall, time.Duration(attributed).Round(time.Millisecond),
+		dom.Name, time.Duration(dom.NS).Round(time.Millisecond),
+		100*float64(dom.NS)/float64(attributed))
+}
+
+// ReportDegraded writes the degraded cells to w and returns an error
+// when the manifest is partial, so scripted sweeps cannot mistake a
+// degraded run for a complete one.
+func (m *SweepManifest) ReportDegraded(w io.Writer) error {
+	if m.Degraded == 0 {
+		return nil
+	}
+	fmt.Fprintf(w, "bioperf5: %d of %d cells degraded:\n", m.Degraded, len(m.Points))
+	for _, p := range m.DegradedPoints() {
+		fmt.Fprintf(w, "  %s/%s FXUs=%d BTAC=%s: %s (%s)\n",
+			p.App, p.Variant, p.FXUs, btacLabel(p.BTACEntries), p.Status, p.Error)
+	}
+	return fmt.Errorf("sweep: %d of %d cells degraded (re-run with -resume to retry them)",
+		m.Degraded, len(m.Points))
+}
+
 // Grid renders every point of the manifest as a table, grouped by
 // application in manifest order.
 func (m *SweepManifest) Grid() *Table {

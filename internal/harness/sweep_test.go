@@ -13,6 +13,7 @@ import (
 	"bioperf5/internal/fault"
 	"bioperf5/internal/kernels"
 	"bioperf5/internal/sched"
+	"bioperf5/internal/telemetry"
 	"bioperf5/internal/workload"
 )
 
@@ -404,7 +405,7 @@ func TestPaperFailsAtTheExperimentWhoseCellFailed(t *testing.T) {
 		}
 	}
 	eng := sched.New(sched.Options{
-		Workers: 2, Retries: 1, RetryBackoff: time.Millisecond,
+		Workers: 2, Retries: 1,
 		Injector: &hashInjector{kind: fault.Error, allow: allow},
 	})
 	defer eng.Close()
@@ -457,7 +458,7 @@ func baselineHashes() map[string]bool {
 // missing, and Best is computed from the surviving points only.
 func TestSweepDegradesFailedCells(t *testing.T) {
 	eng := sched.New(sched.Options{
-		Workers: 2, Retries: 1, RetryBackoff: time.Millisecond,
+		Workers: 2, Retries: 1,
 		Injector: &hashInjector{kind: fault.Error, allow: baselineHashes()},
 	})
 	defer eng.Close()
@@ -512,7 +513,7 @@ func TestSweepDegradesFailedCells(t *testing.T) {
 // sweep still reports them all.
 func TestSweepSkipsCellsWhenBaselineFails(t *testing.T) {
 	eng := sched.New(sched.Options{
-		Workers: 2, RetryBackoff: time.Millisecond,
+		Workers:  2,
 		Injector: &hashInjector{kind: fault.Error}, // fail everything
 	})
 	defer eng.Close()
@@ -540,7 +541,7 @@ func TestSweepMarksTimeouts(t *testing.T) {
 	// detector, and a single non-baseline grid point per app so the two
 	// injected hangs trip their watchdogs concurrently.
 	eng := sched.New(sched.Options{
-		Workers: 2, RetryBackoff: time.Millisecond,
+		Workers:     2,
 		CellTimeout: 3 * time.Second,
 		Injector: &hashInjector{
 			kind: fault.Hang, delay: time.Minute, allow: baselineHashes(),
@@ -562,5 +563,23 @@ func TestSweepMarksTimeouts(t *testing.T) {
 	}
 	if timeouts != 2 || m.Degraded != 2 {
 		t.Errorf("timeouts=%d degraded=%d, want 2/2:\n%+v", timeouts, m.Degraded, m.Points)
+	}
+}
+
+// TestSweepElapsedLine checks both renderings of the closing summary.
+func TestSweepElapsedLine(t *testing.T) {
+	m := &SweepManifest{ElapsedMS: 1500}
+	if got := m.elapsedLine(); got != "elapsed: 1.5s wall" {
+		t.Errorf("bare line = %q", got)
+	}
+	m.Profile = &SweepProfile{
+		Aggregate: telemetry.StageCost{CaptureNS: 3_000_000_000, ReplayNS: 1_000_000_000},
+	}
+	m.Profile.Stages = m.Profile.Aggregate.Stages()
+	got := m.elapsedLine()
+	for _, want := range []string{"1.5s wall", "4s attributed", "trace.capture", "75%"} {
+		if !strings.Contains(got, want) {
+			t.Errorf("summary %q missing %q", got, want)
+		}
 	}
 }

@@ -73,7 +73,7 @@ func TestChaosSweepMatchesFaultFree(t *testing.T) {
 	// spin) do.
 	chaotic := sched.New(sched.Options{
 		Workers: 2, CacheDir: dir,
-		Retries: 3, RetryBackoff: time.Millisecond,
+		Retries:     3,
 		CellTimeout: 5 * time.Second,
 		Injector:    plan,
 	})

@@ -18,18 +18,14 @@ import (
 )
 
 // Options configures an Engine.  The zero value is usable: GOMAXPROCS
-// workers, a queue of 4x that depth, in-memory caching on, no disk
-// store.
+// workers, no disk store.  Every engine memoizes its results and
+// coalesces identical submissions in memory.
 type Options struct {
-	// Workers is the pool size; values < 1 mean GOMAXPROCS.
+	// Workers is the pool size; values < 1 mean GOMAXPROCS.  The job
+	// queue holds 4x Workers, so every worker has the next job waiting
+	// without a sweep's whole grid sitting in memory; Submit blocks
+	// (backpressure) once it is full.
 	Workers int
-	// QueueDepth bounds the job queue; Submit blocks (backpressure)
-	// once the queue is full.  Values < 1 mean 4x Workers.
-	QueueDepth int
-	// DisableCache turns off both memoization and in-flight
-	// deduplication: every Submit simulates.  Benchmarks use it to
-	// measure raw scheduling throughput.
-	DisableCache bool
 	// CacheDir, when non-empty, adds a content-addressed on-disk store
 	// under that directory so results survive across processes.
 	// Entries are checksummed; corrupted files are recomputed, never
@@ -55,12 +51,9 @@ type Options struct {
 	// retryable error (panic, transient error, cell timeout, injected
 	// fault) is re-executed up to Retries more times.  0 disables
 	// retries; permanent errors (an unknown application, a dead
-	// submission context) are never retried.
+	// submission context) are never retried.  The first retry waits
+	// retryBackoff, and the wait doubles every attempt, capped at 64x.
 	Retries int
-	// RetryBackoff is the delay before the first retry; it doubles
-	// every attempt, capped at 64x.  Values <= 0 mean 5ms.  The
-	// schedule is deliberately jitter-free so runs reproduce exactly.
-	RetryBackoff time.Duration
 	// CellTimeout bounds one simulation attempt.  An attempt exceeding
 	// it fails that cell with ErrCellTimeout (retryable) instead of
 	// wedging the worker; 0 means no deadline.  The abandoned attempt's
@@ -91,6 +84,10 @@ const (
 	resultBudget = 16 << 20
 	resultBytes  = 1 << 10 // a Future with its report, key and LRU links, rounded up
 )
+
+// retryBackoff is the delay before a job's first retry.  The schedule
+// is deliberately jitter-free so runs reproduce exactly.
+const retryBackoff = 5 * time.Millisecond
 
 // ErrCellTimeout marks a simulation attempt that exceeded
 // Options.CellTimeout.  It is retryable: a transient hang clears on
@@ -125,7 +122,7 @@ type Engine struct {
 	// breakdown; tests substitute a stub.
 	compute func(context.Context, Job) (JobResult, error)
 
-	memo  *cas.Memo[*Future] // completed results by content hash; nil when DisableCache
+	memo  *cas.Memo[*Future] // completed results by content hash
 	queue chan *task
 	wg    sync.WaitGroup
 
@@ -140,9 +137,9 @@ type Engine struct {
 	hQueueWait                                 *telemetry.Histogram
 }
 
-// task is one queued unit: the job, its future, the memo fill it leads
-// (nil when DisableCache), and the submission context (cancellation and
-// deadline are honoured up to the moment the simulation starts).
+// task is one queued unit: the job, its future, the memo fill it leads,
+// and the submission context (cancellation and deadline are honoured up
+// to the moment the simulation starts).
 type task struct {
 	job      Job
 	hash     string
@@ -197,9 +194,6 @@ func New(o Options) *Engine {
 	if o.Workers < 1 {
 		o.Workers = runtime.GOMAXPROCS(0)
 	}
-	if o.QueueDepth < 1 {
-		o.QueueDepth = 4 * o.Workers
-	}
 	reg := o.Registry
 	if reg == nil {
 		reg = telemetry.NewRegistry()
@@ -207,7 +201,7 @@ func New(o Options) *Engine {
 	e := &Engine{
 		opts:  o,
 		reg:   reg,
-		queue: make(chan *task, o.QueueDepth),
+		queue: make(chan *task, 4*o.Workers),
 
 		mSubmitted:  reg.Counter("sched.jobs.submitted"),
 		mComputed:   reg.Counter("sched.jobs.computed"),
@@ -235,13 +229,11 @@ func New(o Options) *Engine {
 	}
 	e.remote = cas.NewClient(EntryKind, o.CacheUpstream, o.CacheTransport, reg, "sched.cache.remote")
 	e.compute = func(ctx context.Context, j Job) (JobResult, error) { return j.run(ctx, e.traces) }
-	if !o.DisableCache {
-		if o.budget <= 0 {
-			o.budget = resultBudget
-		}
-		e.memo = cas.NewMemo(o.budget, func(*Future) int64 { return resultBytes },
-			reg.Counter("sched.cache.memory.evictions"))
+	if o.budget <= 0 {
+		o.budget = resultBudget
 	}
+	e.memo = cas.NewMemo(o.budget, func(*Future) int64 { return resultBytes },
+		reg.Counter("sched.cache.memory.evictions"))
 	e.disk = cas.NewDir(EntryKind, o.CacheDir, e.mDiskWrites, e.mCorrupt)
 	e.gWorkers.Set(float64(o.Workers))
 	for i := 0; i < o.Workers; i++ {
@@ -327,17 +319,13 @@ func (e *Engine) SubmitTracked(ctx context.Context, j Job) (*Future, bool) {
 		f.complete(JobResult{}, fmt.Errorf("sched: engine closed"))
 		return f, false
 	}
-	var fl *cas.Flight[*Future]
-	if e.memo != nil {
-		f, joined, lead := e.memo.Join(hash)
-		if !lead {
-			e.mMemHits.Add(1)
-			if joined == nil { // memoized
-				return f, true
-			}
-			return e.follow(ctx, j, joined), true
+	f, fl, lead := e.memo.Join(hash)
+	if !lead {
+		e.mMemHits.Add(1)
+		if fl == nil { // memoized
+			return f, true
 		}
-		fl = joined
+		return e.follow(ctx, j, fl), true
 	}
 	t := &task{job: j, hash: hash, fut: &Future{done: make(chan struct{})},
 		flight: fl, ctx: ctx, enqueued: time.Now()}
@@ -414,9 +402,7 @@ func (e *Engine) worker() {
 // future.
 func (e *Engine) finish(t *task, res JobResult, err error) {
 	t.fut.orphaned = t.ctx.Err() != nil
-	if t.flight != nil {
-		e.memo.Finish(t.flight, t.fut, err)
-	}
+	e.memo.Finish(t.flight, t.fut, err)
 	t.fut.complete(res, err)
 }
 
@@ -553,13 +539,9 @@ func (e *Engine) attempt(ctx context.Context, t *task, attempt int) (JobResult, 
 // backoff sleeps the deterministic capped-exponential delay before the
 // next attempt; it returns false if the submission context died first.
 func (e *Engine) backoff(ctx context.Context, attempt int) bool {
-	base := e.opts.RetryBackoff
-	if base <= 0 {
-		base = 5 * time.Millisecond
-	}
-	d := 64 * base
+	d := 64 * retryBackoff
 	if attempt < 6 {
-		d = base << uint(attempt)
+		d = retryBackoff << uint(attempt)
 	}
 	timer := time.NewTimer(d)
 	defer timer.Stop()

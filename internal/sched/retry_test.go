@@ -12,12 +12,9 @@ import (
 	"bioperf5/internal/cpu"
 )
 
-// fastRetry makes retry tests quick: a 1ms backoff base.
-const fastRetry = time.Millisecond
-
 func TestEngineRetriesTransientFailure(t *testing.T) {
 	var calls atomic.Int64
-	e := stubEngine(t, Options{Workers: 1, Retries: 2, RetryBackoff: fastRetry},
+	e := stubEngine(t, Options{Workers: 1, Retries: 2},
 		func(j Job) (cpu.Report, error) {
 			if calls.Add(1) < 3 {
 				return cpu.Report{}, errors.New("flaky")
@@ -38,7 +35,7 @@ func TestEngineRetriesTransientFailure(t *testing.T) {
 
 func TestEngineRetryBudgetExhausted(t *testing.T) {
 	var calls atomic.Int64
-	e := stubEngine(t, Options{Workers: 1, Retries: 1, RetryBackoff: fastRetry},
+	e := stubEngine(t, Options{Workers: 1, Retries: 1},
 		func(j Job) (cpu.Report, error) {
 			calls.Add(1)
 			return cpu.Report{}, errors.New("always broken")
@@ -57,7 +54,7 @@ func TestEngineRetryBudgetExhausted(t *testing.T) {
 
 func TestEnginePanicRetried(t *testing.T) {
 	var calls atomic.Int64
-	e := stubEngine(t, Options{Workers: 1, Retries: 1, RetryBackoff: fastRetry},
+	e := stubEngine(t, Options{Workers: 1, Retries: 1},
 		func(j Job) (cpu.Report, error) {
 			if calls.Add(1) == 1 {
 				panic("transient panic")
@@ -76,7 +73,7 @@ func TestEnginePanicRetried(t *testing.T) {
 func TestEnginePermanentErrorNotRetried(t *testing.T) {
 	// An unknown application is a permanent error: the retry budget
 	// must not be spent on it.
-	e := New(Options{Workers: 1, Retries: 3, RetryBackoff: fastRetry})
+	e := New(Options{Workers: 1, Retries: 3})
 	defer e.Close()
 	j := baseJob()
 	j.App = "NoSuchApp"
@@ -117,7 +114,7 @@ func TestEngineCellTimeout(t *testing.T) {
 func TestEngineTimeoutThenRetrySucceeds(t *testing.T) {
 	var calls atomic.Int64
 	e := stubEngine(t, Options{
-		Workers: 1, Retries: 1, RetryBackoff: fastRetry,
+		Workers: 1, Retries: 1,
 		CellTimeout: 30 * time.Millisecond,
 	}, func(j Job) (cpu.Report, error) {
 		if calls.Add(1) == 1 {
@@ -142,7 +139,7 @@ func TestEngineSubmitUnblocksOnCancel(t *testing.T) {
 	block := make(chan struct{})
 	unblock := sync.OnceFunc(func() { close(block) })
 	started := make(chan struct{}, 16)
-	e := stubEngine(t, Options{Workers: 1, QueueDepth: 1},
+	e := stubEngine(t, Options{Workers: 1},
 		func(j Job) (cpu.Report, error) {
 			started <- struct{}{}
 			<-block
@@ -150,15 +147,16 @@ func TestEngineSubmitUnblocksOnCancel(t *testing.T) {
 		})
 	defer unblock() // let the pool drain before Cleanup closes the engine
 
-	j1 := baseJob()
-	e.Submit(context.Background(), j1) // occupies the worker
-	<-started                          // worker is now blocked inside compute
-	j2 := baseJob()
-	j2.Seed = 2
-	e.Submit(context.Background(), j2) // fills the queue (depth 1)
+	e.Submit(context.Background(), baseJob()) // occupies the worker
+	<-started                                 // worker is now blocked inside compute
+	for seed := int64(2); seed <= 5; seed++ {
+		j := baseJob()
+		j.Seed = seed
+		e.Submit(context.Background(), j) // fills the queue (4 x 1 worker)
+	}
 
 	j3 := baseJob()
-	j3.Seed = 3
+	j3.Seed = 6
 	ctx, cancel := context.WithCancel(context.Background())
 	time.AfterFunc(30*time.Millisecond, cancel)
 	doneBy := time.Now().Add(10 * time.Second)
@@ -182,7 +180,7 @@ func TestEngineSubmitUnblocksOnCancel(t *testing.T) {
 func TestEngineInjectedErrorRetried(t *testing.T) {
 	var calls atomic.Int64
 	e := stubEngine(t, Options{
-		Workers: 1, Retries: 1, RetryBackoff: fastRetry,
+		Workers: 1, Retries: 1,
 		Injector: faults(t, "error=1"), // inject once (times defaults to 1)
 	}, func(j Job) (cpu.Report, error) {
 		calls.Add(1)
@@ -209,7 +207,7 @@ func TestEngineInjectedPanicAndCancelRetried(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			e := stubEngine(t, Options{
-				Workers: 1, Retries: 1, RetryBackoff: fastRetry, Injector: faults(t, tc.spec),
+				Workers: 1, Retries: 1, Injector: faults(t, tc.spec),
 			}, func(j Job) (cpu.Report, error) {
 				return cpu.Report{Counters: cpu.Counters{Cycles: 8}}, nil
 			})
@@ -226,7 +224,7 @@ func TestEngineInjectedPanicAndCancelRetried(t *testing.T) {
 
 func TestEngineInjectedHangTripsWatchdog(t *testing.T) {
 	e := stubEngine(t, Options{
-		Workers: 1, Retries: 1, RetryBackoff: fastRetry,
+		Workers: 1, Retries: 1,
 		CellTimeout: 20 * time.Millisecond,
 		Injector:    faults(t, "hang=1,delay=2s"),
 	}, func(j Job) (cpu.Report, error) {

@@ -159,22 +159,6 @@ func TestEngineDedupComputesOnce(t *testing.T) {
 	}
 }
 
-func TestEngineDisableCacheComputesEveryTime(t *testing.T) {
-	var computes atomic.Int64
-	e := stubEngine(t, Options{Workers: 2, DisableCache: true}, func(j Job) (cpu.Report, error) {
-		computes.Add(1)
-		return cpu.Report{}, nil
-	})
-	for i := 0; i < 3; i++ {
-		if _, err := e.Run(context.Background(), baseJob()); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := computes.Load(); got != 3 {
-		t.Errorf("computed %d times, want 3", got)
-	}
-}
-
 func TestEnginePanicRecovery(t *testing.T) {
 	e := stubEngine(t, Options{Workers: 2}, func(j Job) (cpu.Report, error) {
 		if j.Seed == 13 {

@@ -133,9 +133,10 @@ func TestEngineInjectedTraceStoreShared(t *testing.T) {
 
 // TestEngineTraceReplayMatchesCoupled cross-checks the full scheduler
 // path: a job run with tracing (capture + replay) equals the same job
-// run coupled.
+// run coupled.  The coupled run gets a fresh engine: the trace policy is
+// not part of the key, so on the first engine it would be a memo hit.
 func TestEngineTraceReplayMatchesCoupled(t *testing.T) {
-	e := New(Options{Workers: 1, DisableCache: true})
+	e := New(Options{Workers: 1})
 	defer e.Close()
 	j := baseJob()
 	j.CPU.UseBTAC = true
@@ -143,10 +144,18 @@ func TestEngineTraceReplayMatchesCoupled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	fresh := New(Options{Workers: 1})
+	defer fresh.Close()
 	j.Trace = core.TraceOff
-	coupled, err := e.Run(context.Background(), j)
+	coupled, err := fresh.Run(context.Background(), j)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if st := fresh.Stats(); st.Computed != 1 || st.MemoryHits != 0 {
+		t.Errorf("coupled run was not computed: %+v", st)
+	}
+	if st := fresh.TraceStore().Stats(); st.Captures != 0 {
+		t.Errorf("coupled run captured a trace: %+v", st)
 	}
 	if traced != coupled {
 		t.Errorf("traced run diverges from coupled run\n traced:  %+v\n coupled: %+v",

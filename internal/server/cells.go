@@ -18,6 +18,7 @@ import (
 // request, not the science: a sweep wanting more goes through the CLI.
 const (
 	maxBodyBytes = 1 << 20 // request bodies are small JSON documents
+	maxBatch     = 256     // cells in one batch request
 	maxFXUs      = 8
 	maxBTAC      = 4096
 	maxScale     = 64
@@ -184,10 +185,10 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	// Admission is all-or-nothing, so a batch larger than the admission
 	// bound could never run: a 429 would tell the client to retry forever.
-	if limit := min(s.opts.MaxBatch, cap(s.sem)); len(req.Cells) > limit {
+	if limit := min(maxBatch, cap(s.sem)); len(req.Cells) > limit {
 		s.errorJSON(w, http.StatusBadRequest,
 			"batch of %d cells exceeds the limit of %d (at most %d cells per batch, %d cells in flight); split it",
-			len(req.Cells), limit, s.opts.MaxBatch, cap(s.sem))
+			len(req.Cells), limit, maxBatch, cap(s.sem))
 		return
 	}
 	cells := make([]harness.Cell, len(req.Cells))

@@ -3,7 +3,6 @@ package server
 import (
 	"net/http/httptest"
 	"testing"
-	"time"
 
 	"bioperf5/internal/sched"
 )
@@ -17,11 +16,11 @@ func retryAfterHeader(s *Server) string {
 
 func TestRetryAfterDerivedFromLoad(t *testing.T) {
 	s, _ := newTestServer(t, sched.Options{Workers: 1},
-		Options{MaxInflight: 4, RetryAfter: 2 * time.Second})
+		Options{MaxInflight: 4})
 
-	// Idle server, no latency history: the configured floor.
-	if got := retryAfterHeader(s); got != "2" {
-		t.Errorf("idle hint = %q, want the 2s floor", got)
+	// Idle server, no latency history: the 1s floor.
+	if got := retryAfterHeader(s); got != "1" {
+		t.Errorf("idle hint = %q, want the 1s floor", got)
 	}
 
 	// Slow requests with full admission occupancy: the hint scales to
@@ -46,7 +45,7 @@ func TestRetryAfterDerivedFromLoad(t *testing.T) {
 	for i := 0; i < cap(s.sem); i++ {
 		<-s.sem
 	}
-	if got := retryAfterHeader(s); got != "2" {
+	if got := retryAfterHeader(s); got != "1" {
 		t.Errorf("drained hint = %q, want the floor again", got)
 	}
 }

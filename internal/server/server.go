@@ -43,28 +43,21 @@ import (
 	"bioperf5/internal/telemetry"
 )
 
-// Options configures a Server.
+// Options configures a Server.  Whatever the options, a batch request
+// holds at most 256 cells (maxBatch), and the Retry-After hint on 429
+// and 503 responses is at least one second (see retryAfter).
 type Options struct {
 	// Engine executes the cells.  Required; New panics on nil, because
 	// a server without an engine cannot serve anything.
 	Engine *sched.Engine
 	// MaxInflight bounds concurrently admitted cells across all
 	// requests (the admission-control semaphore).  Values < 1 mean
-	// 4 x GOMAXPROCS — the engine's own default queue depth, so the
-	// server saturates no earlier than the engine would.
+	// 4 x GOMAXPROCS — the engine's queue depth at its default pool
+	// size, so the server saturates no earlier than the engine would.
 	MaxInflight int
 	// DefaultTimeout is the per-request deadline applied when the
 	// client sends no ?timeout= query parameter; 0 means none.
 	DefaultTimeout time.Duration
-	// MaxBatch bounds the cell count of one batch request; values < 1
-	// mean 256.
-	MaxBatch int
-	// RetryAfter is the floor of the hint sent with 429 and 503
-	// responses; values <= 0 mean 1s.  The actual hint scales with
-	// observed load: mean request latency times admission occupancy,
-	// clamped to [RetryAfter, 60s], so a saturated server under slow
-	// cells tells clients to back off longer than one under fast ones.
-	RetryAfter time.Duration
 	// DefaultTrace is the trace policy applied to cells whose request
 	// carries no "trace" field; the zero value means auto (capture each
 	// distinct functional execution once, replay it for every timing
@@ -119,12 +112,6 @@ func New(o Options) *Server {
 	}
 	if o.MaxInflight < 1 {
 		o.MaxInflight = 4 * runtime.GOMAXPROCS(0)
-	}
-	if o.MaxBatch < 1 {
-		o.MaxBatch = 256
-	}
-	if o.RetryAfter <= 0 {
-		o.RetryAfter = time.Second
 	}
 	reg := o.Engine.Registry()
 	s := &Server{
@@ -315,17 +302,14 @@ func (s *Server) saturated(w http.ResponseWriter) {
 // rather than a fixed constant: the expected time for a slot to free
 // is roughly one mean request latency, and the fuller the semaphore
 // the less likely an early retry wins the race for it.  The estimate
-// is clamped to [Options.RetryAfter, 60s] so clients never hammer a
-// cold server (no latency samples yet) and never back off absurdly
-// after one pathological request.
+// is clamped to [1s, 60s] so clients never hammer a cold server (no
+// latency samples yet) and never back off absurdly after one
+// pathological request; a saturated server under slow cells thus tells
+// clients to back off longer than one under fast ones.
 func (s *Server) retryAfter(w http.ResponseWriter) {
-	floor := s.opts.RetryAfter.Seconds()
-	if floor < 1 {
-		floor = 1
-	}
 	occupancy := float64(len(s.sem)) / float64(cap(s.sem))
 	est := s.hLatency.Mean() / 1e6 * occupancy // mean is in microseconds
-	secs := int(math.Ceil(math.Min(60, math.Max(floor, est))))
+	secs := int(math.Ceil(math.Min(60, math.Max(1, est))))
 	w.Header().Set("Retry-After", fmt.Sprintf("%d", secs))
 }
 

@@ -324,11 +324,11 @@ func TestBatchStreamsJSONL(t *testing.T) {
 }
 
 func TestBatchValidation(t *testing.T) {
-	s, _ := newTestServer(t, sched.Options{Workers: 1}, Options{MaxBatch: 2})
+	s, _ := newTestServer(t, sched.Options{Workers: 1}, Options{MaxInflight: 2})
 	for name, body := range map[string]string{
 		"empty":         `{"cells":[]}`,
 		"bad cell":      `{"cells":[{"app":"Nope"}]}`,
-		"over maxbatch": `{"cells":[{"app":"Fasta"},{"app":"Hmmer"},{"app":"Blast"}]}`,
+		"over maxbatch": `{"cells":[{"app":"Fasta"},{"app":"Hmmer"},{"app":"Blast"}]}`, // the batch limit is min(256, MaxInflight)
 	} {
 		t.Run(name, func(t *testing.T) {
 			req := httptest.NewRequest("POST", "/v1/cells:batch", strings.NewReader(body))

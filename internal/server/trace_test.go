@@ -7,6 +7,7 @@ import (
 
 	"bioperf5/internal/core"
 	"bioperf5/internal/sched"
+	"bioperf5/internal/trace"
 )
 
 // TestCellTraceHitSemantics: the first request for a cell captures its
@@ -45,7 +46,7 @@ func TestCellTraceHitSemantics(t *testing.T) {
 // ("off" bypasses the store) and anything but auto or off — the retired
 // "capture" and "replay" included — is a 400, not a silent default.
 func TestCellTracePolicyField(t *testing.T) {
-	s, eng := newTestServer(t, sched.Options{Workers: 1, DisableCache: true}, Options{})
+	s, eng := newTestServer(t, sched.Options{Workers: 1}, Options{})
 	w := postCell(s, `{"app":"Hmmer","seeds":[1],"trace":"off"}`, "")
 	if w.Code != http.StatusOK {
 		t.Fatalf("trace=off: status = %d, body %s", w.Code, w.Body)
@@ -71,16 +72,22 @@ func TestCellTracePolicyField(t *testing.T) {
 
 // TestCellNumbersIdenticalAcrossPolicies is the serving-layer identity
 // gate: the same cell with tracing off and on returns byte-identical
-// stats.
+// stats.  Each request gets a fresh server, so none is a memo hit; the
+// traced ones share a trace store, so the second replays the first's
+// capture.
 func TestCellNumbersIdenticalAcrossPolicies(t *testing.T) {
-	s, _ := newTestServer(t, sched.Options{Workers: 1, DisableCache: true}, Options{})
+	traces := trace.NewStore(trace.StoreOptions{})
 	var bodies [][]byte
 	for _, req := range []string{
 		`{"app":"Clustalw","btac_entries":8,"seeds":[1,2],"trace":"off"}`,
 		`{"app":"Clustalw","btac_entries":8,"seeds":[1,2]}`,
 		`{"app":"Clustalw","btac_entries":8,"seeds":[1,2]}`, // warm replay
 	} {
+		s, eng := newTestServer(t, sched.Options{Workers: 1, Traces: traces}, Options{})
 		w := postCell(s, req, "")
+		if st := eng.Stats(); st.Computed != 2 {
+			t.Errorf("%s: engine computed %d seeds, want 2", req, st.Computed)
+		}
 		if w.Code != http.StatusOK {
 			t.Fatalf("status = %d, body %s", w.Code, w.Body)
 		}
@@ -99,13 +106,16 @@ func TestCellNumbersIdenticalAcrossPolicies(t *testing.T) {
 			t.Errorf("response %d stats diverge from traced-off stats", i)
 		}
 	}
+	if st := traces.Stats(); st.Captures != 2 {
+		t.Errorf("traced requests captured %d traces, want one per seed: %+v", st.Captures, st)
+	}
 }
 
 // TestServerDefaultTraceOption: a server started with DefaultTrace off
 // applies it to requests without a "trace" field, and a per-request
 // field overrides it.
 func TestServerDefaultTraceOption(t *testing.T) {
-	s, eng := newTestServer(t, sched.Options{Workers: 1, DisableCache: true},
+	s, eng := newTestServer(t, sched.Options{Workers: 1},
 		Options{DefaultTrace: core.TraceOff})
 	if w := postCell(s, `{"app":"Fasta","seeds":[1]}`, ""); w.Code != http.StatusOK {
 		t.Fatalf("status = %d, body %s", w.Code, w.Body)
@@ -113,7 +123,8 @@ func TestServerDefaultTraceOption(t *testing.T) {
 	if st := eng.TraceStore().Stats(); st.Captures != 0 {
 		t.Errorf("server default off still captured: %+v", st)
 	}
-	if w := postCell(s, `{"app":"Fasta","seeds":[1],"trace":"auto"}`, ""); w.Code != http.StatusOK {
+	// Another seed, so the request captures instead of hitting the memo.
+	if w := postCell(s, `{"app":"Fasta","seeds":[2],"trace":"auto"}`, ""); w.Code != http.StatusOK {
 		t.Fatalf("status = %d, body %s", w.Code, w.Body)
 	}
 	if st := eng.TraceStore().Stats(); st.Captures != 1 {

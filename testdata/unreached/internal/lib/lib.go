@@ -24,3 +24,34 @@ var Spare = 4
 
 // Shape is exported and only the test names it.
 type Shape struct{}
+
+// Config's fields are each written by one form of write in cmd/app;
+// only the test writes Idle.
+type Config struct {
+	Keyed  int    // a key in a composite literal
+	Deep   Node   // the head of an assigned selector chain
+	Addr   int    // the operand of &
+	Copied [2]int // the destination of copy
+	Grown  []int  // the destination of append
+	Count  int    // the operand of ++
+	Clock  Ticker // the receiver of a method call
+	Idle   int
+}
+
+// Node's Leaf is the tail of an assigned selector chain.
+type Node struct{ Leaf int }
+
+// Ticker counts its ticks.
+type Ticker struct{ n int }
+
+// Tick advances the ticker.
+func (t *Ticker) Tick() { t.n++ }
+
+// Point is written by a literal without keys, Span by an elided one in
+// a slice literal, and Step by an elided one in a Path literal.
+type (
+	Point struct{ X, Y int }
+	Span  struct{ Lo, Hi int }
+	Step  struct{ Dx, Dy int }
+	Path  []Step
+)
