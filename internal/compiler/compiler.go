@@ -25,13 +25,12 @@ type Options struct {
 	// bars rely on max/select operations the kernel author placed and
 	// leave the remaining branches alone.
 	IfConvert bool
-	IfConv    IfConvOptions
 }
 
 // DefaultOptions returns the pipeline configuration used by the
 // experiments' compiler variants.
 func DefaultOptions() Options {
-	return Options{IfConvert: true, IfConv: DefaultIfConvOptions()}
+	return Options{IfConvert: true}
 }
 
 // Stats reports what the pipeline did to a function, for the harness's
@@ -57,7 +56,7 @@ func Compile(f *ir.Func, tgt Target, opts Options) (*isa.Program, *Stats, error)
 	st := &Stats{}
 
 	if opts.IfConvert {
-		st.HammocksConverted = IfConvert(f, opts.IfConv)
+		st.HammocksConverted = IfConvert(f)
 	}
 	// Collapse the copies if-conversion introduced so the max pattern
 	// matcher sees select(a<b, b, a) rather than select(a<b, t, a).

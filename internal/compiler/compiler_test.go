@@ -257,7 +257,7 @@ func TestIfConvertTriangle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := IfConvert(f, DefaultIfConvOptions()); n != 1 {
+	if n := IfConvert(f); n != 1 {
 		t.Fatalf("converted %d hammocks, want 1", n)
 	}
 	if CountHammocks(f) != 0 {
@@ -285,7 +285,7 @@ func TestIfConvertDiamond(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := IfConvert(f, DefaultIfConvOptions()); n != 1 {
+	if n := IfConvert(f); n != 1 {
 		t.Fatalf("converted %d, want 1", n)
 	}
 	got, err := ir.Interp(f, mem.New(), []int64{4, 9}, 1000)
@@ -305,7 +305,7 @@ func TestIfConvertRefusesStores(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := IfConvert(f, DefaultIfConvOptions()); n != 0 {
+	if n := IfConvert(f); n != 0 {
 		t.Errorf("converted %d hammocks containing stores", n)
 	}
 }
@@ -327,10 +327,10 @@ func TestIfConvertRefusesUnsafeLoads(t *testing.T) {
 		}
 		return f
 	}
-	if n := IfConvert(makeF(false), DefaultIfConvOptions()); n != 0 {
+	if n := IfConvert(makeF(false)); n != 0 {
 		t.Error("unsafe load speculated")
 	}
-	if n := IfConvert(makeF(true), DefaultIfConvOptions()); n != 1 {
+	if n := IfConvert(makeF(true)); n != 1 {
 		t.Error("safe+noalias load not speculated")
 	}
 }
@@ -357,7 +357,7 @@ func TestIfConvertRefusesAliasedLoads(t *testing.T) {
 			}
 		}
 	}
-	if n := IfConvert(f, DefaultIfConvOptions()); n != 0 {
+	if n := IfConvert(f); n != 0 {
 		t.Error("possibly-aliased load speculated")
 	}
 }
@@ -381,11 +381,8 @@ func TestIfConvertArmSizeLimit(t *testing.T) {
 		}
 		return f
 	}
-	if n := IfConvert(build(), IfConvOptions{MaxArmInstrs: 8, SpeculateLoads: true}); n != 0 {
+	if n := IfConvert(build()); n != 0 {
 		t.Error("oversized arm speculated")
-	}
-	if n := IfConvert(build(), IfConvOptions{MaxArmInstrs: 64, SpeculateLoads: true}); n != 1 {
-		t.Error("generous limit did not convert")
 	}
 }
 

@@ -357,21 +357,10 @@ func dce(f *ir.Func) {
 	}
 }
 
-// IfConvOptions tunes the if-conversion pass.
-type IfConvOptions struct {
-	// MaxArmInstrs bounds the number of instructions speculated per
-	// arm; beyond it, branching is cheaper than predicating.
-	MaxArmInstrs int
-	// SpeculateLoads permits speculating loads at all (they must still
-	// be marked Safe and NoAlias).  The paper's compiler has this on.
-	SpeculateLoads bool
-}
-
-// DefaultIfConvOptions mirrors the aggressiveness of the paper's
-// modified gcc.
-func DefaultIfConvOptions() IfConvOptions {
-	return IfConvOptions{MaxArmInstrs: 8, SpeculateLoads: true}
-}
+// maxArmInstrs bounds the number of instructions speculated per arm,
+// mirroring the aggressiveness of the paper's modified gcc; beyond it,
+// branching is cheaper than predicating.
+const maxArmInstrs = 8
 
 // IfConvert rewrites triangle and diamond hammocks into straight-line
 // select data flow.  It returns the number of hammocks converted.
@@ -382,7 +371,7 @@ func DefaultIfConvOptions() IfConvOptions {
 // load and its use (NoAlias).  Hammocks failing the test are left
 // intact — exactly the cases ("the compiler must make conservative
 // assumptions") where the paper's hand-inserted code wins.
-func IfConvert(f *ir.Func, opts IfConvOptions) int {
+func IfConvert(f *ir.Func) int {
 	preds := f.Preds()
 	converted := 0
 	for _, b := range f.Blocks {
@@ -393,7 +382,7 @@ func IfConvert(f *ir.Func, opts IfConvOptions) int {
 		switch {
 		case t != e && isArm(t, b, preds) && b.Term.Else == jumpTarget(t):
 			// Triangle: if (c) { T }; join == Else.
-			if !armConvertible(t, opts) {
+			if !armConvertible(t) {
 				continue
 			}
 			condSelects(f, b, b.Term, []*ir.Block{t}, nil, jumpTarget(t))
@@ -401,14 +390,14 @@ func IfConvert(f *ir.Func, opts IfConvOptions) int {
 		case t != e && isArm(t, b, preds) && isArm(e, b, preds) &&
 			jumpTarget(t) != nil && jumpTarget(t) == jumpTarget(e):
 			// Diamond: if (c) { T } else { E }.
-			if !armConvertible(t, opts) || !armConvertible(e, opts) {
+			if !armConvertible(t) || !armConvertible(e) {
 				continue
 			}
 			condSelects(f, b, b.Term, []*ir.Block{t}, []*ir.Block{e}, jumpTarget(t))
 			converted++
 		case t != e && isArm(e, b, preds) && b.Term.Then == jumpTarget(e):
 			// Inverted triangle: if (!c) { E }; join == Then.
-			if !armConvertible(e, opts) {
+			if !armConvertible(e) {
 				continue
 			}
 			neg := b.Term
@@ -439,8 +428,10 @@ func jumpTarget(x *ir.Block) *ir.Block {
 }
 
 // armConvertible applies the Section IV-B legality rules to one arm.
-func armConvertible(x *ir.Block, opts IfConvOptions) bool {
-	if len(x.Instrs) == 0 || len(x.Instrs) > opts.MaxArmInstrs {
+// Loads may be speculated, as the paper's compiler does, when marked
+// Safe and NoAlias.
+func armConvertible(x *ir.Block) bool {
+	if len(x.Instrs) == 0 || len(x.Instrs) > maxArmInstrs {
 		return false
 	}
 	for i := range x.Instrs {
@@ -451,7 +442,7 @@ func armConvertible(x *ir.Block, opts IfConvOptions) bool {
 		case in.Op == ir.OpDiv:
 			return false // too expensive to speculate
 		case in.IsLoad():
-			if !opts.SpeculateLoads || !in.Safe || !in.NoAlias {
+			if !in.Safe || !in.NoAlias {
 				return false
 			}
 		}

@@ -382,7 +382,7 @@ func TestIfConvertNestedLoopsUntouchedStructure(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := interp(t, f, 10)
-	if n := IfConvert(f, DefaultIfConvOptions()); n != 1 {
+	if n := IfConvert(f); n != 1 {
 		t.Fatalf("converted %d", n)
 	}
 	if err := f.Verify(); err != nil {

@@ -59,7 +59,10 @@ func bothFeeds(t *testing.T, cfg Config, memory *mem.Memory, regs map[isa.Reg]ui
 	}
 	live := liveCore.Report()
 
-	tr := b.Finish(trace.Meta{LoadLat: hier.LevelLatencies()})
+	tr, err := b.Finish(trace.Meta{LoadLat: hier.LevelLatencies()})
+	if err != nil {
+		t.Fatal(err)
+	}
 	core, err := NewCore(cfg, tr.Meta.LoadLat)
 	if err != nil {
 		t.Fatal(err)

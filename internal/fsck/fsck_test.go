@@ -109,8 +109,11 @@ func writeTrace(t *testing.T, dir string, seed int64) string {
 	for pc := 0; pc < 64; pc++ {
 		b.Add(trace.Record{PC: pc, HasEA: true, EA: uint64(pc * 64)})
 	}
-	tr := b.Finish(trace.Meta{App: "Fasta", Variant: "original", Seed: seed,
+	tr, err := b.Finish(trace.Meta{App: "Fasta", Variant: "original", Seed: seed,
 		Scale: 1, ProgHash: "abc"})
+	if err != nil {
+		t.Fatal(err)
+	}
 	enc, err := tr.EncodeFile()
 	if err != nil {
 		t.Fatal(err)
@@ -198,32 +201,44 @@ func TestFsckQuarantinesWrongAddressEntry(t *testing.T) {
 }
 
 // TestFsckQuarantinesTraceThatCannotReplay: a file whose checksum is
-// sound but whose payload disagrees with its record count was written
-// by something other than this program; a store would refuse it too.
+// sound but whose payload disagrees with its record count, or whose
+// meta names an older format version (a file from before the current
+// layout), was not written by this program; a store would refuse it
+// too, and the next use recaptures it.
 func TestFsckQuarantinesTraceThatCannotReplay(t *testing.T) {
-	dir := t.TempDir()
-	path := writeTrace(t, dir, 1)
-	b, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	good, err := trace.DecodeFile(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bad := &trace.Trace{Meta: good.Meta, Payload: good.Payload}
-	bad.Meta.Records++
-	enc, err := bad.EncodeFile()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, enc, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	rep := runFsck(t, dir)
-	f := findKind(rep, fsck.KindTraceCorrupt)
-	if f == nil || f.Path != path {
-		t.Fatalf("unreplayable trace not caught: %+v", rep)
+	for name, damage := range map[string]func(*trace.Meta){
+		"record count":     func(m *trace.Meta) { m.Records++ },
+		"format version 2": func(m *trace.Meta) { m.Schema = 2 },
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			path := writeTrace(t, dir, 1)
+			b, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			good, err := trace.DecodeFile(b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bad := &trace.Trace{Meta: good.Meta, Payload: good.Payload}
+			damage(&bad.Meta)
+			enc, err := bad.EncodeFile()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, enc, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			rep := runFsck(t, dir)
+			f := findKind(rep, fsck.KindTraceCorrupt)
+			if f == nil || f.Path != path {
+				t.Fatalf("unreplayable trace not caught: %+v", rep)
+			}
+			if _, err := os.Stat(f.QuarantinedTo); err != nil {
+				t.Errorf("quarantined copy missing: %v", err)
+			}
+		})
 	}
 }
 

@@ -19,10 +19,7 @@ import (
 func TestTimingMetamorphic(t *testing.T) {
 	for _, k := range All() {
 		for _, v := range []Variant{Branchy, Combination} {
-			tr, err := CaptureTrace(k, v, 1, 1, replayLimit)
-			if err != nil {
-				t.Fatalf("%s/%s: capture: %v", k.App, v, err)
-			}
+			tr := goldenTrace(t, k, v)
 			var first cpu.Counters
 			prevCycles := map[bool]uint64{}
 			for _, fxus := range []int{2, 3, 4} {

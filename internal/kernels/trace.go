@@ -123,7 +123,7 @@ func CaptureTrace(k *Kernel, v Variant, seed int64, scale int, limit uint64) (*t
 		return nil, err
 	}
 	// Replay charges exactly the load latencies capture resolved against.
-	return b.Finish(trace.Meta{
+	t, err := b.Finish(trace.Meta{
 		App:      k.App,
 		Kernel:   k.Name,
 		Variant:  v.String(),
@@ -132,7 +132,11 @@ func CaptureTrace(k *Kernel, v Variant, seed int64, scale int, limit uint64) (*t
 		ProgHash: c.Hash,
 		Result:   run.Want,
 		LoadLat:  hier.LevelLatencies(),
-	}), nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("kernels: %s/%s: %w", k.Name, v, err)
+	}
+	return t, nil
 }
 
 // ReplayTrace feeds a stored trace through the timing core under cfg
@@ -140,10 +144,10 @@ func CaptureTrace(k *Kernel, v Variant, seed int64, scale int, limit uint64) (*t
 // bit-identical to what SimulateObserved produces for the same cell:
 // capture and the live path are one cpu.Walk, so the trace holds the
 // events the live core consumes, and the same core consumes them here.
-// The replay-equivalence tests hold the encoding, the decoding and
-// this loop to that.  A trace whose program hash does not match the
-// current compilation, or whose payload decodes inconsistently, is
-// rejected as corrupt.
+// The replay-equivalence tests hold the encoding and this loop to that.
+// A trace whose program hash does not match the current compilation, or
+// whose payload does not hold the records it reads, is rejected as
+// corrupt.
 func ReplayTrace(k *Kernel, v Variant, t *trace.Trace, cfg cpu.Config) (cpu.Report, error) {
 	return ReplayObserved(k, v, t, cfg, Observer{})
 }
@@ -167,29 +171,39 @@ func ReplayObserved(k *Kernel, v Variant, t *trace.Trace, cfg cpu.Config, obs Ob
 		return cpu.Report{}, err
 	}
 	defer obs.publish(core)
-	heads, eas, err := t.Columns()
+	recs, err := t.Records()
 	if err != nil {
 		return core.Report(), err
 	}
+	n := recs.Len()
 	var ev cpu.Event
-	mem := 0 // memory ops replayed so far: the index into eas
-	for i, h := range heads {
+	var next trace.Head // the following record's head, read once for both
+	if n > 0 {
+		next = recs.Head(0)
+	}
+	mem := 0 // memory ops replayed so far: the index of the next EA
+	for i := 0; i < n; i++ {
+		h := next
+		if i+1 < n {
+			next = recs.Head(i + 1)
+		}
 		pc := h.PC()
 		if pc >= len(c.Meta) {
 			return core.Report(), fmt.Errorf("%w: PC %d outside program of %d instructions",
 				trace.ErrCorrupt, pc, len(c.Meta))
 		}
-		ev.Meta, ev.PC, ev.Next = &c.Meta[pc], pc, pc
-		if i+1 < len(heads) {
-			ev.Next = heads[i+1].PC()
+		if !h.Legal() {
+			return core.Report(), fmt.Errorf("%w: record %d: illegal flags in head %#x", trace.ErrCorrupt, i, uint32(h))
 		}
+		// The final record of a halted execution is its own successor.
+		ev.Meta, ev.PC, ev.Next = &c.Meta[pc], pc, next.PC()
 		ev.Taken, ev.MissLevel, ev.EA = h.Taken(), h.MissLevel(), 0
 		if h.HasEA() {
-			if mem >= len(eas) {
-				return core.Report(), fmt.Errorf("%w: more memory ops than the %d effective addresses",
-					trace.ErrCorrupt, len(eas))
+			ea, ok := recs.EA(mem)
+			if !ok {
+				return core.Report(), fmt.Errorf("%w: payload ends before memory op %d", trace.ErrCorrupt, mem)
 			}
-			ev.EA = eas[mem]
+			ev.EA = ea
 			mem++
 		}
 		if err := core.Consume(&ev); err != nil {

@@ -134,8 +134,11 @@ func TestTraceEndpointRoundTrip(t *testing.T) {
 	for pc := 0; pc < 64; pc++ {
 		b.Add(trace.Record{PC: pc, HasEA: true, EA: uint64(pc * 64)})
 	}
-	tr := b.Finish(trace.Meta{App: "Fasta", Variant: "original", Seed: 1, Scale: 1,
+	tr, err := b.Finish(trace.Meta{App: "Fasta", Variant: "original", Seed: 1, Scale: 1,
 		ProgHash: "abc"})
+	if err != nil {
+		t.Fatal(err)
+	}
 	body, err := tr.EncodeFile()
 	if err != nil {
 		t.Fatal(err)

@@ -13,15 +13,17 @@ import (
 
 // FileKind describes encoded trace files to internal/cas: the disk
 // tier under <cache-dir>/traces, the upstream hub's /v1/traces endpoints
-// and fsck's scan are all derived from it.  The file form is about
-// 2 bytes per instruction, 0.3-1.5 MB for the scale-1 kernels; the cap
-// leaves room for large-scale grids without letting a peer exhaust
-// memory, and the timeout covers such a file on any sane link.
+// and fsck's scan are all derived from it.  A file is its payload plus
+// a few hundred bytes, about 7.4 bytes per instruction and 23.2 MB for
+// the paper grid's eight scale-1 traces; the cap is the memory tier's
+// whole default budget, so no file a store could keep is refused and a
+// peer cannot exhaust memory, and the timeout covers such a file on any
+// sane link.
 var FileKind = cas.Kind{
 	Route:       "traces",
 	Ext:         ".trace",
 	ContentType: "application/octet-stream",
-	MaxBytes:    64 << 20,
+	MaxBytes:    DefaultBudget,
 	Timeout:     30 * time.Second,
 	Verify: func(hash string, b []byte) error {
 		_, err := decodeFor(hash, b)
@@ -30,10 +32,10 @@ var FileKind = cas.Kind{
 }
 
 // decodeFor decodes an encoded trace file that must answer the key
-// hashing to hash: structural and checksum integrity, a payload the
-// replayer accepts, and a meta that hashes back to the address.
+// hashing to hash: DecodeFile's verdict, and a meta that hashes back to
+// the address.
 func decodeFor(hash string, b []byte) (*Trace, error) {
-	t, err := DecodeReplayable(b)
+	t, err := DecodeFile(b)
 	if err != nil {
 		return nil, err
 	}
@@ -44,10 +46,9 @@ func decodeFor(hash string, b []byte) (*Trace, error) {
 }
 
 // DefaultBudget is the byte budget of a Store's memory tier.  A
-// resident trace costs about 9.5 bytes per instruction (2 of payload,
-// 4 of heads, 8 per memory op); the scale-1 kernel traces measure
-// 1.2-6.8 MB each and 29.6 MB for the paper grid's eight, so the
-// default holds about 70 of them — the grid at 8 seeds.
+// resident trace is its payload, about 7.4 bytes per instruction (4 per
+// head, 8 per memory op); the paper grid's eight scale-1 traces take
+// 23.2 MB, so the default holds the grid at about 11 seeds.
 const DefaultBudget = int64(256 << 20)
 
 // StoreOptions configures a Store.  The zero value is usable: default
@@ -115,7 +116,6 @@ func NewStore(o StoreOptions) *Store {
 		gBytes:      reg.Gauge("trace.bytes"),
 		gEntries:    reg.Gauge("trace.entries"),
 	}
-	// A resident trace is sized with its decoded columns (9.5 B/insn).
 	s.mem = cas.NewMemo(o.budget, (*Trace).SizeBytes, s.mEvicted)
 	s.disk = cas.NewDir(FileKind, o.Dir, s.mDiskWrites, s.mCorrupt)
 	s.remote = cas.NewClient(FileKind, o.Upstream, o.Transport, reg, "trace.remote")
@@ -184,7 +184,7 @@ func (s *Store) fetch(ctx context.Context, hash string, key Key) (*Trace, bool) 
 		raw []byte
 	)
 	decode := func(b []byte) (err error) {
-		if t, err = DecodeReplayable(b); err == nil && !key.Matches(t.Meta) {
+		if t, err = DecodeFile(b); err == nil && !key.Matches(t.Meta) {
 			err = cas.ErrWrongKey
 		}
 		raw = b

@@ -1,11 +1,13 @@
 package trace
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -19,15 +21,20 @@ func testKey(i int) Key {
 		ProgHash: "abc"}
 }
 
-// testTrace builds a trace of roughly n payload bytes answering testKey(i).
+// testTrace builds a trace of at least n payload bytes answering
+// testKey(i): memory ops only, 12 bytes a record.
 func testTrace(i, n int) *Trace {
 	var b Builder
-	for pc := 0; b.s == nil || len(b.s.payload) < n; pc++ {
+	for pc := 0; pc*(headBytes+eaBytes) < n; pc++ {
 		b.Add(Record{PC: pc, HasEA: true, EA: uint64(pc * 64)})
 	}
 	k := testKey(i)
-	return b.Finish(Meta{App: k.App, Variant: k.Variant, Seed: k.Seed,
+	tr, err := b.Finish(Meta{App: k.App, Variant: k.Variant, Seed: k.Seed,
 		Scale: k.Scale, ProgHash: k.ProgHash})
+	if err != nil {
+		panic(err)
+	}
+	return tr
 }
 
 func TestStoreGetOrCapture(t *testing.T) {
@@ -265,41 +272,53 @@ func TestStoreDiskKeyMismatchRejected(t *testing.T) {
 	}
 }
 
-// TestStoreRefusesFilesThatCannotReplay: a sound checksum over a
-// payload the decoder rejects is corruption like any other — refused
-// on upload, and on disk detected, removed and recaptured — instead of
-// a resident trace that fails every cell that asks for it.
+// TestStoreRefusesFilesThatCannotReplay: a sound checksum over a file
+// DecodeFile refuses — a payload that disagrees with its record count,
+// or a meta of an older format version — is corruption like any other:
+// refused on upload, and on disk detected, removed and recaptured,
+// instead of a resident trace that fails every cell that asks for it.
 func TestStoreRefusesFilesThatCannotReplay(t *testing.T) {
-	good := testTrace(1, 200)
-	meta := good.Meta
-	meta.Records-- // the payload now carries one record too many
-	file, err := undecoded(meta, good.Payload).EncodeFile()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := DecodeFile(file); err != nil {
-		t.Fatalf("the file layer should pass this file: %v", err)
-	}
-	hash := testKey(1).Hash()
+	for name, damage := range map[string]func(*Meta){
+		"record count":     func(m *Meta) { m.Records-- }, // the payload now carries one record too many
+		"format version 2": func(m *Meta) { m.Schema = 2 },
+	} {
+		t.Run(name, func(t *testing.T) {
+			good := testTrace(1, 200)
+			meta := good.Meta
+			damage(&meta)
+			file, err := unchecked(meta, good.Payload).EncodeFile()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := DecodeFile(file); !errors.Is(err, ErrCorrupt) || strings.Contains(err.Error(), "checksum") {
+				t.Fatalf("DecodeFile = %v, want ErrCorrupt behind a sound checksum", err)
+			}
+			hash := testKey(1).Hash()
 
-	dir := t.TempDir()
-	s := NewStore(StoreOptions{Dir: dir})
-	if err := s.Install(hash, file); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("Install = %v, want ErrCorrupt", err)
-	}
-	if s.Len() != 0 {
-		t.Fatal("a refused upload is resident")
-	}
+			dir := t.TempDir()
+			s := NewStore(StoreOptions{Dir: dir})
+			if err := s.Install(hash, file); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("Install = %v, want ErrCorrupt", err)
+			}
+			if s.Len() != 0 {
+				t.Fatal("a refused upload is resident")
+			}
 
-	if err := os.WriteFile(filepath.Join(dir, hash+".trace"), file, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	tr, hit, err := s.GetOrCapture(context.Background(), testKey(1), func() (*Trace, error) { return good, nil })
-	if err != nil || hit || tr != good {
-		t.Fatalf("GetOrCapture = (%p, hit %v, %v), want a fresh capture", tr, hit, err)
-	}
-	if st := s.Stats(); st.Corrupt != 1 || st.Captures != 1 || st.DiskWrites != 1 {
-		t.Errorf("stats = %+v, want the file counted corrupt and rewritten", st)
+			path := filepath.Join(dir, hash+".trace")
+			if err := os.WriteFile(path, file, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			tr, hit, err := s.GetOrCapture(context.Background(), testKey(1), func() (*Trace, error) { return good, nil })
+			if err != nil || hit || tr != good {
+				t.Fatalf("GetOrCapture = (%p, hit %v, %v), want a fresh capture", tr, hit, err)
+			}
+			if st := s.Stats(); st.Corrupt != 1 || st.Captures != 1 || st.DiskWrites != 1 {
+				t.Errorf("stats = %+v, want the file counted corrupt and rewritten", st)
+			}
+			if b, err := os.ReadFile(path); err != nil || bytes.Equal(b, file) {
+				t.Errorf("the refused file is still on disk (%v)", err)
+			}
+		})
 	}
 }
 
@@ -321,9 +340,10 @@ func TestStorePutReplaces(t *testing.T) {
 }
 
 // TestStoreBytesCountPayloadAndColumns: the byte budget is charged
-// what a resident trace really holds — payload plus both columns — and
-// the store's figure is the sum over its entries after captures, after
-// disk loads that have since been replayed, and after evictions.
+// what a resident trace really holds — its payload, which is both
+// columns — and the store's figure is the sum over its entries after
+// captures, after disk loads that have since been replayed, and after
+// evictions.
 func TestStoreBytesCountPayloadAndColumns(t *testing.T) {
 	dir := t.TempDir()
 	reg := telemetry.NewRegistry()
@@ -352,7 +372,7 @@ func TestStoreBytesCountPayloadAndColumns(t *testing.T) {
 			t.Fatal(err)
 		}
 		// testTrace is all memory ops: 4 + 8 column bytes per record.
-		if want := int64(len(tr.Payload)) + 12*int64(tr.Meta.Records) + 256; tr.SizeBytes() != want {
+		if want := 12*int64(tr.Meta.Records) + 256; tr.SizeBytes() != want {
 			t.Fatalf("trace %d: SizeBytes = %d, want %d", i, tr.SizeBytes(), want)
 		}
 	}

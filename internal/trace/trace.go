@@ -5,13 +5,17 @@
 // everything else that is invariant across the timing sweep — should be
 // paid for exactly once.
 //
-// A trace records, per dynamic instruction: the PC (delta-encoded), the
-// branch direction, the effective address of a memory access (zig-zag
-// delta varint), and one annotation that is itself invariant across
-// the timing configurations the sweeps vary (FXU count, BTAC sizing,
-// predictor choice, pipeline penalties): the cache miss level of a
-// memory access (L1 hit / L2 hit / memory) — the data hierarchy is
-// fixed, so the miss sequence depends only on the address stream.
+// A trace records, per dynamic instruction: the PC, the branch
+// direction, the effective address of a memory access, and one
+// annotation that is itself invariant across the timing configurations
+// the sweeps vary (FXU count, BTAC sizing, predictor choice, pipeline
+// penalties): the cache miss level of a memory access (L1 hit / L2 hit
+// / memory) — the data hierarchy is fixed, so the miss sequence depends
+// only on the address stream.  The payload is those records as two
+// fixed-width columns, and it is the one form a trace has: what is
+// checksummed, written to disk, sent over the wire and read by
+// replay.  It costs about 7.4 bytes per instruction (4 per record head,
+// 8 per memory op); the paper grid's eight scale-1 traces take 23.2 MB.
 //
 // Replay therefore needs neither the functional machine nor the cache:
 // only the branch predictors — the direction predictor and the BTAC,
@@ -41,15 +45,13 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 )
 
 // FormatVersion versions the record encoding and the file layout; bump
 // it whenever either changes so stale files are recaptured, never
 // misparsed.  Version 2 moved the direction predictor live into the
-// replayer: records no longer carry a per-predictor verdict bit and
-// trace identity no longer includes a predictor name.
-const FormatVersion = 2
+// replayer; version 3 made the payload the columns replay reads.
+const FormatVersion = 3
 
 // magic opens every trace file.
 var magic = []byte("BP5TRACE\x01")
@@ -85,9 +87,10 @@ type Record struct {
 	MissLevel uint8 // memory op: 0 L1 hit, 1 L2 hit, 2 memory
 }
 
-// Record head layout: uvarint( zigzag(pcDelta)<<4 | flags ), where the
-// flag bits are Taken, HasEA, and the two-bit miss level (memory ops).
-// A HasEA record is followed by uvarint(zigzag(eaDelta)).
+// Payload layout: Meta.Records little-endian uint32 heads, then one
+// little-endian uint64 effective address per memory-op head, in record
+// order.  A head is pc<<4 | flags, where the flag bits are Taken,
+// HasEA, and the two-bit miss level (memory ops only).
 const (
 	flagTaken     = 1 << 0
 	flagHasEA     = 1 << 1
@@ -95,13 +98,19 @@ const (
 	headShift     = 4
 	flagMask      = 1<<headShift - 1
 
+	headBytes = 4
+	eaBytes   = 8
+
 	maxMissLevel = 2
 	// maxPC is the largest PC a Head holds: the 28 bits above the flags.
 	maxPC = 1<<(32-headShift) - 1
+	// legalFlags has bit f set for each flag nibble f a Builder writes:
+	// 0 and 1 (no miss level on a non-memory op), and 2, 3, 6, 7, 10
+	// and 11 (a memory op's miss level at most maxMissLevel).
+	legalFlags = 0x0CCF
 )
 
-// Head is one record of a trace's head column: the absolute PC above
-// the same four flag bits the payload's record head carries.
+// Head is one record's head: the PC above the four flag bits.
 type Head uint32
 
 func (h Head) PC() int          { return int(h >> headShift) }
@@ -109,83 +118,97 @@ func (h Head) Taken() bool      { return h&flagTaken != 0 }
 func (h Head) HasEA() bool      { return h&flagHasEA != 0 }
 func (h Head) MissLevel() uint8 { return uint8(h>>flagMissShift) & 3 }
 
-// Trace is one captured execution in two forms.  Meta and Payload are
-// its identity: the delta-varint record stream that is hashed, written
-// to disk and sent over the wire.  The columns are what replay reads:
-// one Head per record and the effective addresses of the memory ops,
-// in order.  They are built exactly once per Trace — handed over by
-// Builder.Finish, or decoded from Payload on first use — so a Trace
-// must not be copied, and Meta and Payload are read-only once it has
-// been replayed, iterated or sized.
+// Legal reports whether the head's flags are ones a Builder writes.
+func (h Head) Legal() bool { return legalFlags>>(h&flagMask)&1 != 0 }
+
+// Trace is one captured execution: what it is a trace of, and its
+// records in the payload layout above.  A Trace is an immutable value;
+// Builder.Finish and DecodeFile hand out traces whose payload matches
+// Meta.Records exactly.
 type Trace struct {
 	Meta    Meta
 	Payload []byte
-
-	once  sync.Once
-	heads []Head
-	eas   []uint64
-	err   error
-}
-
-// decodes counts payload decodes process-wide.
-var decodes atomic.Uint64
-
-// Decodes returns how many payloads this process has decoded into
-// columns: at most one per Trace, none for a trace captured here.
-func Decodes() uint64 { return decodes.Load() }
-
-// Columns returns the record heads and the memory ops' effective
-// addresses (the i-th HasEA head owns eas[i]).  A payload that does
-// not decode to exactly Meta.Records records reports ErrCorrupt, on
-// this and every later call.
-func (t *Trace) Columns() ([]Head, []uint64, error) {
-	t.once.Do(func() {
-		decodes.Add(1)
-		t.heads, t.eas, t.err = decodeColumns(t.Payload, t.Meta.Records)
-	})
-	return t.heads, t.eas, t.err
 }
 
 // SizeBytes is the trace's in-memory footprint for the store's byte
-// budget: payload plus columns (about 2 + 4 bytes per instruction and
-// 8 per memory op).  It builds the columns if nothing has yet, so the
-// figure is final for the life of the Trace.
-func (t *Trace) SizeBytes() int64 {
-	heads, eas, _ := t.Columns()
-	return int64(len(t.Payload)) + 4*int64(len(heads)) + 8*int64(len(eas)) + 256
+// budget: the payload and a fixed allowance for the rest.
+func (t *Trace) SizeBytes() int64 { return int64(len(t.Payload)) + 256 }
+
+// Records reads a trace's payload by index: the view replay's loop
+// holds in registers.  Only this package knows the byte layout; the
+// accessors inline.
+type Records struct {
+	p   []byte
+	eas int // byte offset of the EA column: headBytes per record
 }
 
-func zigzag(v int64) uint64   { return uint64(v<<1) ^ uint64(v>>63) }
-func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
+// Records returns the trace's payload as Records, or ErrCorrupt when
+// the payload is too short to hold Meta.Records heads.
+func (t *Trace) Records() (Records, error) {
+	if t.Meta.Records > uint64(len(t.Payload)/headBytes) {
+		return Records{}, fmt.Errorf("%w: %d payload bytes cannot hold %d records", ErrCorrupt, len(t.Payload), t.Meta.Records)
+	}
+	return Records{p: t.Payload, eas: headBytes * int(t.Meta.Records)}, nil
+}
+
+// Len returns the number of records.
+func (r Records) Len() int { return r.eas / headBytes }
+
+// Head returns record i's head, for i below Len.
+func (r Records) Head(i int) Head {
+	at := headBytes * i
+	return Head(binary.LittleEndian.Uint32(r.p[at : at+headBytes : at+headBytes]))
+}
+
+// EA returns the effective address of the j-th memory op; false
+// reports a payload that ends first.
+func (r Records) EA(j int) (uint64, bool) {
+	at := r.eas + eaBytes*j
+	if at+eaBytes > len(r.p) {
+		return 0, false
+	}
+	return binary.LittleEndian.Uint64(r.p[at : at+eaBytes : at+eaBytes]), true
+}
+
+// check is the payload's trust boundary: exactly Meta.Records heads,
+// each with legal flags, followed by exactly one EA per memory op.  It
+// returns the payload's Records, or none with the first violation.
+func (t *Trace) check() (Records, error) {
+	r, err := t.Records()
+	if err != nil {
+		return Records{}, err
+	}
+	n, mem := r.Len(), 0
+	for i := 0; i < n; i++ {
+		h := r.Head(i)
+		if !h.Legal() {
+			return Records{}, fmt.Errorf("%w: record %d: miss level %d (memory op %v)", ErrCorrupt, i, h.MissLevel(), h.HasEA())
+		}
+		mem += int(h&flagHasEA) / flagHasEA
+	}
+	if want := r.eas + eaBytes*mem; len(r.p) != want {
+		return Records{}, fmt.Errorf("%w: %d payload bytes, want %d for %d records and %d memory ops",
+			ErrCorrupt, len(r.p), want, r.Len(), mem)
+	}
+	return r, nil
+}
 
 // scratch is the growable storage a trace is built in.  Traces run to
 // megabytes per column, so growing fresh slices for every capture
-// spends more time in memmove than in encoding; builders and decoders
-// borrow a scratch and seal exact-size copies out of it instead.
+// spends more time in memmove than in encoding; builders borrow a
+// scratch and seal one exact-size payload out of it instead.
 type scratch struct {
-	payload []byte
-	heads   []Head
-	eas     []uint64
+	heads, eas []byte
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
-// seal copies s out of a scratch into a slice of exactly its length.
-func seal[T any](s []T) []T {
-	out := make([]T, len(s))
-	copy(out, s)
-	return out
-}
-
-// Builder accumulates records into a payload and its columns.  The
-// zero value is ready to use.
+// Builder accumulates records into a payload.  The zero value is ready
+// to use.
 type Builder struct {
-	s      *scratch
-	prevPC int
-	prevEA uint64
-	// unfit is set by a record no Head can hold; Finish then leaves the
-	// columns to the decoder, which rejects the payload as corrupt.
-	unfit bool
+	s *scratch
+	// err is the first record no head can hold; Finish returns it.
+	err error
 }
 
 // Add appends one record (Next is ignored; it is derived on replay).
@@ -193,28 +216,21 @@ func (b *Builder) Add(r Record) {
 	s := b.s
 	if s == nil {
 		s = scratchPool.Get().(*scratch)
-		s.payload, s.heads, s.eas = s.payload[:0], s.heads[:0], s.eas[:0]
+		s.heads, s.eas = s.heads[:0], s.eas[:0]
 		b.s = s
 	}
-	flags := uint64(0)
+	if (uint(r.PC) > maxPC || r.MissLevel > maxMissLevel) && b.err == nil {
+		b.err = fmt.Errorf("trace: record %d: PC %d and miss level %d do not fit a head", b.Len(), r.PC, r.MissLevel)
+	}
+	h := Head(r.PC) << headShift
 	if r.Taken {
-		flags |= flagTaken
+		h |= flagTaken
 	}
 	if r.HasEA {
-		flags |= flagHasEA
-		flags |= uint64(r.MissLevel) << flagMissShift
+		h |= flagHasEA | Head(r.MissLevel)<<flagMissShift
+		s.eas = binary.LittleEndian.AppendUint64(s.eas, r.EA)
 	}
-	if uint(r.PC) > maxPC || r.MissLevel > maxMissLevel {
-		b.unfit = true
-	}
-	s.payload = binary.AppendUvarint(s.payload, zigzag(int64(r.PC-b.prevPC))<<headShift|flags)
-	s.heads = append(s.heads, Head(r.PC)<<headShift|Head(flags))
-	b.prevPC = r.PC
-	if r.HasEA {
-		s.payload = binary.AppendUvarint(s.payload, zigzag(int64(r.EA-b.prevEA)))
-		s.eas = append(s.eas, r.EA)
-		b.prevEA = r.EA
-	}
+	s.heads = binary.LittleEndian.AppendUint32(s.heads, uint32(h))
 }
 
 // Len returns the number of records added so far.
@@ -222,99 +238,34 @@ func (b *Builder) Len() uint64 {
 	if b.s == nil {
 		return 0
 	}
-	return uint64(len(b.s.heads))
+	return uint64(len(b.s.heads) / headBytes)
 }
 
-// Finish seals payload and columns into a Trace carrying meta (Schema
-// and Records are filled in) and resets the builder.
-func (b *Builder) Finish(meta Meta) *Trace {
+// Finish seals the records into a Trace carrying meta (Schema and
+// Records are filled in) and resets the builder.  A record no head can
+// hold fails the whole trace.
+func (b *Builder) Finish(meta Meta) (*Trace, error) {
 	meta.Schema = FormatVersion
 	meta.Records = b.Len()
-	t := &Trace{Meta: meta}
-	if s := b.s; s != nil {
-		t.Payload = seal(s.payload)
-		if !b.unfit {
-			heads, eas := seal(s.heads), seal(s.eas)
-			t.once.Do(func() { t.heads, t.eas = heads, eas })
-		}
-		scratchPool.Put(s)
-	}
+	s, err := b.s, b.err
 	*b = Builder{}
-	return t
-}
-
-// uvarint reads one minimally encoded uvarint; n <= 0 reports a
-// truncated, overlong or zero-padded one.  Refusing padding makes
-// payload and columns a bijection: a payload has one decoding and the
-// decoding re-encodes to the same bytes.
-func uvarint(b []byte) (v uint64, n int) {
-	v, n = binary.Uvarint(b)
-	if n > 1 && b[n-1] == 0 {
-		return 0, 0
+	if s == nil {
+		return &Trace{Meta: meta}, nil
 	}
-	return v, n
-}
-
-// decodeColumns is the one payload decoder.  It accepts exactly what
-// Builder writes: records heads, each PC inside a Head, miss levels
-// only on memory ops and at most maxMissLevel, no byte left over.
-func decodeColumns(buf []byte, records uint64) ([]Head, []uint64, error) {
-	// A record is at least one byte, which also bounds the allocation an
-	// untrusted record count can ask for.
-	if records > uint64(len(buf)) {
-		return nil, nil, fmt.Errorf("%w: %d payload bytes cannot hold %d records", ErrCorrupt, len(buf), records)
-	}
-	s := scratchPool.Get().(*scratch)
 	defer scratchPool.Put(s)
-	heads, eas := make([]Head, records), s.eas[:0]
-	var pc int64
-	var ea uint64
-	pos := 0
-	for i := range heads {
-		if pos == len(buf) {
-			return nil, nil, fmt.Errorf("%w: payload ends after %d of %d records", ErrCorrupt, i, records)
-		}
-		head, n := uvarint(buf[pos:])
-		if n <= 0 {
-			return nil, nil, fmt.Errorf("%w: bad record head at offset %d", ErrCorrupt, pos)
-		}
-		pos += n
-		pc += unzigzag(head >> headShift)
-		if uint64(pc) > maxPC {
-			return nil, nil, fmt.Errorf("%w: record %d: PC %d does not fit a head", ErrCorrupt, i, pc)
-		}
-		flags := Head(head & flagMask)
-		heads[i] = Head(pc)<<headShift | flags
-		if !flags.HasEA() {
-			if flags.MissLevel() != 0 {
-				return nil, nil, fmt.Errorf("%w: record %d: miss level on a non-memory op", ErrCorrupt, i)
-			}
-			continue
-		}
-		if flags.MissLevel() > maxMissLevel {
-			return nil, nil, fmt.Errorf("%w: record %d: miss level %d", ErrCorrupt, i, flags.MissLevel())
-		}
-		delta, n := uvarint(buf[pos:])
-		if n <= 0 {
-			return nil, nil, fmt.Errorf("%w: bad EA at offset %d", ErrCorrupt, pos)
-		}
-		pos += n
-		ea += uint64(unzigzag(delta))
-		eas = append(eas, ea)
+	if err != nil {
+		return nil, err
 	}
-	s.eas = eas
-	if pos != len(buf) {
-		return nil, nil, fmt.Errorf("%w: %d trailing payload bytes", ErrCorrupt, len(buf)-pos)
-	}
-	return heads, seal(eas), nil
+	payload := make([]byte, len(s.heads)+len(s.eas))
+	copy(payload[copy(payload, s.heads):], s.eas)
+	return &Trace{Meta: meta, Payload: payload}, nil
 }
 
 // Iter walks a trace's records in order, deriving each record's Next
 // from its successor.  Check Err after the loop: a trace whose payload
-// did not decode yields no records and reports why.
+// does not match its meta yields no records and reports why.
 type Iter struct {
-	heads []Head
-	eas   []uint64
+	r     Records
 	i, ea int
 	cur   Record
 	err   error
@@ -322,25 +273,26 @@ type Iter struct {
 
 // Iter returns an iterator positioned before the first record.
 func (t *Trace) Iter() *Iter {
-	heads, eas, err := t.Columns()
-	return &Iter{heads: heads, eas: eas, err: err}
+	r, err := t.check()
+	return &Iter{r: r, err: err}
 }
 
 // Next advances to the next record; it returns false at the end of the
 // trace.
 func (it *Iter) Next() bool {
-	if it.i >= len(it.heads) {
+	if it.i >= it.r.Len() {
 		return false
 	}
-	h := it.heads[it.i]
+	h := it.r.Head(it.i)
 	it.i++
 	// The final record of a halted execution has no successor.
 	it.cur = Record{PC: h.PC(), Next: h.PC(), Taken: h.Taken()}
-	if it.i < len(it.heads) {
-		it.cur.Next = it.heads[it.i].PC()
+	if it.i < it.r.Len() {
+		it.cur.Next = it.r.Head(it.i).PC()
 	}
 	if h.HasEA() {
-		it.cur.HasEA, it.cur.EA, it.cur.MissLevel = true, it.eas[it.ea], h.MissLevel()
+		it.cur.HasEA, it.cur.MissLevel = true, h.MissLevel()
+		it.cur.EA, _ = it.r.EA(it.ea)
 		it.ea++
 	}
 	return true
@@ -349,33 +301,35 @@ func (it *Iter) Next() bool {
 // Rec returns the current record.
 func (it *Iter) Rec() *Record { return &it.cur }
 
-// Err reports why the trace could not be decoded, if it could not.
+// Err reports why the trace could not be walked, if it could not.
 func (it *Iter) Err() error { return it.err }
 
 // EncodeFile serializes the trace into its durable file form:
 //
-//	magic | uvarint(len(meta JSON)) | meta JSON | uvarint(len(payload)) |
-//	payload | SHA-256 over everything preceding
+//	magic | little-endian uint32 len(meta JSON) | meta JSON | payload |
+//	SHA-256 over everything preceding
 func (t *Trace) EncodeFile() ([]byte, error) {
 	mb, err := json.Marshal(t.Meta)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]byte, 0, len(magic)+len(mb)+len(t.Payload)+48)
+	out := make([]byte, 0, len(magic)+4+len(mb)+len(t.Payload)+sha256.Size)
 	out = append(out, magic...)
-	out = binary.AppendUvarint(out, uint64(len(mb)))
+	out = binary.LittleEndian.AppendUint32(out, uint32(len(mb)))
 	out = append(out, mb...)
-	out = binary.AppendUvarint(out, uint64(len(t.Payload)))
 	out = append(out, t.Payload...)
 	sum := sha256.Sum256(out)
 	return append(out, sum[:]...), nil
 }
 
-// DecodeFile parses and verifies a trace file.  Any structural damage —
-// wrong magic, bad lengths, schema mismatch, checksum mismatch — is
-// reported as ErrCorrupt.
+// DecodeFile parses and verifies a trace file; it is the one trust
+// boundary between bytes from a disk, a hub or an upload and the timing
+// core.  It accepts exactly what EncodeFile writes for a built trace:
+// the magic, a matching checksum, canonical meta JSON of this format
+// version, and a payload that check accepts.  Anything else is
+// ErrCorrupt.  The returned payload aliases b.
 func DecodeFile(b []byte) (*Trace, error) {
-	if len(b) < len(magic)+sha256.Size || !bytes.Equal(b[:len(magic)], magic) {
+	if len(b) < len(magic)+4+sha256.Size || !bytes.Equal(b[:len(magic)], magic) {
 		return nil, fmt.Errorf("%w: bad magic or short file", ErrCorrupt)
 	}
 	body, sum := b[:len(b)-sha256.Size], b[len(b)-sha256.Size:]
@@ -383,12 +337,11 @@ func DecodeFile(b []byte) (*Trace, error) {
 	if !bytes.Equal(sum, want[:]) {
 		return nil, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
 	}
-	pos := len(magic)
-	mlen, n := uvarint(body[pos:])
-	if n <= 0 || mlen > uint64(len(body)-pos-n) {
+	pos := len(magic) + 4
+	mlen := uint64(binary.LittleEndian.Uint32(body[len(magic):]))
+	if mlen > uint64(len(body)-pos) {
 		return nil, fmt.Errorf("%w: bad meta length", ErrCorrupt)
 	}
-	pos += n
 	raw := body[pos : pos+int(mlen)]
 	var meta Meta
 	if err := json.Unmarshal(raw, &meta); err != nil {
@@ -400,30 +353,11 @@ func DecodeFile(b []byte) (*Trace, error) {
 	if canon, err := json.Marshal(meta); err != nil || !bytes.Equal(canon, raw) {
 		return nil, fmt.Errorf("%w: meta is not in canonical form", ErrCorrupt)
 	}
-	pos += int(mlen)
 	if meta.Schema != FormatVersion {
 		return nil, fmt.Errorf("%w: format version %d, want %d", ErrCorrupt, meta.Schema, FormatVersion)
 	}
-	plen, n := uvarint(body[pos:])
-	if n <= 0 || plen != uint64(len(body)-pos-n) {
-		return nil, fmt.Errorf("%w: bad payload length", ErrCorrupt)
-	}
-	pos += n
-	return &Trace{Meta: meta, Payload: body[pos:]}, nil
-}
-
-// DecodeReplayable is DecodeFile for bytes that are about to be kept
-// for replay — a store's memory tier, fsck's verdict on a file.  The
-// checksum vouches for the writer's bytes; building the columns
-// vouches that they replay, so the trace is sized exactly from the
-// start and a file that cannot replay is refused (and recaptured) like
-// any other corrupt one instead of failing every cell that asks for it.
-func DecodeReplayable(b []byte) (*Trace, error) {
-	t, err := DecodeFile(b)
-	if err != nil {
-		return nil, err
-	}
-	if _, _, err := t.Columns(); err != nil {
+	t := &Trace{Meta: meta, Payload: body[pos+int(mlen):]}
+	if _, err := t.check(); err != nil {
 		return nil, err
 	}
 	return t, nil

@@ -3,7 +3,6 @@ package trace
 import (
 	"encoding/binary"
 	"errors"
-	"slices"
 	"strings"
 	"testing"
 )
@@ -31,8 +30,12 @@ func buildSample(t *testing.T) *Trace {
 	for _, r := range sampleRecords() {
 		b.Add(r)
 	}
-	return b.Finish(Meta{App: "Fasta", Kernel: "dropgsw", Variant: "original",
+	tr, err := b.Finish(Meta{App: "Fasta", Kernel: "dropgsw", Variant: "original",
 		Seed: 1, Scale: 1, ProgHash: "abc", Result: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr
 }
 
 func TestBuilderIterRoundTrip(t *testing.T) {
@@ -67,7 +70,10 @@ func TestBuilderIterRoundTrip(t *testing.T) {
 
 func TestIterEmptyTrace(t *testing.T) {
 	var b Builder
-	tr := b.Finish(Meta{})
+	tr, err := b.Finish(Meta{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	it := tr.Iter()
 	if it.Next() {
 		t.Fatal("Next on empty trace")
@@ -77,10 +83,19 @@ func TestIterEmptyTrace(t *testing.T) {
 	}
 }
 
-// undecoded returns the trace as DecodeFile would hand it over: meta
-// and payload only, columns still to be built.
-func undecoded(meta Meta, payload []byte) *Trace {
+// unchecked returns a trace no check has seen, as a hand-built literal
+// is.
+func unchecked(meta Meta, payload []byte) *Trace {
 	return &Trace{Meta: meta, Payload: payload}
+}
+
+func records(t *testing.T, tr *Trace) Records {
+	t.Helper()
+	r, err := tr.Records()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
 }
 
 func iterErr(tr *Trace) error {
@@ -92,7 +107,7 @@ func iterErr(tr *Trace) error {
 
 func TestIterTruncatedPayload(t *testing.T) {
 	tr := buildSample(t)
-	cut := undecoded(tr.Meta, tr.Payload[:len(tr.Payload)/2])
+	cut := unchecked(tr.Meta, tr.Payload[:len(tr.Payload)/2])
 	if err := iterErr(cut); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("truncated payload: err = %v, want ErrCorrupt", err)
 	}
@@ -102,42 +117,50 @@ func TestIterRecordCountMismatch(t *testing.T) {
 	tr := buildSample(t)
 	over := tr.Meta
 	over.Records += 3 // claims more records than the payload holds
-	if err := iterErr(undecoded(over, tr.Payload)); !errors.Is(err, ErrCorrupt) {
+	if err := iterErr(unchecked(over, tr.Payload)); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("record overcount: err = %v, want ErrCorrupt", err)
 	}
 	under := tr.Meta
 	under.Records -= 3 // payload longer than the claimed count
-	if err := iterErr(undecoded(under, tr.Payload)); !errors.Is(err, ErrCorrupt) {
+	if err := iterErr(unchecked(under, tr.Payload)); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("record undercount: err = %v, want ErrCorrupt", err)
 	}
 }
 
-// TestBuilderHandsOverColumns: a captured trace carries its columns
-// from Finish, and they are what decoding its payload would build.
+// TestBuilderHandsOverColumns: a captured trace's payload is its two
+// columns, sealed into one exact-size slice — every head, then the
+// memory ops' effective addresses in order — and it is all the store's
+// budget is charged for besides a fixed allowance.
 func TestBuilderHandsOverColumns(t *testing.T) {
-	before := Decodes()
 	tr := buildSample(t)
-	heads, eas, err := tr.Columns()
-	if err != nil {
-		t.Fatal(err)
+	recs := sampleRecords()
+	r := records(t, tr)
+	if r.Len() != len(recs) {
+		t.Fatalf("Len = %d, want %d", r.Len(), len(recs))
 	}
-	if got := Decodes() - before; got != 0 {
-		t.Errorf("a built trace was decoded %d times, want 0", got)
+	var mem []uint64
+	for i, rec := range recs {
+		h := r.Head(i)
+		if h.PC() != rec.PC || h.Taken() != rec.Taken || h.HasEA() != rec.HasEA || h.MissLevel() != rec.MissLevel {
+			t.Errorf("head %d = %#x, want record %+v", i, uint32(h), rec)
+		}
+		if rec.HasEA {
+			mem = append(mem, rec.EA)
+		}
 	}
-	dHeads, dEAs, err := undecoded(tr.Meta, tr.Payload).Columns()
-	if err != nil {
-		t.Fatal(err)
+	for j, want := range mem {
+		if ea, ok := r.EA(j); !ok || ea != want {
+			t.Errorf("EA %d = %#x (%v), want %#x", j, ea, ok, want)
+		}
 	}
-	if !slices.Equal(heads, dHeads) || !slices.Equal(eas, dEAs) {
-		t.Errorf("built columns (%v, %v) != decoded columns (%v, %v)", heads, eas, dHeads, dEAs)
+	if _, ok := r.EA(len(mem)); ok {
+		t.Error("an EA past the last memory op")
 	}
-	if cap(tr.Payload) != len(tr.Payload) || cap(heads) != len(heads) || cap(eas) != len(eas) {
-		t.Errorf("sealed slices carry spare capacity: payload %d/%d heads %d/%d eas %d/%d",
-			len(tr.Payload), cap(tr.Payload), len(heads), cap(heads), len(eas), cap(eas))
+	if want := 4*len(recs) + 8*len(mem); len(tr.Payload) != want || cap(tr.Payload) != want {
+		t.Errorf("payload len %d cap %d, want exactly %d", len(tr.Payload), cap(tr.Payload), want)
 	}
-	want := int64(len(tr.Payload)) + 4*int64(len(heads)) + 8*int64(len(eas)) + 256
-	if tr.SizeBytes() != want {
-		t.Errorf("SizeBytes = %d, want payload + columns = %d", tr.SizeBytes(), want)
+	if want := int64(len(tr.Payload)) + 256; tr.SizeBytes() != want {
+		t.Errorf("SizeBytes = %d, want payload + 256 = %d", tr.SizeBytes(), want)
 	}
 }
 
@@ -146,14 +169,20 @@ func TestBuilderHandsOverColumns(t *testing.T) {
 func TestBuilderIsReusableAfterFinish(t *testing.T) {
 	var b Builder
 	b.Add(Record{PC: 7, HasEA: true, EA: 64})
-	first := b.Finish(Meta{})
+	first, err := b.Finish(Meta{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if b.Len() != 0 {
 		t.Fatalf("Len = %d after Finish", b.Len())
 	}
 	for _, r := range sampleRecords() {
 		b.Add(r)
 	}
-	second := b.Finish(Meta{})
+	second, err := b.Finish(Meta{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := iterErr(first); err != nil {
 		t.Fatal(err)
 	}
@@ -164,80 +193,115 @@ func TestBuilderIsReusableAfterFinish(t *testing.T) {
 	if second.Meta.Records != uint64(len(sampleRecords())) {
 		t.Errorf("second trace has %d records", second.Meta.Records)
 	}
-	if got := undecoded(second.Meta, second.Payload); iterErr(got) != nil {
+	if got := unchecked(second.Meta, second.Payload); iterErr(got) != nil || records(t, got).Head(0).PC() != 0 {
 		t.Errorf("second payload does not start from PC 0: %v", iterErr(got))
 	}
 }
 
+// TestHeadLegal: the flag nibbles Legal accepts are exactly the ones a
+// Builder writes.
+func TestHeadLegal(t *testing.T) {
+	for f := Head(0); f <= flagMask; f++ {
+		want := f.MissLevel() == 0 || (f.HasEA() && f.MissLevel() <= maxMissLevel)
+		if h := Head(maxPC)<<headShift | f; h.Legal() != want {
+			t.Errorf("flags %04b: Legal = %v, want %v", f, h.Legal(), want)
+		}
+	}
+}
+
 // TestDecodeRejections walks the decoder's whole refusal list.  Every
-// payload here sits behind a valid checksum in the attack it models,
-// so the decoder is the only thing between it and the timing core.
+// file here carries a valid checksum, as in the attack it models, so
+// DecodeFile is the only thing between it and the timing core; Iter
+// refuses the same payloads handed over without a file.
 func TestDecodeRejections(t *testing.T) {
-	u := func(vs ...uint64) []byte {
+	p := func(heads []Head, eas ...uint64) []byte {
 		var b []byte
-		for _, v := range vs {
-			b = binary.AppendUvarint(b, v)
+		for _, h := range heads {
+			b = binary.LittleEndian.AppendUint32(b, uint32(h))
+		}
+		for _, ea := range eas {
+			b = binary.LittleEndian.AppendUint64(b, ea)
 		}
 		return b
 	}
-	head := func(pcDelta int64, flags uint64) uint64 { return zigzag(pcDelta)<<headShift | flags }
-	load := uint64(flagHasEA)
+	load := Head(1)<<headShift | flagHasEA
+	plain := Head(1) << headShift
 	cases := []struct {
 		name    string
 		records uint64
 		payload []byte
 		want    string
 	}{
-		{"short payload", 2, u(head(1, load), 8, head(1, load))[:3], "bad EA"},
-		{"payload ends early", 3, u(head(1, load), 8, head(1, load), 8), "ends after 2 of 3"},
-		{"count exceeds bytes", 1 << 60, u(head(1, 0)), "cannot hold"},
-		{"trailing bytes", 1, u(head(1, 0), head(1, 0)), "1 trailing"},
-		{"EA column short", 1, u(head(1, load)), "bad EA"},
-		{"truncated head", 1, []byte{0x80}, "bad record head"},
-		{"padded head", 1, []byte{0x80 | byte(head(1, 0)), 0x00}, "bad record head"},
-		{"padded EA", 1, append(u(head(1, load)), 0x88, 0x00), "bad EA"},
-		{"PC below zero", 1, u(head(-1, 0)), "does not fit"},
-		{"PC beyond a head", 1, u(head(maxPC+1, 0)), "does not fit"},
-		{"PC beyond a head by steps", 2, u(head(maxPC, 0), head(1, 0)), "does not fit"},
-		{"miss level 3", 1, u(head(1, load|3<<flagMissShift), 8), "miss level 3"},
-		{"miss level on a non-memory op", 1, u(head(1, 1<<flagMissShift)), "non-memory"},
+		{"short payload", 2, p([]Head{load, load}, 8), "16 payload bytes, want 24"},
+		{"payload ends early", 3, p([]Head{plain, plain}), "cannot hold 3 records"},
+		{"count exceeds bytes", 1 << 60, p([]Head{plain}), "cannot hold"},
+		{"trailing bytes", 1, append(p([]Head{plain}), 0), "5 payload bytes, want 4"},
+		{"EA column short", 1, p([]Head{load}), "4 payload bytes, want 12"},
+		{"truncated head", 1, p([]Head{plain})[:3], "cannot hold"},
+		{"miss level 3", 1, p([]Head{load | 3<<flagMissShift}, 8), "miss level 3 (memory op true)"},
+		{"miss level on a non-memory op", 1, p([]Head{plain | 1<<flagMissShift}), "(memory op false)"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			tr := undecoded(Meta{Records: c.records}, c.payload)
-			heads, eas, err := tr.Columns()
+			tr := unchecked(Meta{Schema: FormatVersion, Records: c.records}, c.payload)
+			file, err := tr.EncodeFile()
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := DecodeFile(file)
 			if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), c.want) {
 				t.Fatalf("err = %v, want ErrCorrupt mentioning %q", err, c.want)
 			}
-			if heads != nil || eas != nil {
-				t.Error("a rejected payload left columns behind")
+			if got != nil {
+				t.Error("a rejected file decoded to a trace")
 			}
-			if again := iterErr(tr); again != err {
-				t.Errorf("second use reports %v, want the first error", again)
+			if again := iterErr(tr); again == nil || again.Error() != err.Error() {
+				t.Errorf("Iter reports %v, want %v", again, err)
 			}
 		})
 	}
-	// The edge of the accepted range decodes.
-	ok := undecoded(Meta{Records: 2}, u(head(maxPC, flagTaken), head(-maxPC, load|2<<flagMissShift), 0))
-	heads, eas, err := ok.Columns()
+	// A file of an older format version is refused however sound.
+	old := buildSample(t)
+	old = unchecked(old.Meta, old.Payload)
+	old.Meta.Schema = 2
+	file, err := old.EncodeFile()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if heads[0].PC() != maxPC || !heads[0].Taken() || heads[1].PC() != 0 ||
-		heads[1].MissLevel() != 2 || len(eas) != 1 || eas[0] != 0 {
-		t.Errorf("edge payload decoded to %v %v", heads, eas)
+	if _, err := DecodeFile(file); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "format version 2") {
+		t.Errorf("format version 2: err = %v, want ErrCorrupt", err)
+	}
+	// The edge of the accepted range decodes.
+	edge := unchecked(Meta{Schema: FormatVersion, Records: 2},
+		p([]Head{Head(maxPC)<<headShift | flagTaken, flagHasEA | 2<<flagMissShift}, 0))
+	if file, err = edge.EncodeFile(); err != nil {
+		t.Fatal(err)
+	}
+	ok, err := DecodeFile(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := records(t, ok)
+	h0, h1 := r.Head(0), r.Head(1)
+	if ea, has := r.EA(0); h0.PC() != maxPC || !h0.Taken() || h1.PC() != 0 || h1.MissLevel() != 2 || !has || ea != 0 {
+		t.Errorf("edge payload decoded to %#x %#x %d", uint32(h0), uint32(h1), ea)
 	}
 }
 
-// TestBuilderRefusesWhatNoHeadHolds: a record outside the column
-// format still encodes, but the trace reports corrupt instead of
-// carrying a wrapped PC to the timing core.
+// TestBuilderRefusesWhatNoHeadHolds: a record outside the head format
+// fails the capture instead of carrying a wrapped PC to the timing
+// core.
 func TestBuilderRefusesWhatNoHeadHolds(t *testing.T) {
 	for _, r := range []Record{{PC: maxPC + 1}, {PC: -1}, {PC: 1, HasEA: true, MissLevel: 3}} {
 		var b Builder
+		b.Add(Record{PC: 1})
 		b.Add(r)
-		if err := iterErr(b.Finish(Meta{})); !errors.Is(err, ErrCorrupt) {
-			t.Errorf("record %+v: err = %v, want ErrCorrupt", r, err)
+		tr, err := b.Finish(Meta{})
+		if err == nil || tr != nil || !strings.Contains(err.Error(), "record 1") {
+			t.Errorf("record %+v: Finish = (%v, %v), want an error naming record 1", r, tr, err)
+		}
+		if b.Len() != 0 {
+			t.Errorf("record %+v: builder not reset after a refused Finish", r)
 		}
 	}
 }

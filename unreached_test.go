@@ -33,7 +33,6 @@ var testOnlyAllowed = map[string]string{
 	"internal/isa.DecodeAll":                       "the inverse of EncodeAll the ISA round-trip tests check",
 	"internal/kernels.VerifySWEndpoints":           "checks the simulated kernel's endpoint outputs against the Go forward pass",
 	"internal/harness.Quick":                       "the one-seed configuration every shape test runs",
-	"internal/trace.Decodes":                       "counts trace decodes for the store tests until traces have one representation",
 	"internal/trace.(*Iter).Rec":                   "materialises the current record for the trace, fuzz and golden tests",
 	"internal/bio/clustal.(*MSA).Ungapped":         "lets the MSA test check that rows ungap to their inputs",
 	"internal/bio/score.(*Matrix).Symmetric":       "checks the substitution tables are symmetric",
