@@ -86,7 +86,7 @@ type line struct {
 // Cache is one set-associative level with true-LRU replacement.
 type Cache struct {
 	cfg       Config
-	sets      [][]line
+	lines     []line // set i is lines[i*Assoc : (i+1)*Assoc]
 	setMask   uint64
 	lineShift uint
 	tagShift  uint // bits of the line address the set index consumes
@@ -100,17 +100,13 @@ func New(cfg Config) (*Cache, error) {
 		return nil, err
 	}
 	nsets := cfg.SizeBytes / cfg.LineBytes / cfg.Assoc
-	sets := make([][]line, nsets)
-	for i := range sets {
-		sets[i] = make([]line, cfg.Assoc)
-	}
 	shift := uint(0)
 	for 1<<shift < cfg.LineBytes {
 		shift++
 	}
 	return &Cache{
 		cfg:       cfg,
-		sets:      sets,
+		lines:     make([]line, nsets*cfg.Assoc),
 		setMask:   uint64(nsets - 1),
 		lineShift: shift,
 		tagShift:  uint(bits.Len(uint(nsets - 1))),
@@ -137,9 +133,7 @@ func (c *Cache) Stats() Stats { return c.stats }
 func (c *Cache) Access(addr uint64) bool {
 	c.clock++
 	c.stats.Accesses++
-	lineAddr := addr >> c.lineShift
-	set := c.sets[lineAddr&c.setMask]
-	tag := lineAddr >> c.tagShift
+	set, tag := c.set(addr)
 
 	for i := range set {
 		if set[i].valid && set[i].tag == tag {
@@ -165,12 +159,17 @@ func (c *Cache) Access(addr uint64) bool {
 	return false
 }
 
+// set returns the ways addr's line maps to and the line's tag.
+func (c *Cache) set(addr uint64) ([]line, uint64) {
+	lineAddr := addr >> c.lineShift
+	i := int(lineAddr&c.setMask) * c.cfg.Assoc
+	return c.lines[i : i+c.cfg.Assoc], lineAddr >> c.tagShift
+}
+
 // Contains reports whether addr's line is resident without touching LRU
 // state or counters (used by tests and by prefetch heuristics).
 func (c *Cache) Contains(addr uint64) bool {
-	lineAddr := addr >> c.lineShift
-	set := c.sets[lineAddr&c.setMask]
-	tag := lineAddr >> c.tagShift
+	set, tag := c.set(addr)
 	for i := range set {
 		if set[i].valid && set[i].tag == tag {
 			return true
@@ -191,11 +190,7 @@ func (c *Cache) PublishTo(reg *telemetry.Registry) {
 
 // Reset invalidates the cache and clears counters.
 func (c *Cache) Reset() {
-	for _, s := range c.sets {
-		for i := range s {
-			s[i] = line{}
-		}
-	}
+	clear(c.lines)
 	c.clock = 0
 	c.stats = Stats{}
 }

@@ -157,14 +157,19 @@ func (d *Dir) Entry(hash string) (b []byte, ok bool) {
 
 // Write files b, which the caller has verified or just encoded, at hash.
 func (d *Dir) Write(hash string, b []byte) error {
-	if d == nil {
-		return ErrNoDir
-	}
-	err := WriteFileAtomic(d.file(hash), func(w io.Writer) error {
+	return d.Stream(hash, func(w io.Writer) error {
 		_, err := w.Write(b)
 		return err
 	})
-	if err != nil {
+}
+
+// Stream files at hash what write encodes straight into the file, so a
+// large blob is not first assembled in memory.
+func (d *Dir) Stream(hash string, write func(io.Writer) error) error {
+	if d == nil {
+		return ErrNoDir
+	}
+	if err := WriteFileAtomic(d.file(hash), write); err != nil {
 		return err
 	}
 	d.writes.Add(1)

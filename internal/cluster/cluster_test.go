@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -215,7 +216,7 @@ func TestPickTakesQueueOrder(t *testing.T) {
 			[]*unit{flying1, done, hedged, halfBack, flying2}, 4, []*unit{flying1, flying2}, true},
 		{"everything done or hedged out", []*unit{done, hedged, halfBack}, 4, nil, false},
 	} {
-		got, hedge := pick(tc.queue, tc.n)
+		got, hedge := pick(tc.queue, tc.n, 1, nil, nil)
 		if len(got) != len(tc.want) || hedge != tc.hedge {
 			t.Errorf("%s: picked %d cells (hedge=%v), want %d (hedge=%v)", tc.name, len(got), hedge, len(tc.want), tc.hedge)
 			continue
@@ -225,6 +226,134 @@ func TestPickTakesQueueOrder(t *testing.T) {
 				t.Errorf("%s: cell %d is %s, want %s", tc.name, i, got[i].key, tc.want[i].key)
 			}
 		}
+	}
+}
+
+// TestPickKeepsStreamsOnTheirHolders pins the stream-aware order: cells
+// of streams nobody holds, then this worker's streams, then a steal of
+// the other workers' stream with the most cells left, each at most a
+// live worker's share of the cells left, then a hedge that prefers this
+// worker's streams.
+func TestPickKeepsStreamsOnTheirHolders(t *testing.T) {
+	a, b, c := harness.Stream{App: "A"}, harness.Stream{App: "B"}, harness.Stream{App: "C"}
+	cell := func(key string, s harness.Stream) *unit { return &unit{key: key, stream: s} }
+	flying := func(key string, s harness.Stream) *unit {
+		return &unit{key: key, stream: s, inflight: 1, dispatches: 1}
+	}
+	a1, a2, b1, b2, c1, c2, c3 := cell("a1", a), cell("a2", a), cell("b1", b), cell("b2", b),
+		cell("c1", c), cell("c2", c), cell("c3", c)
+	aDone := &unit{key: "aDone", stream: a, done: true}
+	aFly, bFly := flying("aFly", a), flying("bFly", b)
+	set := func(ss ...harness.Stream) map[harness.Stream]bool {
+		m := make(map[harness.Stream]bool)
+		for _, s := range ss {
+			m[s] = true
+		}
+		return m
+	}
+	for _, tc := range []struct {
+		name         string
+		queue        []*unit
+		n, live      int
+		mine, others map[harness.Stream]bool
+		want         []*unit
+		hedge        bool
+	}{
+		{"1: unheld streams in queue order, before this worker's own",
+			[]*unit{a1, b1, c1, b2}, 4, 1, set(a), set(c), []*unit{b1, b2}, false},
+		{"1: a stream only a dead worker held is unheld",
+			[]*unit{a1, c1, c2}, 1, 1, set(a), nil, []*unit{c1}, false},
+		{"2: this worker's streams in queue order, never the others'",
+			[]*unit{c1, a1, b1, a2, b2}, 4, 1, set(a, b), set(c), []*unit{a1, b1, a2, b2}, false},
+		{"2: n caps the batch",
+			[]*unit{a1, a2}, 1, 1, set(a), set(b), []*unit{a1}, false},
+		{"3: steal the held stream with the most cells left",
+			[]*unit{aDone, b1, c1, c2, b2, c3}, 2, 1, set(a), set(b, c), []*unit{c1, c2}, false},
+		{"3: a steal takes one stream only, on a tie the first to reach the most",
+			[]*unit{aFly, b1, c1, b2, c2}, 4, 1, set(a), set(b, c), []*unit{b1, b2}, false},
+		{"3: the one-stream steal",
+			[]*unit{b1, b2}, 4, 1, nil, set(b), []*unit{b1, b2}, false},
+		{"1–3: at most a live worker's share of the cells left",
+			[]*unit{c1, c2, c3, a1}, 4, 2, set(a), set(b), []*unit{c1, c2}, false},
+		{"1–3: the share rounds up",
+			[]*unit{c1, c2, c3}, 4, 2, nil, nil, []*unit{c1, c2}, false},
+		{"4: a hedge is not held to the share",
+			[]*unit{aFly, bFly}, 4, 2, set(a), set(b), []*unit{aFly, bFly}, true},
+		{"4: hedge this worker's streams first",
+			[]*unit{bFly, aDone, aFly}, 2, 1, set(a), set(b), []*unit{aFly, bFly}, true},
+		{"4: hedge another's stream when this worker has none in flight",
+			[]*unit{bFly, aDone}, 2, 1, set(a), set(b), []*unit{bFly}, true},
+	} {
+		got, hedge := pick(tc.queue, tc.n, tc.live, tc.mine, tc.others)
+		keys := func(us []*unit) (ks []string) {
+			for _, u := range us {
+				ks = append(ks, u.key)
+			}
+			return ks
+		}
+		if !slices.Equal(keys(got), keys(tc.want)) || hedge != tc.hedge {
+			t.Errorf("%s: picked %v (hedge=%v), want %v (hedge=%v)", tc.name, keys(got), hedge, keys(tc.want), tc.hedge)
+		}
+	}
+}
+
+// TestNextBatchCountsSteals: taking a stream another live worker holds
+// is a steal; a dead worker's streams are nobody's, so taking them is
+// not, and the taker holds every stream it is sent.
+func TestNextBatchCountsSteals(t *testing.T) {
+	s := harness.Stream{App: "A"}
+	for _, dead := range []bool{false, true} {
+		me := &workerState{name: "me", streams: map[harness.Stream]bool{}}
+		holder := &workerState{name: "holder", dead: dead, streams: map[harness.Stream]bool{s: true}}
+		c := &coordinator{o: Options{batchSize: 4}, running: context.Background(), open: true,
+			workers: []*workerState{me, holder}, live: map[bool]int{false: 2, true: 1}[dead],
+			queue: []*unit{{key: "1", stream: s}, {key: "2", stream: s}}}
+		c.cond = sync.NewCond(&c.mu)
+		// Two cells are left, so a live worker's share is 2/live.
+		if got := len(c.nextBatch(me)); got != 2/c.live {
+			t.Fatalf("holder dead=%v: picked %d cells, want %d", dead, got, 2/c.live)
+		}
+		if want := map[bool]uint64{false: 1, true: 0}[dead]; c.stats.Stolen != want || !me.streams[s] {
+			t.Errorf("holder dead=%v: Stolen = %d (want %d), taker holds the stream: %v", dead, c.stats.Stolen, want, me.streams[s])
+		}
+	}
+}
+
+// TestFleetCapturesEachStreamOncePerHolder: on a fault-free two-worker
+// sweep a stream's traces are captured by the worker that first takes
+// it and again only by a worker that takes it over, so the fleet
+// captures exactly seeds × (streams + Stolen) traces.
+func TestFleetCapturesEachStreamOncePerHolder(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	var urls []string
+	var engines []*sched.Engine
+	for i := 0; i < 2; i++ {
+		eng := sched.New(sched.Options{Workers: 2})
+		t.Cleanup(eng.Close)
+		ts := httptest.NewServer(server.New(server.Options{Engine: eng}))
+		t.Cleanup(ts.Close)
+		urls, engines = append(urls, ts.URL), append(engines, eng)
+	}
+	spec := testSpec(nil)
+	spec.Apps = []string{"Blast", "Fasta"}
+	m, err := Run(Options{Workers: urls, Spec: spec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs := m.Cluster
+	if cs.FailedCells != 0 || cs.WorkersLost != 0 || cs.Retries != 0 {
+		t.Fatalf("not a clean sweep: %+v", cs)
+	}
+	var captures uint64
+	for _, eng := range engines {
+		captures += eng.TraceStore().Stats().Captures
+	}
+	streams := uint64(len(spec.Apps) * 2) // the default grid's two variants
+	if want := uint64(len(spec.Config.Seeds)) * (streams + cs.Stolen); captures != want {
+		t.Errorf("fleet captured %d traces, want seeds × (streams + stolen) = %d × (%d + %d) = %d",
+			captures, len(spec.Config.Seeds), streams, cs.Stolen, want)
 	}
 }
 

@@ -15,10 +15,11 @@
 //
 //   - a version handshake that refuses a worker on another wire schema;
 //   - one queue of submitted cells, deduplicated by content key; a
-//     runner per worker takes the first cells nobody has in flight;
-//   - once none are left, idle runners hedge the first in-flight
-//     stragglers (bounded to two dispatches per cell) and the first
-//     result wins — late duplicates are counted and dropped;
+//     runner per worker takes cells nobody has in flight, keeping each
+//     trace stream on the worker that captured it (see pick);
+//   - once none are left, idle runners hedge in-flight stragglers
+//     (bounded to two dispatches per cell) and the first result wins —
+//     late duplicates are counted and dropped;
 //   - a per-worker circuit breaker fed by dispatch failures and missed
 //     heartbeats: a flapping worker is quarantined, its unanswered cells
 //     are simply not in flight any more, and when no workers remain the
@@ -105,6 +106,7 @@ const (
 type unit struct {
 	key        string
 	req        server.CellRequest
+	stream     harness.Stream
 	done       bool
 	inflight   int                // dispatches currently unanswered
 	dispatches int                // total dispatch attempts, bounds hedging
@@ -122,6 +124,10 @@ type workerState struct {
 	cancel context.CancelFunc
 	dead   bool
 	misses int // consecutive heartbeat failures; heartbeat goroutine only
+
+	// streams are the trace streams this worker has been sent cells of,
+	// and so holds the traces of.  Guarded by the coordinator mutex.
+	streams map[harness.Stream]bool
 
 	// dispatchCancel aborts the batch currently in flight, if any —
 	// the heartbeat uses it to unwedge a runner stuck talking to an
@@ -242,6 +248,7 @@ func (c *coordinator) buildWorkers(runCtx context.Context) {
 		wctx, wcancel := context.WithCancel(runCtx)
 		c.workers = append(c.workers, &workerState{
 			name: base, cli: cli, ctx: wctx, cancel: wcancel,
+			streams: make(map[harness.Stream]bool),
 			br: newBreaker(breakerConfig{
 				FailureThreshold: c.o.breakerThreshold,
 				Cooldown:         c.o.breakerCooldown,
@@ -289,7 +296,7 @@ func (c *coordinator) submit(ctx context.Context, pc harness.PlanCell) func() ha
 			return r
 		}
 	}
-	u := &unit{key: pc.Key, req: server.CellRequest(pc.Cell), ready: make(chan struct{})}
+	u := &unit{key: pc.Key, req: server.CellRequest(pc.Cell), stream: pc.Stream(), ready: make(chan struct{})}
 	c.units[pc.Key] = u
 	c.stats.Cells++
 	var det *core.Detail
@@ -500,7 +507,8 @@ func (c *coordinator) breakerSpan(w *workerState, transition string) {
 }
 
 // nextBatch blocks until w has work or its runner should exit.  Every
-// returned unit has been marked in-flight under the lock.
+// returned unit has been marked in-flight under the lock, and w holds
+// its stream; taking a stream another live worker holds is a steal.
 func (c *coordinator) nextBatch(w *workerState) []*unit {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -508,7 +516,15 @@ func (c *coordinator) nextBatch(w *workerState) []*unit {
 		if w.dead || c.running.Err() != nil {
 			return nil
 		}
-		if batch, hedge := pick(c.queue, c.o.batchSize); c.open && len(batch) > 0 {
+		others := make(map[harness.Stream]bool)
+		for _, o := range c.workers {
+			if o != w && !o.dead {
+				for s := range o.streams {
+					others[s] = true
+				}
+			}
+		}
+		if batch, hedge := pick(c.queue, c.o.batchSize, c.live, w.streams, others); c.open && len(batch) > 0 {
 			if hedge {
 				c.stats.Redispatched += uint64(len(batch))
 			}
@@ -516,6 +532,12 @@ func (c *coordinator) nextBatch(w *workerState) []*unit {
 				u.inflight++
 				u.dispatches++
 				c.stats.Dispatched++
+				if !w.streams[u.stream] {
+					w.streams[u.stream] = true
+					if others[u.stream] {
+						c.stats.Stolen++
+					}
+				}
 			}
 			return batch
 		}
@@ -523,25 +545,52 @@ func (c *coordinator) nextBatch(w *workerState) []*unit {
 	}
 }
 
-// pick chooses a runner's next batch from the queue, in queue order: up
-// to n cells that are neither done nor in flight.  When there are none
-// it hedges — up to n in-flight cells that have been dispatched fewer
-// than twice, so one wedged worker cannot gate the tail of the sweep
-// and no cell occupies more than two.
-func pick(queue []*unit, n int) (batch []*unit, hedge bool) {
+// pick chooses a runner's next batch: up to n cells by the first rule
+// that yields any.  A worker holds the streams it has been sent cells
+// of, and so their traces; mine are this worker's, others those of the
+// other live workers.  Rules 1–3 take cells neither done nor in flight,
+// and no more than a live worker's share of them, so the last cells of
+// a sweep are spread over the fleet instead of queued behind one worker.
+//
+//  1. Cells of streams no live worker holds, in queue order; the
+//     capturing cells are first in the queue, so they go out first.
+//  2. Cells of this worker's streams, in queue order.
+//  3. A steal: cells of the one stream with the most of them left.
+//  4. A hedge: in-flight cells dispatched fewer than twice, this
+//     worker's streams first, so one wedged worker cannot gate the
+//     tail of the sweep and no cell occupies more than two.
+func pick(queue []*unit, n, live int, mine, others map[harness.Stream]bool) (batch []*unit, hedge bool) {
+	limit := n
+	take := func(ok func(*unit) bool) bool {
+		for _, u := range queue {
+			if len(batch) < limit && !u.done && ok(u) {
+				batch = append(batch, u)
+			}
+		}
+		return len(batch) > 0
+	}
+	idle := func(u *unit) bool { return u.inflight == 0 }
+	left := make(map[harness.Stream]int)
+	var steal harness.Stream
+	undispatched := 0
 	for _, u := range queue {
-		if !u.done && u.inflight == 0 && len(batch) < n {
-			batch = append(batch, u)
+		if !u.done && idle(u) {
+			undispatched++
+			if left[u.stream]++; left[u.stream] > left[steal] {
+				steal = u.stream
+			}
 		}
 	}
-	if len(batch) > 0 {
+	limit = min(n, max(1, (undispatched+live-1)/live))
+	if take(func(u *unit) bool { return idle(u) && !mine[u.stream] && !others[u.stream] }) ||
+		take(func(u *unit) bool { return idle(u) && mine[u.stream] }) ||
+		take(func(u *unit) bool { return idle(u) && u.stream == steal }) {
 		return batch, false
 	}
-	for _, u := range queue {
-		if !u.done && u.inflight > 0 && u.dispatches < 2 && len(batch) < n {
-			batch = append(batch, u)
-		}
-	}
+	limit = n
+	straggler := func(u *unit) bool { return u.inflight > 0 && u.dispatches < 2 }
+	take(func(u *unit) bool { return straggler(u) && mine[u.stream] })
+	take(func(u *unit) bool { return straggler(u) && !mine[u.stream] })
 	return batch, len(batch) > 0
 }
 

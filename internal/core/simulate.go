@@ -188,31 +188,33 @@ func simulateSeed(ctx context.Context, k *kernels.Kernel, v kernels.Variant, see
 	// The store call covers both the singleflight wait (a concurrent
 	// caller is capturing the same trace) and, on a cold key, the
 	// capture itself; the closure isolates the capture portion so the
-	// remainder attributes to the store.
+	// remainder attributes to the store.  The capture times this cell
+	// in the same walk, so the call that ran it does not replay.
 	getStart := time.Now()
 	var captureNS int64
+	var rep cpu.Report
 	t, hit, err := store.GetOrCapture(ctx, key, func() (*trace.Trace, error) {
 		capStart := time.Now()
 		_, sp := telemetry.StartSpan(ctx, telemetry.StageCapture)
 		sp.Attr("app", k.App)
 		sp.AttrInt("seed", seed)
-		tr, cerr := kernels.CaptureTrace(k, v, seed, scale, stepLimit)
+		tr, r, cerr := kernels.CaptureTimed(k, v, seed, scale, stepLimit, &cfg, obs)
 		sp.End()
 		captureNS = time.Since(capStart).Nanoseconds()
+		rep = r
 		return tr, cerr
 	})
 	cost.CaptureNS = captureNS
 	cost.CacheNS = time.Since(getStart).Nanoseconds() - captureNS
-	if err != nil {
-		return cpu.Report{}, false, cost, err
+	if err != nil || !hit {
+		return rep, false, cost, err
 	}
 	replayStart := time.Now()
 	_, sp := telemetry.StartSpan(ctx, telemetry.StageReplay)
 	sp.Attr("app", k.App)
 	sp.AttrInt("seed", seed)
-	sp.AttrBool("trace_hit", hit)
-	rep, err := kernels.ReplayObserved(k, v, t, cfg, obs)
+	rep, err = kernels.ReplayObserved(k, v, t, cfg, obs)
 	sp.End()
 	cost.ReplayNS = time.Since(replayStart).Nanoseconds()
-	return rep, hit, cost, err
+	return rep, true, cost, err
 }

@@ -34,6 +34,14 @@ type Cell struct {
 	Trace core.TracePolicy
 }
 
+// Stream is the cells of a plan that share traces: one application and
+// variant (a plan's cells have its seeds and scale), whose first cell to
+// run captures the traces the rest replay.
+type Stream struct{ App, Variant string }
+
+// Stream returns the stream c belongs to.
+func (c Cell) Stream() Stream { return Stream{c.App, c.Variant} }
+
 // Canonical validates the coordinates and returns their canonical
 // form, a fixed point of Canonical.  Errors quote the offending value.
 func (c Cell) Canonical() (Cell, error) {

@@ -15,7 +15,9 @@ import (
 // engine (nothing cached, no traces) every point that did work of its
 // own reports where the time went — simulation work (a capture or a
 // replay) is present, the stages fit inside the measured wall time, and
-// the aggregate names simulation as the dominant stage.  The assertions
+// the aggregate names simulation as the dominant stage.  A capture
+// times its own cell, so a capturing cell records no replay; the
+// second FXU count gives each trace a replay.  The assertions
 // are structural: which of capture and replay costs more, and how close
 // the stage sum comes to the total, are host timings the benchmark
 // judges, not tier-1.
@@ -23,9 +25,9 @@ func TestColdSweepProfile(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	// 8 workers for 6 cells: no worker starvation, so queue wait stays
+	// 8 workers for 10 cells: no worker starvation, so queue wait stays
 	// a minor stage and the attribution reflects simulation work.
-	// FXUs{2} makes the branchy grid point coincide with the POWER5
+	// FXUs 2 makes the branchy grid point coincide with the POWER5
 	// baseline — it coalesces and reports zero cost, covering the
 	// shared-cell path.
 	eng := sched.New(sched.Options{Workers: 8})
@@ -33,7 +35,7 @@ func TestColdSweepProfile(t *testing.T) {
 	tr := telemetry.NewTracer(0, eng.Registry())
 
 	sp := SweepSpec{
-		FXUs:        []int{2},
+		FXUs:        []int{2, 3},
 		BTACEntries: []int{0},
 		Variants:    []kernels.Variant{kernels.Branchy, kernels.Combination},
 		Apps:        []string{"Fasta", "Blast"},
@@ -73,8 +75,8 @@ func TestColdSweepProfile(t *testing.T) {
 			continue
 		}
 		measured++
-		if c.CaptureNS <= 0 && c.ReplayNS <= 0 {
-			t.Errorf("point %d (%s/%s): no capture or replay cost on a cold engine: %+v",
+		if (c.CaptureNS > 0) == (c.ReplayNS > 0) {
+			t.Errorf("point %d (%s/%s): want exactly one of capture and replay cost on a cold engine: %+v",
 				i, m.Points[i].App, m.Points[i].Variant, c)
 		}
 		sum := c.QueueNS + c.CompileNS + c.CaptureNS + c.ReplayNS + c.SimNS + c.CacheNS
@@ -101,8 +103,18 @@ func TestColdSweepProfile(t *testing.T) {
 	// The spans the sweep recorded export as Perfetto-loadable
 	// trace-event JSON with the capture stage present.
 	names := map[string]int{}
+	children := map[uint64]map[string]bool{} // parent span -> child names
 	for _, d := range tr.Spans() {
 		names[d.Name]++
+		if children[d.Parent] == nil {
+			children[d.Parent] = map[string]bool{}
+		}
+		children[d.Parent][d.Name] = true
+	}
+	for parent, kids := range children {
+		if kids[telemetry.StageCapture] && kids[telemetry.StageReplay] {
+			t.Errorf("span %d recorded both a capture and a replay: a capture times its own cell", parent)
+		}
 	}
 	for _, want := range []string{telemetry.StageExecute, telemetry.StageQueue,
 		telemetry.StageCapture, telemetry.StageReplay, telemetry.StageCompile} {

@@ -190,7 +190,7 @@ type ClusterStats struct {
 	Dispatched   uint64 `json:"dispatched"`          // dispatch attempts (incl. re-dispatches)
 	Completed    uint64 `json:"completed"`           // cells that returned ok
 	FailedCells  uint64 `json:"failed_cells"`        // cells that exhausted the fleet
-	Stolen       uint64 `json:"stolen"`              // always 0: the fleet shares one queue; kept for the schema
+	Stolen       uint64 `json:"stolen"`              // streams a worker took over from a live holder: a steal, or a hedge outside its streams
 	Redispatched uint64 `json:"redispatched"`        // straggler cells re-sent to a second worker
 	Duplicates   uint64 `json:"duplicates"`          // late results dropped by first-result-wins
 	Resumed      uint64 `json:"resumed"`             // cells answered from the -resume state directory
@@ -461,9 +461,8 @@ func RunSweep(sp SweepSpec) (*SweepManifest, error) {
 // runPlan runs planned cells — a sweep's or the paper's — under ctx, on
 // Config.Submit or the local engine, and returns their results in plan
 // order whatever order they ran in.  Every cell is submitted before any
-// is waited for, and the first cell of each (application, variant) is
-// submitted ahead of the rest: those are the cells that capture a
-// trace, and a worker handed a second cell of a trace still being
+// is waited for, and the first cell of each Stream is submitted ahead
+// of the rest: those are the cells that capture a trace, and a worker handed a second cell of a trace still being
 // captured would park behind the capture while replayable cells sit in
 // the queue.
 func (c Config) runPlan(ctx context.Context, cells []PlanCell) []CellResult {
@@ -472,11 +471,10 @@ func (c Config) runPlan(ctx context.Context, cells []PlanCell) []CellResult {
 		run = c.submitLocal
 	}
 	waits := make([]func() CellResult, len(cells))
-	type stream struct{ app, variant string }
-	captured := make(map[stream]bool)
+	captured := make(map[Stream]bool)
 	var rest []int
 	for i, pc := range cells {
-		if s := (stream{pc.App, pc.Variant}); !captured[s] {
+		if s := pc.Stream(); !captured[s] {
 			captured[s] = true
 			waits[i] = run(ctx, pc)
 		} else {

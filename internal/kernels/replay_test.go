@@ -140,6 +140,46 @@ func TestReplayEquivalenceGolden(t *testing.T) {
 	}
 }
 
+// TestTimedCaptureEqualsReplay: a capture that times its cell in the
+// same walk writes CaptureTrace's trace file to the byte, reports what
+// a replay of that trace under the same configuration reports, and
+// publishes exactly what the replay publishes — the core's state, and
+// no cache or memory statistics.
+func TestTimedCaptureEqualsReplay(t *testing.T) {
+	cfg := cpu.POWER5Baseline()
+	for _, k := range All() {
+		for _, v := range []Variant{Branchy, Combination} {
+			cell := k.App + "/" + v.String()
+			regs := [2]*telemetry.Registry{telemetry.NewRegistry(), telemetry.NewRegistry()}
+			tr, got, err := CaptureTimed(k, v, 1, 1, replayLimit, &cfg, Observer{Registry: regs[0]})
+			if err != nil {
+				t.Fatalf("%s: timed capture: %v", cell, err)
+			}
+			b, err := tr.EncodeFile()
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := goldenTrace(t, k, v).EncodeFile()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sha256.Sum256(b) != sha256.Sum256(want) {
+				t.Errorf("%s: timed capture's trace file differs from CaptureTrace's", cell)
+			}
+			replayed, err := ReplayObserved(k, v, tr, cfg, Observer{Registry: regs[1]})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != replayed || got.Counters.Instructions == 0 {
+				t.Errorf("%s: timed capture reports %+v, its replay %+v", cell, got, replayed)
+			}
+			if a, b := regs[0].Snapshot(0), regs[1].Snapshot(0); !reflect.DeepEqual(a, b) {
+				t.Errorf("%s: timed capture published %v, its replay %v", cell, a.Counters, b.Counters)
+			}
+		}
+	}
+}
+
 // TestReplayEquivalenceSeedsAndScale spot-checks that the invariant
 // holds off the default (seed, scale) coordinate too.
 func TestReplayEquivalenceSeedsAndScale(t *testing.T) {

@@ -102,25 +102,43 @@ func TraceKey(k *Kernel, v Variant, seed int64, scale int) (trace.Key, error) {
 // the trace.  The functional result is verified before the trace is
 // sealed, so a stored trace is always a trace of a correct execution.
 func CaptureTrace(k *Kernel, v Variant, seed int64, scale int, limit uint64) (*trace.Trace, error) {
+	t, _, err := CaptureTimed(k, v, seed, scale, limit, nil, Observer{})
+	return t, err
+}
+
+// CaptureTimed is CaptureTrace that, when cfg is non-nil, also times
+// the cell in the same walk: cfg's core, watched by obs, consumes every
+// instruction the builder keeps, so a trace's first use costs one
+// functional execution instead of a capture and a replay.  The report
+// equals ReplayObserved of the returned trace under cfg, and obs's
+// registry gets only the core's state, as a replay publishes it.
+func CaptureTimed(k *Kernel, v Variant, seed int64, scale int, limit uint64, cfg *cpu.Config, obs Observer) (*trace.Trace, cpu.Report, error) {
 	c, err := CompileCached(k, v)
 	if err != nil {
-		return nil, err
+		return nil, cpu.Report{}, err
 	}
 	run, err := k.NewRun(seed, scale)
 	if err != nil {
-		return nil, fmt.Errorf("kernels: %s/%s: %w", k.Name, v, err)
+		return nil, cpu.Report{}, fmt.Errorf("kernels: %s/%s: %w", k.Name, v, err)
 	}
 	mach, err := load(k, c, run)
 	if err != nil {
-		return nil, err
+		return nil, cpu.Report{}, err
 	}
 	hier := cache.NewPOWER5Hierarchy()
+	var core *cpu.Core
+	if cfg != nil {
+		if core, err = obs.newCore(v, *cfg, hier.LevelLatencies()); err != nil {
+			return nil, cpu.Report{}, err
+		}
+		defer obs.publish(core)
+	}
 	var b trace.Builder
-	if err := cpu.Walk(mach, c.Meta, hier, limit, nil, &b); err != nil {
-		return nil, fmt.Errorf("kernels: %s/%s: capture: %w", k.Name, v, err)
+	if err := cpu.Walk(mach, c.Meta, hier, limit, core, &b); err != nil {
+		return nil, cpu.Report{}, fmt.Errorf("kernels: %s/%s: capture: %w", k.Name, v, err)
 	}
 	if err := check(k, v, mach, run); err != nil {
-		return nil, err
+		return nil, cpu.Report{}, err
 	}
 	// Replay charges exactly the load latencies capture resolved against.
 	t, err := b.Finish(trace.Meta{
@@ -134,9 +152,13 @@ func CaptureTrace(k *Kernel, v Variant, seed int64, scale int, limit uint64) (*t
 		LoadLat:  hier.LevelLatencies(),
 	})
 	if err != nil {
-		return nil, fmt.Errorf("kernels: %s/%s: %w", k.Name, v, err)
+		return nil, cpu.Report{}, fmt.Errorf("kernels: %s/%s: %w", k.Name, v, err)
 	}
-	return t, nil
+	var rep cpu.Report
+	if core != nil {
+		rep = core.Report()
+	}
+	return t, rep, nil
 }
 
 // ReplayTrace feeds a stored trace through the timing core under cfg

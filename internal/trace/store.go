@@ -3,6 +3,7 @@ package trace
 import (
 	"context"
 	"fmt"
+	"io"
 	"net/http"
 	"time"
 
@@ -167,11 +168,7 @@ func (s *Store) Get(key Key) (*Trace, bool) {
 // existing entry.
 func (s *Store) Put(key Key, t *Trace) {
 	s.install(key.Hash(), t)
-	if s.disk != nil {
-		if b, err := t.EncodeFile(); err == nil {
-			s.diskWrite(key.Hash(), b)
-		}
-	}
+	s.diskWrite(key.Hash(), t.writeFile)
 }
 
 // fetch probes the tiers below memory: the directory, then the shared
@@ -193,7 +190,7 @@ func (s *Store) fetch(ctx context.Context, hash string, key Key) (*Trace, bool) 
 	if s.disk.Load(hash, decode) {
 		s.mDiskHits.Add(1)
 	} else if s.remote.Get(ctx, hash, decode) {
-		s.diskWrite(hash, raw)
+		s.diskWrite(hash, encoded(raw))
 	} else {
 		return nil, false
 	}
@@ -212,9 +209,9 @@ func (s *Store) fill(ctx context.Context, hash string, key Key, capture func() (
 		return nil, false, err
 	}
 	s.mCaptures.Add(1)
-	if s.disk != nil || s.remote != nil {
+	s.diskWrite(hash, t.writeFile)
+	if s.remote != nil {
 		if b, err := t.EncodeFile(); err == nil {
-			s.diskWrite(hash, b)
 			s.remote.Put(ctx, hash, b)
 		}
 	}
@@ -307,21 +304,29 @@ func (s *Store) Install(hash string, body []byte) error {
 		return err
 	}
 	s.install(hash, t)
-	s.diskWrite(hash, body)
+	s.diskWrite(hash, encoded(body))
 	return nil
 }
 
-// diskWrite files an encoded trace in the directory tier.  Failures are
+// diskWrite files the trace file write encodes in the directory tier.  Failures are
 // not errors: the in-memory trace is sound, only the cross-process tier
 // misses next time.  It is also the SiteTrace fault hook: when the
 // injector orders a Corrupt, the just-written file is torn after it
 // landed at its final address, so Load's detect-and-recapture path and
 // `bioperf5 fsck` get exercised against a real torn file.
-func (s *Store) diskWrite(hash string, b []byte) {
-	if s.disk.Write(hash, b) != nil || s.inj == nil {
+func (s *Store) diskWrite(hash string, write func(io.Writer) error) {
+	if s.disk.Stream(hash, write) != nil || s.inj == nil {
 		return
 	}
 	if s.inj.Decide(fault.SiteTrace, hash, 0).Kind == fault.Corrupt && s.disk.Tear(hash) == nil {
 		s.mFaults.Add(1)
+	}
+}
+
+// encoded is the write of a trace file already encoded.
+func encoded(b []byte) func(io.Writer) error {
+	return func(w io.Writer) error {
+		_, err := w.Write(b)
+		return err
 	}
 }

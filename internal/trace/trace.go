@@ -44,6 +44,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"sync"
 )
 
@@ -309,17 +310,29 @@ func (it *Iter) Err() error { return it.err }
 //	magic | little-endian uint32 len(meta JSON) | meta JSON | payload |
 //	SHA-256 over everything preceding
 func (t *Trace) EncodeFile() ([]byte, error) {
+	var b bytes.Buffer
+	b.Grow(len(magic) + 4 + 1024 + len(t.Payload) + sha256.Size)
+	err := t.writeFile(&b)
+	return b.Bytes(), err
+}
+
+// writeFile writes EncodeFile's bytes to w part by part, so a disk
+// write never holds a second copy of the payload.
+func (t *Trace) writeFile(w io.Writer) error {
 	mb, err := json.Marshal(t.Meta)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	out := make([]byte, 0, len(magic)+4+len(mb)+len(t.Payload)+sha256.Size)
-	out = append(out, magic...)
-	out = binary.LittleEndian.AppendUint32(out, uint32(len(mb)))
-	out = append(out, mb...)
-	out = append(out, t.Payload...)
-	sum := sha256.Sum256(out)
-	return append(out, sum[:]...), nil
+	sum := sha256.New()
+	body := io.MultiWriter(w, sum)
+	head := binary.LittleEndian.AppendUint32(append([]byte(nil), magic...), uint32(len(mb)))
+	for _, part := range [][]byte{head, mb, t.Payload} {
+		if _, err := body.Write(part); err != nil {
+			return err
+		}
+	}
+	_, err = w.Write(sum.Sum(nil))
+	return err
 }
 
 // DecodeFile parses and verifies a trace file; it is the one trust

@@ -45,7 +45,6 @@ var testOnlyAllowed = map[string]string{
 	"internal/isa.CR6":                             "member of the register-file enum; deleting it renumbers LR, CTR and NumRegs",
 	"internal/bio/seq.DNA":                         "the second alphabet the alphabet-mismatch tests reject",
 	"internal/sched.Stats.Journaled":               "always 0: keeps journal_appends in the manifest bytes cluster/testdata/parent_manifest.json pins",
-	"internal/harness.ClusterStats.Stolen":         "always 0: keeps stolen in the manifest schema; bench/layers.go reports it as cluster.stolen",
 }
 
 // interfaceMethods are the methods a type gets called through a standard
